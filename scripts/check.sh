@@ -1,14 +1,17 @@
 #!/usr/bin/env bash
-# Tier-1 gate + engine microbench smoke, in one command.
+# Every correctness gate, in one command.
 #
 #   scripts/check.sh          # from the repo root
 #
-# 1. Runs the tier-1 test suite (tests/), exactly as ROADMAP.md defines.
-# 2. Smoke-runs the engine microbenchmarks (benchmarks/test_engine_
-#    microbench.py) with timing disabled, so hot-path regressions that
-#    *break* (rather than slow) the engine are caught here too.
+# 1. The tier-1 test suite (tests/), exactly as ROADMAP.md defines.
+# 2. The engine microbenchmarks (benchmarks/test_engine_microbench.py)
+#    with timing disabled, so hot-path regressions that *break* (rather
+#    than slow) the engine are caught here too.
+# 3. Trace schema round-trip, 4. crash sweep, 5. replica chaos sweep,
+# 6. the determinism gate (five scenarios), 7. the console audit.
 #
-# For actual wall-clock numbers, use scripts/bench_baseline.py.
+# For host-time numbers (with spread, against a parent commit), use
+# python benchmarks/perf/bench.py and its --compare.
 
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -41,35 +44,10 @@ echo "== service chaos: replica crashes + failover, seeded sweep, twice =="
 python scripts/chaosmonkey.py --schedules 200 --seed 77 --twice --quiet
 
 echo
-echo "== background determinism: inline/thread/process, byte-identical =="
-python scripts/check_bg_determinism.py
-
-echo
-echo "== service determinism: 4 shards x 8 clients, two byte-identical runs =="
-python scripts/check_service_determinism.py
-
-echo
-echo "== scan determinism: seekrandom twice, byte-identical traces =="
-python scripts/check_scan_determinism.py
-
-echo
-echo "== online determinism: phased workload, tuner mid-flight, twice =="
-python scripts/check_online_determinism.py
-
-echo
-echo "== reshard determinism: live split mid-run, audit clean, twice =="
-python scripts/check_reshard_determinism.py
-
-echo
-echo "== perf smoke: write-path throughput vs recorded baseline =="
-# Opt-in (wall-clock timing is meaningless on loaded CI hosts): export
-# PERF_SMOKE=1 to fail the gate when fillrandom throughput drops >30%
-# below the put_ops_per_sec recorded in BENCH_engine.json.
-if [[ "${PERF_SMOKE:-0}" == "1" ]]; then
-  python scripts/profile_write_path.py --smoke
-else
-  echo "skipped (export PERF_SMOKE=1 to enable)"
-fi
+echo "== determinism: bg (inline/thread), service, scan, online, reshard =="
+# Each scenario runs at least twice and is byte-compared (trace and
+# report); the printed sha256 digests pin the bytes across refactors.
+python scripts/check_determinism.py
 
 echo
 echo "== console audit: no direct print() outside repro/obs/console.py =="

@@ -1,0 +1,240 @@
+"""Determinism gate: five seeded scenarios, run repeatedly, byte-compared.
+
+Run by ``scripts/check.sh``; ``python scripts/check_determinism.py``
+runs every scenario, ``... check_determinism.py scan`` just that one.
+
+Each scenario function executes one seeded run and returns its trace
+(one JSONL line per event), a report text (host wall-clock zeroed — the
+one legitimately nondeterministic field) and a list of problems with
+the run itself. The skeleton runs the scenario once per variant and
+compares trace and report line by line against the first run. Any
+divergence means host state (dict order, salted hashes, real time,
+thread timing) leaked into the simulation. On success it prints the
+event count and the sha256 of the compared bytes (``trace + "\\n" +
+report``), so a refactor can be checked by comparing this output
+before and after.
+
+Scenarios:
+
+``bg``
+    A compaction-heavy fill under the ``inline`` executor, then twice
+    under ``thread`` (run-to-run *and* cross-mode identity); the report
+    is the final per-key state, the ticker vector and the virtual clock.
+    The deferred-completion design requires every virtual quantity to
+    come from schedule-time inputs only.
+``service``
+    ``readwhilewriting`` over 4 shards with 8 open-loop clients.
+``scan``
+    ``seekrandom``: cursor seeks plus forward ``next()`` chains, the
+    lazy read path end to end.
+``online``
+    ``phasedmix`` through the :class:`~repro.core.online.OnlineTuner`:
+    drift detection, LLM round-trips, mid-flight ``set_options``
+    fan-outs, scoring and reverts. The session must see a drift event
+    and apply a diff.
+``reshard``
+    Skewed ``hotspot`` over 2 ring-routed shards with a mid-run live
+    split (2 -> 3). The split must happen, every operation must be
+    served and the write-audit oracle must come back clean.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import sys
+from typing import Callable
+
+from repro.bench.report import render_report
+from repro.bench.runner import DbBench
+from repro.bench.spec import workload
+from repro.core.online import OnlineTuner, OnlineTunerConfig
+from repro.hardware.profile import make_profile
+from repro.llm.simulated import SimulatedExpert
+from repro.lsm.db import DB
+from repro.lsm.env import Env
+from repro.lsm.options import Options
+from repro.lsm.statistics import Statistics
+from repro.obs.drift import DriftConfig
+from repro.obs.events import ReshardBegin, ReshardEnd, to_jsonl_line
+from repro.obs.sinks import RingSink
+from repro.obs.tracer import Tracer
+from repro.service import render_service_report, run_service_benchmark
+from repro.service.service import ShardedService
+
+#: One run: (trace lines, report text, problems with the run itself).
+Run = tuple[list[str], str, list[str]]
+
+
+def _trace_lines(events) -> list[str]:
+    return [to_jsonl_line(e).rstrip("\n") for e in events]
+
+
+def bg(mode: str) -> Run:
+    sink = RingSink()
+    env = Env()
+    stats = Statistics()
+    db = DB.open(
+        f"/bg-det-{mode}",
+        Options({
+            "write_buffer_size": 8 * 1024,
+            "target_file_size_base": 16 * 1024,
+            "max_bytes_for_level_base": 64 * 1024,
+            "background_executor": mode,
+        }),
+        env=env,
+        statistics=stats,
+        tracer=Tracer(sink),
+    )
+    keyspace = 1200
+    for i in range(6000):
+        db.put(b"k%06d" % ((i * 2654435761) % keyspace), b"v%08d" % i)
+        if i % 13 == 0:
+            db.delete(b"k%06d" % ((i * 7919) % keyspace))
+    state = db.scan(limit=None)
+    db.close()
+    fingerprint = repr((state, list(stats.raw_tickers()), env.clock.now_us))
+    return _trace_lines(sink.events), fingerprint, []
+
+
+def service() -> Run:
+    sink = RingSink()
+    result = run_service_benchmark(
+        workload("readwhilewriting"),
+        Options({"shard_count": 4, "use_fsync": True}),
+        make_profile(4, 4),
+        num_clients=8,
+        tracer=Tracer(sink),
+    )
+    result.wall_clock_s = 0.0
+    return _trace_lines(sink.events), render_service_report(result), []
+
+
+def scan() -> Run:
+    sink = RingSink()
+    result = DbBench(
+        workload("seekrandom", 0.0003),
+        Options({"bloom_filter_bits_per_key": 10.0}),
+        make_profile(4, 4),
+        byte_scale=1 / 1024,
+        tracer=Tracer(sink),
+    ).run()
+    result.wall_clock_s = 0.0
+    return _trace_lines(sink.events), render_report(result), []
+
+
+def online() -> Run:
+    spec = workload("phasedmix", scale=1.0 / 1000.0)
+    config = OnlineTunerConfig(
+        workload=spec,
+        byte_scale=1.0,
+        drift=DriftConfig(window_ops=4000),
+        score_window_ops=4000,
+        cadence_ops=8000,
+    )
+    session = OnlineTuner(config, llm=SimulatedExpert(seed=spec.seed)).run()
+    problems = []
+    if not session.applied_actions:
+        problems.append("online session applied no mid-flight diff")
+    if session.drift_count < 1:
+        problems.append("phased workload produced no drift event")
+    return _trace_lines(session.trace_events), "", problems
+
+
+def reshard() -> Run:
+    shards, split_at_ops = 2, 8000
+    spec = workload("hotspot")
+    sink = RingSink()
+    svc = ShardedService(
+        spec,
+        Options({
+            "shard_count": shards,
+            "routing_policy": "ring",
+            "use_fsync": True,
+        }),
+        make_profile(4, 4),
+        num_clients=8,
+        tracer=Tracer(sink),
+    )
+    svc.write_audit = {}
+    fired: list[int] = []
+
+    def hook(_svc: ShardedService, event) -> None:
+        if not fired and event.ops_done >= split_at_ops:
+            fired.append(event.ops_done)
+            svc.set_options({"shard_count": shards + 1})
+
+    svc.on_progress = hook
+    problems: list[str] = []
+    svc.on_complete = lambda _svc: problems.extend(svc.verify_write_audit())
+    result = svc.run()
+    result.wall_clock_s = 0.0
+    kinds = {type(e) for e in sink.events}
+    if not {ReshardBegin, ReshardEnd} <= kinds:
+        problems.append("no live split executed")
+    if result.aggregate.ops_done != spec.num_ops:
+        problems.append(
+            f"served {result.aggregate.ops_done} of {spec.num_ops} ops"
+        )
+    return _trace_lines(sink.events), render_service_report(result), problems
+
+
+#: name -> (scenario function, one argument tuple per run).
+SCENARIOS: dict[str, tuple[Callable[..., Run], list[tuple]]] = {
+    "bg": (bg, [("inline",), ("thread",), ("thread",)]),
+    "service": (service, [(), ()]),
+    "scan": (scan, [(), ()]),
+    "online": (online, [(), ()]),
+    "reshard": (reshard, [(), ()]),
+}
+
+
+def check(name: str) -> bool:
+    """Run one scenario's variants; report the first divergence."""
+    scenario, variants = SCENARIOS[name]
+    first: tuple[list[str], list[str]] | None = None
+    for run, args in enumerate(variants, start=1):
+        label = f"{name} run {run}" + (f" ({args[0]})" if args else "")
+        trace, report, problems = scenario(*args)
+        if not trace:
+            problems = problems + ["run produced no trace events"]
+        for problem in problems:
+            print(f"FAIL: {label}: {problem}", file=sys.stderr)
+        if problems:
+            return False
+        this = (trace, report.split("\n"))
+        if first is None:
+            first = this
+            continue
+        for what, a, b in zip(("trace", "report"), first, this):
+            if a == b:
+                continue
+            at = next(
+                (i for i, (x, y) in enumerate(zip(a, b)) if x != y),
+                min(len(a), len(b)),
+            )
+            print(
+                f"FAIL: {label} differs from run 1 at {what} line {at}:\n"
+                f"  run 1: {a[at] if at < len(a) else '<end>'}\n"
+                f"  run {run}: {b[at] if at < len(b) else '<end>'}",
+                file=sys.stderr,
+            )
+            return False
+    assert first is not None
+    trace, report_lines = first
+    digest = hashlib.sha256("\n".join(trace + report_lines).encode())
+    print(f"{name}: {len(trace)} events, sha256 {digest.hexdigest()}, "
+          f"byte-identical across {len(variants)} runs")
+    return True
+
+
+def main(argv: list[str]) -> int:
+    names = argv[:1] or list(SCENARIOS)
+    if names[0] not in SCENARIOS:
+        print(f"unknown scenario {names[0]!r}; "
+              f"choose from {', '.join(SCENARIOS)}", file=sys.stderr)
+        return 2
+    return 0 if all([check(name) for name in names]) else 1
+
+
+if __name__ == "__main__":
+    raise SystemExit(main(sys.argv[1:]))

@@ -17,7 +17,6 @@ from repro.bench.trace import (
     parse_trace,
     replay_trace,
 )
-from repro.bench.ycsb import YcsbResult, YcsbRunner, YcsbSpec, run_ycsb
 from repro.bench.runner import BenchResult, DbBench, ProgressEvent, run_benchmark
 from repro.bench.spec import (
     DEFAULT_SCALE,
@@ -42,10 +41,6 @@ __all__ = [
     "parse_trace",
     "replay_trace",
     "ReplayResult",
-    "YcsbSpec",
-    "YcsbRunner",
-    "YcsbResult",
-    "run_ycsb",
     "WorkloadSpec",
     "paper_workload",
     "PAPER_WORKLOADS",

@@ -13,25 +13,18 @@ the DB's filesystem, caches, tracer, or clock. The foreground joins the
 future only when virtual time forces it (see ``DB._resolve_bg_due``),
 so the answer is bit-identical no matter where the merge ran.
 
-Three modes:
+Two modes:
 
 ``inline``
     Runs the job synchronously at submit. The default — zero host
-    overlap, zero risk, and the reference behaviour every other mode
-    must reproduce byte-for-byte.
+    overlap, zero risk, and the reference behaviour ``thread`` must
+    reproduce byte-for-byte.
 ``thread``
     A ``ThreadPoolExecutor``. Cheap handoff (inputs are shared by
     reference), but pure-Python merge work holds the GIL, so the
     overlap mostly covers the foreground's own C-level time (WAL CRC,
-    bytearray appends). Useful as a determinism canary more than a
-    speedup.
-``process``
-    Fork-per-job. The child inherits the spec through copy-on-write
-    (no submit-side pickling, no dispatch thread to starve behind the
-    GIL-holding foreground loop) and ships the table bytes back over a
-    pipe; merges genuinely run on other cores, which is where the
-    sustained-write speedup comes from. The virtual slot pools already
-    bound useful concurrency, so no host-side pool is kept.
+    bytearray appends). It is not here for speed: it is the canary
+    that real host concurrency cannot leak into virtual time.
 
 Fault-injection runs (``FaultFS``) pin ``inline`` regardless of the
 configured mode: crash-at-Nth-syscall schedules count foreground
@@ -40,6 +33,7 @@ filesystem calls, and background workers must never race that count.
 
 from __future__ import annotations
 
+import os
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -50,11 +44,9 @@ from repro.lsm.compaction.picker import Compaction
 from repro.lsm.env import MemFileSystem, RandomAccessFile
 from repro.lsm.flush import FlushResult, run_flush
 from repro.lsm.memtable import MemTable
+from repro.lsm.options import Options
 from repro.lsm.snapshot import SnapshotList
 from repro.lsm.sstable import SSTableBuilder, SSTableReader
-
-EXECUTOR_MODES = ("inline", "thread", "process")
-
 
 # --------------------------------------------------------------- job specs
 
@@ -102,9 +94,8 @@ class CompactionJobSpec:
 
     ``input_files`` are positional-read handles captured on the
     foreground at schedule time: they pin the input tables' bytes (a
-    ``bytearray`` reference under thread mode, a pickled copy under
-    process mode), so the job survives even an install that later
-    unlinks the paths.
+    ``bytearray`` reference), so the job survives even an install that
+    later unlinks the paths.
     """
 
     compaction: Compaction
@@ -116,19 +107,6 @@ class CompactionJobSpec:
     #: ``options.target_file_size(output_level)`` at schedule time;
     #: unused for L0 outputs (run_compaction keeps those unsplit).
     target_file_size: int
-
-
-class _FixedTargetSize:
-    """Options stand-in for :func:`run_compaction`, which only reads
-    ``target_file_size(output_level)`` — frozen at schedule time."""
-
-    __slots__ = ("_size",)
-
-    def __init__(self, size: int) -> None:
-        self._size = size
-
-    def target_file_size(self, level: int) -> int:
-        return self._size
 
 
 @dataclass
@@ -157,9 +135,7 @@ def execute_flush_job(spec: FlushJobSpec) -> BgJobOutput:
     def open_builder() -> SSTableBuilder:
         return spec.builder.open(fs, _scratch_path(next(counter)))
 
-    result = run_flush(
-        spec.memtables, open_builder, spec.snapshots, tracer=None
-    )
+    result = run_flush(spec.memtables, open_builder, spec.snapshots)
     files: list[bytes] = []
     if result.file_meta is not None:
         files.append(fs.read_all(_scratch_path(result.file_meta.file_number)))
@@ -179,12 +155,11 @@ def execute_compaction_job(spec: CompactionJobSpec) -> BgJobOutput:
     result = run_compaction(
         spec.compaction,
         readers,
-        _FixedTargetSize(spec.target_file_size),  # type: ignore[arg-type]
+        spec.target_file_size,
         new_table_path=lambda: _scratch_path(next(counter)),
         open_builder=lambda path, level: spec.builder.open(fs, path),
         bottommost=spec.bottommost,
         snapshots=spec.snapshots,
-        tracer=None,
     )
     files = [
         fs.read_all(_scratch_path(meta.file_number))
@@ -231,15 +206,9 @@ class BackgroundExecutor:
         self.jobs_submitted = 0
 
     def submit(
-        self,
-        fn: Callable[[object], BgJobOutput],
-        spec: object,
-        cost_hint_entries: int = 0,
+        self, fn: Callable[[object], BgJobOutput], spec: object
     ) -> BgHandle:
-        """Run ``fn(spec)`` somewhere; ``cost_hint_entries`` is the
-        job's input entry count — the quantity merge host time actually
-        scales with — letting an implementation keep jobs too small to
-        amortize its handoff on the submitting thread."""
+        """Run ``fn(spec)`` somewhere and return its join handle."""
         raise NotImplementedError
 
     def resize(self, workers: int) -> None:
@@ -254,26 +223,28 @@ class InlineExecutor(BackgroundExecutor):
 
     mode = "inline"
 
-    def submit(self, fn, spec, cost_hint_entries: int = 0) -> BgHandle:
+    def submit(self, fn, spec) -> BgHandle:
         self.jobs_submitted += 1
         return BgHandle(value=fn(spec))
 
 
-class _PoolExecutor(BackgroundExecutor):
-    """Shared lazy-pool plumbing for the thread and process modes."""
+class ThreadExecutor(BackgroundExecutor):
+    """Jobs on a lazily built thread pool: shared-memory handoff,
+    GIL-bound merges."""
+
+    mode = "thread"
 
     def __init__(self, workers: int) -> None:
         super().__init__()
         self._workers = max(1, workers)
-        self._pool = None
+        self._pool: ThreadPoolExecutor | None = None
 
-    def _make_pool(self):
-        raise NotImplementedError
-
-    def submit(self, fn, spec, cost_hint_entries: int = 0) -> BgHandle:
+    def submit(self, fn, spec) -> BgHandle:
         self.jobs_submitted += 1
         if self._pool is None:
-            self._pool = self._make_pool()
+            self._pool = ThreadPoolExecutor(
+                max_workers=self._workers, thread_name_prefix="lsm-bg"
+            )
         return BgHandle(future=self._pool.submit(fn, spec))
 
     def resize(self, workers: int) -> None:
@@ -281,11 +252,10 @@ class _PoolExecutor(BackgroundExecutor):
         if workers == self._workers:
             return
         self._workers = workers
-        if self._pool is not None:
-            # Callers resolve every pending job before resizing, so a
-            # blocking shutdown here never waits on real work.
-            self._pool.shutdown(wait=True)
-            self._pool = None
+        # Only the executor's owner resizes it, after its DBs joined
+        # their pending jobs; a straggler's future still completes
+        # (shutdown drains the queue) and is joined from its handle.
+        self.close()
 
     def close(self) -> None:
         if self._pool is not None:
@@ -293,133 +263,15 @@ class _PoolExecutor(BackgroundExecutor):
             self._pool = None
 
 
-class ThreadExecutor(_PoolExecutor):
-    """Jobs on a thread pool: shared-memory handoff, GIL-bound merges."""
-
-    mode = "thread"
-
-    def _make_pool(self):
-        return ThreadPoolExecutor(
-            max_workers=self._workers, thread_name_prefix="lsm-bg"
-        )
-
-
-def _fork_job_main(fn, spec, conn) -> None:
-    """Child side of a fork-per-job submit: compute, ship, exit.
-
-    A result larger than the pipe buffer parks the child in ``send``
-    until the parent joins and drains it — which is exactly the
-    lifetime the parent expects.
-    """
-    import gc
-
-    # The child exits after one job: cyclic GC would only re-touch the
-    # inherited heap and copy-on-write every object header it scans.
-    gc.disable()
-    try:
-        out = fn(spec)
-        conn.send((True, out))
-    except BaseException as exc:  # noqa: BLE001 - must cross the pipe
-        try:
-            conn.send((False, exc))
-        except Exception:
-            conn.send((False, RuntimeError(f"{type(exc).__name__}: {exc}")))
-    finally:
-        conn.close()
-
-
-class _ForkHandle(BgHandle):
-    """Join handle for one forked child: recv result, reap process."""
-
-    __slots__ = ("_conn", "_proc", "_discard")
-
-    def __init__(self, conn, proc, discard) -> None:
-        super().__init__()
-        self._conn = conn
-        self._proc = proc
-        self._discard = discard
-
-    def result(self) -> BgJobOutput:
-        if self._conn is not None:
-            t0 = time.perf_counter()
-            try:
-                ok, payload = self._conn.recv()
-            finally:
-                self._conn.close()
-                self._conn = None
-            self._proc.join()
-            self._proc = None
-            self.wait_s += time.perf_counter() - t0
-            self._discard(self)
-            self._discard = None
-            if not ok:
-                raise payload
-            self._value = payload
-        assert self._value is not None
-        return self._value
-
-    def abandon(self) -> None:
-        """Kill the child without joining (crash simulation, close)."""
-        if self._conn is None:
-            return
-        self._conn.close()
-        self._conn = None
-        self._proc.kill()
-        self._proc.join()
-        self._proc = None
-        self._discard = None
-
-
-class ProcessExecutor(BackgroundExecutor):
-    """Fork one child per job: real parallelism, copy-on-write handoff.
-
-    Submitting forks immediately on the foreground thread — no pool, no
-    task queue, and crucially no manager thread that would have to win
-    the GIL from the foreground's pure-Python loop just to dispatch the
-    job. ``workers`` is accepted for interface parity; the virtual slot
-    pools bound how many jobs can usefully be in flight.
-    """
-
-    mode = "process"
-
-    #: Jobs with fewer input entries than this run inline at submit:
-    #: forking, bootstrapping and reaping a child costs a few host
-    #: milliseconds (~the merge of a few thousand entries), which the
-    #: typical memtable flush undercuts by an order of magnitude. The
-    #: virtual timeline is identical either way.
-    FORK_THRESHOLD_ENTRIES = 4000
-
-    def __init__(self, workers: int) -> None:
-        super().__init__()
-        self._workers = max(1, workers)
-        import multiprocessing
-
-        self._ctx = multiprocessing.get_context("fork")
-        self._inflight: set[_ForkHandle] = set()
-
-    def submit(self, fn, spec, cost_hint_entries: int = 0) -> BgHandle:
-        self.jobs_submitted += 1
-        if cost_hint_entries and cost_hint_entries < self.FORK_THRESHOLD_ENTRIES:
-            return BgHandle(value=fn(spec))
-        recv_conn, send_conn = self._ctx.Pipe(duplex=False)
-        proc = self._ctx.Process(
-            target=_fork_job_main, args=(fn, spec, send_conn), daemon=True
-        )
-        proc.start()
-        send_conn.close()
-        handle = _ForkHandle(recv_conn, proc, self._inflight.discard)
-        self._inflight.add(handle)
-        return handle
-
-    def resize(self, workers: int) -> None:
-        self._workers = max(1, workers)
-
-    def close(self) -> None:
-        # Pending jobs are normally all joined before close; stragglers
-        # exist only after a simulated crash dropped their bookings.
-        for handle in list(self._inflight):
-            handle.abandon()
-        self._inflight.clear()
+def executor_width(options: Options) -> int:
+    """Host workers backing an executor: the virtual slot budget
+    (``max_background_jobs`` and its per-kind overrides) capped by the
+    machine actually running the simulation."""
+    width = (
+        options.effective_max_background_flushes()
+        + options.effective_max_background_compactions()
+    )
+    return max(1, min(width, os.cpu_count() or 2))
 
 
 def make_executor(mode: str, workers: int = 2) -> BackgroundExecutor:
@@ -428,6 +280,4 @@ def make_executor(mode: str, workers: int = 2) -> BackgroundExecutor:
         return InlineExecutor()
     if mode == "thread":
         return ThreadExecutor(workers)
-    if mode == "process":
-        return ProcessExecutor(workers)
     raise ValueError(f"unknown background executor mode {mode!r}")

@@ -1,4 +1,4 @@
-"""Leveled compaction execution: k-way merge with version GC.
+"""Leveled compaction execution: sorted merge with version GC.
 
 Merges the input tables in internal-key order, keeps only the newest
 version of each user key, drops tombstones when the output is the
@@ -8,18 +8,13 @@ file size.
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass, field
 from operator import itemgetter
-from typing import Callable, Iterator
+from typing import Callable
 
 from repro.lsm.compaction.picker import Compaction
-from repro.lsm.memtable import ValueKind
-from repro.lsm.options import Options
 from repro.lsm.snapshot import SnapshotList, may_drop_version
 from repro.lsm.sstable import FileMetaData, ReadStats, SSTableBuilder, SSTableReader
-from repro.obs.events import CompactionRun
-from repro.obs.tracer import Tracer
 
 
 @dataclass
@@ -34,56 +29,29 @@ class CompactionResult:
     read_stats: ReadStats = field(default_factory=ReadStats)
 
 
-def merge_tables(
-    readers: list[SSTableReader],
-    *,
-    stats: ReadStats | None = None,
-) -> Iterator[tuple[bytes, ValueKind, bytes]]:
-    """Yield entries from many tables in global internal-key order.
-
-    Ties cannot occur: internal keys embed unique sequence numbers.
-    """
-    heap: list[tuple[bytes, int, ValueKind, bytes, Iterator]] = []
-    for idx, reader in enumerate(readers):
-        it = reader.iter_entries(stats=stats)
-        first = next(it, None)
-        if first is not None:
-            key, kind, value = first
-            heap.append((key, idx, kind, value, it))
-    heapq.heapify(heap)
-    while heap:
-        key, idx, kind, value, it = heapq.heappop(heap)
-        yield key, kind, value
-        nxt = next(it, None)
-        if nxt is not None:
-            nkey, nkind, nvalue = nxt
-            heapq.heappush(heap, (nkey, idx, nkind, nvalue, it))
-
-
 def run_compaction(
     compaction: Compaction,
     readers: list[SSTableReader],
-    options: Options,
+    target_file_size: int,
     *,
     new_table_path: Callable[[], str],
     open_builder: Callable[[str, int], SSTableBuilder],
     bottommost: bool,
     snapshots: "SnapshotList | None" = None,
-    tracer: "Tracer | None" = None,
 ) -> CompactionResult:
     """Execute ``compaction`` over already-open ``readers``.
 
     ``open_builder(path, output_level)`` lets the DB apply per-level
-    build options (compression, bloom bits). Output files are written
-    but *not* installed; the caller applies the version edit.
+    build options (compression, bloom bits); ``target_file_size`` is
+    the output level's split size. Output files are written but *not*
+    installed; the caller applies the version edit.
     """
     # L0 outputs (universal-style merges) must stay ONE sorted run:
     # splitting them would multiply the run count every merge and the
     # compaction loop would never converge.
-    if compaction.output_level == 0:
-        target_size = 1 << 62
-    else:
-        target_size = options.target_file_size(compaction.output_level)
+    target_size = (
+        1 << 62 if compaction.output_level == 0 else target_file_size
+    )
     stats = ReadStats()
     new_files: list[FileMetaData] = []
     builder: SSTableBuilder | None = None
@@ -164,18 +132,6 @@ def run_compaction(
         first = None if exhausted else next(entries, None)
     finish_builder()
     bytes_read = compaction.input_bytes
-    if tracer is not None and tracer.enabled:
-        tracer.emit(
-            CompactionRun(
-                level=compaction.level,
-                output_level=compaction.output_level,
-                inputs=len(compaction.all_inputs),
-                bytes_read=bytes_read,
-                bytes_written=bytes_written,
-                entries_merged=entries_merged,
-                entries_dropped=entries_dropped,
-            )
-        )
     return CompactionResult(
         new_files=new_files,
         bytes_read=bytes_read,

@@ -27,15 +27,14 @@ from repro.lsm.background import (
     FlushJobSpec,
     execute_compaction_job,
     execute_flush_job,
+    executor_width,
     make_executor,
 )
 from repro.lsm.block_cache import LRUCache
 from repro.lsm.compaction.fifo import FifoPicker
-from repro.lsm.compaction.leveled import run_compaction
 from repro.lsm.compaction.picker import Compaction, CompactionPicker
 from repro.lsm.compaction.universal import UniversalPicker
 from repro.lsm.env import Env
-from repro.lsm.flush import run_flush
 from repro.lsm.ikey import MAX_SEQUENCE as _MAX_SEQUENCE
 from repro.lsm.iterator import (
     concat_source,
@@ -261,7 +260,7 @@ class DB:
             self._executor = executor
             self._owns_executor = False
         else:
-            self._executor = make_executor(mode, self._bg_executor_width())
+            self._executor = make_executor(mode, executor_width(options))
             self._owns_executor = True
         #: Scheduled-but-unjoined jobs, in schedule (FIFO) order.
         self._bg_pending: list[_PendingJob] = []
@@ -623,17 +622,6 @@ class DB:
 
     # ------------------------------------------------- deferred bg jobs
 
-    def _bg_executor_width(self) -> int:
-        """Host workers backing the executor: the virtual slot budget
-        capped by the machine actually running the simulation."""
-        import os
-
-        width = (
-            self._options.effective_max_background_flushes()
-            + self._options.effective_max_background_compactions()
-        )
-        return max(1, min(width, (os.cpu_count() or 2)))
-
     def _bg_refresh_lb(self) -> None:
         pending = self._bg_pending
         self._bg_lb_due = (
@@ -942,9 +930,7 @@ class DB:
             _PendingJob(
                 kind="flush",
                 job_id=self._next_bg_job_id(),
-                handle=self._executor.submit(
-                    execute_flush_job, spec, cost_hint_entries=entries_in
-                ),
+                handle=self._executor.submit(execute_flush_job, spec),
                 seqno=self._completions.reserve_seqno(),
                 sched_now_us=now,
                 slot=slot,
@@ -1062,11 +1048,7 @@ class DB:
             _PendingJob(
                 kind="compaction",
                 job_id=self._next_bg_job_id(),
-                handle=self._executor.submit(
-                    execute_compaction_job,
-                    spec,
-                    cost_hint_entries=entries_total,
-                ),
+                handle=self._executor.submit(execute_compaction_job, spec),
                 seqno=self._completions.reserve_seqno(),
                 sched_now_us=now,
                 slot=slot,
@@ -1958,7 +1940,11 @@ class DB:
         self._bg_strict_fifo = opts.get("rate_limiter_bytes_per_sec") > 0
         self._flush_pool.resize(opts.effective_max_background_flushes())
         self._compaction_pool.resize(opts.effective_max_background_compactions())
-        self._executor.resize(self._bg_executor_width())
+        # A shared executor belongs to the service, which resizes it
+        # once after its fan-out; tearing it down here would block on
+        # other shards' in-flight jobs.
+        if self._owns_executor:
+            self._executor.resize(executor_width(opts))
         self._block_cache.set_capacity(self._effective_cache_bytes())
         # Page cache is carved from what the block cache leaves free, so
         # it must be re-derived after the block-cache re-cap.
@@ -2064,13 +2050,7 @@ class DB:
         self._closed = True
         # In-flight background jobs die with the process image: drop the
         # pending list without joining (workers finish into scratch
-        # space nobody reads) and release an owned host pool. Forked
-        # children are killed eagerly so a shared executor does not
-        # accumulate zombies across simulated crashes.
-        for job in self._bg_pending:
-            abandon = getattr(job.handle, "abandon", None)
-            if abandon is not None:
-                abandon()
+        # space nobody reads) and release an owned host pool.
         self._bg_pending.clear()
         self._bg_lb_due = math.inf
         if self._owns_executor:

@@ -2,15 +2,13 @@
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
-from typing import Callable, Iterator
+from operator import itemgetter
+from typing import Callable
 
-from repro.lsm.memtable import MemTable, ValueKind
+from repro.lsm.memtable import MemTable
 from repro.lsm.snapshot import SnapshotList, may_drop_version
 from repro.lsm.sstable import FileMetaData, SSTableBuilder
-from repro.obs.events import FlushRun
-from repro.obs.tracer import Tracer
 
 
 @dataclass
@@ -29,42 +27,10 @@ class FlushResult:
     last_sequence: int = 0
 
 
-def merge_memtables(
-    memtables: list[MemTable],
-) -> Iterator[tuple[bytes, ValueKind, bytes]]:
-    """Merge memtables in internal-key order (each is already sorted).
-
-    Runs on the encoded keys straight from the skiplists
-    (:meth:`MemTable.raw_entries`) — internal-key byte order is the sort
-    order, so nothing needs decoding, and the single-memtable case (the
-    common one) skips the heap entirely.
-    """
-    if len(memtables) == 1:
-        for internal, (kind, value) in memtables[0].raw_entries():
-            yield internal, kind, value
-        return
-    sources = []
-    for idx, mt in enumerate(memtables):
-        it = mt.raw_entries()
-        first = next(it, None)
-        if first is not None:
-            internal, (kind, value) = first
-            sources.append((internal, idx, kind, value, it))
-    heapq.heapify(sources)
-    while sources:
-        internal, idx, kind, value, it = heapq.heappop(sources)
-        yield internal, kind, value
-        nxt = next(it, None)
-        if nxt is not None:
-            internal, (kind, value) = nxt
-            heapq.heappush(sources, (internal, idx, kind, value, it))
-
-
 def run_flush(
     memtables: list[MemTable],
     open_builder: Callable[[], SSTableBuilder],
     snapshots: "SnapshotList | None" = None,
-    tracer: "Tracer | None" = None,
 ) -> FlushResult:
     """Write the merged contents of ``memtables`` into one new table.
 
@@ -84,6 +50,9 @@ def run_flush(
     def live_entries():
         """Merged entries with shadowed versions collapsed.
 
+        Materialize-and-sort, as ``run_compaction`` does: each memtable
+        is a sorted run and internal keys are unique (embedded seqnos),
+        so timsort merges the runs into the one possible order.
         Same-user-key detection compares ``internal[:-8]`` prefixes
         (escaped user key + terminator): the terminator appears only as
         the terminator, so equal prefixes == equal user keys; sequences
@@ -93,7 +62,10 @@ def run_flush(
         nonlocal entries_out
         last_prefix: bytes | None = None
         last_internal = b""
-        for internal, kind, value in merge_memtables(memtables):
+        merged = [e for mt in memtables for e in mt.raw_entries()]
+        if len(memtables) > 1:
+            merged.sort(key=itemgetter(0))
+        for internal, (kind, value) in merged:
             prefix = internal[:-8]
             if prefix == last_prefix:
                 # Newer version already emitted; droppable unless a
@@ -118,7 +90,8 @@ def run_flush(
         # memtable's per-key version lists already group shadowed
         # versions, so ask it for just the newest per user key — same
         # entry stream as the generic merge+dedupe below, minus the
-        # merge heap, the prefix compares, and the shadowed encodes.
+        # sorted version view, the prefix compares, and the shadowed
+        # encodes.
         mt = memtables[0]
         entries = mt.newest_entries()
         entries_out = mt.unique_keys
@@ -140,15 +113,5 @@ def run_flush(
             entries_in=entries_in,
             entries_out=entries_out,
             last_sequence=max_seq,
-        )
-    if tracer is not None and tracer.enabled:
-        tracer.emit(
-            FlushRun(
-                memtables=len(memtables),
-                entries_in=result.entries_in,
-                entries_out=result.entries_out,
-                bytes_in=result.bytes_in,
-                bytes_out=result.bytes_out,
-            )
         )
     return result

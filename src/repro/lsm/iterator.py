@@ -4,18 +4,16 @@ Merges all sources in internal-key order, collapses versions (newest
 wins), and hides tombstones — producing the (user_key, value) stream a
 Scan sees.
 
-Two merge strategies live here:
-
-- :func:`merge_sources`: the classic eager k-way merge. Every source is
-  an already-open iterator and pays its first pull up front.
-- :func:`lazy_merge`: the pruning merge behind ``DB.iterator()``. A
-  source may be a :class:`DeferredSource` — a *lower bound* on the first
-  internal key the source can produce, plus a thunk that opens it. The
-  bound sits in the heap like a real entry; only when it reaches the top
-  (i.e. the merge actually needs data from that key range) is the source
-  opened and its first entry pulled. A bounded scan that stops early
-  never opens the sources whose bounds it never reached — no table
-  opens, no index reads, no block fetches for them.
+:func:`lazy_merge` is the pruning k-way merge behind ``DB.iterator()``
+(and the repo's only heap merge: flush and compaction materialise and
+sort instead). A source is an already-open iterator, which pays its
+first pull up front, or a :class:`DeferredSource` — a *lower bound* on
+the first internal key the source can produce, plus a thunk that opens
+it. The bound sits in the heap like a real entry; only when it reaches
+the top (i.e. the merge actually needs data from that key range) is the
+source opened and its first entry pulled. A bounded scan that stops
+early never opens the sources whose bounds it never reached — no table
+opens, no index reads, no block fetches for them.
 """
 
 from __future__ import annotations
@@ -110,7 +108,8 @@ def lazy_merge(
 ) -> Iterator[Entry]:
     """K-way merge by internal key with deferred source opening.
 
-    Plain iterator sources behave exactly as in :func:`merge_sources`.
+    A plain iterator source pays its first pull up front. Internal keys
+    are unique (embedded sequence numbers), so the order is total.
     A :class:`DeferredSource` enters the heap as its lower bound and is
     opened only when that bound becomes the heap minimum: every entry
     the merge yields before then is provably smaller than anything the
@@ -147,28 +146,6 @@ def lazy_merge(
         else:
             nkey, nkind, nvalue = nxt
             heapq.heapreplace(heap, (nkey, idx, _REAL, nkind, nvalue, source))
-
-
-def merge_sources(
-    sources: list[Iterator[Entry]],
-) -> Iterator[Entry]:
-    """K-way merge by internal key. Earlier sources win ties only in the
-    impossible case of equal internal keys; sequence numbers are unique,
-    so order is total in practice."""
-    heap = []
-    for idx, source in enumerate(sources):
-        first = next(source, None)
-        if first is not None:
-            key, kind, value = first
-            heap.append((key, idx, kind, value, source))
-    heapq.heapify(heap)
-    while heap:
-        key, idx, kind, value, source = heapq.heappop(heap)
-        yield key, kind, value
-        nxt = next(source, None)
-        if nxt is not None:
-            nkey, nkind, nvalue = nxt
-            heapq.heappush(heap, (nkey, idx, nkind, nvalue, source))
 
 
 def user_view(

@@ -87,26 +87,6 @@ class MemTable:
             else None
         )
 
-    # -- pickling ----------------------------------------------------------
-
-    def __getstate__(self) -> dict:
-        """Drop the bound-method fast-lane caches; they are rebuilt on
-        load. Lets a rotated (immutable) memtable ship to a background
-        worker process as a flush-job input."""
-        state = self.__dict__.copy()
-        del state["_versions_get"]
-        del state["_bloom_add"]
-        return state
-
-    def __setstate__(self, state: dict) -> None:
-        self.__dict__.update(state)
-        self._versions_get = self._versions.get
-        self._bloom_add = (
-            self._bloom.add
-            if self._bloom is not None and self._whole_key_filtering
-            else None
-        )
-
     # -- encoding ----------------------------------------------------------
 
     @staticmethod
@@ -227,7 +207,7 @@ class MemTable:
     def raw_entries(self) -> Iterator[tuple[bytes, tuple[ValueKind, bytes]]]:
         """Yield ``(internal_key, (kind, value))`` without re-decoding.
 
-        The flush merge orders by internal key anyway, so handing it the
+        The flush merge sorts on internal key anyway, so handing it the
         encoded keys skips a decode/re-encode round-trip per entry.
         """
         return iter(self._sorted_entries())

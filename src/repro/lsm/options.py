@@ -207,10 +207,10 @@ CATALOG: tuple[OptionSpec, ...] = (
          min=1, max=32),
     _opt("background_executor", _D, _E, "inline",
          "Where flush/compaction merge work runs on the host: inline on "
-         "the foreground thread, or on a thread/process pool sized from "
+         "the foreground thread, or on a thread pool sized from "
          "max_background_jobs. Virtual-time results are identical in "
-         "every mode; fault-injection runs always pin inline.",
-         choices=("inline", "thread", "process")),
+         "both modes; fault-injection runs always pin inline.",
+         choices=("inline", "thread")),
     _opt("max_open_files", _D, _I, -1,
          "Table-handle cache capacity; -1 keeps every file open.",
          min=-1, max=1_000_000),

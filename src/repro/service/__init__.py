@@ -22,7 +22,6 @@ from repro.service.replication import (
     open_group,
 )
 from repro.service.report import render_service_report
-from repro.service.router import fnv1a_64, shard_for_key
 from repro.service.routing import (
     HashRingPolicy,
     HotKeyPolicy,
@@ -30,8 +29,10 @@ from repro.service.routing import (
     ReshardPlan,
     RoutingPolicy,
     TopKSketch,
+    fnv1a_64,
     make_policy,
     ring_hash,
+    shard_for_key,
 )
 from repro.service.service import (
     DEFAULT_CLIENT_OPS_PER_SEC,

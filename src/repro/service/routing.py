@@ -1,12 +1,12 @@
 """Pluggable routing policies: which shard(s) serve a user key.
 
-The service used to call :func:`repro.service.router.shard_for_key` at
-four independent sites; any change to the layout had to be made four
-times in lockstep or routing silently desynced. This module replaces
-those call sites with one policy object that every lookup goes through:
+Routing must be deterministic across processes and Python sessions —
+``hash()`` is salted per interpreter, so every policy hashes raw key
+bytes with FNV-1a (:func:`fnv1a_64`). Every lookup goes through one
+policy object, so a layout change is made in one place:
 
 * :class:`ModuloPolicy` — the original FNV-1a ``hash % shard_count``
-  layout, byte-for-byte identical to the old router (the default).
+  layout (:func:`shard_for_key`; the default).
 * :class:`HashRingPolicy` — a consistent-hash ring with virtual nodes.
   Ring points are finalizer-mixed FNV-1a hashes (:func:`ring_hash`) of
   stable ``shard:<i>:vnode:<v>`` labels, so the ring is deterministic
@@ -34,10 +34,27 @@ from typing import Callable, Sequence
 
 from repro.errors import RoutingError
 from repro.lsm.options import Options
-from repro.service.router import fnv1a_64, shard_for_key
 
-
+_FNV_OFFSET = 0xCBF29CE484222325
+_FNV_PRIME = 0x100000001B3
 _MASK64 = (1 << 64) - 1
+
+
+def fnv1a_64(data: bytes) -> int:
+    """FNV-1a 64-bit hash (stable across processes, unlike hash())."""
+    h = _FNV_OFFSET
+    for byte in data:
+        h = ((h ^ byte) * _FNV_PRIME) & _MASK64
+    return h
+
+
+def shard_for_key(key: bytes, num_shards: int) -> int:
+    """Owning shard index for ``key`` in a ``num_shards``-way modulo
+    layout. Every key maps to exactly one shard, so a point op touches
+    one DB and the KV API never needs cross-shard coordination."""
+    if num_shards <= 1:
+        return 0
+    return fnv1a_64(key) % num_shards
 
 
 def ring_hash(data: bytes) -> int:

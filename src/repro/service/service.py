@@ -63,7 +63,6 @@ arrival timestamps, shard clocks, and the trace share one timeline.
 from __future__ import annotations
 
 import heapq
-import os
 import time
 from collections import deque
 from dataclasses import dataclass, field
@@ -74,7 +73,11 @@ from repro.bench.runner import BenchResult
 from repro.bench.spec import WorkloadSpec
 from repro.errors import MisroutedRequestError, RoutingError, SimulatedCrash
 from repro.hardware.profile import HardwareProfile, make_profile
-from repro.lsm.background import BackgroundExecutor, make_executor
+from repro.lsm.background import (
+    BackgroundExecutor,
+    executor_width,
+    make_executor,
+)
 from repro.lsm.db import DB
 from repro.lsm.env import Env
 from repro.lsm.histogram import Histogram, HistogramSummary
@@ -360,7 +363,7 @@ class ShardedService:
     def _shared_executor(self) -> BackgroundExecutor:
         """The one host executor backing background work service-wide.
 
-        Worker threads/processes are a *host* resource: N shards each
+        Worker threads are a *host* resource: N shards each
         spawning a private pool would oversubscribe the machine, so
         every shard and replica DB shares this pool. DBs opened under
         fault injection decline it (they pin the inline executor), and
@@ -368,16 +371,9 @@ class ShardedService:
         service does, after the run.
         """
         if self._bg_executor is None:
-            width = max(
-                1,
-                min(
-                    self.options.effective_max_background_flushes()
-                    + self.options.effective_max_background_compactions(),
-                    os.cpu_count() or 2,
-                ),
-            )
             self._bg_executor = make_executor(
-                self.options.get("background_executor"), width
+                self.options.get("background_executor"),
+                executor_width(self.options),
             )
         return self._bg_executor
 
@@ -1168,6 +1164,10 @@ class ShardedService:
                 for rep_db, _diff in reversed(done):
                     rep_db.set_options(inverse)
             raise
+        # The shards share this pool and none of them owns it: adopt
+        # the new width once, after every DB joined its pending jobs.
+        if self._bg_executor is not None:
+            self._bg_executor.resize(executor_width(self.options))
         if applied and self._overload_keys & applied.keys():
             self._reconfigure_overload()
         if topology is not None:

@@ -1,16 +1,18 @@
 """Executor-mode equivalence: the background pipeline must be invisible.
 
 Virtual time is the contract. Whatever host vehicle runs a flush or
-compaction — inline on the foreground thread, a worker thread, a forked
-child process — the *simulation* must be bit-identical: same logical
-state, same tickers, same virtual clock, same trace bytes, same durable
-sequence. These tests run one seeded workload under every executor mode
-and diff everything observable, across all three compaction styles.
+compaction — inline on the foreground thread or a worker thread — the
+*simulation* must be bit-identical: same logical state, same tickers,
+same virtual clock, same trace bytes, same durable sequence. These
+tests run one seeded workload under both executor modes and diff
+everything observable, across all three compaction styles.
 """
+
+import os
 
 import pytest
 
-from repro.lsm.background import ProcessExecutor
+from repro.lsm.background import make_executor
 from repro.lsm.db import DB
 from repro.lsm.env import Env
 from repro.lsm.faults import FaultFS
@@ -20,7 +22,7 @@ from repro.obs.events import to_jsonl_line
 from repro.obs.sinks import RingSink
 from repro.obs.tracer import Tracer
 
-MODES = ("inline", "thread", "process")
+MODES = ("inline", "thread")
 
 
 def _options(mode, style, **extra):
@@ -73,19 +75,14 @@ def _run(mode, style, n=3000, midrun=None, **extra):
 
 
 @pytest.mark.parametrize("style", ["level", "universal", "fifo"])
-def test_mode_equivalence(style, monkeypatch):
-    # Force the process executor to really fork (the entry-count
-    # threshold would otherwise run these small test jobs inline at
-    # submit and the cross-process plumbing would go unexercised).
-    monkeypatch.setattr(ProcessExecutor, "FORK_THRESHOLD_ENTRIES", 0)
+def test_mode_equivalence(style):
     baseline = _run("inline", style)
     assert baseline["trace"], "workload produced no trace events"
-    for mode in ("thread", "process"):
-        got = _run(mode, style)
-        for field in ("state", "tickers", "clock_us", "durable_seq", "trace"):
-            assert got[field] == baseline[field], (
-                f"{mode}/{style}: {field} diverged from inline"
-            )
+    got = _run("thread", style)
+    for field in ("state", "tickers", "clock_us", "durable_seq", "trace"):
+        assert got[field] == baseline[field], (
+            f"thread/{style}: {field} diverged from inline"
+        )
 
 
 def test_mode_equivalence_with_midrun_width_change():
@@ -97,7 +94,6 @@ def test_mode_equivalence_with_midrun_width_change():
 
     runs = {mode: _run(mode, "level", midrun=widen) for mode in MODES}
     assert runs["thread"] == runs["inline"]
-    assert runs["process"] == runs["inline"]
 
 
 def test_close_joins_inflight_jobs():
@@ -117,7 +113,7 @@ def test_close_joins_inflight_jobs():
 
 
 def test_crash_and_reopen_matches_inline_crash():
-    """A crash with forked children in flight recovers to the exact
+    """A crash with worker jobs in flight recovers to the exact
     durable state an inline run crashes to at the same operation."""
 
     def crash_run(mode):
@@ -131,21 +127,18 @@ def test_crash_and_reopen_matches_inline_crash():
         return state, durable
 
     assert crash_run("thread") == crash_run("inline")
-    assert crash_run("process") == crash_run("inline")
 
 
 def test_fault_injection_pins_inline_executor():
     """Crash-at-Nth-syscall schedules count foreground fs ops; a worker
     racing that count would make chaos runs nondeterministic."""
     env = Env(fs=FaultFS())
-    db = DB.open("/bg-faultfs", _options("process", "level"), env=env)
+    db = DB.open("/bg-faultfs", _options("thread", "level"), env=env)
     assert db._executor.mode == "inline"
     db.close()
 
 
 def test_shared_executor_not_closed_by_db():
-    from repro.lsm.background import make_executor
-
     shared = make_executor("thread", 2)
     try:
         a = DB.open("/bg-shared-a", _options("thread", "level"), executor=shared)
@@ -160,6 +153,33 @@ def test_shared_executor_not_closed_by_db():
         c = DB.open("/bg-shared-a", _options("thread", "level"), executor=shared)
         assert c._executor is shared
         c.close()
+    finally:
+        shared.close()
+
+
+def test_set_options_leaves_shared_executor_to_its_owner():
+    """A DB that was handed a shared pool must not resize it: the
+    teardown would block on the other DB's in-flight job and leave the
+    pool at this DB's width. The owner resizes it (the service does,
+    once, after its fan-out)."""
+    # wider than executor_width() can return, so a resize would show
+    width = (os.cpu_count() or 2) + 1
+    shared = make_executor("thread", width)
+    try:
+        a = DB.open("/bg-resize-a", _options("thread", "level"), executor=shared)
+        b = DB.open("/bg-resize-b", _options("thread", "level"), executor=shared)
+        i = 0
+        while not a._bg_pending:
+            a.put(b"k%05d" % (i % 500), b"v" * 64)
+            i += 1
+            assert i < 5000, "workload never had a job in flight"
+        pool = shared._pool
+        assert pool is not None
+        b.set_options({"max_background_jobs": 1})
+        assert shared._pool is pool and shared._workers == width
+        assert a._bg_pending, "b's set_options joined a's job"
+        a.close()
+        b.close()
     finally:
         shared.close()
 

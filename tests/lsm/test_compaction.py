@@ -4,7 +4,7 @@ import pytest
 
 from repro.lsm import ikey
 from repro.lsm.compaction.fifo import FifoPicker
-from repro.lsm.compaction.leveled import merge_tables, run_compaction
+from repro.lsm.compaction.leveled import run_compaction
 from repro.lsm.compaction.picker import Compaction, CompactionPicker
 from repro.lsm.compaction.universal import UniversalPicker
 from repro.lsm.env import MemFileSystem
@@ -117,8 +117,10 @@ class TestRunCompaction:
         def new_path():
             counter[0] += 1
             return f"/db/{counter[0]:06d}.sst"
+        opts = opts if opts is not None else Options()
         return run_compaction(
-            compaction, readers, opts if opts is not None else Options(),
+            compaction, readers,
+            opts.target_file_size(compaction.output_level),
             new_table_path=new_path,
             open_builder=lambda path, level: SSTableBuilder(fs, path),
             bottommost=bottommost,
@@ -176,13 +178,14 @@ class TestRunCompaction:
         assert result.bytes_read == t.file_size
         assert result.bytes_written == sum(f.file_size for f in result.new_files)
 
-    def test_merge_tables_global_order(self):
+    def test_merge_global_order(self):
         fs = MemFileSystem()
         t1 = simple_table(fs, 1, [b"a", b"c", b"e"], 0)
         t2 = simple_table(fs, 2, [b"b", b"d", b"f"], 10)
-        readers = [SSTableReader(fs.open_random(f"/db/{n:06d}.sst"), n)
-                   for n in (1, 2)]
-        keys = [ikey.decode(k)[0] for k, _, _ in merge_tables(readers)]
+        compaction = Compaction(level=0, output_level=1, inputs=[t1, t2])
+        self._execute(fs, compaction)
+        reader = SSTableReader(fs.open_random("/db/000051.sst"), 51)
+        keys = [ikey.decode(k)[0] for k, _, _ in reader.iter_entries()]
         assert keys == [b"a", b"b", b"c", b"d", b"e", b"f"]
 
 

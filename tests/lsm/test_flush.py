@@ -2,9 +2,11 @@
 
 import pytest
 
+from repro.lsm import ikey
 from repro.lsm.env import MemFileSystem
-from repro.lsm.flush import merge_memtables, run_flush
+from repro.lsm.flush import run_flush
 from repro.lsm.memtable import MemTable, ValueKind
+from repro.lsm.snapshot import SnapshotList
 from repro.lsm.sstable import SSTableBuilder, SSTableReader
 
 
@@ -25,25 +27,47 @@ def builder_factory(fs):
     return open_builder
 
 
-class TestMergeMemtables:
-    def test_single(self):
-        mem = make_mem([(1, ValueKind.VALUE, b"a", b"x")])
-        out = list(merge_memtables([mem]))
-        assert len(out) == 1
+def flushed_entries(fs, result):
+    reader = SSTableReader(fs.open_random("/db/000101.sst"),
+                           result.file_meta.file_number)
+    return list(reader.iter_entries())
 
+
+class TestMultiMemtableMerge:
     def test_interleaved_keys_in_order(self):
+        fs = MemFileSystem()
         m1 = make_mem([(1, ValueKind.VALUE, b"a", b""),
                        (3, ValueKind.VALUE, b"c", b"")])
         m2 = make_mem([(2, ValueKind.VALUE, b"b", b""),
                        (4, ValueKind.VALUE, b"d", b"")])
-        keys = [k for k, _, _ in merge_memtables([m1, m2])]
-        assert keys == sorted(keys)
+        result = run_flush([m1, m2], builder_factory(fs))
+        keys = [ikey.decode(k)[0] for k, _, _ in flushed_entries(fs, result)]
+        assert keys == [b"a", b"b", b"c", b"d"]
 
-    def test_cross_table_versions_newest_first(self):
+    def test_cross_table_shadowed_version_dropped(self):
+        fs = MemFileSystem()
         m1 = make_mem([(1, ValueKind.VALUE, b"k", b"old")])
         m2 = make_mem([(5, ValueKind.VALUE, b"k", b"new")])
-        values = [v for _, _, v in merge_memtables([m1, m2])]
-        assert values == [b"new", b"old"]
+        result = run_flush([m1, m2], builder_factory(fs))
+        assert result.entries_in == 2 and result.entries_out == 1
+        assert [v for _, _, v in flushed_entries(fs, result)] == [b"new"]
+
+    def test_live_snapshot_retains_cross_table_version(self):
+        """A snapshot between the two versions pins the older one; one
+        below both pins nothing extra. Newest sorts first."""
+        fs = MemFileSystem()
+        m1 = make_mem([(1, ValueKind.VALUE, b"k", b"old"),
+                       (2, ValueKind.VALUE, b"j", b"j-old")])
+        m2 = make_mem([(5, ValueKind.VALUE, b"k", b"new"),
+                       (6, ValueKind.VALUE, b"j", b"j-new")])
+        snapshots = SnapshotList()
+        snapshots.acquire(1)  # sees k@1, predates every version of j
+        result = run_flush([m1, m2], builder_factory(fs), snapshots)
+        assert result.entries_out == 3
+        got = [(ikey.decode(k), v) for k, _, v in flushed_entries(fs, result)]
+        assert got == [((b"j", 6), b"j-new"),
+                       ((b"k", 5), b"new"),
+                       ((b"k", 1), b"old")]
 
 
 class TestRunFlush:

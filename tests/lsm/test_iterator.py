@@ -9,7 +9,6 @@ from repro.lsm.iterator import (
     file_source,
     lazy_merge,
     memtable_source,
-    merge_sources,
     user_view,
 )
 from repro.lsm.memtable import MemTable, ValueKind
@@ -36,52 +35,52 @@ class TestMemtableSource:
         assert keys == [b"c"]
 
 
-class TestMergeSources:
+class TestMergePlainSources:
     def test_global_internal_order(self):
         m1 = mem_with([(1, ValueKind.VALUE, b"a", b""),
                        (3, ValueKind.VALUE, b"c", b"")])
         m2 = mem_with([(2, ValueKind.VALUE, b"b", b"")])
-        merged = merge_sources([memtable_source(m1), memtable_source(m2)])
+        merged = lazy_merge([memtable_source(m1), memtable_source(m2)])
         keys = [ikey.decode(k)[0] for k, _, _ in merged]
         assert keys == [b"a", b"b", b"c"]
 
     def test_same_user_key_newest_first(self):
         m1 = mem_with([(1, ValueKind.VALUE, b"k", b"old")])
         m2 = mem_with([(9, ValueKind.VALUE, b"k", b"new")])
-        merged = merge_sources([memtable_source(m1), memtable_source(m2)])
+        merged = lazy_merge([memtable_source(m1), memtable_source(m2)])
         values = [v for _, _, v in merged]
         assert values == [b"new", b"old"]
 
     def test_empty_sources(self):
-        assert list(merge_sources([])) == []
-        assert list(merge_sources([iter([])])) == []
+        assert list(lazy_merge([])) == []
+        assert list(lazy_merge([iter([])])) == []
 
 
 class TestUserView:
     def test_collapses_versions(self):
         mem = mem_with([(1, ValueKind.VALUE, b"k", b"v1"),
                         (2, ValueKind.VALUE, b"k", b"v2")])
-        rows = list(user_view(merge_sources([memtable_source(mem)])))
+        rows = list(user_view(lazy_merge([memtable_source(mem)])))
         assert rows == [(b"k", b"v2")]
 
     def test_hides_tombstones(self):
         mem = mem_with([(1, ValueKind.VALUE, b"a", b"x"),
                         (2, ValueKind.DELETE, b"a", b""),
                         (3, ValueKind.VALUE, b"b", b"y")])
-        rows = list(user_view(merge_sources([memtable_source(mem)])))
+        rows = list(user_view(lazy_merge([memtable_source(mem)])))
         assert rows == [(b"b", b"y")]
 
     def test_tombstone_does_not_hide_newer_write(self):
         mem = mem_with([(1, ValueKind.DELETE, b"k", b""),
                         (2, ValueKind.VALUE, b"k", b"alive")])
-        rows = list(user_view(merge_sources([memtable_source(mem)])))
+        rows = list(user_view(lazy_merge([memtable_source(mem)])))
         assert rows == [(b"k", b"alive")]
 
     def test_end_bound_is_exclusive(self):
         mem = mem_with([(1, ValueKind.VALUE, b"a", b"1"),
                         (2, ValueKind.VALUE, b"b", b"2"),
                         (3, ValueKind.VALUE, b"c", b"3")])
-        rows = list(user_view(merge_sources([memtable_source(mem)]),
+        rows = list(user_view(lazy_merge([memtable_source(mem)]),
                               end=b"b"))
         assert rows == [(b"a", b"1")]
 
@@ -103,15 +102,15 @@ def entry(key, seq=1, kind=ValueKind.VALUE, value=b""):
 
 
 class TestLazyMerge:
-    def test_matches_eager_merge(self):
+    def test_matches_sorted_entries(self):
         m1 = mem_with([(1, ValueKind.VALUE, b"a", b"x"),
                        (4, ValueKind.VALUE, b"c", b"y")])
         m2 = mem_with([(2, ValueKind.DELETE, b"b", b""),
                        (3, ValueKind.VALUE, b"c", b"z")])
-        eager = list(merge_sources([memtable_source(m1),
-                                    memtable_source(m2)]))
+        expected = sorted(list(memtable_source(m1))
+                          + list(memtable_source(m2)))
         lazy = list(lazy_merge([memtable_source(m1), memtable_source(m2)]))
-        assert lazy == eager
+        assert lazy == expected
 
     def test_deferred_source_opened_when_bound_reached(self):
         opened = []

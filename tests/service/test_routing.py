@@ -7,20 +7,23 @@ legacy router, and a 1-shard ring service matches the modulo service
 op for op.
 """
 
+from collections import Counter
+
 import pytest
 
 from repro.bench.keygen import format_key
 from repro.bench.spec import WorkloadSpec
 from repro.errors import MisroutedRequestError, RoutingError
 from repro.lsm.options import Options
-from repro.service.router import shard_for_key
 from repro.service.routing import (
     HashRingPolicy,
     HotKeyPolicy,
     ModuloPolicy,
     TopKSketch,
+    fnv1a_64,
     make_policy,
     ring_hash,
+    shard_for_key,
 )
 from repro.service.service import ShardedService
 
@@ -114,6 +117,44 @@ class TestSplitMergeChurn:
         ring = HashRingPolicy([0], virtual_nodes=4)
         with pytest.raises(RoutingError):
             ring.plan_merge(0)
+
+
+class TestFnv1a:
+    def test_known_vectors(self):
+        # Canonical FNV-1a 64-bit test vectors.
+        assert fnv1a_64(b"") == 0xCBF29CE484222325
+        assert fnv1a_64(b"a") == 0xAF63DC4C8601EC8C
+        assert fnv1a_64(b"foobar") == 0x85944171F73967E8
+
+    def test_stable_across_calls(self):
+        key = format_key(12345)
+        assert fnv1a_64(key) == fnv1a_64(bytes(key))
+
+
+class TestShardForKey:
+    def test_single_shard_short_circuits(self):
+        assert shard_for_key(b"anything", 1) == 0
+        assert shard_for_key(b"anything", 0) == 0
+
+    def test_in_range(self):
+        for i in range(200):
+            assert 0 <= shard_for_key(format_key(i), 7) < 7
+
+    def test_reasonably_balanced(self):
+        shards = 4
+        counts = Counter(
+            shard_for_key(format_key(i), shards) for i in range(4000)
+        )
+        assert len(counts) == shards
+        for n in counts.values():
+            assert 700 <= n <= 1300  # ~1000 each, generous band
+
+    def test_routing_is_a_function_of_the_key(self):
+        # The whole point of FNV over hash(): two computations of the
+        # same key must agree (hash() is salted per process).
+        for i in range(50):
+            key = format_key(i)
+            assert shard_for_key(key, 5) == shard_for_key(key[:], 5)
 
 
 class TestModuloPolicy:
