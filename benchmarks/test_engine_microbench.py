@@ -16,7 +16,6 @@ pytest.importorskip("pytest_benchmark")
 from repro.hardware import make_profile
 from repro.lsm import DB, Options
 from repro.lsm.bloom import BloomFilter
-from repro.lsm.skiplist import SkipList
 
 
 @pytest.fixture
@@ -64,16 +63,6 @@ def test_get_miss_latency_with_bloom(benchmark, loaded_db):
         return loaded_db.get(b"missing-%08d" % rng.randrange(10**6))
 
     assert benchmark(get_missing) is None
-
-
-def test_skiplist_insert(benchmark):
-    sl = SkipList(seed=1)
-    rng = random.Random(3)
-
-    def insert_one():
-        sl.insert(b"%012d" % rng.randrange(10**9), None)
-
-    benchmark(insert_one)
 
 
 def test_bloom_probe(benchmark):

@@ -7,8 +7,11 @@
 # 2. The engine microbenchmarks (benchmarks/test_engine_microbench.py)
 #    with timing disabled, so hot-path regressions that *break* (rather
 #    than slow) the engine are caught here too.
-# 3. Trace schema round-trip, 4. crash sweep, 5. replica chaos sweep,
-# 6. the determinism gate (five scenarios), 7. the console audit.
+# 3. The host-time harness's self-test (benchmarks/perf): the only
+#    place DB.get/scan/put are checked against a shadow dict under the
+#    exact op mix the benchmark times.
+# 4. Trace schema round-trip, 5. crash sweep, 6. replica chaos sweep,
+# 7. the determinism gate (five scenarios), 8. the console audit.
 #
 # For host-time numbers (with spread, against a parent commit), use
 # python benchmarks/perf/bench.py and its --compare.
@@ -24,6 +27,10 @@ python -m pytest -x -q
 echo
 echo "== microbench smoke (timing disabled) =="
 python -m pytest -x -q --benchmark-disable benchmarks/test_engine_microbench.py
+
+echo
+echo "== host-time harness self-test (benchmarks/perf) =="
+python -m pytest -q benchmarks/perf
 
 echo
 echo "== trace schema: every event round-trips through JSONL =="

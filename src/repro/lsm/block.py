@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import struct
 import zlib
-from typing import Iterator
+from bisect import bisect_left
 
 from repro.errors import CorruptionError
 
@@ -201,15 +201,8 @@ def decompress_block(envelope: bytes, *, verify_checksum: bool = True) -> bytes:
         raise CorruptionError(f"block decompression failed: {exc}") from exc
 
 
-def block_entries_seek(
-    entries: list[tuple[bytes, bytes]], key: bytes
-) -> Iterator[tuple[bytes, bytes]]:
-    """Yield entries with entry_key >= key (binary search + scan)."""
-    lo, hi = 0, len(entries)
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if entries[mid][0] < key:
-            lo = mid + 1
-        else:
-            hi = mid
-    yield from entries[lo:]
+def block_entries_seek(entries: list[tuple[bytes, bytes]], key: bytes) -> int:
+    """Index of the first entry with entry_key >= key (len(entries) when
+    there is none). Entry keys are unique, and a 1-tuple sorts just
+    before any pair sharing its key, so the pairs bisect as they are."""
+    return bisect_left(entries, (key,))

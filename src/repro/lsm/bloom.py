@@ -3,6 +3,13 @@
 Double hashing over two 64-bit seeds approximates k independent hash
 functions; the probe count is derived from bits-per-key as in RocksDB
 (``k = bits_per_key * ln 2``).
+
+The seeds depend on the key alone, never on the filter, so a lookup
+computes them once (:func:`key_hashes`) and hands the pair to every
+filter it meets — memtable bloom, then one SSTable filter per table
+probed. The hash is FNV-1a and stays FNV-1a: its bits decide the false
+positives, those decide which blocks a read touches, and that is
+virtual time.
 """
 
 from __future__ import annotations
@@ -10,15 +17,33 @@ from __future__ import annotations
 import math
 
 _MASK64 = (1 << 64) - 1
+_FNV_PRIME = 1099511628211
+
+# Both seeded FNV-1a lanes run in one integer, 128 bits apart: XOR with
+# a byte touches only each lane's low 8 bits, and a 64-bit lane times
+# the 41-bit prime stays below 2**105, so the lanes cannot meet before
+# the mask cuts both back to 64 bits. One pass, half the bigint steps
+# of hashing the key twice, the same two values bit for bit.
+_LANE = 128
+_LANES_MASK = _MASK64 | (_MASK64 << _LANE)
+_LANES_SEED = (
+    (14695981039346656037 ^ (1 * 0x9E3779B97F4A7C15)) & _MASK64
+) | (((14695981039346656037 ^ (2 * 0x9E3779B97F4A7C15)) & _MASK64) << _LANE)
+_LANES_BYTE = [b | (b << _LANE) for b in range(256)]
 
 
-def _hash64(data: bytes, seed: int) -> int:
-    """FNV-1a with a seed fold; fast enough and well distributed."""
-    h = (14695981039346656037 ^ (seed * 0x9E3779B97F4A7C15)) & _MASK64
-    for b in data:
-        h ^= b
-        h = (h * 1099511628211) & _MASK64
-    return h
+def key_hashes(key: bytes) -> tuple[int, int]:
+    """The ``(h1, h2)`` double-hashing pair of ``key``.
+
+    ``h1`` and ``h2`` are FNV-1a over ``key`` from the offset basis
+    folded with seed 1 and seed 2; ``h2`` is forced odd so stepping by
+    it has full period.
+    """
+    h = _LANES_SEED
+    lanes_byte = _LANES_BYTE
+    for b in key:
+        h = ((h ^ lanes_byte[b]) * _FNV_PRIME) & _LANES_MASK
+    return h & _MASK64, (h >> _LANE) | 1
 
 
 class BloomFilter:
@@ -49,21 +74,30 @@ class BloomFilter:
     def num_added(self) -> int:
         return self._num_added
 
-    def _probes(self, key: bytes):
-        h1 = _hash64(key, 1)
-        h2 = _hash64(key, 2) | 1  # odd => full-period stepping
-        for i in range(self._num_probes):
-            yield ((h1 + i * h2) & _MASK64) % self._nbits
-
     def add(self, key: bytes) -> None:
-        for bit in self._probes(key):
-            self._bits[bit >> 3] |= 1 << (bit & 7)
+        h, step = key_hashes(key)
+        bits = self._bits
+        nbits = self._nbits
+        for _ in range(self._num_probes):
+            # Probe i is ((h1 + i*h2) mod 2**64) mod nbits.
+            bit = (h & _MASK64) % nbits
+            bits[bit >> 3] |= 1 << (bit & 7)
+            h += step
         self._num_added += 1
 
     def may_contain(self, key: bytes) -> bool:
-        for bit in self._probes(key):
-            if not self._bits[bit >> 3] & (1 << (bit & 7)):
+        return self.may_contain_hashes(key_hashes(key))
+
+    def may_contain_hashes(self, hashes: tuple[int, int]) -> bool:
+        """:meth:`may_contain` for a key whose hashes are in hand."""
+        h, step = hashes
+        bits = self._bits
+        nbits = self._nbits
+        for _ in range(self._num_probes):
+            bit = (h & _MASK64) % nbits
+            if not bits[bit >> 3] & (1 << (bit & 7)):
                 return False
+            h += step
         return True
 
     def theoretical_fp_rate(self) -> float:

@@ -31,6 +31,7 @@ from repro.lsm.background import (
     make_executor,
 )
 from repro.lsm.block_cache import LRUCache
+from repro.lsm.bloom import key_hashes
 from repro.lsm.compaction.fifo import FifoPicker
 from repro.lsm.compaction.picker import Compaction, CompactionPicker
 from repro.lsm.compaction.universal import UniversalPicker
@@ -40,7 +41,6 @@ from repro.lsm.iterator import (
     concat_source,
     file_source,
     lazy_merge,
-    memtable_source,
     user_view,
 )
 from repro.lsm.manifest import Manifest, VersionEdit
@@ -50,7 +50,13 @@ from repro.lsm.options_file import serialize_options
 from repro.lsm.perf_model import PerfModel
 from repro.lsm.rate_limiter import RateLimiter
 from repro.lsm.snapshot import Snapshot, SnapshotList
-from repro.lsm.sstable import FileMetaData, ReadStats, SSTableBuilder, SSTableReader
+from repro.lsm.sstable import (
+    FILTERED_OUT,
+    FileMetaData,
+    ReadStats,
+    SSTableBuilder,
+    SSTableReader,
+)
 from repro.lsm.statistics import OpClass, Statistics, Ticker
 from repro.lsm.table_cache import TableCache
 from repro.lsm.version import Version
@@ -295,6 +301,7 @@ class DB:
         self._tickers = statistics.raw_tickers()
         self._disable_wal = options.get("disable_wal")
         self._use_fsync = options.get("use_fsync")
+        self._filters_on = self._any_filter_configured()
         self._stats_dump_period_us = options.get("stats_dump_period_sec") * 1e6
         self._db_write_buffer_size = options.get("db_write_buffer_size")
         self._max_total_wal_size = options.get("max_total_wal_size")
@@ -511,7 +518,18 @@ class DB:
             capacity_bytes=opts.get("write_buffer_size"),
             bloom_bits=bloom_bits,
             whole_key_filtering=opts.get("memtable_whole_key_filtering"),
-            seed=1,
+        )
+
+    def _any_filter_configured(self) -> bool:
+        """Whether lookups should hash their key up front: some filter
+        (memtable whole-key bloom or SSTable filter block) is configured,
+        so the pair will almost surely be wanted. Only a hint — a
+        filter met without it (a table built under older options)
+        hashes the key itself."""
+        opts = self._options
+        return opts.bloom_enabled() or (
+            opts.get("memtable_prefix_bloom_size_ratio") > 0
+            and opts.get("memtable_whole_key_filtering")
         )
 
     def _effective_cache_bytes(self) -> int:
@@ -1477,11 +1495,16 @@ class DB:
         # Probe the active memtable first, then immutables newest-first;
         # written flat (no probe list) because this runs on every read.
         probes = 1
-        found, kind, value = self._mem.get(key, snapshot_seq=snap_seq)
+        mem = self._mem
+        # The key is hashed once per lookup and the pair handed to every
+        # filter probed: memtable blooms here, SSTable filters in
+        # _search_levels.
+        hashes = key_hashes(key) if self._filters_on else None
+        found, kind, value = mem.get(key, snap_seq, hashes)
         if not found:
             for mt in reversed(self._imm):
                 probes += 1
-                found, kind, value = mt.get(key, snapshot_seq=snap_seq)
+                found, kind, value = mt.get(key, snap_seq, hashes)
                 if found:
                     break
         if found and kind is ValueKind.VALUE:
@@ -1492,7 +1515,7 @@ class DB:
         else:
             tickers[_T_MEMTABLE_MISS] += 1
             found, found_value, level_hit, read_cost = self._search_levels(
-                key, busy, snap_seq
+                key, busy, snap_seq, hashes
             )
             latency += read_cost
             if found and level_hit == 0:
@@ -1512,12 +1535,17 @@ class DB:
         return found_value
 
     def _search_levels(
-        self, key: bytes, busy: int, snapshot_seq: int | None = None
+        self,
+        key: bytes,
+        busy: int,
+        snapshot_seq: int | None = None,
+        hashes: tuple[int, int] | None = None,
     ) -> tuple[bool, bytes | None, int, float]:
         max_seq = (
             snapshot_seq if snapshot_seq is not None else _MAX_SEQUENCE
         )
         cost = 0.0
+        filtered_cost: float | None = None
         tickers = self._tickers
         perf = self._perf
         version = self._version
@@ -1537,20 +1565,33 @@ class DB:
                 hit, kind, value, rstats = reader.get(
                     key,
                     max_seq,
+                    hashes,
                     cache_get=cache_get,
                     cache_put=cache_put,
                     page_get=page_get,
                     page_put=page_put,
                 )
+                if rstats is FILTERED_OUT:
+                    # The filter ruled the table out and nothing else was
+                    # touched: the same record, hence the same price,
+                    # for every such table this lookup meets.
+                    if filtered_cost is None:
+                        filtered_cost = perf.table_read_cost_us(
+                            rstats, busy_bg_jobs=busy
+                        )
+                    cost += filtered_cost
+                    tickers[_T_BLOOM_CHECKED] += 1
+                    tickers[_T_BLOOM_USEFUL] += 1
+                    continue
                 cost += perf.table_read_cost_us(rstats, busy_bg_jobs=busy)
                 if rstats.bloom_checked:
                     tickers[_T_BLOOM_CHECKED] += 1
-                    if rstats.bloom_negative:
-                        tickers[_T_BLOOM_USEFUL] += 1
-                device_bytes = rstats.device_block_bytes()
-                if device_bytes:
-                    tickers[_T_BYTES_READ] += device_bytes
-                    self._monitor.record_read(device_bytes)
+                if rstats.block_reads:
+                    # A point lookup reads at most one block per table.
+                    nbytes, source = rstats.block_reads[0]
+                    if source == "device":
+                        tickers[_T_BYTES_READ] += nbytes
+                        self._monitor.record_read(nbytes)
                 if hit:
                     if kind is ValueKind.DELETE:
                         return True, None, level, cost
@@ -1587,13 +1628,18 @@ class DB:
         #: key -> value (or None for a tombstone); absence = not found yet.
         outcome: dict[bytes, bytes | None] = {}
         memtables = [self._mem, *reversed(self._imm)]
+        #: key -> key_hashes: a key is hashed once however many memtable
+        #: and SSTable filters the batch probes.
+        hashes: dict[bytes, tuple[int, int]] = (
+            {key: key_hashes(key) for key in unique} if self._filters_on else {}
+        )
         probes = 0
         pending: list[bytes] = []
         for key in unique:
             found = False
             for mt in memtables:
                 probes += 1
-                found, kind, value = mt.get(key, snapshot_seq=snap_seq)
+                found, kind, value = mt.get(key, snap_seq, hashes.get(key))
                 if found:
                     outcome[key] = value if kind is ValueKind.VALUE else None
                     tickers[_T_MEMTABLE_HIT] += 1
@@ -1620,7 +1666,7 @@ class DB:
                     if not group:
                         continue
                     latency += self._batch_lookup(
-                        meta, group, max_seq, shared, outcome, level
+                        meta, group, max_seq, shared, outcome, level, hashes
                     )
                     pending = [k for k in pending if k not in outcome]
             else:
@@ -1637,7 +1683,7 @@ class DB:
                         groups.append((metas[0], [k]))
                 for meta, group in groups:
                     latency += self._batch_lookup(
-                        meta, group, max_seq, shared, outcome, level
+                        meta, group, max_seq, shared, outcome, level, hashes
                     )
                 pending = [k for k in pending if k not in outcome]
         latency += perf.table_read_cost_us(shared, busy_bg_jobs=busy)
@@ -1684,6 +1730,7 @@ class DB:
         shared: ReadStats,
         outcome: dict[bytes, bytes | None],
         level: int,
+        hashes: dict[bytes, tuple[int, int]],
     ) -> float:
         """multi_get helper: probe one SSTable for a sorted key group."""
         tickers = self._tickers
@@ -1698,6 +1745,7 @@ class DB:
             group,
             max_seq,
             stats=shared,
+            hashes=hashes,
             cache_get=self._cache_get,
             cache_put=self._cache_put,
             page_get=self._page_get,
@@ -1956,6 +2004,7 @@ class DB:
         self._perf.refresh_options()
         self._swap_factor = self._compute_swap_factor()
         self._use_fsync = opts.get("use_fsync")
+        self._filters_on = self._any_filter_configured()
         self._stats_dump_period_us = opts.get("stats_dump_period_sec") * 1e6
         self._db_write_buffer_size = opts.get("db_write_buffer_size")
         self._max_total_wal_size = opts.get("max_total_wal_size")
@@ -2219,6 +2268,14 @@ class DBIterator:
     deferred sources in recency order. Tables whose key range lies past
     where the cursor stops are never opened at all.
 
+    Stability: a seek fixes what the cursor reads until its next seek.
+    Each memtable hands the merge its sorted view as of the seek, and a
+    view is never mutated once handed out (a later put, or another
+    reader refreshing the view, builds a new list), so ``next`` yields
+    strictly increasing keys and neither repeats, skips nor picks up a
+    write made since. Re-seek to see newer writes; pin a snapshot to
+    keep one view across seeks.
+
     Latency accounting mirrors ``get``/``put``: each seek/next advances
     the virtual clock by its modeled cost and returns that cost in
     microseconds. Histogram observation is left to the caller —
@@ -2366,8 +2423,8 @@ class DBIterator:
         (newest first), one deferred concatenating run per L1+ level."""
         db = self._db
         end = self._end
-        sources: list = [memtable_source(db._mem, start)]
-        sources += [memtable_source(mt, start) for mt in reversed(db._imm)]
+        sources: list = [db._mem.seek(start)]
+        sources += [mt.seek(start) for mt in reversed(db._imm)]
         probes = len(sources)
         version = db._version
         for meta in reversed(version.files_at(0)):

@@ -62,10 +62,13 @@ def run_flush(
         nonlocal entries_out
         last_prefix: bytes | None = None
         last_internal = b""
-        merged = [e for mt in memtables for e in mt.raw_entries()]
-        if len(memtables) > 1:
-            merged.sort(key=itemgetter(0))
-        for internal, (kind, value) in merged:
+        if len(memtables) == 1:
+            merged = memtables[0].view()
+        else:
+            merged = sorted(
+                (e for mt in memtables for e in mt.view()), key=itemgetter(0)
+            )
+        for internal, kind, value in merged:
             prefix = internal[:-8]
             if prefix == last_prefix:
                 # Newer version already emitted; droppable unless a

@@ -2,7 +2,8 @@
 
 Merges all sources in internal-key order, collapses versions (newest
 wins), and hides tombstones — producing the (user_key, value) stream a
-Scan sees.
+Scan sees. A memtable's source is :meth:`MemTable.seek`, which already
+speaks the merge protocol.
 
 :func:`lazy_merge` is the pruning k-way merge behind ``DB.iterator()``
 (and the repo's only heap merge: flush and compaction materialise and
@@ -22,11 +23,8 @@ import heapq
 from typing import Callable, Iterable, Iterator
 
 from repro.lsm import ikey as ikey_mod
-from repro.lsm.memtable import MemTable, ValueKind
+from repro.lsm.memtable import Entry, ValueKind
 from repro.lsm.sstable import FileMetaData
-
-#: The merge protocol: (internal_key, kind, value).
-Entry = tuple[bytes, ValueKind, bytes]
 
 #: Heap-entry state tags: a _REAL entry carries a pulled (key, kind,
 #: value); a _PENDING entry carries only a DeferredSource's lower bound.
@@ -47,16 +45,6 @@ class DeferredSource:
     def __init__(self, bound: bytes, open_fn: Callable[[], Iterator[Entry]]):
         self.bound = bound
         self.open_fn = open_fn
-
-
-def memtable_source(
-    memtable: MemTable, start: bytes | None = None
-) -> Iterator[Entry]:
-    """Adapt a memtable to the (internal_key, kind, value) protocol."""
-    for user_key, seq, kind, value in memtable.entries():
-        if start is not None and user_key < start:
-            continue
-        yield ikey_mod.encode(user_key, seq), kind, value
 
 
 def file_source(

@@ -8,18 +8,30 @@ filter (``memtable_prefix_bloom_size_ratio``).
 Representation: writes land in a per-user-key version map (one dict
 lookup + list append per ``add`` — the fillrandom hot path), and the
 internal-key-ordered view that flushes and iterators need is built
-lazily by encoding + sorting once, cached until the next write. A
-rotated (immutable) memtable therefore sorts exactly once, and point
-lookups never touch the sorted view at all.
+lazily by encoding + sorting once. Once a view exists, ``add`` also
+notes the entry, and the next reader merges just those entries into a
+*new* list (bisect + slice copies), so a scan after a put costs
+O(added log n) compares, not a re-encode and re-sort of everything. A
+view list is never mutated after it is handed out: a cursor that holds
+one keeps reading the memtable as it was at its seek. Point lookups
+never touch the view at all.
+
+Threads: a flush worker and the foreground may both ask an *immutable*
+memtable for its view. The view and the entries not yet merged into it
+are published together as one tuple and neither is mutated by a
+refresh, so concurrent refreshes compute the same list from the same
+inputs and whichever assignment lands last is correct. Writes (``add``)
+only ever come from the one thread that owns the active memtable.
 """
 
 from __future__ import annotations
 
 import enum
+from bisect import bisect_left
 from typing import Iterator
 
 from repro.lsm import ikey
-from repro.lsm.bloom import BloomFilter
+from repro.lsm.bloom import BloomFilter, key_hashes
 
 
 class ValueKind(enum.IntEnum):
@@ -32,10 +44,19 @@ class ValueKind(enum.IntEnum):
 #: Fixed per-entry overhead charged to the arena (node pointers, seq tag).
 _ENTRY_OVERHEAD = 40
 
+#: One versioned entry, (internal_key, kind, value): what the sorted
+#: view holds and the protocol every read-path merge source speaks.
+Entry = tuple[bytes, ValueKind, bytes]
+
 # Hot-path bindings: `add` runs once per write, so the encoder and the
 # tombstone tag are resolved at module load instead of per call.
 _encode = ikey.encode
 _DELETE = ValueKind.DELETE
+
+
+def _iterate_from(view: list[Entry], at: int) -> Iterator[Entry]:
+    for i in range(at, len(view)):
+        yield view[i]
 
 
 class MemTable:
@@ -53,19 +74,22 @@ class MemTable:
         *,
         bloom_bits: int = 0,
         whole_key_filtering: bool = False,
-        seed: int | None = None,
     ) -> None:
         if capacity_bytes <= 0:
             raise ValueError("memtable capacity must be positive")
-        del seed  # kept for API compatibility with the skiplist memtable
         #: user_key -> [(seq, kind, value), ...] in insertion order.
         #: Sequences increase monotonically across writes, so each list
         #: is sorted by seq ascending and the newest version is last.
         self._versions: dict[bytes, list] = {}
         self._versions_get = self._versions.get
-        #: Cached internal-key-ordered [(internal, (kind, value))];
-        #: None = stale (a write happened since it was built).
-        self._sorted: list | None = None
+        #: ``(view, pending)``, or None until a reader first asks (so a
+        #: write-only memtable never pays for it). ``view`` is the
+        #: internal-key-ordered [(internal_key, kind, value)], never
+        #: mutated once built; ``pending`` is the (user_key, seq, kind,
+        #: value) of entries added since, at most the memtable's own
+        #: entry count. A refresh replaces the whole tuple in one
+        #: assignment and never empties the old ``pending``.
+        self._state: tuple[list[Entry], list] | None = None
         self.capacity_bytes = capacity_bytes
         #: Approximate arena usage; public so the write path can compare
         #: it against ``capacity_bytes`` without a property call.
@@ -74,28 +98,16 @@ class MemTable:
         self._num_deletes = 0
         self._first_seq: int | None = None
         self._last_seq = 0
+        #: The whole-key filter point lookups consult, or None.
         self._bloom: BloomFilter | None = None
-        if bloom_bits > 0:
-            expected = max(64, capacity_bytes // 128)
-            self._bloom = BloomFilter(bits_per_key=bloom_bits, expected_keys=expected)
-        self._whole_key_filtering = whole_key_filtering
+        if bloom_bits > 0 and whole_key_filtering:
+            self._bloom = BloomFilter(
+                bits_per_key=bloom_bits,
+                expected_keys=max(64, capacity_bytes // 128),
+            )
         # `add` fast lane: resolve the bloom branch once — per-entry
         # attribute chasing is measurable at fillrandom rates.
-        self._bloom_add = (
-            self._bloom.add
-            if self._bloom is not None and whole_key_filtering
-            else None
-        )
-
-    # -- encoding ----------------------------------------------------------
-
-    @staticmethod
-    def _internal_key(user_key: bytes, seq: int) -> bytes:
-        return ikey.encode(user_key, seq)
-
-    @staticmethod
-    def _split(internal: bytes) -> tuple[bytes, int]:
-        return ikey.decode(internal)
+        self._bloom_add = self._bloom.add if self._bloom is not None else None
 
     # -- mutation ----------------------------------------------------------
 
@@ -106,7 +118,9 @@ class MemTable:
             self._versions[user_key] = [(seq, kind, value)]
         else:
             versions.append((seq, kind, value))
-        self._sorted = None
+        state = self._state
+        if state is not None:
+            state[1].append((user_key, seq, kind, value))
         self.approx_bytes += len(user_key) + len(value) + _ENTRY_OVERHEAD
         self._num_entries += 1
         if kind is _DELETE:
@@ -121,16 +135,25 @@ class MemTable:
 
     # -- queries -----------------------------------------------------------
 
-    def get(self, user_key: bytes, snapshot_seq: int | None = None):
+    def get(
+        self,
+        user_key: bytes,
+        snapshot_seq: int | None = None,
+        hashes: tuple[int, int] | None = None,
+    ):
         """Look up the newest visible version of ``user_key``.
 
         Returns ``(found, kind, value)``; ``found`` False means the
         memtable holds no visible entry (caller falls through to older
-        data).
+        data). ``hashes`` is the key's :func:`key_hashes` when the
+        caller already has them (only read when the memtable has a
+        filter).
         """
-        if self._bloom is not None and self._whole_key_filtering:
-            if not self._bloom.may_contain(user_key):
-                return False, None, None
+        bloom = self._bloom
+        if bloom is not None and not bloom.may_contain_hashes(
+            hashes if hashes is not None else key_hashes(user_key)
+        ):
+            return False, None, None
         versions = self._versions_get(user_key)
         if versions is None:
             return False, None, None
@@ -144,9 +167,8 @@ class MemTable:
 
     def bloom_negative(self, user_key: bytes) -> bool:
         """True when the memtable bloom filter can rule the key out."""
-        if self._bloom is None or not self._whole_key_filtering:
-            return False
-        return not self._bloom.may_contain(user_key)
+        bloom = self._bloom
+        return bloom is not None and not bloom.may_contain(user_key)
 
     # -- accounting ----------------------------------------------------------
 
@@ -179,38 +201,57 @@ class MemTable:
 
     # -- iteration -----------------------------------------------------------
 
-    def _sorted_entries(self) -> list:
-        """The internal-key-ordered view, (re)built when stale.
+    def view(self) -> list[Entry]:
+        """Every entry as ``(internal_key, kind, value)``, in internal-key
+        order (user key ascending, newest version first).
 
-        Internal keys are unique (sequences never repeat), so sorting
-        the pairs compares only the encoded keys — the same total order
-        the skiplist maintained incrementally.
+        The returned list is never mutated afterwards, so callers may
+        hold it across later writes; they must not mutate it either.
+        Internal keys are unique (sequences never repeat), so ordering
+        the triples compares only the encoded keys.
         """
-        cached = self._sorted
-        if cached is None:
-            cached = [
-                (_encode(user_key, seq), (kind, value))
+        state = self._state
+        if state is None:
+            view = [
+                (_encode(user_key, seq), kind, value)
                 for user_key, versions in self._versions.items()
                 for seq, kind, value in versions
             ]
-            cached.sort()
-            self._sorted = cached
-        return cached
+            view.sort()
+        else:
+            view, pending = state
+            if not pending:
+                return view
+            # Merge the entries added since `view` was built into a new
+            # list: each lands by bisect from where the previous one
+            # did, and the stretches between them are slice copies.
+            fresh = sorted(
+                (_encode(user_key, seq), kind, value)
+                for user_key, seq, kind, value in pending
+            )
+            merged: list[Entry] = []
+            taken = 0
+            for entry in fresh:
+                at = bisect_left(view, entry, taken)
+                merged += view[taken:at]
+                merged.append(entry)
+                taken = at
+            merged += view[taken:]
+            view = merged
+        self._state = (view, [])
+        return view
 
-    def entries(self) -> Iterator[tuple[bytes, int, ValueKind, bytes]]:
-        """Yield (user_key, seq, kind, value) in internal-key order."""
-        decode = ikey.decode
-        for internal, (kind, value) in self._sorted_entries():
-            user_key, seq = decode(internal)
-            yield user_key, seq, kind, value
-
-    def raw_entries(self) -> Iterator[tuple[bytes, tuple[ValueKind, bytes]]]:
-        """Yield ``(internal_key, (kind, value))`` without re-decoding.
-
-        The flush merge sorts on internal key anyway, so handing it the
-        encoded keys skips a decode/re-encode round-trip per entry.
-        """
-        return iter(self._sorted_entries())
+    def seek(self, user_key: bytes | None = None) -> Iterator[Entry]:
+        """Yield the view's entries from the first one whose user key is
+        ``>= user_key`` (from the start when None): a bisect, then one
+        list index per entry consumed. The entries are those present at
+        the call; later writes do not reach an iterator already made."""
+        view = self.view()
+        at = 0
+        if user_key is not None:
+            # A 1-tuple sorts just before any triple sharing its key.
+            at = bisect_left(view, (ikey.seek_key(user_key),))
+        return _iterate_from(view, at)
 
     @property
     def unique_keys(self) -> int:

@@ -2,7 +2,7 @@
 
 Every foreground operation and background job asks this model "how many
 microseconds did that cost on the configured hardware?". The engine does
-the real work (skiplist inserts, bloom probes, block decodes); the model
+the real work (memtable inserts, bloom probes, block decodes); the model
 prices it using the :class:`~repro.hardware.device.DeviceModel` and CPU
 constants, including cross-job contention.
 

@@ -16,6 +16,7 @@ charge virtual time for it.
 from __future__ import annotations
 
 import struct
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from typing import Callable, Iterator
 
@@ -29,7 +30,7 @@ from repro.lsm.block import (
     decode_block,
     decompress_block,
 )
-from repro.lsm.bloom import BloomFilter
+from repro.lsm.bloom import BloomFilter, key_hashes
 from repro.lsm.env import MemFileSystem, RandomAccessFile
 from repro.lsm.memtable import ValueKind
 
@@ -86,6 +87,12 @@ class ReadStats:
 
     def device_block_bytes(self) -> int:
         return sum(n for n, source in self.block_reads if source == "device")
+
+
+#: What every lookup that its table's filter rules out touched: the
+#: filter and nothing else. One shared record, so the commonest probe
+#: of a point lookup allocates nothing; it is read, never written.
+FILTERED_OUT = ReadStats(bloom_checked=True, bloom_negative=True)
 
 
 class SSTableBuilder:
@@ -444,10 +451,24 @@ def _file_number_from_path(path: str) -> int:
 CacheGet = Callable[[tuple[int, int]], bytes | None]
 CachePut = Callable[[tuple[int, int], bytes, int], None]
 
-#: Decoded-entry memo size per open reader (blocks). SSTables are
-#: immutable, so decoded entries never go stale; the bound only caps
-#: memory.
+#: Decoded-block memo size per open reader (blocks); each slot holds one
+#: block's envelope, payload and decoded entries. Nothing served from it
+#: is trusted without a byte compare against what the modelled read
+#: just returned, so the bound only caps memory.
 _DECODED_CACHE_BLOCKS = 128
+
+
+def _version_at(entries: list[tuple[bytes, bytes]], seek: bytes) -> bytes | None:
+    """The packed value of the newest version ``seek`` (a
+    :func:`~repro.lsm.ikey.seek_key`) can see in a decoded block: the
+    one entry the seek lands on, if it belongs to the same user key."""
+    at = block_entries_seek(entries, seek)
+    if at < len(entries):
+        entry_ikey, packed = entries[at]
+        # Same escaped user key + terminator <=> same user key.
+        if entry_ikey[:-8] == seek[:-8]:
+            return packed
+    return None
 
 
 class SSTableReader:
@@ -479,6 +500,8 @@ class SSTableReader:
         for last_key, packed in decode_block(index_payload):
             off, sz = struct.unpack("<QI", packed)
             self._index.append((last_key, off, sz))
+        #: Last internal key of each block, for bisecting.
+        self._index_keys = [entry[0] for entry in self._index]
         self.index_size_bytes = index_sz
         self._bloom: BloomFilter | None = None
         self.filter_size_bytes = filter_sz
@@ -487,12 +510,18 @@ class SSTableReader:
                 file.read(filter_off, filter_sz), verify_checksum=verify_checksums
             )
             self._bloom = BloomFilter.from_bytes(bloom_payload, bloom_bits)
-        # offset -> (payload, decoded entries). Serving a repeat lookup
-        # from here skips decode_block's per-entry varint parsing; the
-        # stored payload is compared against the bytes the modeled path
-        # produced so cache/page bookkeeping and corruption detection
-        # behave exactly as without the memo.
-        self._decoded: dict[int, tuple[bytes, list[tuple[bytes, bytes]]]] = {}
+        # offset -> (envelope, payload, decoded entries). A repeat read
+        # still makes every modelled access (block cache, page cache,
+        # file) in the same order; the memo only spares recomputing
+        # what those bytes decode to. A block-cache hit is matched on
+        # its payload, a page-cache or file read on its envelope — an
+        # envelope that differs by one byte takes the full verifying
+        # path, so corruption is detected exactly as without the memo.
+        # ``envelope`` is None for a slot first filled from the block
+        # cache.
+        self._decoded: dict[
+            int, tuple[bytes | None, bytes, list[tuple[bytes, bytes]]]
+        ] = {}
 
     @property
     def num_blocks(self) -> int:
@@ -504,14 +533,8 @@ class SSTableReader:
 
     def _block_index_for(self, internal_key: bytes) -> int | None:
         """First block whose last key >= internal_key, else None."""
-        lo, hi = 0, len(self._index)
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if self._index[mid][0] < internal_key:
-                lo = mid + 1
-            else:
-                hi = mid
-        return lo if lo < len(self._index) else None
+        idx = bisect_left(self._index_keys, internal_key)
+        return idx if idx < len(self._index_keys) else None
 
     def _read_block(
         self,
@@ -529,10 +552,10 @@ class SSTableReader:
             cached = cache_get(cache_key)
             if cached is not None:
                 stats.block_reads.append((sz, "cache"))
-                if memo is not None and (cached is memo[0] or cached == memo[0]):
-                    return memo[1]
+                if memo is not None and (cached is memo[1] or cached == memo[1]):
+                    return memo[2]
                 entries = decode_block(cached)
-                self._remember(off, cached, entries)
+                self._remember(off, None, cached, entries)
                 return entries
         source = "device"
         envelope: bytes | None = None
@@ -545,44 +568,57 @@ class SSTableReader:
             envelope = self._file.read(off, sz)
             if page_put is not None:
                 page_put(cache_key, envelope, len(envelope))
-        payload = decompress_block(envelope, verify_checksum=self._verify)
-        if memo is not None and payload == memo[0]:
-            entries = memo[1]
+        if memo is not None and (envelope is memo[0] or envelope == memo[0]):
+            _envelope, payload, entries = memo
         else:
-            entries = decode_block(payload)
-            self._remember(off, payload, entries)
+            payload = decompress_block(envelope, verify_checksum=self._verify)
+            if memo is not None and payload == memo[1]:
+                entries = memo[2]
+            else:
+                entries = decode_block(payload)
+            self._remember(off, envelope, payload, entries)
         stats.block_reads.append((sz, source))
         if cache_put is not None:
             cache_put(cache_key, payload, len(payload))
         return entries
 
     def _remember(
-        self, off: int, payload: bytes, entries: list[tuple[bytes, bytes]]
+        self,
+        off: int,
+        envelope: bytes | None,
+        payload: bytes,
+        entries: list[tuple[bytes, bytes]],
     ) -> None:
         decoded = self._decoded
-        if len(decoded) >= _DECODED_CACHE_BLOCKS:
+        if off not in decoded and len(decoded) >= _DECODED_CACHE_BLOCKS:
             # Cheap bounded eviction (FIFO-ish); correctness never
             # depends on what gets dropped.
             decoded.pop(next(iter(decoded)))
-        decoded[off] = (payload, entries)
+        decoded[off] = (envelope, payload, entries)
 
     def get(
         self,
         user_key: bytes,
         snapshot_seq: int = ikey_mod.MAX_SEQUENCE,
+        hashes: tuple[int, int] | None = None,
         *,
         cache_get: CacheGet | None = None,
         cache_put: CachePut | None = None,
         page_get: CacheGet | None = None,
         page_put: CachePut | None = None,
     ) -> tuple[bool, ValueKind | None, bytes | None, ReadStats]:
-        """Point lookup for the newest version visible at ``snapshot_seq``."""
-        stats = ReadStats()
-        if self._bloom is not None:
-            stats.bloom_checked = True
-            if not self._bloom.may_contain(user_key):
-                stats.bloom_negative = True
-                return False, None, None, stats
+        """Point lookup for the newest version visible at ``snapshot_seq``.
+
+        ``hashes`` is the key's :func:`~repro.lsm.bloom.key_hashes` when
+        the caller already has them (a lookup probing several tables
+        hashes its key once); only read when the table has a filter.
+        """
+        bloom = self._bloom
+        if bloom is not None and not bloom.may_contain_hashes(
+            hashes if hashes is not None else key_hashes(user_key)
+        ):
+            return False, None, None, FILTERED_OUT
+        stats = ReadStats(bloom_checked=bloom is not None)
         seek = ikey_mod.seek_key(user_key, snapshot_seq)
         idx = self._block_index_for(seek)
         if idx is None:
@@ -591,12 +627,10 @@ class SSTableReader:
         entries = self._read_block(
             idx, cache_get, cache_put, stats, page_get, page_put
         )
-        for entry_ikey, packed in block_entries_seek(entries, seek):
-            entry_user, _seq = ikey_mod.decode(entry_ikey)
-            if entry_user != user_key:
-                break
-            return True, _KIND_OF[packed[0]], packed[1:], stats
-        return False, None, None, stats
+        packed = _version_at(entries, seek)
+        if packed is None:
+            return False, None, None, stats
+        return True, _KIND_OF[packed[0]], packed[1:], stats
 
     def multi_get(
         self,
@@ -604,6 +638,7 @@ class SSTableReader:
         snapshot_seq: int = ikey_mod.MAX_SEQUENCE,
         *,
         stats: ReadStats,
+        hashes: dict[bytes, tuple[int, int]] | None = None,
         cache_get: CacheGet | None = None,
         cache_put: CachePut | None = None,
         page_get: CacheGet | None = None,
@@ -615,15 +650,22 @@ class SSTableReader:
         work lands in the counter fields of ``stats``; a block holding
         several of the batch's keys is fetched and decoded once for the
         whole call (the per-batch ``loaded`` memo), which is where the
-        batching beats N independent ``get`` calls. Returns
+        batching beats N independent ``get`` calls. ``hashes`` is the
+        batch's ``{user_key: key_hashes}`` memo, filled here on first
+        need, so a key probed in several tables is hashed once. Returns
         ``{user_key: (kind, value)}`` for the keys present.
         """
         out: dict[bytes, tuple[ValueKind, bytes]] = {}
         loaded: dict[int, list[tuple[bytes, bytes]]] = {}
+        if hashes is None:
+            hashes = {}
         for user_key in user_keys:
             if self._bloom is not None:
                 stats.bloom_probes += 1
-                if not self._bloom.may_contain(user_key):
+                pair = hashes.get(user_key)
+                if pair is None:
+                    pair = hashes[user_key] = key_hashes(user_key)
+                if not self._bloom.may_contain_hashes(pair):
                     stats.bloom_negatives += 1
                     continue
             seek = ikey_mod.seek_key(user_key, snapshot_seq)
@@ -641,12 +683,9 @@ class SSTableReader:
                 # A shared block: the fetch (and its search) was already
                 # charged via block_reads; only the extra search is new.
                 stats.block_searches += 1
-            for entry_ikey, packed in block_entries_seek(entries, seek):
-                entry_user, _seq = ikey_mod.decode(entry_ikey)
-                if entry_user != user_key:
-                    break
+            packed = _version_at(entries, seek)
+            if packed is not None:
                 out[user_key] = (_KIND_OF[packed[0]], packed[1:])
-                break
         return out
 
     def iter_entries(
@@ -702,8 +741,6 @@ class SSTableReader:
         for idx in range(start, len(self._index)):
             entries = self._read_block(idx, cache_get, cache_put, local)
             if idx == start:
-                pairs = block_entries_seek(entries, seek)
-            else:
-                pairs = iter(entries)
-            for entry_ikey, packed in pairs:
+                entries = entries[block_entries_seek(entries, seek):]
+            for entry_ikey, packed in entries:
                 yield entry_ikey, _KIND_OF[packed[0]], packed[1:]

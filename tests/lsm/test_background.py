@@ -9,6 +9,7 @@ everything observable, across all three compaction styles.
 """
 
 import os
+import threading
 
 import pytest
 
@@ -110,6 +111,55 @@ def test_close_joins_inflight_jobs():
     reopened = DB.open("/bg-close", _options("inline", "level"), env=env)
     assert len(reopened.scan(limit=None)) == 500
     reopened.close()
+
+
+def test_scan_during_a_worker_flush_sees_every_acknowledged_key(monkeypatch):
+    """With a live snapshot the flush worker reads the rotated
+    memtable's full view, refreshing it if writes followed the last
+    scan. Hold the worker in the middle of that refresh: a foreground
+    scan, cursor and get must still see every acknowledged key, and so
+    must the table the flush goes on to write."""
+    from repro.lsm import memtable as memtable_mod
+
+    merging, release = threading.Event(), threading.Event()
+    real_bisect = memtable_mod.bisect_left
+
+    def gated_bisect(*args):
+        if threading.current_thread() is not threading.main_thread():
+            merging.set()
+            assert release.wait(10)
+        return real_bisect(*args)
+
+    db = DB.open("/bg-scan-race", _options("thread", "level"))
+    expected = {}
+
+    def put(i):
+        key = b"k%05d" % ((i * 2654435761) % 100000)
+        expected[key] = b"v%06d" % i
+        db.put(key, expected[key])
+
+    for i in range(20):
+        put(i)
+    assert db.scan(limit=1)  # the active memtable now keeps a view
+    snap = db.snapshot()
+    monkeypatch.setattr(memtable_mod, "bisect_left", gated_bisect)
+    i = 20
+    while not db._imm:
+        put(i)
+        i += 1
+    try:
+        assert merging.wait(10), "the flush never refreshed the view"
+        assert db.scan(limit=None) == sorted(expected.items())
+        cursor = db.iterator()
+        cursor.seek(None)
+        assert cursor.key == min(expected)
+        assert db.get(max(expected)) == expected[max(expected)]
+    finally:
+        release.set()
+    db.wait_for_background()
+    snap.release()
+    assert db.scan(limit=None) == sorted(expected.items())
+    db.close()
 
 
 def test_crash_and_reopen_matches_inline_crash():

@@ -126,6 +126,7 @@ class TestCompressionEnvelope:
 class TestSeek:
     def test_seek_finds_lower_bound(self):
         entries = [(b"b", b""), (b"d", b""), (b"f", b"")]
-        assert [k for k, _ in block_entries_seek(entries, b"c")] == [b"d", b"f"]
-        assert [k for k, _ in block_entries_seek(entries, b"b")] == [b"b", b"d", b"f"]
-        assert list(block_entries_seek(entries, b"g")) == []
+        assert block_entries_seek(entries, b"a") == 0
+        assert block_entries_seek(entries, b"c") == 1
+        assert block_entries_seek(entries, b"b") == 0
+        assert block_entries_seek(entries, b"g") == 3

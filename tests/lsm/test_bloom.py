@@ -1,10 +1,12 @@
 """Tests for the bloom filter: no false negatives, bounded false positives."""
 
+import hashlib
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.lsm.bloom import BloomFilter
+from repro.lsm.bloom import BloomFilter, key_hashes
 
 
 class TestBasics:
@@ -54,6 +56,33 @@ class TestBasics:
         assert high_fp < low_fp
 
 
+def fnv1a_64(data: bytes, seed: int) -> int:
+    """The reference: seeded FNV-1a, one byte and one lane at a time."""
+    mask = (1 << 64) - 1
+    h = (14695981039346656037 ^ (seed * 0x9E3779B97F4A7C15)) & mask
+    for b in data:
+        h ^= b
+        h = (h * 1099511628211) & mask
+    return h
+
+
+class TestKeyHashes:
+    @given(st.binary(max_size=300))
+    @settings(max_examples=200)
+    def test_one_pass_equals_two_seeded_passes(self, key):
+        assert key_hashes(key) == (fnv1a_64(key, 1), fnv1a_64(key, 2) | 1)
+
+    def test_hashed_probe_agrees_with_keyed_probe(self):
+        bloom = BloomFilter(10, 200)
+        for i in range(200):
+            bloom.add(b"k%d" % i)
+        for i in range(1000):
+            probe = b"p%d" % i
+            assert bloom.may_contain(probe) == bloom.may_contain_hashes(
+                key_hashes(probe)
+            )
+
+
 class TestSerialization:
     def test_round_trip_preserves_membership(self):
         bloom = BloomFilter(10, 500)
@@ -71,6 +100,25 @@ class TestSerialization:
         for i in range(2000):
             probe = b"out-%d" % i
             assert restored.may_contain(probe) == bloom.may_contain(probe)
+
+    @pytest.mark.parametrize("bits_per_key, digest", [
+        (10, "6cd4847e936e1872d8fa1de9ac42333af3b982af35c989f72a321db1e1f2e122"),
+        (6.5, "bc7e9a7990d09bfac3c4e7d11f6aec17c04b7bd2b2bc0425670302f3ac6c93eb"),
+    ])
+    def test_filter_bytes_are_pinned(self, bits_per_key, digest):
+        """The filter's bits decide false positives, hence which blocks
+        a read touches, hence virtual time: a faster way to hash must
+        yield these bytes (sha256 recorded at commit ce208f7, before
+        the one-pass ``key_hashes``). Keys include the empty key, NUL
+        bytes and unequal lengths."""
+        keys = [
+            b"", b"a", b"a\x00", b"a\x00b", b"\x00", b"\x00\x00\xff",
+            b"key-%06d" % 7, b"x" * 100, bytes(range(256)),
+        ] + [b"k%d" % (i * i) for i in range(200)]
+        bloom = BloomFilter(bits_per_key, len(keys))
+        for key in keys:
+            bloom.add(key)
+        assert hashlib.sha256(bloom.to_bytes()).hexdigest() == digest
 
     def test_from_bytes_too_short(self):
         with pytest.raises(ValueError):

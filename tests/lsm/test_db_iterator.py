@@ -112,6 +112,48 @@ class TestCursor:
             assert it.key == key(77)
             assert it.value == b"fresh"
 
+    def test_cursor_is_stable_under_writes_and_other_readers(self):
+        """A cursor reads the memtables as they were at its seek: puts
+        before, at and after its position, and a scan and a second
+        cursor that both make the memtable refresh its sorted view,
+        neither repeat, skip nor add a key. A re-seek sees them all."""
+        db = open_db("/cursor-stable")
+        for i in range(0, 60, 2):
+            db.put(key(i), b"file")
+        db.flush()
+        for i in range(0, 60, 4):
+            db.put(key(i), b"mem")
+        db.scan(limit=1)  # a view exists: later puts are merged into it
+        at_seek = db.scan(start=key(10))
+        it = db.iterator()
+        other = db.iterator()
+        it.seek(key(10))
+        seen = []
+        while it.valid:
+            seen.append((it.key, it.value))
+            here = int(it.key)
+            db.put(key(here - 9), b"new")  # before the cursor, a new key
+            db.put(it.key, b"new")  # at it
+            db.put(key(here + 3), b"new")  # ahead of it, a new key
+            db.put(key(here + 4), b"new")  # ahead of it, an overwrite
+            assert db.scan(start=key(here), limit=2)[0] == (it.key, b"new")
+            other.seek(key(here + 3))
+            assert (other.key, other.value) == (key(here + 3), b"new")
+            it.next()
+        assert seen == at_seek
+        assert [k for k, _ in seen] == sorted({k for k, _ in seen})
+        assert db.version.num_files(0) == 1  # no rotation: one memtable
+        it.seek(key(10))
+        rows = []
+        while it.valid:
+            rows.append((it.key, it.value))
+            it.next()
+        assert rows == db.scan(start=key(10))
+        assert rows[0] == (key(10), b"new") and len(rows) > len(seen)
+        it.close()
+        other.close()
+        db.close()
+
     def test_closed_cursor_rejects_use(self, multilevel):
         it = multilevel.iterator()
         it.seek(None)

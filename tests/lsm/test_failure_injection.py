@@ -41,6 +41,36 @@ class TestCorruption:
                 db.get(b"%05d" % i)
         db.close()
 
+    def test_corrupt_data_block_detected_with_a_warm_memo(self):
+        """The reader keeps what a block decoded to, keyed by the bytes
+        it was decoded from. Read every block (so all are memoised),
+        push them out of the block and page caches, then damage the
+        file: the next read fetches the damaged bytes, they differ from
+        the memo, and the checksum is verified as if no memo existed."""
+        env = Env()
+        db = open_db(env)
+        assert db.options.get("paranoid_checks")
+        for i in range(500):
+            db.put(b"%05d" % i, b"x" * 64)
+        db.flush()
+        sst = self._first_sst(env)
+        number = int(sst.rsplit("/", 1)[-1].split(".")[0])
+        for _ in range(2):  # second pass: blocks come from the caches
+            assert all(
+                db.get(b"%05d" % i) == b"x" * 64 for i in range(500)
+            )
+        reader, cached = db._table_cache.get(number)
+        assert cached and len(reader._decoded) == reader.num_blocks
+        db.block_cache.erase_file(number)
+        db._page_cache.erase_file(number)
+        assert db.get(b"%05d" % 0) == b"x" * 64  # clean re-read: fine
+        db.block_cache.erase_file(number)
+        db._page_cache.erase_file(number)
+        env.fs.corrupt(sst, 50, 0xFF)
+        with pytest.raises(CorruptionError):
+            db.get(b"%05d" % 0)
+        db.close()
+
     def test_corrupt_manifest_fails_reopen(self):
         env = Env()
         db = open_db(env)

@@ -1,8 +1,12 @@
 """Tests for the fault-injection layer (repro.lsm.faults.FaultFS)."""
 
+import random
+
 import pytest
 
 from repro.errors import DBError, InjectedIOError, SimulatedCrash
+from repro.hardware import make_profile
+from repro.lsm import DB, Env, Options
 from repro.lsm.env import MemFileSystem
 from repro.lsm.faults import FaultFS, KVModel
 from repro.obs.sinks import RingSink
@@ -54,6 +58,35 @@ class TestOpCounting:
         fs = FaultFS()
         fs.open_writable("/a")
         assert fs.op_index == 1
+
+    def test_read_heavy_run_keeps_its_syscall_count(self):
+        """Crash schedules are coordinates in the mutating-call stream,
+        so host-side shortcuts on the read path (decoded-block memo,
+        seekable memtable view) must not move it: the counts and the
+        virtual clock below were recorded at commit ce208f7."""
+        fs = FaultFS()
+        db = DB.open(
+            "/ops",
+            Options({"write_buffer_size": 8 * 1024,
+                     "bloom_filter_bits_per_key": 10.0}),
+            env=Env(fs=fs), profile=make_profile(4, 8),
+        )
+        rng = random.Random(5)
+        for _ in range(600):
+            db.put(b"%05d" % rng.randrange(400), b"v" * 40)
+        assert fs.op_index == 656
+        for _ in range(3000):
+            draw = rng.random()
+            if draw < 0.8:
+                db.get(b"%05d" % rng.randrange(500))
+            elif draw < 0.9:
+                db.scan(b"%05d" % rng.randrange(400), 10)
+            else:
+                db.put(b"%05d" % rng.randrange(400), b"w" * 40)
+        assert fs.op_index == 1001
+        assert db.env.clock.now_us == 10102.969076328241
+        db.close()
+        assert fs.op_index == 1010
 
 
 class TestScheduledCrash:

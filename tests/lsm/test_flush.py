@@ -10,8 +10,8 @@ from repro.lsm.snapshot import SnapshotList
 from repro.lsm.sstable import SSTableBuilder, SSTableReader
 
 
-def make_mem(entries, capacity=1 << 20, seed=1):
-    mem = MemTable(capacity, seed=seed)
+def make_mem(entries, capacity=1 << 20):
+    mem = MemTable(capacity)
     for seq, kind, key, value in entries:
         mem.add(seq, kind, key, value)
     return mem
@@ -125,7 +125,7 @@ class TestRunFlush:
                                    + m2.approximate_memory_usage)
 
     def test_empty_memtable_produces_no_file(self):
-        mem = MemTable(1 << 20, seed=1)
+        mem = MemTable(1 << 20)
         result = run_flush([mem], lambda: pytest.fail("builder should not open"))
         assert result.file_meta is None
         assert result.bytes_out == 0

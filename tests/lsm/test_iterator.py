@@ -8,30 +8,29 @@ from repro.lsm.iterator import (
     concat_source,
     file_source,
     lazy_merge,
-    memtable_source,
     user_view,
 )
 from repro.lsm.memtable import MemTable, ValueKind
 
 
 def mem_with(entries):
-    mem = MemTable(1 << 20, seed=1)
+    mem = MemTable(1 << 20)
     for seq, kind, key, value in entries:
         mem.add(seq, kind, key, value)
     return mem
 
 
-class TestMemtableSource:
+class TestMemtableSeek:
     def test_yields_internal_keys_in_order(self):
         mem = mem_with([(1, ValueKind.VALUE, b"b", b""),
                         (2, ValueKind.VALUE, b"a", b"")])
-        keys = [ikey.decode(k)[0] for k, _, _ in memtable_source(mem)]
+        keys = [ikey.decode(k)[0] for k, _, _ in mem.seek()]
         assert keys == [b"a", b"b"]
 
     def test_start_filter(self):
         mem = mem_with([(1, ValueKind.VALUE, b"a", b""),
                         (2, ValueKind.VALUE, b"c", b"")])
-        keys = [ikey.decode(k)[0] for k, _, _ in memtable_source(mem, b"b")]
+        keys = [ikey.decode(k)[0] for k, _, _ in mem.seek(b"b")]
         assert keys == [b"c"]
 
 
@@ -40,14 +39,14 @@ class TestMergePlainSources:
         m1 = mem_with([(1, ValueKind.VALUE, b"a", b""),
                        (3, ValueKind.VALUE, b"c", b"")])
         m2 = mem_with([(2, ValueKind.VALUE, b"b", b"")])
-        merged = lazy_merge([memtable_source(m1), memtable_source(m2)])
+        merged = lazy_merge([m1.seek(), m2.seek()])
         keys = [ikey.decode(k)[0] for k, _, _ in merged]
         assert keys == [b"a", b"b", b"c"]
 
     def test_same_user_key_newest_first(self):
         m1 = mem_with([(1, ValueKind.VALUE, b"k", b"old")])
         m2 = mem_with([(9, ValueKind.VALUE, b"k", b"new")])
-        merged = lazy_merge([memtable_source(m1), memtable_source(m2)])
+        merged = lazy_merge([m1.seek(), m2.seek()])
         values = [v for _, _, v in merged]
         assert values == [b"new", b"old"]
 
@@ -60,27 +59,27 @@ class TestUserView:
     def test_collapses_versions(self):
         mem = mem_with([(1, ValueKind.VALUE, b"k", b"v1"),
                         (2, ValueKind.VALUE, b"k", b"v2")])
-        rows = list(user_view(lazy_merge([memtable_source(mem)])))
+        rows = list(user_view(lazy_merge([mem.seek()])))
         assert rows == [(b"k", b"v2")]
 
     def test_hides_tombstones(self):
         mem = mem_with([(1, ValueKind.VALUE, b"a", b"x"),
                         (2, ValueKind.DELETE, b"a", b""),
                         (3, ValueKind.VALUE, b"b", b"y")])
-        rows = list(user_view(lazy_merge([memtable_source(mem)])))
+        rows = list(user_view(lazy_merge([mem.seek()])))
         assert rows == [(b"b", b"y")]
 
     def test_tombstone_does_not_hide_newer_write(self):
         mem = mem_with([(1, ValueKind.DELETE, b"k", b""),
                         (2, ValueKind.VALUE, b"k", b"alive")])
-        rows = list(user_view(lazy_merge([memtable_source(mem)])))
+        rows = list(user_view(lazy_merge([mem.seek()])))
         assert rows == [(b"k", b"alive")]
 
     def test_end_bound_is_exclusive(self):
         mem = mem_with([(1, ValueKind.VALUE, b"a", b"1"),
                         (2, ValueKind.VALUE, b"b", b"2"),
                         (3, ValueKind.VALUE, b"c", b"3")])
-        rows = list(user_view(lazy_merge([memtable_source(mem)]),
+        rows = list(user_view(lazy_merge([mem.seek()]),
                               end=b"b"))
         assert rows == [(b"a", b"1")]
 
@@ -107,9 +106,9 @@ class TestLazyMerge:
                        (4, ValueKind.VALUE, b"c", b"y")])
         m2 = mem_with([(2, ValueKind.DELETE, b"b", b""),
                        (3, ValueKind.VALUE, b"c", b"z")])
-        expected = sorted(list(memtable_source(m1))
-                          + list(memtable_source(m2)))
-        lazy = list(lazy_merge([memtable_source(m1), memtable_source(m2)]))
+        expected = sorted(list(m1.seek())
+                          + list(m2.seek()))
+        lazy = list(lazy_merge([m1.seek(), m2.seek()]))
         assert lazy == expected
 
     def test_deferred_source_opened_when_bound_reached(self):

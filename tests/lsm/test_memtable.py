@@ -1,13 +1,17 @@
 """Tests for the memtable."""
 
+import random
+import threading
+
 import pytest
 
+from repro.lsm import ikey
 from repro.lsm.memtable import MemTable, ValueKind
 
 
 @pytest.fixture
 def mem():
-    return MemTable(capacity_bytes=1 << 20, seed=1)
+    return MemTable(capacity_bytes=1 << 20)
 
 
 class TestBasics:
@@ -58,7 +62,7 @@ class TestAccounting:
         assert mem.approximate_memory_usage > before + 100
 
     def test_should_flush_at_capacity(self):
-        mem = MemTable(capacity_bytes=1024, seed=1)
+        mem = MemTable(capacity_bytes=1024)
         assert not mem.should_flush()
         for i in range(20):
             mem.add(i + 1, ValueKind.VALUE, b"%04d" % i, b"v" * 64)
@@ -71,25 +75,113 @@ class TestAccounting:
         assert mem.last_seq == 12
 
 
+def user_keys(entries):
+    return [ikey.decode(internal)[0] for internal, _, _ in entries]
+
+
 class TestIteration:
     def test_entries_sorted_by_user_key(self, mem):
         for i, key in enumerate([b"c", b"a", b"b"]):
             mem.add(i + 1, ValueKind.VALUE, key, key)
-        keys = [k for k, _, _, _ in mem.entries()]
-        assert keys == [b"a", b"b", b"c"]
+        assert user_keys(mem.seek()) == [b"a", b"b", b"c"]
+        assert user_keys(mem.view()) == [b"a", b"b", b"c"]
 
     def test_versions_newest_first(self, mem):
         mem.add(1, ValueKind.VALUE, b"k", b"v1")
         mem.add(2, ValueKind.VALUE, b"k", b"v2")
-        entries = list(mem.entries())
-        assert [(seq, val) for _, seq, _, val in entries] == [
-            (2, b"v2"), (1, b"v1")
-        ]
+        assert [
+            (ikey.decode(internal)[1], kind, value)
+            for internal, kind, value in mem.seek()
+        ] == [(2, ValueKind.VALUE, b"v2"), (1, ValueKind.VALUE, b"v1")]
+
+    def test_seek_into_the_middle(self, mem):
+        for i, key in enumerate([b"a", b"c", b"c", b"e", b"g"]):
+            mem.add(i + 1, ValueKind.VALUE, key, b"%d" % i)
+        # An exact hit lands on the key's newest version, a gap on the
+        # next key up; NUL bytes and prefixes order as user keys do.
+        assert user_keys(mem.seek(b"c")) == [b"c", b"c", b"e", b"g"]
+        assert next(mem.seek(b"c"))[2] == b"2"
+        assert user_keys(mem.seek(b"d")) == [b"e", b"g"]
+        mem.add(6, ValueKind.VALUE, b"c\x00", b"")
+        mem.add(7, ValueKind.VALUE, b"cc", b"")
+        assert user_keys(mem.seek(b"c\x00")) == [b"c\x00", b"cc", b"e", b"g"]
+
+    def test_seek_past_the_end(self, mem):
+        assert list(mem.seek(b"a")) == []
+        mem.add(1, ValueKind.VALUE, b"a", b"")
+        assert list(mem.seek(b"b")) == []
+        assert user_keys(mem.seek(b"a")) == [b"a"]
+
+    def test_view_kept_current_matches_a_fresh_sort(self, mem):
+        """Entries added after a view exists are merged in, never
+        re-sorted from scratch: the result must equal what a memtable
+        that saw the same adds and built its view once would hold."""
+        rng = random.Random(7)
+        twin = MemTable(capacity_bytes=1 << 20)
+        for seq in range(1, 400):
+            key = b"k%03d" % rng.randrange(120)
+            kind = ValueKind.DELETE if rng.random() < 0.1 else ValueKind.VALUE
+            mem.add(seq, kind, key, b"v%d" % seq)
+            twin.add(seq, kind, key, b"v%d" % seq)
+            if rng.random() < 0.3:
+                mem.view()  # refresh at irregular intervals
+        assert mem.view() == twin.view()
+        assert mem.view() == sorted(mem.view())
+
+    def test_a_view_handed_out_is_never_mutated(self, mem):
+        mem.add(1, ValueKind.VALUE, b"b", b"")
+        held = mem.view()
+        cursor = mem.seek()
+        frozen = list(held)
+        mem.add(2, ValueKind.VALUE, b"a", b"")
+        mem.add(3, ValueKind.VALUE, b"c", b"")
+        assert user_keys(mem.view()) == [b"a", b"b", b"c"]
+        assert held == frozen
+        assert user_keys(cursor) == [b"b"]
+
+    def test_concurrent_refreshes_never_hand_out_a_stale_view(
+        self, mem, monkeypatch
+    ):
+        """A flush worker and the foreground may refresh the view of an
+        immutable memtable at once. Hold one refresh in the middle of
+        its merge: a second reader must still get every entry, and the
+        first one finishing later must not put an older list back."""
+        from repro.lsm import memtable as memtable_mod
+
+        for seq in range(1, 101):
+            mem.add(seq, ValueKind.VALUE, b"k%03d" % seq, b"")
+        mem.view()
+        for seq in range(101, 201):
+            mem.add(seq, ValueKind.VALUE, b"j%03d" % seq, b"")
+
+        merging, release = threading.Event(), threading.Event()
+        real_bisect = memtable_mod.bisect_left
+
+        def gated_bisect(*args):
+            if threading.current_thread() is not threading.main_thread():
+                merging.set()
+                assert release.wait(10)
+            return real_bisect(*args)
+
+        monkeypatch.setattr(memtable_mod, "bisect_left", gated_bisect)
+        sizes = []
+        worker = threading.Thread(target=lambda: sizes.append(len(mem.view())))
+        worker.start()
+        try:
+            assert merging.wait(10)
+            assert len(mem.view()) == 200
+            assert len(list(mem.seek(b"k"))) == 100
+        finally:
+            release.set()
+            worker.join()
+        assert sizes == [200]
+        assert len(mem.view()) == 200
+        assert mem.view() == sorted(mem.view())
 
 
 class TestMemtableBloom:
     def test_bloom_negative_short_circuits(self):
-        mem = MemTable(1 << 20, bloom_bits=10, whole_key_filtering=True, seed=1)
+        mem = MemTable(1 << 20, bloom_bits=10, whole_key_filtering=True)
         mem.add(1, ValueKind.VALUE, b"present", b"v")
         assert not mem.bloom_negative(b"present")
         # An absent key is *usually* filtered; check over many keys.
@@ -100,7 +192,7 @@ class TestMemtableBloom:
         assert not mem.bloom_negative(b"anything")
 
     def test_get_honors_bloom(self):
-        mem = MemTable(1 << 20, bloom_bits=10, whole_key_filtering=True, seed=1)
+        mem = MemTable(1 << 20, bloom_bits=10, whole_key_filtering=True)
         mem.add(1, ValueKind.VALUE, b"k", b"v")
         found, _, value = mem.get(b"k")
         assert found and value == b"v"
