@@ -12,8 +12,7 @@ modeled latency and recording it in the statistics histograms.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
+from dataclasses import replace
 from typing import Any, Iterable, Iterator, Mapping
 
 from repro.errors import DBClosedError, DBError
@@ -21,14 +20,13 @@ from repro.hardware.monitor import SystemMonitor
 from repro.hardware.profile import HardwareProfile, make_profile
 from repro.lsm.background import (
     BackgroundExecutor,
-    BgHandle,
+    BackgroundScheduler,
+    BgJob,
     BuilderConfig,
     CompactionJobSpec,
     FlushJobSpec,
     execute_compaction_job,
     execute_flush_job,
-    executor_width,
-    make_executor,
 )
 from repro.lsm.block_cache import LRUCache
 from repro.lsm.bloom import key_hashes
@@ -48,7 +46,6 @@ from repro.lsm.memtable import MemTable, ValueKind
 from repro.lsm.options import Options, ensure_mutable, scale_byte_value
 from repro.lsm.options_file import serialize_options
 from repro.lsm.perf_model import PerfModel
-from repro.lsm.rate_limiter import RateLimiter
 from repro.lsm.snapshot import Snapshot, SnapshotList
 from repro.lsm.sstable import (
     FILTERED_OUT,
@@ -71,14 +68,10 @@ from repro.lsm.wal import (
 from repro.lsm.write_batch import WriteBatch
 from repro.lsm.write_controller import WriteController, WriteState
 from repro.obs.events import (
-    BgJoin,
-    BgSubmit,
     CacheEviction,
     CompactionInstalled,
-    CompactionRun,
     FifoDrop,
     FlushInstalled,
-    FlushRun,
     IteratorClose,
     IteratorSeek,
     MemtableRotate,
@@ -87,7 +80,6 @@ from repro.obs.events import (
     StallEvent,
 )
 from repro.obs.tracer import NULL_TRACER, Tracer
-from repro.sim.resources import Completion, CompletionQueue, SlotPool
 
 _DEFAULT_PROFILE = make_profile(4, 8)
 
@@ -104,9 +96,12 @@ _T_NUMBER_KEYS_READ = Ticker.NUMBER_KEYS_READ.slot
 _T_NUMBER_KEYS_FOUND = Ticker.NUMBER_KEYS_FOUND.slot
 _T_MEMTABLE_HIT = Ticker.MEMTABLE_HIT.slot
 _T_MEMTABLE_MISS = Ticker.MEMTABLE_MISS.slot
-_T_GET_HIT_L0 = Ticker.GET_HIT_L0.slot
-_T_GET_HIT_L1 = Ticker.GET_HIT_L1.slot
-_T_GET_HIT_L2_PLUS = Ticker.GET_HIT_L2_PLUS.slot
+#: Indexed by ``min(level, 2)``: the level a lookup was answered from.
+_T_GET_HIT_BY_LEVEL = (
+    Ticker.GET_HIT_L0.slot,
+    Ticker.GET_HIT_L1.slot,
+    Ticker.GET_HIT_L2_PLUS.slot,
+)
 _T_NUMBER_KEYS_WRITTEN = Ticker.NUMBER_KEYS_WRITTEN.slot
 _T_WRITE_DONE_BY_SELF = Ticker.WRITE_DONE_BY_SELF.slot
 _T_WAL_BYTES = Ticker.WAL_BYTES.slot
@@ -132,55 +127,6 @@ _VALUE = ValueKind.VALUE
 _wal_pack_header = _WAL_HEADER.pack
 _wal_pack_fixed = _WAL_FIXED.pack
 _wal_pack_u32 = _WAL_U32.pack
-
-
-@dataclass
-class _FlushPayload:
-    memtable_ids: list[int]
-    result: object  # FlushResult
-    wal_paths: list[str]
-    duration_us: float
-    #: Finished table bytes from the background job (0 or 1 entries),
-    #: materialized on the DB's filesystem at install time.
-    files: list[bytes] = field(default_factory=list)
-
-
-@dataclass
-class _CompactionPayload:
-    compaction: Compaction
-    result: object  # CompactionResult
-    duration_us: float
-    #: Finished table bytes, 1:1 with ``result.new_files``.
-    files: list[bytes] = field(default_factory=list)
-
-
-@dataclass
-class _PendingJob:
-    """A scheduled background job whose exact outcome is not joined yet.
-
-    Everything here was known at schedule time: the executor handle,
-    the reserved completion seqno, the provisional slot booking
-    (``slot``/``lb_due_us`` — a *lower bound* on the completion time,
-    from the duration formula evaluated with the one unknown, output
-    bytes, set to zero; bookings may chain behind an earlier unsettled
-    job on the same slot), and the per-kind capture the resolver needs
-    to finish pricing and build the install payload.
-    """
-
-    kind: str  # "flush" | "compaction"
-    job_id: int
-    handle: BgHandle
-    seqno: int
-    sched_now_us: float
-    slot: int
-    lb_due_us: float
-    swap_factor: float
-    # flush capture
-    memtable_ids: list[int] = field(default_factory=list)
-    wal_paths: list[str] = field(default_factory=list)
-    # compaction capture
-    compaction: Compaction | None = None
-    subcompactions: int = 1
 
 
 class DB:
@@ -240,49 +186,23 @@ class DB:
         #: Structural pairing: a flush batch looks its WALs up by the
         #: memtables it actually contains, never by list position.
         self._imm_wal: dict[int, str] = {}
-        self._flushing_ids: set[int] = set()
-        self._claimed_files: set[int] = set()
-        #: (output_level, lo, hi) per in-flight compaction: a new job may
-        #: not read from or write into a range another job will install.
-        self._inflight_ranges: list[tuple[int, bytes, bytes]] = []
 
         self._version = Version(num_levels=options.get("num_levels"))
         self._manifest: Manifest | None = None
         self._wal: WalWriter | None = None
 
         self._snapshots = SnapshotList()
-        self._completions = CompletionQueue()
-        self._flush_pool = SlotPool(options.effective_max_background_flushes())
-        self._compaction_pool = SlotPool(
-            options.effective_max_background_compactions()
+        #: The flush/compaction pipeline between a job this class
+        #: captures (_maybe_schedule_*) and its install (_install_*).
+        self._bg = BackgroundScheduler(
+            options,
+            self._perf,
+            env.clock,
+            self._tracer,
+            executor=executor,
+            fault_injection=getattr(env.fs, "fault_injection", False),
         )
-        # Host-parallel background pipeline. Fault-injecting filesystems
-        # pin the inline executor: crash-at-Nth-syscall schedules count
-        # foreground fs calls and a worker must never race that count.
-        mode = options.get("background_executor")
-        if getattr(env.fs, "fault_injection", False):
-            mode = "inline"
-        if executor is not None and executor.mode == mode:
-            self._executor = executor
-            self._owns_executor = False
-        else:
-            self._executor = make_executor(mode, executor_width(options))
-            self._owns_executor = True
-        #: Scheduled-but-unjoined jobs, in schedule (FIFO) order.
-        self._bg_pending: list[_PendingJob] = []
-        #: min(lb_due_us) over pending jobs; inf when none. The write
-        #: hot path compares the clock against this one float.
-        self._bg_lb_due: float = math.inf
-        #: With a rate limiter active, limiter requests are replayed in
-        #: strict schedule order at resolve time (their returns feed
-        #: durations); with it disabled they are commutative and jobs
-        #: may resolve as their own bounds come due.
-        self._bg_strict_fifo = options.get("rate_limiter_bytes_per_sec") > 0
-        self._bg_job_seq = 0
-        self._bg_jobs_joined = 0
-        self._bg_join_stall_s = 0.0
         self._controller = WriteController(options, self._tracer)
-        self._rate_limiter = RateLimiter(options.get("rate_limiter_bytes_per_sec"))
         self._block_cache = LRUCache(
             self._effective_cache_bytes(),
             options.get("block_cache_numshardbits") if options.get("block_cache_size") else 0,
@@ -293,20 +213,12 @@ class DB:
         if self._trace_on:
             self._block_cache.set_eviction_listener(self._on_cache_evict)
         self._page_cache = LRUCache(self._page_cache_bytes(), 2)
-        self._swap_factor = self._compute_swap_factor()
         self._last_stats_dump_us = 0.0
-        # Per-operation fast lane: resolve configuration once (rebound
-        # by _refresh_option_bindings on set_options), and bind the
-        # ticker array (raw_tickers() stays valid across reset()).
+        # Per-operation fast lane: bind the ticker array (raw_tickers()
+        # stays valid across reset()); _bind_options, below, resolves
+        # every mutable option the lanes read.
         self._tickers = statistics.raw_tickers()
         self._disable_wal = options.get("disable_wal")
-        self._use_fsync = options.get("use_fsync")
-        self._filters_on = self._any_filter_configured()
-        self._stats_dump_period_us = options.get("stats_dump_period_sec") * 1e6
-        self._db_write_buffer_size = options.get("db_write_buffer_size")
-        self._max_total_wal_size = options.get("max_total_wal_size")
-        #: (version stamp, value) memo for pending compaction debt.
-        self._pending_bytes_cache: tuple[int, int] = (-1, 0)
         self._style = options.get("compaction_style")
         if self._style == "level":
             self._picker = CompactionPicker(options)
@@ -323,33 +235,70 @@ class DB:
         self._clock = env.clock
         self._clock_advance = env.clock.advance
         self._wal_enabled = not self._disable_wal
-        self._budget_caps = bool(
-            self._db_write_buffer_size or self._max_total_wal_size
-        )
         #: Sum of approx_bytes over self._imm, maintained incrementally
         #: (rotation adds, _install_flush recomputes) so the per-write
         #: memory gauge and global-budget check stay O(1).
         self._imm_bytes = 0
-        #: (version stamp, imm count, verdict) memo for the stall-clear
-        #: check: the verdict can only change when the file set or the
-        #: immutable list does.
-        self._clear_cache: tuple[int, int, bool] = (-1, -1, False)
         self._fg_div = 1
-        self._put_plan = self._perf.put_cost_params()
-        self._writeback = self._perf.smoother.on_bytes_written
-        self._record_cpu = self._monitor.record_cpu
-        self._record_write = self._monitor.record_write
         self._set_used_memory = self._monitor.set_used_memory
         self._account_put = self._monitor.record_put
-        self._busy_flush = self._flush_pool.busy_count
-        self._busy_compaction = self._compaction_pool.busy_count
         self._observe_put = statistics.histogram(OpClass.PUT).add
         self._observe_delete = statistics.histogram(OpClass.DELETE).add
         self._mem_add = self._mem.add
         #: Bound group-commit appender; rebound wherever self._wal
         #: changes (_recover, _rotate_memtable).
         self._wal_add_records = None
+        self._bind_options()
+
+    def _bind_options(self) -> None:
+        """Derive every cached option snapshot from the live bags.
+
+        The one place anything resolved out of ``self._options`` into
+        component or fast-lane state is computed: ``__init__`` runs it
+        over the components it has just built (where every component
+        call is a no-op) and ``set_options`` after each applied diff.
+        Unconditional on purpose — it never runs on the hot path, and a
+        blanket refresh cannot miss a dependency.
+        """
+        opts = self._options
+        self._bg.rebind(opts)
+        self._controller.refresh_thresholds()
+        self._block_cache.set_capacity(self._effective_cache_bytes())
+        # Page cache is carved from what the block cache leaves free, so
+        # it must be re-derived after the block-cache re-cap.
+        self._page_cache.set_capacity(self._page_cache_bytes())
+        self._table_cache.set_capacity(opts.get("max_open_files"))
+        # The active memtable adopts the new rotation threshold; bloom
+        # shape changes apply from the next rotation's fresh memtable.
+        self._mem.capacity_bytes = opts.get("write_buffer_size")
+        self._perf.refresh_options()
+        self._swap_factor = self._compute_swap_factor()
+        self._use_fsync = opts.get("use_fsync")
+        # Whether lookups hash their key up front: some filter (memtable
+        # whole-key bloom or SSTable filter block) is configured, so the
+        # pair will almost surely be wanted. Only a hint — a filter met
+        # without it (a table built under older options) hashes the key
+        # itself.
+        self._filters_on = opts.bloom_enabled() or (
+            opts.get("memtable_prefix_bloom_size_ratio") > 0
+            and opts.get("memtable_whole_key_filtering")
+        )
+        self._stats_dump_period_us = opts.get("stats_dump_period_sec") * 1e6
+        self._db_write_buffer_size = opts.get("db_write_buffer_size")
+        self._max_total_wal_size = opts.get("max_total_wal_size")
+        self._budget_caps = bool(
+            self._db_write_buffer_size or self._max_total_wal_size
+        )
+        #: (version stamp, imm count, verdict) memo for the stall-clear
+        #: check: the verdict can only change when the file set or the
+        #: immutable list does — or, here, the thresholds.
+        self._clear_cache: tuple[int, int, bool] = (-1, -1, False)
+        #: (version stamp, value) memo for pending compaction debt.
+        self._pending_bytes_cache: tuple[int, int] = (-1, 0)
+        self._put_plan = self._perf.put_cost_params()
+        self._writeback = self._perf.smoother.on_bytes_written
         self._rebuild_write_plan()
+        self._update_memory_gauge()
 
     def _rebuild_write_plan(self) -> None:
         """Pack the per-put hot state into one tuple.
@@ -359,12 +308,11 @@ class DB:
         lifetime or rebound here by the sites that change it:
         ``_recover`` (wal), ``_rotate_memtable`` (memtable + wal), the
         ``foreground_parallelism`` setter (cost constants, divisor), and
-        ``set_options`` via ``_refresh_option_bindings`` (everything
-        option-derived).
+        ``_bind_options`` (everything option-derived).
         """
         base, per_byte, coord, speed, cores, rot_seek, relief = self._put_plan
         self._write_plan = (
-            self._busy_flush, self._busy_compaction,
+            self._bg.busy,
             base, per_byte, coord, speed, cores, rot_seek, relief,
             self._wal_enabled, self._use_fsync, self._swap_factor,
             self._fg_div, self._stats_dump_period_us,
@@ -475,7 +423,7 @@ class DB:
                 # unflushed; rotate and let flushes drain as usual.
                 if self._mem.should_flush():
                     self._rotate_memtable()
-                    self._process_completions()
+                    self._bg.poll(self._clock.now_us)
         if self._wal is not None:
             self._wal.sync()
         elif old_wals and (not self._mem.empty() or self._imm):
@@ -520,18 +468,6 @@ class DB:
             whole_key_filtering=opts.get("memtable_whole_key_filtering"),
         )
 
-    def _any_filter_configured(self) -> bool:
-        """Whether lookups should hash their key up front: some filter
-        (memtable whole-key bloom or SSTable filter block) is configured,
-        so the pair will almost surely be wanted. Only a hint — a
-        filter met without it (a table built under older options)
-        hashes the key itself."""
-        opts = self._options
-        return opts.bloom_enabled() or (
-            opts.get("memtable_prefix_bloom_size_ratio") > 0
-            and opts.get("memtable_whole_key_filtering")
-        )
-
     def _effective_cache_bytes(self) -> int:
         opts = self._options
         if opts.get("no_block_cache"):
@@ -572,15 +508,6 @@ class DB:
             verify_checksums=self._options.get("paranoid_checks"),
         )
 
-    def _busy_bg_jobs(self) -> int:
-        now = self._env.clock.now_us
-        if self._bg_lb_due <= now:
-            # A pending job's provisional slot booking ends at its lower
-            # bound; past that point the busy count is only exact once
-            # the real duration is known.
-            self._resolve_bg_due(now)
-        return self._flush_pool.busy_count(now) + self._compaction_pool.busy_count(now)
-
     def _on_cache_evict(self, key, charge: int) -> None:
         # Block-cache keys are (file_number, block_offset) tuples; stay
         # defensive in case a non-tuple key is ever cached.
@@ -598,15 +525,6 @@ class DB:
             self._tickers[_T_BLOCK_CACHE_HIT] += 1
         return payload
 
-    def _cache_put(self, key, payload, charge) -> None:
-        self._block_cache.put(key, payload, charge)
-
-    def _page_get(self, key):
-        return self._page_cache.get(key)
-
-    def _page_put(self, key, envelope, charge) -> None:
-        self._page_cache.put(key, envelope, charge)
-
     def _check_open(self) -> None:
         if self._closed:
             raise DBClosedError("database is closed")
@@ -614,174 +532,35 @@ class DB:
     def _advance(self, latency_us: float) -> None:
         self._clock_advance(latency_us / self._fg_div)
 
-    def _maybe_stats_dump(self) -> float:
+    def _charge_read(self, latency_us: float) -> float:
+        """The epilogue every read shares: scale the modeled cost by
+        the swap factor, add a stats dump when one is due, account the
+        CPU time and advance the clock. Returns the charged latency."""
+        latency_us *= self._swap_factor
         period_us = self._stats_dump_period_us
-        if period_us <= 0:
-            return 0.0
-        now = self._env.clock.now_us
-        if now - self._last_stats_dump_us >= period_us:
-            self._last_stats_dump_us = now
-            return self._perf.stats_dump_cost_us()
-        return 0.0
+        if period_us > 0:
+            now = self._clock.now_us
+            if now - self._last_stats_dump_us >= period_us:
+                self._last_stats_dump_us = now
+                latency_us += self._perf.stats_dump_cost_us()
+        self._monitor.record_cpu(latency_us)
+        self._clock_advance(latency_us / self._fg_div)
+        return latency_us
 
-    # ----------------------------------------------------- completions
-
-    def _process_completions(self) -> None:
-        now = self._env.clock.now_us
-        if self._bg_lb_due <= now:
-            # Join jobs whose lower bound has come due *before* popping:
-            # a joined job's exact completion may itself be <= now and
-            # must apply in this round, in (time, schedule) order.
-            self._resolve_bg_due(now)
-        if self._completions.next_due_us > now:
-            return
-        for completion in self._completions.pop_due(now):
-            self._apply_completion(completion)
-
-    # ------------------------------------------------- deferred bg jobs
-
-    def _bg_refresh_lb(self) -> None:
-        pending = self._bg_pending
-        self._bg_lb_due = (
-            min(job.lb_due_us for job in pending) if pending else math.inf
+    def _table_open_us(self, reader: SSTableReader) -> float:
+        """Count and price opening a table the table cache did not hold."""
+        self._tickers[_T_TABLE_OPENS] += 1
+        return self._perf.table_open_cost_us(
+            reader.index_size_bytes, reader.filter_size_bytes
         )
 
-    def _resolve_bg_due(self, now_us: float) -> None:
-        """Join every pending job whose lower-bound due time has passed.
-
-        In strict-FIFO mode (rate limiter active) jobs ahead of a due
-        one are joined too, so limiter requests replay in schedule
-        order; otherwise only the due jobs are joined (in schedule
-        order among themselves) and later-bounded work keeps running.
-        """
-        pending = self._bg_pending
-        if self._bg_strict_fifo:
-            while pending and self._bg_lb_due <= now_us:
-                self._resolve_job(pending.pop(0))
-                self._bg_refresh_lb()
-            return
-        due = [job for job in pending if job.lb_due_us <= now_us]
-        if not due:
-            return
-        self._bg_pending = [j for j in pending if j.lb_due_us > now_us]
-        self._bg_refresh_lb()
-        for job in due:
-            self._resolve_job(job)
-
-    def _resolve_all_bg(self) -> None:
-        """Join every pending job (explicit waits, shutdown, rebinds)."""
-        while self._bg_pending:
-            self._resolve_job(self._bg_pending.pop(0))
-        self._bg_lb_due = math.inf
-
-    def _resolve_job(self, job: _PendingJob) -> None:
-        """Join one job and finish its schedule-time bookkeeping.
-
-        Runs entirely on the foreground at a virtual-time point that is
-        the same in every executor mode: the exact duration is computed
-        here from the job's result counters, the provisional slot
-        booking is settled, and the completion is pushed under the
-        seqno reserved at schedule time — so the queue orders as if the
-        result had been known all along.
-        """
-        out = job.handle.result()
-        self._bg_jobs_joined += 1
-        self._bg_join_stall_s += job.handle.wait_s
-        result = out.result
-        sched_now = job.sched_now_us
-        if job.kind == "flush":
-            duration = self._perf.flush_duration_us(
-                result.bytes_in, result.bytes_out, result.entries_in
-            ) * job.swap_factor
-            duration += self._rate_limiter.request(sched_now, result.bytes_out)
-            _, done_at = self._flush_pool.settle(job.slot, sched_now, duration)
-            self._completions.push(
-                done_at,
-                "flush",
-                _FlushPayload(
-                    memtable_ids=job.memtable_ids,
-                    result=result,
-                    wal_paths=job.wal_paths,
-                    duration_us=duration,
-                    files=out.files,
-                ),
-                seqno=job.seqno,
-            )
-            if self._trace_on:
-                self._tracer.emit(
-                    FlushRun(
-                        memtables=len(job.memtable_ids),
-                        entries_in=result.entries_in,
-                        entries_out=result.entries_out,
-                        bytes_in=result.bytes_in,
-                        bytes_out=result.bytes_out,
-                    )
-                )
-        else:
-            compaction = job.compaction
-            assert compaction is not None
-            duration = self._perf.compaction_duration_us(
-                result.bytes_read, result.bytes_written, result.entries_merged
-            ) * job.swap_factor
-            duration += self._rate_limiter.request(
-                sched_now, result.bytes_written
-            )
-            duration /= job.subcompactions
-            _, done_at = self._compaction_pool.settle(
-                job.slot, sched_now, duration
-            )
-            self._completions.push(
-                done_at,
-                "compaction",
-                _CompactionPayload(
-                    compaction=compaction,
-                    result=result,
-                    duration_us=duration,
-                    files=out.files,
-                ),
-                seqno=job.seqno,
-            )
-            if self._trace_on:
-                self._tracer.emit(
-                    CompactionRun(
-                        level=compaction.level,
-                        output_level=compaction.output_level,
-                        inputs=len(compaction.all_inputs),
-                        bytes_read=result.bytes_read,
-                        bytes_written=result.bytes_written,
-                        entries_merged=result.entries_merged,
-                        entries_dropped=result.entries_dropped,
-                    )
-                )
-        if self._trace_on:
-            self._tracer.emit(
-                BgJoin(
-                    kind=job.kind,
-                    job_id=job.job_id,
-                    due_us=done_at,
-                    duration_us=duration,
-                )
-            )
+    # ------------------------------------------------------- background
 
     @property
     def background_stats(self) -> dict[str, Any]:
         """Host-side gauge of the background pipeline (not traced —
         traces carry only virtual quantities so runs stay comparable)."""
-        return {
-            "executor_mode": self._executor.mode,
-            "jobs_submitted": self._executor.jobs_submitted,
-            "jobs_joined": self._bg_jobs_joined,
-            "jobs_pending": len(self._bg_pending),
-            "join_stall_seconds": self._bg_join_stall_s,
-        }
-
-    def _apply_completion(self, completion: Completion) -> None:
-        if completion.kind == "flush":
-            self._install_flush(completion.payload)  # type: ignore[arg-type]
-        elif completion.kind == "compaction":
-            self._install_compaction(completion.payload)  # type: ignore[arg-type]
-        else:  # pragma: no cover - defensive
-            raise DBError(f"unknown completion kind {completion.kind!r}")
+        return self._bg.stats
 
     def _materialize_table(self, data: bytes) -> int:
         """Write one finished table's bytes under a freshly allocated
@@ -797,17 +576,14 @@ class DB:
         f.close()
         return number
 
-    def _install_flush(self, payload: _FlushPayload) -> None:
-        from dataclasses import replace as _replace
-
-        result = payload.result
-        ids = set(payload.memtable_ids)
+    def _install_flush(self, job: BgJob) -> None:
+        result = job.output.result
+        ids = {id(mt) for mt in job.spec.memtables}
         self._imm = [mt for mt in self._imm if id(mt) not in ids]
         self._imm_bytes = sum(mt.approx_bytes for mt in self._imm)
-        self._flushing_ids -= ids
         if result.file_meta is not None:
-            number = self._materialize_table(payload.files[0])
-            result.file_meta = _replace(result.file_meta, file_number=number)
+            number = self._materialize_table(job.output.files[0])
+            result.file_meta = replace(result.file_meta, file_number=number)
             self._version.add_file(0, result.file_meta)
             assert self._manifest is not None
             # Durability ordering: the flush's VersionEdit must reach the
@@ -826,42 +602,35 @@ class DB:
                 self._durable_seq = max(
                     self._durable_seq, result.last_sequence
                 )
-        for path in payload.wal_paths:
+        for path in job.wal_paths:
             if self._env.fs.exists(path):
                 self._env.fs.delete(path)
-        for mt_id in payload.memtable_ids:
+        for mt_id in ids:
             self._imm_wal.pop(mt_id, None)
         self._stats.bump(Ticker.FLUSH_COUNT)
         self._stats.bump(Ticker.FLUSH_BYTES, result.bytes_out)
         self._stats.bump(Ticker.BYTES_WRITTEN, result.bytes_out)
-        self._stats.observe(OpClass.FLUSH, payload.duration_us)
+        self._stats.observe(OpClass.FLUSH, job.duration_us)
         self._monitor.record_write(result.bytes_out)
         if self._trace_on:
             self._tracer.emit(
                 FlushInstalled(
                     bytes_out=result.bytes_out,
-                    duration_us=payload.duration_us,
+                    duration_us=job.duration_us,
                     l0_files=self._version.num_files(0),
                 )
             )
         self._maybe_schedule_compaction()
 
-    def _install_compaction(self, payload: _CompactionPayload) -> None:
-        compaction = payload.compaction
-        result = payload.result
-        lo, hi = compaction.key_range()
-        try:
-            self._inflight_ranges.remove((compaction.output_level, lo, hi))
-        except ValueError:  # pragma: no cover - defensive
-            pass
-        from dataclasses import replace as _replace
-
+    def _install_compaction(self, job: BgJob) -> None:
+        compaction = job.spec.compaction
+        result = job.output.result
         # Outputs were built in job-local scratch space; land the bytes
         # and allocate real file numbers now, in install order — the
         # same deterministic point in every executor mode.
         result.new_files = [
-            _replace(meta, file_number=self._materialize_table(data))
-            for meta, data in zip(result.new_files, payload.files)
+            replace(meta, file_number=self._materialize_table(data))
+            for meta, data in zip(result.new_files, job.output.files)
         ]
         edit = VersionEdit(comment=f"compaction L{compaction.level}")
         for meta in compaction.all_inputs:
@@ -869,7 +638,7 @@ class DB:
         for meta in result.new_files:
             # The manifest must record the *installed* level or replay
             # would put compaction outputs back at L0.
-            edit.added.append(_replace(meta, level=compaction.output_level))
+            edit.added.append(replace(meta, level=compaction.output_level))
             if compaction.output_level == 0:
                 # Universal merge outputs replace the *oldest* runs;
                 # replay must reinstall them at the oldest L0 position
@@ -878,19 +647,8 @@ class DB:
         edit.last_sequence = self._seq
         edit.next_file_number = self._next_file_number
         assert self._manifest is not None
-        # Durability ordering: sync the edit before unlinking inputs. A
-        # crash after the deletes but before the edit would leave the
-        # MANIFEST referencing files that no longer exist.
         self._manifest.append(edit)
-        for meta in compaction.all_inputs:
-            self._version.remove_file(meta.level, meta.file_number)
-            self._claimed_files.discard(meta.file_number)
-            self._table_cache.evict(meta.file_number)
-            self._block_cache.erase_file(meta.file_number)
-            self._page_cache.erase_file(meta.file_number)
-            path = self._sst_path(meta.file_number)
-            if self._env.fs.exists(path):
-                self._env.fs.delete(path)
+        self._retire_files(compaction.all_inputs)
         for meta in result.new_files:
             if compaction.output_level == 0:
                 self._version.add_file_l0_front(meta)
@@ -901,7 +659,7 @@ class DB:
         self._stats.bump(Ticker.COMPACTION_BYTES_WRITTEN, result.bytes_written)
         self._stats.bump(Ticker.BYTES_WRITTEN, result.bytes_written)
         self._stats.bump(Ticker.BYTES_READ, result.bytes_read)
-        self._stats.observe(OpClass.COMPACTION, payload.duration_us)
+        self._stats.observe(OpClass.COMPACTION, job.duration_us)
         self._monitor.record_write(result.bytes_written)
         self._monitor.record_read(result.bytes_read)
         if self._trace_on:
@@ -911,72 +669,61 @@ class DB:
                     output_level=compaction.output_level,
                     bytes_read=result.bytes_read,
                     bytes_written=result.bytes_written,
-                    duration_us=payload.duration_us,
+                    duration_us=job.duration_us,
                 )
             )
         self._maybe_schedule_compaction()
 
+    def _retire_files(self, metas: Iterable[FileMetaData]) -> None:
+        """Drop replaced tables from the version, every cache and the
+        filesystem. Durability ordering: the caller has already synced
+        the MANIFEST edit recording the deletions, so a crash in between
+        leaves orphans (purged at recovery); unlinking first would leave
+        the MANIFEST referencing files that no longer exist."""
+        fs = self._env.fs
+        for meta in metas:
+            self._version.remove_file(meta.level, meta.file_number)
+            self._table_cache.evict(meta.file_number)
+            self._block_cache.erase_file(meta.file_number)
+            self._page_cache.erase_file(meta.file_number)
+            path = self._sst_path(meta.file_number)
+            if fs.exists(path):
+                fs.delete(path)
+
     # ------------------------------------------------------- scheduling
 
     def _maybe_schedule_flush(self, *, force: bool = False) -> bool:
-        batch = [mt for mt in self._imm if id(mt) not in self._flushing_ids]
+        flushing = {
+            id(mt)
+            for job in self._bg.inflight("flush")
+            for mt in job.spec.memtables
+        }
+        batch = [mt for mt in self._imm if id(mt) not in flushing]
         if not batch:
             return False
         min_merge = self._options.get("min_write_buffer_number_to_merge")
         if not force and len(batch) < min_merge:
             return False
-        wal_paths = [
-            self._imm_wal[id(mt)] for mt in batch if id(mt) in self._imm_wal
-        ]
-        now = self._env.clock.now_us
-        bytes_in = sum(mt.approximate_memory_usage for mt in batch)
-        entries_in = sum(mt.num_entries for mt in batch)
-        # Lower-bound duration: the formula is monotonic in the one
-        # quantity only the merge can produce (output bytes); evaluating
-        # it at zero gives a bound the exact duration can never undercut
-        # (the limiter charge is likewise >= 0).
-        lb_duration = self._perf.flush_duration_us(
-            bytes_in, 0, entries_in
-        ) * self._swap_factor
-        slot, _, lb_done = self._flush_pool.acquire_pending(now, lb_duration)
-        spec = FlushJobSpec(
-            memtables=batch,
-            snapshots=self._snapshots.freeze(),
-            builder=self._builder_config(level=0),
-        )
-        self._submit_bg_job(
-            _PendingJob(
+        self._bg.submit(
+            BgJob(
                 kind="flush",
-                job_id=self._next_bg_job_id(),
-                handle=self._executor.submit(execute_flush_job, spec),
-                seqno=self._completions.reserve_seqno(),
-                sched_now_us=now,
-                slot=slot,
-                lb_due_us=lb_done,
+                run=execute_flush_job,
+                spec=FlushJobSpec(
+                    memtables=batch,
+                    snapshots=self._snapshots.freeze(),
+                    builder=self._builder_config(level=0),
+                ),
+                install=self._install_flush,
+                bytes_in=sum(mt.approximate_memory_usage for mt in batch),
+                entries_in=sum(mt.num_entries for mt in batch),
                 swap_factor=self._swap_factor,
-                memtable_ids=[id(mt) for mt in batch],
-                wal_paths=wal_paths,
+                wal_paths=[
+                    self._imm_wal[id(mt)]
+                    for mt in batch if id(mt) in self._imm_wal
+                ],
             )
         )
-        self._flushing_ids.update(id(mt) for mt in batch)
         return True
-
-    def _next_bg_job_id(self) -> int:
-        self._bg_job_seq += 1
-        return self._bg_job_seq
-
-    def _submit_bg_job(self, job: _PendingJob) -> None:
-        self._bg_pending.append(job)
-        if job.lb_due_us < self._bg_lb_due:
-            self._bg_lb_due = job.lb_due_us
-        if self._trace_on:
-            self._tracer.emit(
-                BgSubmit(
-                    kind=job.kind,
-                    job_id=job.job_id,
-                    lower_bound_due_us=job.lb_due_us,
-                )
-            )
 
     def _builder_config(self, level: int) -> BuilderConfig:
         """Snapshot the build options for tables landing at ``level``
@@ -999,26 +746,35 @@ class DB:
             whole_key_filtering=opts.get("whole_key_filtering"),
         )
 
-    def _conflicts_with_inflight(self, compaction: Compaction) -> bool:
-        lo, hi = compaction.key_range()
-        touched = (compaction.level, compaction.output_level)
-        for level, rlo, rhi in self._inflight_ranges:
-            if level in touched and not (hi < rlo or lo > rhi):
-                return True
-        return False
+    def _claimed_files(self) -> set[int]:
+        """File numbers some in-flight compaction will replace."""
+        return {
+            meta.file_number
+            for job in self._bg.inflight("compaction")
+            for meta in job.spec.compaction.all_inputs
+        }
 
     def _maybe_schedule_compaction(self) -> bool:
         if self._style == "fifo":
             return self._run_fifo_drop()
-        compaction = self._picker.pick(self._version, self._claimed_files)
+        compaction = self._picker.pick(self._version, self._claimed_files())
         if compaction is None:
-            return False
-        if self._conflicts_with_inflight(compaction):
             return False
         return self._execute_compaction(compaction)
 
     def _execute_compaction(self, compaction: Compaction) -> bool:
-        """Capture the merge's inputs and schedule it on the executor."""
+        """Capture the merge's inputs and schedule it on the executor,
+        unless it would read from or write into a key range an
+        in-flight compaction is going to install."""
+        lo, hi = compaction.key_range()
+        touched = (compaction.level, compaction.output_level)
+        for job in self._bg.inflight("compaction"):
+            other = job.spec.compaction
+            other_lo, other_hi = other.key_range()
+            if other.output_level in touched and not (
+                hi < other_lo or lo > other_hi
+            ):
+                return False
         # Prime the table cache exactly as the eager path did: handle
         # churn (opens, evictions) is part of the schedule-time state
         # and must stay identical in every executor mode. The job gets
@@ -1030,31 +786,11 @@ class DB:
             for meta in compaction.all_inputs
         ]
         output_level = compaction.output_level
-        bottommost = output_level >= self._version.max_populated_level()
-        now = self._env.clock.now_us
-        # Exact at schedule time: every input entry passes through the
-        # merge, so entries_merged is the sum of the input metas' entry
-        # counts; input bytes are the metas' sizes. Only output bytes
-        # (hence the written-side device charge) awaits the merge —
-        # the formula is monotonic in it, so zero gives a lower bound.
-        entries_total = sum(m.num_entries for m in compaction.all_inputs)
-        lb_duration = self._perf.compaction_duration_us(
-            compaction.input_bytes, 0, entries_total
-        ) * self._swap_factor
-        subcompactions = max(1, min(
-            self._options.get("max_subcompactions"),
-            self._profile.cpu_cores,
-            len(compaction.all_inputs),
-        ))
-        lb_duration /= subcompactions
-        slot, _, lb_done = self._compaction_pool.acquire_pending(
-            now, lb_duration
-        )
         spec = CompactionJobSpec(
             compaction=compaction,
             input_files=input_files,
             verify_checksums=self._options.get("paranoid_checks"),
-            bottommost=bottommost,
+            bottommost=output_level >= self._version.max_populated_level(),
             snapshots=self._snapshots.freeze(),
             builder=self._builder_config(output_level),
             target_file_size=(
@@ -1062,25 +798,26 @@ class DB:
                 if output_level > 0 else 0
             ),
         )
-        self._submit_bg_job(
-            _PendingJob(
+        self._bg.submit(
+            BgJob(
                 kind="compaction",
-                job_id=self._next_bg_job_id(),
-                handle=self._executor.submit(execute_compaction_job, spec),
-                seqno=self._completions.reserve_seqno(),
-                sched_now_us=now,
-                slot=slot,
-                lb_due_us=lb_done,
+                run=execute_compaction_job,
+                spec=spec,
+                install=self._install_compaction,
+                # Exact at schedule time: every input entry passes
+                # through the merge, so entries_merged is the sum of the
+                # input metas' entry counts; input bytes are the metas'
+                # sizes.
+                bytes_in=compaction.input_bytes,
+                entries_in=sum(m.num_entries for m in compaction.all_inputs),
                 swap_factor=self._swap_factor,
-                compaction=compaction,
-                subcompactions=subcompactions,
+                parallelism=max(1, min(
+                    self._options.get("max_subcompactions"),
+                    self._profile.cpu_cores,
+                    len(compaction.all_inputs),
+                )),
             )
         )
-        self._claimed_files.update(
-            f.file_number for f in compaction.all_inputs
-        )
-        lo, hi = compaction.key_range()
-        self._inflight_ranges.append((compaction.output_level, lo, hi))
         return True
 
     def _run_fifo_drop(self) -> bool:
@@ -1091,18 +828,8 @@ class DB:
         for meta in drop.doomed:
             edit.deleted.append((0, meta.file_number))
         assert self._manifest is not None
-        # Same ordering rule as compaction install: record the deletions
-        # in the MANIFEST before unlinking, so a crash in between leaves
-        # orphans (cleaned at recovery) rather than dangling references.
         self._manifest.append(edit)
-        for meta in drop.doomed:
-            self._version.remove_file(0, meta.file_number)
-            self._table_cache.evict(meta.file_number)
-            self._block_cache.erase_file(meta.file_number)
-            self._page_cache.erase_file(meta.file_number)
-            path = self._sst_path(meta.file_number)
-            if self._env.fs.exists(path):
-                self._env.fs.delete(path)
+        self._retire_files(drop.doomed)
         self._stats.bump(Ticker.COMPACTION_COUNT)
         if self._trace_on:
             self._tracer.emit(
@@ -1128,8 +855,9 @@ class DB:
         """Apply the stall state machine; return extra latency in us."""
         extra_us = 0.0
         slowdown_counted = False
+        bg = self._bg
         while True:
-            self._process_completions()
+            bg.poll(self._clock.now_us)
             decision = self._controller.decide(
                 l0_files=self._version.num_files(0),
                 immutable_memtables=len(self._imm),
@@ -1151,13 +879,12 @@ class DB:
                 return extra_us + delay
             # STOPPED: wait for background work to finish.
             self._stats.bump(Ticker.STALL_COUNT)
-            scheduled = self._maybe_schedule_flush(force=True)
-            scheduled = self._maybe_schedule_compaction() or scheduled
+            self._maybe_schedule_flush(force=True)
+            self._maybe_schedule_compaction()
             # Blocked: the earliest completion decides how far to jump,
             # so every pending job must reveal its exact time first.
-            self._resolve_all_bg()
-            nxt = self._completions.pop_next()
-            if nxt is None:
+            bg.join_all()
+            if not bg.inflight():
                 # Wedged (e.g. compactions disabled while L0 is over the
                 # stop trigger): charge a heavy penalty and let it through.
                 self._stats.bump(Ticker.STALL_MICROS, int(_WEDGED_PENALTY_US))
@@ -1169,13 +896,12 @@ class DB:
                     )
                 self._advance(_WEDGED_PENALTY_US)
                 return extra_us + _WEDGED_PENALTY_US
-            wait = max(0.0, nxt.at_us - self._env.clock.now_us)
+            wait = max(0.0, bg.next_event_us - self._clock.now_us)
             if self._trace_on:
                 self._tracer.emit(
                     StallEvent("stopped", decision.reason, wait)
                 )
-            self._env.clock.advance_to(nxt.at_us)
-            self._apply_completion(nxt)
+            bg.wait_next()
             self._stats.bump(Ticker.STALL_MICROS, int(wait))
             self._monitor.record_iowait(wait)
             extra_us += wait
@@ -1214,11 +940,9 @@ class DB:
             if not op.key:
                 raise DBError("empty keys are not supported")
         clock = self._clock
-        if (
-            self._completions.next_due_us <= clock._now_us
-            or self._bg_lb_due <= clock._now_us
-        ):
-            self._process_completions()
+        bg = self._bg
+        if bg.next_event_us <= clock._now_us:
+            bg.poll(clock._now_us)
         stamp = self._version.stamp
         n_imm = len(self._imm)
         cache = self._clear_cache
@@ -1236,11 +960,9 @@ class DB:
         else:
             stall_us = self._make_room_for_write(batch.approximate_bytes)
         now = clock._now_us
-        if self._bg_lb_due <= now:
-            # A stall advance can cross a pending job's lower bound; the
-            # busy count below is only exact once that job is joined.
-            self._resolve_bg_due(now)
-        busy = self._busy_flush(now) + self._busy_compaction(now)
+        # A stall advance can cross a pending job's lower bound; busy()
+        # joins such a job first, so the count is exact.
+        busy = bg.busy(now)
         base, per_byte, coord, speed, cores, rot_seek, relief = self._put_plan
         contention = (1.0 + busy) / cores
         if contention < 1.0:
@@ -1328,11 +1050,9 @@ class DB:
         if not key:
             raise DBError("empty keys are not supported")
         clock = self._clock
-        if (
-            self._completions.next_due_us <= clock._now_us
-            or self._bg_lb_due <= clock._now_us
-        ):
-            self._process_completions()
+        bg = self._bg
+        if bg.next_event_us <= clock._now_us:
+            bg.poll(clock._now_us)
         entry_bytes = len(key) + len(value) + 24
         # Stall fast path: the clear verdict is pure in (L0 files, imm
         # count, pending debt), all functions of (version stamp, imm
@@ -1359,7 +1079,7 @@ class DB:
         # (_rebuild_write_plan call sites). Unpacked only after the
         # stall check, which can rotate/flush and thus rebuild it.
         (
-            busy_flush, busy_compaction,
+            bg_busy,
             base, per_byte, coord, speed, cores, rot_seek, relief,
             wal_enabled, use_fsync, swap, fg_div, period,
             tickers, wal_append, mem, mem_add, writeback, account_put,
@@ -1369,12 +1089,9 @@ class DB:
         seq = self._seq + 1
         self._seq = seq
         now = clock._now_us
-        if self._bg_lb_due <= now:
-            # A stall advance can cross a pending job's lower bound; the
-            # busy count is only exact once the job's real duration is
-            # settled into its slot.
-            self._resolve_bg_due(now)
-        busy = busy_flush(now) + busy_compaction(now)
+        # A stall advance can cross a pending job's lower bound; busy()
+        # settles such a job's real duration into its slot first.
+        busy = bg_busy(now)
         if wal_enabled:
             cost = (base + entry_bytes * per_byte) + coord
         else:
@@ -1486,8 +1203,9 @@ class DB:
         sequence number (a consistent historical read).
         """
         self._check_open()
-        self._process_completions()
-        busy = self._busy_bg_jobs()
+        now = self._clock.now_us
+        self._bg.poll(now)
+        busy = self._bg.busy(now)
         tickers = self._tickers
         tickers[_T_NUMBER_KEYS_READ] += 1
         found_value: bytes | None = None
@@ -1518,19 +1236,12 @@ class DB:
                 key, busy, snap_seq, hashes
             )
             latency += read_cost
-            if found and level_hit == 0:
-                tickers[_T_GET_HIT_L0] += 1
-            elif found and level_hit == 1:
-                tickers[_T_GET_HIT_L1] += 1
-            elif found:
-                tickers[_T_GET_HIT_L2_PLUS] += 1
-        latency *= self._swap_factor
-        latency += self._maybe_stats_dump()
+            if found:
+                tickers[_T_GET_HIT_BY_LEVEL[min(level_hit, 2)]] += 1
         if found_value is not None:
             tickers[_T_NUMBER_KEYS_FOUND] += 1
-        self._monitor.record_cpu(latency)
+        latency = self._charge_read(latency)
         self._update_memory_gauge()
-        self._advance(latency)
         self._stats.observe(OpClass.GET, latency)
         return found_value
 
@@ -1551,17 +1262,14 @@ class DB:
         version = self._version
         table_cache_get = self._table_cache.get
         cache_get = self._cache_get
-        cache_put = self._cache_put
-        page_get = self._page_get
-        page_put = self._page_put
+        cache_put = self._block_cache.put
+        page_get = self._page_cache.get
+        page_put = self._page_cache.put
         for level in range(version.num_levels):
             for meta in version.files_for_key(level, key):
                 reader, cached = table_cache_get(meta.file_number)
                 if not cached:
-                    tickers[_T_TABLE_OPENS] += 1
-                    cost += perf.table_open_cost_us(
-                        reader.index_size_bytes, reader.filter_size_bytes
-                    )
+                    cost += self._table_open_us(reader)
                 hit, kind, value, rstats = reader.get(
                     key,
                     max_seq,
@@ -1615,8 +1323,9 @@ class DB:
         self._check_open()
         if not keys:
             return []
-        self._process_completions()
-        busy = self._busy_bg_jobs()
+        now = self._clock.now_us
+        self._bg.poll(now)
+        busy = self._bg.busy(now)
         tickers = self._tickers
         perf = self._perf
         snap_seq = snapshot.sequence if snapshot is not None else None
@@ -1700,11 +1409,8 @@ class DB:
         found_keys = sum(1 for v in results if v is not None)
         tickers[_T_MULTIGET_BYTES_READ] += value_bytes
         tickers[_T_NUMBER_KEYS_FOUND] += found_keys
-        latency *= self._swap_factor
-        latency += self._maybe_stats_dump()
-        self._monitor.record_cpu(latency)
+        latency = self._charge_read(latency)
         self._update_memory_gauge()
-        self._advance(latency)
         # One histogram sample per key at the batch's amortized cost, so
         # read-latency counts still mean "keys read".
         self._stats.observe_many(
@@ -1735,28 +1441,18 @@ class DB:
         """multi_get helper: probe one SSTable for a sorted key group."""
         tickers = self._tickers
         reader, cached = self._table_cache.get(meta.file_number)
-        cost = 0.0
-        if not cached:
-            tickers[_T_TABLE_OPENS] += 1
-            cost += self._perf.table_open_cost_us(
-                reader.index_size_bytes, reader.filter_size_bytes
-            )
+        cost = 0.0 if cached else self._table_open_us(reader)
         hits = reader.multi_get(
             group,
             max_seq,
             stats=shared,
             hashes=hashes,
             cache_get=self._cache_get,
-            cache_put=self._cache_put,
-            page_get=self._page_get,
-            page_put=self._page_put,
+            cache_put=self._block_cache.put,
+            page_get=self._page_cache.get,
+            page_put=self._page_cache.put,
         )
-        if level == 0:
-            level_slot = _T_GET_HIT_L0
-        elif level == 1:
-            level_slot = _T_GET_HIT_L1
-        else:
-            level_slot = _T_GET_HIT_L2_PLUS
+        level_slot = _T_GET_HIT_BY_LEVEL[min(level, 2)]
         for key, (kind, value) in hits.items():
             outcome[key] = value if kind is ValueKind.VALUE else None
             tickers[level_slot] += 1
@@ -1806,10 +1502,7 @@ class DB:
                 break
             latency += it._next_raw()
         it.close()
-        latency *= self._swap_factor
-        latency += self._maybe_stats_dump()
-        self._monitor.record_cpu(latency)
-        self._advance(latency)
+        latency = self._charge_read(latency)
         self._stats.observe(OpClass.SEEK, latency)
         return out
 
@@ -1839,20 +1532,8 @@ class DB:
         self._check_open()
         self._rotate_memtable()
         self._maybe_schedule_flush(force=True)
-        if wait_compactions:
-            self.wait_for_background()
-            return
-        while True:
-            # Pending jobs must reveal their exact completion times for
-            # has_kind/pop_next to see the true earliest flush.
-            self._resolve_all_bg()
-            if not self._completions.has_kind("flush"):
-                return
-            nxt = self._completions.pop_next()
-            if nxt is None:  # pragma: no cover - guarded by has_kind
-                return
-            self._env.clock.advance_to(nxt.at_us)
-            self._apply_completion(nxt)
+        while self._bg.wait_next(None if wait_compactions else "flush"):
+            pass
 
     def compact_range(
         self, begin: bytes | None = None, end: bytes | None = None
@@ -1887,9 +1568,10 @@ class DB:
         ``level + 1``; returns False when nothing overlaps."""
         if self._style == "fifo":
             return False
+        claimed = self._claimed_files()
         inputs = [
             f for f in self._version.overlapping_files(level, begin, end)
-            if f.file_number not in self._claimed_files
+            if f.file_number not in claimed
         ]
         if not inputs:
             return False
@@ -1898,15 +1580,14 @@ class DB:
         output_level = level + 1
         overlapping = [
             f for f in self._version.overlapping_files(output_level, lo, hi)
-            if f.file_number not in self._claimed_files
+            if f.file_number not in claimed
         ]
-        compaction = Compaction(
-            level=level, output_level=output_level,
-            inputs=inputs, overlapping=overlapping,
+        return self._execute_compaction(
+            Compaction(
+                level=level, output_level=output_level,
+                inputs=inputs, overlapping=overlapping,
+            )
         )
-        if self._conflicts_with_inflight(compaction):
-            return False
-        return self._execute_compaction(compaction)
 
     # -------------------------------------------------- dynamic options
 
@@ -1943,7 +1624,7 @@ class DB:
         # effect through the shared bag without any rebinding. Pending
         # background jobs join first so their exact durations are
         # priced under the configuration they were scheduled under.
-        self._resolve_all_bg()
+        self._bg.join_all()
         applied: dict[str, tuple[Any, Any]] = {}
         scaled_bag = self._options
         for name, value in validated:
@@ -1958,7 +1639,7 @@ class DB:
         # Phase 3: rebind cached snapshots. Runs even for a no-op diff:
         # service shards share one paper-unit bag, so a later shard's
         # values may already match while its component caches do not.
-        self._refresh_option_bindings()
+        self._bind_options()
         # Phase 4: persist and announce.
         self._persist_options_file()
         if applied and self._trace_on:
@@ -1966,58 +1647,6 @@ class DB:
                 [[n, old, new] for n, (old, new) in sorted(applied.items())]
             ))
         return applied
-
-    def _refresh_option_bindings(self) -> None:
-        """Re-derive every cached option snapshot from the live bags.
-
-        The inverse index of the constructor's hoisting: anything
-        resolved out of ``self._options`` into component or fast-lane
-        state is recomputed here. Unconditional on purpose — this runs
-        once per reconfiguration, never on the hot path, and a blanket
-        refresh cannot miss a dependency.
-        """
-        # Pending background jobs were priced under the old bindings
-        # (durations, pool shapes, limiter rate) and hold slot indices a
-        # resize would invalidate: join them before anything rebinds.
-        self._resolve_all_bg()
-        opts = self._options
-        self._controller.refresh_thresholds()
-        self._rate_limiter.set_bytes_per_second(
-            opts.get("rate_limiter_bytes_per_sec"), now_us=self._clock.now_us
-        )
-        self._bg_strict_fifo = opts.get("rate_limiter_bytes_per_sec") > 0
-        self._flush_pool.resize(opts.effective_max_background_flushes())
-        self._compaction_pool.resize(opts.effective_max_background_compactions())
-        # A shared executor belongs to the service, which resizes it
-        # once after its fan-out; tearing it down here would block on
-        # other shards' in-flight jobs.
-        if self._owns_executor:
-            self._executor.resize(executor_width(opts))
-        self._block_cache.set_capacity(self._effective_cache_bytes())
-        # Page cache is carved from what the block cache leaves free, so
-        # it must be re-derived after the block-cache re-cap.
-        self._page_cache.set_capacity(self._page_cache_bytes())
-        self._table_cache.set_capacity(opts.get("max_open_files"))
-        # The active memtable adopts the new rotation threshold; bloom
-        # shape changes apply from the next rotation's fresh memtable.
-        self._mem.capacity_bytes = opts.get("write_buffer_size")
-        self._perf.refresh_options()
-        self._swap_factor = self._compute_swap_factor()
-        self._use_fsync = opts.get("use_fsync")
-        self._filters_on = self._any_filter_configured()
-        self._stats_dump_period_us = opts.get("stats_dump_period_sec") * 1e6
-        self._db_write_buffer_size = opts.get("db_write_buffer_size")
-        self._max_total_wal_size = opts.get("max_total_wal_size")
-        self._budget_caps = bool(
-            self._db_write_buffer_size or self._max_total_wal_size
-        )
-        # Memoized verdicts were computed under the old thresholds.
-        self._clear_cache = (-1, -1, False)
-        self._pending_bytes_cache = (-1, 0)
-        self._put_plan = self._perf.put_cost_params()
-        self._writeback = self._perf.smoother.on_bytes_written
-        self._rebuild_write_plan()
-        self._update_memory_gauge()
 
     def _persist_options_file(self) -> None:
         """Write the paper-unit configuration next to the data files.
@@ -2056,16 +1685,10 @@ class DB:
     def wait_for_background(self) -> None:
         """Advance virtual time until all background work completes."""
         self._check_open()
-        while True:
-            # Applying a completion can schedule (and defer) new work;
-            # join everything pending each round so pop_next always
-            # sees the true earliest completion.
-            self._resolve_all_bg()
-            nxt = self._completions.pop_next()
-            if nxt is None:
-                return
-            self._env.clock.advance_to(nxt.at_us)
-            self._apply_completion(nxt)
+        # Installing a job can schedule new work; each step joins
+        # everything pending again before it picks the earliest.
+        while self._bg.wait_next():
+            pass
 
     def close(self) -> None:
         """Flush (per options) and shut down."""
@@ -2082,8 +1705,7 @@ class DB:
                 self._durable_seq = self._seq
             self._wal.close()
         self._closed = True
-        if self._owns_executor:
-            self._executor.close()
+        self._bg.close()
 
     def crash_and_reopen(self) -> "DB":
         """Kill this process image and recover from the surviving disk.
@@ -2097,13 +1719,7 @@ class DB:
         :attr:`durable_sequence` survives.
         """
         self._closed = True
-        # In-flight background jobs die with the process image: drop the
-        # pending list without joining (workers finish into scratch
-        # space nobody reads) and release an owned host pool.
-        self._bg_pending.clear()
-        self._bg_lb_due = math.inf
-        if self._owns_executor:
-            self._executor.close()
+        self._bg.drop()
         self._env.fs.crash()
         return DB.open(
             self._path,
@@ -2113,7 +1729,7 @@ class DB:
             statistics=self._stats,
             byte_scale=self._byte_scale,
             tracer=self._tracer,
-            executor=None if self._owns_executor else self._executor,
+            executor=self._bg.shared_executor,
         )
 
     def __enter__(self) -> "DB":
@@ -2135,7 +1751,7 @@ class DB:
             raise DBError("foreground parallelism must be >= 1")
         # Duration formulas can read the thread count; join pending jobs
         # so none is priced under a mix of old and new values.
-        self._resolve_all_bg()
+        self._bg.join_all()
         self._foreground_parallelism = value
         self._fg_div = value
         self._perf.foreground_threads = value
@@ -2208,6 +1824,12 @@ class DB:
     @property
     def num_immutable_memtables(self) -> int:
         return len(self._imm)
+
+    @property
+    def memtables(self) -> tuple[MemTable, ...]:
+        """The live memtables, read-only: the active one, then the
+        immutables awaiting flush, oldest first."""
+        return (self._mem, *self._imm)
 
     def _update_memory_gauge(self) -> None:
         self._set_used_memory(
@@ -2320,12 +1942,8 @@ class DBIterator:
         """Position at the first visible user key >= ``target``;
         ``None`` seeks to the first key. Returns the charged latency."""
         db = self._db
-        latency = self._seek_raw(target)
-        latency *= db._swap_factor
-        latency += db._maybe_stats_dump()
-        db._monitor.record_cpu(latency)
+        latency = db._charge_read(self._seek_raw(target))
         db._update_memory_gauge()
-        db._advance(latency)
         if db._trace_on:
             db._tracer.emit(
                 IteratorSeek(
@@ -2359,8 +1977,9 @@ class DBIterator:
         db._check_open()
         if self._closed:
             raise DBError("seek() on a closed iterator")
-        db._process_completions()
-        self._busy = db._busy_bg_jobs()
+        now = db._clock.now_us
+        db._bg.poll(now)
+        self._busy = db._bg.busy(now)
         db._tickers[_T_NUMBER_SEEKS] += 1
         self._seeks += 1
         sources, probes = self._build_sources(target)
@@ -2456,21 +2075,18 @@ class DBIterator:
         db = self._db
         reader, cached = db._table_cache.get(meta.file_number)
         if not cached:
-            db._tickers[_T_TABLE_OPENS] += 1
             self._tables_opened += 1
-            self._open_cost_us += db._perf.table_open_cost_us(
-                reader.index_size_bytes, reader.filter_size_bytes
-            )
+            self._open_cost_us += db._table_open_us(reader)
         if start is not None:
             return reader.iter_from(
                 start,
                 cache_get=db._cache_get,
-                cache_put=db._cache_put,
+                cache_put=db._block_cache.put,
                 stats=self._shared,
             )
         return reader.iter_entries(
             cache_get=db._cache_get,
-            cache_put=db._cache_put,
+            cache_put=db._block_cache.put,
             stats=self._shared,
         )
 

@@ -27,15 +27,12 @@ def _stats(db: "DB") -> str:
 
 def _estimate_num_keys(db: "DB") -> str:
     live = sum(f.num_entries for f in db.version.all_files())
-    live += db._mem.num_entries + sum(m.num_entries for m in db._imm)
+    live += sum(m.num_entries for m in db.memtables)
     return str(live)
 
 
 def _cur_size_all_mem_tables(db: "DB") -> str:
-    total = db._mem.approximate_memory_usage + sum(
-        m.approximate_memory_usage for m in db._imm
-    )
-    return str(total)
+    return str(sum(m.approximate_memory_usage for m in db.memtables))
 
 
 def _num_immutable_mem_table(db: "DB") -> str:

@@ -182,7 +182,7 @@ class ReplicaGroup:
         for rep in self.followers():
             rep.env.clock.advance_to(ship_us + REPLICATION_HOP_US)
             try:
-                _apply_entries(rep.db, entries)
+                apply_entries(rep.db, entries)
                 rep.db.sync_wal()
             except SimulatedCrash:
                 rep.alive = False
@@ -251,7 +251,7 @@ class ReplicaGroup:
                 rep.alive = False
 
 
-def _apply_entries(db: DB, entries: list[tuple[bytes, bytes]]) -> None:
+def apply_entries(db: DB, entries: list[tuple[bytes, bytes]]) -> None:
     """Apply (key, value) puts the way the service does everywhere:
     a single put stays a put, larger groups go through one WriteBatch."""
     if len(entries) == 1:

@@ -109,6 +109,7 @@ from repro.service.replication import (
     PendingCommit,
     Replica,
     ReplicaGroup,
+    apply_entries,
     open_group,
 )
 from repro.service.routing import ReshardPlan, RoutingPolicy, make_policy
@@ -572,45 +573,31 @@ class ShardedService:
             if shard.index != targets[0]:
                 raise MisroutedRequestError(req.key, shard.index, targets)
         group = shard.group
-        if group is None:
-            if n == 1:
-                req = members[0][2]
-                shard.db.put(req.key, req.value)
-            else:
-                batch = WriteBatch()
-                for _, _, req in members:
-                    batch.put(req.key, req.value)
-                shard.db.write(batch)
+        entries = [(req.key, req.value) for _, _, req in members]
+        try:
+            apply_entries(shard.db, entries)
+            if n > 1:
                 # Followers: committed by the leader on their behalf.
                 shard.stats.bump(Ticker.WRITE_DONE_BY_OTHER, n - 1)
                 shard.groups += 1
                 shard.grouped_writes += n
                 shard.max_group = max(shard.max_group, n)
+            if group is not None:
+                # Replicated shard: the leader force-syncs its WAL (the
+                # first quorum vote) before the group ships to followers.
+                shard.db.sync_wal()
+        except SimulatedCrash:
+            if group is None:
+                raise
+            self._begin_failover(shard, members)
+            return False
+        if group is None:
             self._finish_write_group(
                 shard, members, n, group_start_us, shard.env.clock.now_us
             )
             return True
-        # Replicated shard: the leader applies and force-syncs its WAL
-        # (the first quorum vote), then ships the group to followers.
         # The service ack — and with it the audit/journal bookkeeping —
         # waits for quorum-1 durable follower acks as heap events.
-        entries = [(req.key, req.value) for _, _, req in members]
-        try:
-            if n == 1:
-                shard.db.put(entries[0][0], entries[0][1])
-            else:
-                batch = WriteBatch()
-                for key, value in entries:
-                    batch.put(key, value)
-                shard.db.write(batch)
-                shard.stats.bump(Ticker.WRITE_DONE_BY_OTHER, n - 1)
-                shard.groups += 1
-                shard.grouped_writes += n
-                shard.max_group = max(shard.max_group, n)
-            shard.db.sync_wal()
-        except SimulatedCrash:
-            self._begin_failover(shard, members)
-            return False
         leader_finish_us = shard.env.clock.now_us
         acks = group.ship(entries, leader_finish_us)
         for rep, ack_us in acks:

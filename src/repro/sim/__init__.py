@@ -1,6 +1,6 @@
 """Virtual-time simulation substrate (clock, resource pools)."""
 
 from repro.sim.clock import SimClock
-from repro.sim.resources import Completion, CompletionQueue, SlotPool
+from repro.sim.resources import CompletionQueue, SlotPool
 
-__all__ = ["SimClock", "SlotPool", "Completion", "CompletionQueue"]
+__all__ = ["SimClock", "SlotPool", "CompletionQueue"]

@@ -1,21 +1,20 @@
 """Virtual-time resource primitives.
 
-Two resources matter for an LSM engine:
+* :class:`SlotPool`: a pool of background-job *slots* (bounded by
+  ``max_background_jobs`` and by the CPU core count), modeled as
+  availability timelines in virtual microseconds.
+* :class:`CompletionQueue`: the finished jobs, ordered by the virtual
+  time at which each takes effect.
 
-* a pool of background-job *slots* (bounded by ``max_background_jobs``
-  and by the CPU core count), and
-* the storage device's *bandwidth*, which background jobs and foreground
-  I/O share.
-
-Both are modeled as availability timelines in virtual microseconds; no
-real threads are involved.
+No real threads are involved. (Device bandwidth, which background jobs
+and foreground I/O share, is priced by ``lsm.perf_model``, not here.)
 """
 
 from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass, field
+from typing import Any, Iterator
 
 _INF = math.inf
 
@@ -38,11 +37,6 @@ class SlotPool:
         #: (:meth:`acquire_pending`); chained settles re-anchor on the
         #: exact timeline.
         self._settled_at: list[float] = [0.0] * capacity
-        # busy_count cache: (valid_until, count). The count can only
-        # change when a slot's end time passes or a job is scheduled, so
-        # between those events the foreground's twice-per-op polls are a
-        # single comparison. Invalidated by acquire()/resize().
-        self._busy_cache: tuple[float, int] = (-_INF, 0)
 
     @property
     def capacity(self) -> int:
@@ -64,25 +58,18 @@ class SlotPool:
             order = sorted(range(cur), key=self._free_at.__getitem__, reverse=True)
             self._free_at = [self._free_at[i] for i in order[:capacity]]
             self._settled_at = [self._settled_at[i] for i in order[:capacity]]
-        self._busy_cache = (-_INF, 0)
 
     def earliest_free_us(self) -> float:
         return min(self._free_at)
 
     def busy_count(self, now_us: float) -> int:
         """Number of slots still busy at ``now_us``."""
-        valid_until, count = self._busy_cache
-        if now_us < valid_until:
-            return count
-        count = 0
-        next_change = _INF
-        for t in self._free_at:
-            if t > now_us:
-                count += 1
-                if t < next_change:
-                    next_change = t
-        self._busy_cache = (next_change, count)
-        return count
+        return sum(1 for t in self._free_at if t > now_us)
+
+    def next_free_us(self, now_us: float) -> float:
+        """When :meth:`busy_count` next drops: the earliest slot end
+        after ``now_us`` (inf when every slot is free)."""
+        return min((t for t in self._free_at if t > now_us), default=_INF)
 
     def acquire(self, now_us: float, duration_us: float) -> float:
         """Schedule a job; return its virtual completion time."""
@@ -93,7 +80,6 @@ class SlotPool:
         done = start + duration_us
         self._free_at[idx] = done
         self._settled_at[idx] = done
-        self._busy_cache = (-_INF, 0)
         return done
 
     def acquire_pending(
@@ -121,7 +107,6 @@ class SlotPool:
         start = max(now_us, self._free_at[idx])
         lb_done = start + lb_duration_us
         self._free_at[idx] = lb_done
-        self._busy_cache = (-_INF, 0)
         return idx, start, lb_done
 
     def settle(
@@ -143,92 +128,48 @@ class SlotPool:
         # stays a valid lower bound for the still-pending booking.
         if done > self._free_at[slot_index]:
             self._free_at[slot_index] = done
-        self._busy_cache = (-_INF, 0)
         return start, done
 
 
-@dataclass(order=True)
-class Completion:
-    """A pending background completion, ordered by time."""
-
-    at_us: float
-    seqno: int
-    kind: str = field(compare=False)
-    payload: object = field(compare=False, default=None)
-
-
 class CompletionQueue:
-    """Min-heap of pending background completions.
+    """Min-heap of finished background jobs awaiting install.
 
-    The engine retires completions lazily: before each foreground
-    operation it pops every completion whose time is <= "now" and applies
-    its effect (memtable freed, L0 file count reduced, ...).
+    Entries order by ``(at_us, seqno)``. The seqno is the caller's, fixed
+    when the job was scheduled and not when its completion time became
+    known, so two completions landing on the same virtual microsecond
+    still apply in schedule order whichever was pushed first. The engine
+    retires completions lazily: before each foreground operation it pops
+    every one whose time is <= "now" and applies its effect (memtable
+    freed, L0 file count reduced, ...).
     """
 
     def __init__(self) -> None:
-        self._heap: list[Completion] = []
-        self._seq = 0
-        #: Virtual time of the earliest pending completion (inf if none).
-        #: Maintained by every mutator so the engine's per-operation poll
-        #: is a plain attribute read and one float compare.
-        self.next_due_us: float = _INF
+        self._heap: list[tuple[float, int, Any]] = []
 
     def __len__(self) -> int:
         return len(self._heap)
 
-    def reserve_seqno(self) -> int:
-        """Allocate the tie-break seqno for a completion *before* its
-        time is known. Deferred background jobs reserve at schedule time
-        and push at resolve time, so two completions landing on the same
-        virtual microsecond still apply in schedule order regardless of
-        when each job's exact duration was learned."""
-        self._seq += 1
-        return self._seq
+    @property
+    def next_due_us(self) -> float:
+        """Virtual time of the earliest queued completion (inf if none)."""
+        return self._heap[0][0] if self._heap else _INF
 
-    def push(
-        self,
-        at_us: float,
-        kind: str,
-        payload: object = None,
-        seqno: int | None = None,
-    ) -> Completion:
-        if seqno is None:
-            self._seq += 1
-            seqno = self._seq
-        item = Completion(at_us=at_us, seqno=seqno, kind=kind, payload=payload)
-        heapq.heappush(self._heap, item)
-        self.next_due_us = self._heap[0].at_us
-        return item
+    def __iter__(self) -> Iterator[Any]:
+        """The queued items, in no particular order."""
+        return (entry[2] for entry in self._heap)
 
-    def peek(self) -> Completion | None:
-        return self._heap[0] if self._heap else None
+    def push(self, at_us: float, seqno: int, item: Any) -> None:
+        heapq.heappush(self._heap, (at_us, seqno, item))
 
-    def pop_due(self, now_us: float) -> list[Completion]:
-        """Pop all completions due at or before ``now_us``, in order."""
-        due: list[Completion] = []
-        heap = self._heap
-        while heap and heap[0].at_us <= now_us:
-            due.append(heapq.heappop(heap))
-        self.next_due_us = heap[0].at_us if heap else _INF
-        return due
+    def pop_due(self, now_us: float) -> Iterator[Any]:
+        """Pop the items due at or before ``now_us``, in order, one per
+        step: an item leaves the queue only when the caller takes it, so
+        while one completion is applied the later ones still show as
+        queued."""
+        while self.next_due_us <= now_us:
+            yield self.pop_next()
 
-    def pop_next(self) -> Completion | None:
-        """Pop the earliest completion regardless of time (used when the
+    def pop_next(self) -> Any | None:
+        """Pop the earliest item regardless of time (used when the
         caller must block until *something* finishes)."""
-        if not self._heap:
-            return None
-        item = heapq.heappop(self._heap)
-        self.next_due_us = self._heap[0].at_us if self._heap else _INF
-        return item
-
-    def has_kind(self, kind: str) -> bool:
-        """Whether any pending completion is of ``kind``."""
-        return any(c.kind == kind for c in self._heap)
-
-    def drain(self) -> list[Completion]:
-        """Pop everything (used at DB close / explicit wait)."""
-        out: list[Completion] = []
-        while self._heap:
-            out.append(heapq.heappop(self._heap))
-        self.next_due_us = _INF
-        return out
+        return heapq.heappop(self._heap)[2] if self._heap else None

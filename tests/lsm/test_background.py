@@ -13,7 +13,12 @@ import threading
 
 import pytest
 
-from repro.lsm.background import make_executor
+from repro.lsm.background import (
+    BackgroundScheduler,
+    BgJob,
+    BgJobOutput,
+    make_executor,
+)
 from repro.lsm.db import DB
 from repro.lsm.env import Env
 from repro.lsm.faults import FaultFS
@@ -21,7 +26,8 @@ from repro.lsm.options import Options
 from repro.lsm.statistics import Statistics
 from repro.obs.events import to_jsonl_line
 from repro.obs.sinks import RingSink
-from repro.obs.tracer import Tracer
+from repro.obs.tracer import NULL_TRACER, Tracer
+from repro.sim.clock import SimClock
 
 MODES = ("inline", "thread")
 
@@ -36,6 +42,10 @@ def _options(mode, style, **extra):
     }
     base.update(extra)
     return Options(base)
+
+
+def _pending(db):
+    return db.background_stats["jobs_pending"]
 
 
 def _workload(db, n, midrun=None):
@@ -104,10 +114,10 @@ def test_close_joins_inflight_jobs():
     seen_pending = False
     for i in range(2500):
         db.put(b"k%05d" % (i % 500), b"v" * 64)
-        seen_pending = seen_pending or bool(db._bg_pending)
+        seen_pending = seen_pending or _pending(db) > 0
     assert seen_pending, "workload never had a job in flight"
     db.close()
-    assert not db._bg_pending
+    assert _pending(db) == 0
     reopened = DB.open("/bg-close", _options("inline", "level"), env=env)
     assert len(reopened.scan(limit=None)) == 500
     reopened.close()
@@ -184,7 +194,7 @@ def test_fault_injection_pins_inline_executor():
     racing that count would make chaos runs nondeterministic."""
     env = Env(fs=FaultFS())
     db = DB.open("/bg-faultfs", _options("thread", "level"), env=env)
-    assert db._executor.mode == "inline"
+    assert db.background_stats["executor_mode"] == "inline"
     db.close()
 
 
@@ -193,7 +203,8 @@ def test_shared_executor_not_closed_by_db():
     try:
         a = DB.open("/bg-shared-a", _options("thread", "level"), executor=shared)
         b = DB.open("/bg-shared-b", _options("thread", "level"), executor=shared)
-        assert a._executor is shared and b._executor is shared
+        assert a._bg.shared_executor is shared
+        assert b._bg.shared_executor is shared
         for i in range(1200):
             a.put(b"k%04d" % (i % 300), b"v" * 32)
             b.put(b"k%04d" % (i % 300), b"v" * 32)
@@ -201,7 +212,7 @@ def test_shared_executor_not_closed_by_db():
         b.close()
         # still usable after both DBs closed: the owner (caller) decides
         c = DB.open("/bg-shared-a", _options("thread", "level"), executor=shared)
-        assert c._executor is shared
+        assert c._bg.shared_executor is shared
         c.close()
     finally:
         shared.close()
@@ -219,7 +230,7 @@ def test_set_options_leaves_shared_executor_to_its_owner():
         a = DB.open("/bg-resize-a", _options("thread", "level"), executor=shared)
         b = DB.open("/bg-resize-b", _options("thread", "level"), executor=shared)
         i = 0
-        while not a._bg_pending:
+        while not _pending(a):
             a.put(b"k%05d" % (i % 500), b"v" * 64)
             i += 1
             assert i < 5000, "workload never had a job in flight"
@@ -227,7 +238,7 @@ def test_set_options_leaves_shared_executor_to_its_owner():
         assert pool is not None
         b.set_options({"max_background_jobs": 1})
         assert shared._pool is pool and shared._workers == width
-        assert a._bg_pending, "b's set_options joined a's job"
+        assert _pending(a), "b's set_options joined a's job"
         a.close()
         b.close()
     finally:
@@ -246,3 +257,163 @@ def test_background_stats_gauge():
     assert stats["jobs_pending"] == 0
     assert stats["join_stall_seconds"] >= 0.0
     db.close()
+
+
+def test_background_stats_count_this_db_on_a_shared_executor():
+    """jobs_submitted is the scheduler's own count, so the
+    joined == submitted identity holds per DB on a shared executor too
+    (it used to read the executor's counter: the fleet total)."""
+    shared = make_executor("inline")
+    dbs = [
+        DB.open(f"/bg-two-{name}",
+                _options("inline", "level", write_buffer_size=16 * 1024),
+                executor=shared)
+        for name in "ab"
+    ]
+    for db, puts in zip(dbs, (3000, 600)):
+        for i in range(puts):
+            db.put(b"k%05d" % (i % 900), b"v" * 64)
+        db.wait_for_background()
+    a, b = (db.background_stats for db in dbs)
+    for stats in (a, b):
+        assert stats["jobs_submitted"] > 0
+        assert stats["jobs_joined"] == stats["jobs_submitted"]
+        assert stats["jobs_pending"] == 0
+    assert a["jobs_submitted"] > b["jobs_submitted"]
+    for db in dbs:
+        db.close()
+
+
+# ------------------------------------------------ the scheduler, no DB
+
+
+class _Perf:
+    """Duration = bytes in + bytes out, in microseconds: a job's lower
+    bound (output bytes unknown, taken as zero) is its bytes_in."""
+
+    def flush_duration_us(self, bytes_in, bytes_out, entries):
+        return float(bytes_in + bytes_out)
+
+    compaction_duration_us = flush_duration_us
+
+
+class _Harness:
+    """A BackgroundScheduler over fake jobs and an inline executor."""
+
+    def __init__(self, **options):
+        self.clock = SimClock()
+        self.sched = BackgroundScheduler(
+            Options(options), _Perf(), self.clock, NULL_TRACER
+        )
+        self.jobs = []
+        self.installed = []
+
+    def submit(self, name, kind, lower_bound, extra):
+        """A job done ``lower_bound + extra`` us after it starts."""
+
+        def run(spec):
+            return BgJobOutput(
+                result=name, files=[], work=(lower_bound, extra, 0),
+                run_event=None,
+            )
+
+        job = BgJob(
+            kind=kind, run=run, spec=name,
+            install=lambda job: self.installed.append(job.spec),
+            bytes_in=lower_bound, entries_in=0, swap_factor=1.0,
+        )
+        self.sched.submit(job)
+        self.jobs.append(job)
+        self.check_next_event()
+        return job
+
+    def joined(self):
+        return [job.spec for job in self.jobs if job.output is not None]
+
+    def check_next_event(self):
+        """next_event_us is never later than the true next event."""
+        waiting = [job for job in self.jobs if job.spec not in self.installed]
+        truth = min(
+            (job.lb_due_us if job.output is None else job.done_at_us
+             for job in waiting),
+            default=float("inf"),
+        )
+        assert self.sched.next_event_us <= truth
+        if not waiting:
+            assert self.sched.next_event_us == float("inf")
+
+    def poll(self, now_us):
+        self.clock.advance_to(now_us)
+        self.sched.poll(now_us)
+        self.check_next_event()
+
+
+def test_same_microsecond_completions_install_in_submit_order():
+    h = _Harness()
+    h.submit("first", "compaction", 80, 20)   # done at 100
+    h.submit("second", "flush", 50, 50)       # done at 100 too
+    h.poll(60)
+    assert h.joined() == ["second"], "only the due job is joined"
+    assert h.installed == []
+    h.poll(100)
+    assert h.installed == ["first", "second"]
+
+
+def test_rate_limiter_joins_the_jobs_ahead_of_a_due_one():
+    """Strict FIFO: limiter requests replay in submit order, so a due
+    job drags the earlier-submitted ones into the join with it."""
+    h = _Harness(rate_limiter_bytes_per_sec=1 << 30)
+    h.submit("first", "compaction", 80, 20)
+    h.submit("second", "flush", 50, 50)
+    h.submit("third", "compaction", 90, 0)
+    h.poll(60)
+    assert h.joined() == ["first", "second"]
+
+
+def test_next_event_tracks_every_transition():
+    h = _Harness()
+    assert h.sched.next_event_us == float("inf")
+    h.submit("a", "flush", 40, 30)            # bound 40, done at 70
+    assert h.sched.next_event_us == 40
+    h.submit("b", "compaction", 100, 0)
+    h.sched.join_all()
+    h.check_next_event()
+    assert h.sched.next_event_us == 70
+    assert h.sched.wait_next().spec == "a"
+    h.check_next_event()
+    assert h.clock.now_us == 70 and h.installed == ["a"]
+    assert h.sched.wait_next("flush") is None, "no flush left in flight"
+    assert h.clock.now_us == 70 and h.installed == ["a"]
+    assert h.sched.wait_next().spec == "b"
+    assert h.sched.wait_next() is None
+    h.check_next_event()
+    assert h.clock.now_us == 100
+
+
+def test_drop_forgets_pending_work_without_joining_it():
+    h = _Harness()
+    h.submit("a", "flush", 40, 0)
+    h.submit("b", "compaction", 60, 0)
+    h.sched.drop()
+    stats = h.sched.stats
+    assert stats["jobs_submitted"] == 2
+    assert stats["jobs_joined"] == 0 and stats["jobs_pending"] == 0
+    assert h.sched.next_event_us == float("inf")
+    h.sched.poll(1000.0)
+    assert h.sched.wait_next() is None
+    assert h.joined() == [] and h.installed == []
+
+
+def test_busy_never_undercounts_before_a_bound_is_crossed():
+    """Two flushes chained on one slot: the first runs 0-150 (bound
+    100), the second 150-210 (booked 100-150 until the first settles).
+    busy() reads 1 until the exact end whenever it is asked, joining a
+    job only once its bound has passed."""
+    h = _Harness(max_background_flushes=1)
+    h.submit("a", "flush", 100, 50)
+    h.submit("b", "flush", 50, 10)
+    for now in range(0, 240, 10):
+        assert h.sched.busy(float(now)) == (1 if now < 210 else 0), now
+        if now < 100:
+            assert h.joined() == []
+        h.check_next_event()

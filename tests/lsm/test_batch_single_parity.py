@@ -16,7 +16,7 @@ import pytest
 
 from repro.hardware import make_profile
 from repro.lsm import DB, Options
-from repro.lsm.statistics import Statistics, Ticker
+from repro.lsm.statistics import OpClass, Statistics, Ticker
 from repro.lsm.write_batch import WriteBatch
 
 N = 20
@@ -132,3 +132,54 @@ class TestParityMatrix:
         assert single.last_sequence == batched.last_sequence
         single.close()
         batched.close()
+
+
+@pytest.mark.parametrize("use_fsync,disable_wal,bloom", MATRIX)
+def test_batches_of_one_match_singles_exactly(use_fsync, disable_wal, bloom):
+    """The case that admits no difference. ``put``/``delete`` go
+    through ``DB._write`` and a WriteBatch through ``DB.write``: two
+    lanes kept on measurement (docs/performance.md, "Write path"), so N
+    batches of *one* against N singles must leave the identical clock,
+    ticker array (per-write tickers included), WAL bytes and durable
+    watermark. The one intended difference is which histogram sees the
+    op: a batch is observed under PUT whatever it holds, a single
+    delete under DELETE."""
+    single, s_stats = open_db("/one-single", use_fsync=use_fsync,
+                              disable_wal=disable_wal, bloom=bloom)
+    batched, b_stats = open_db("/one-batch", use_fsync=use_fsync,
+                               disable_wal=disable_wal, bloom=bloom)
+    k0, v0 = kv(0)
+    # An idle DB's first put is priced by the reference formula both
+    # lanes inline (nothing in src/ calls it), plus the sync it pays.
+    expected = single._perf.put_cost_us(
+        len(k0), len(v0), wal_enabled=not disable_wal)
+    if use_fsync and not disable_wal:
+        expected += single._perf.wal_sync_cost_us()
+    assert single.put(k0, v0) == expected
+    assert batched.write(WriteBatch().put(k0, v0)) == expected
+    for i in range(1, N):
+        k, v = kv(i)
+        if i % 5 == 0:
+            s_cost = single.delete(k0)
+            b_cost = batched.write(WriteBatch().delete(k0))
+        else:
+            s_cost = single.put(k, v)
+            b_cost = batched.write(WriteBatch().put(k, v))
+        assert s_cost == b_cost
+    assert single._env.clock.now_us == batched._env.clock.now_us
+    assert list(s_stats.raw_tickers()) == list(b_stats.raw_tickers())
+    assert s_stats.ticker(Ticker.WRITE_DONE_BY_SELF) == N
+    assert single.last_sequence == batched.last_sequence == N
+    assert single.durable_sequence == batched.durable_sequence
+    if disable_wal:
+        assert single._wal is None and batched._wal is None
+    else:
+        assert (single._env.fs.read_all(single._wal.path)
+                == batched._env.fs.read_all(batched._wal.path))
+    deletes = (N - 1) // 5
+    assert s_stats.histogram(OpClass.PUT).count == N - deletes
+    assert s_stats.histogram(OpClass.DELETE).count == deletes
+    assert b_stats.histogram(OpClass.PUT).count == N
+    assert b_stats.histogram(OpClass.DELETE).count == 0
+    single.close()
+    batched.close()

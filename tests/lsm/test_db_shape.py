@@ -1,0 +1,100 @@
+"""The boundary around ``DB``, checked by ``ast`` so it cannot rot.
+
+``DB`` is the one class every layer holds a handle to, so it is where
+state and reach-ins pile up. These tests pin three structural facts:
+nothing outside ``lsm/db.py`` reads a DB's private attributes, the
+background scheduler does not know the class that drives it, and the
+class does not grow back past the size the scheduler extraction left
+it at (lower the caps when a later decomposition shrinks it further).
+"""
+
+import ast
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parents[2] / "src" / "repro"
+DB_PY = SRC / "lsm" / "db.py"
+
+MAX_PRIVATE_ATTRS = 57
+MAX_METHODS = 78
+
+
+def _parse(path):
+    return ast.parse(path.read_text(), filename=str(path))
+
+
+def _is_db_handle(node):
+    """``db``, ``_db``, ``rep_db``, ``shard.db``, ``self._db``, ...: every
+    name ``src/`` binds a DB to ends in ``db``."""
+    if isinstance(node, ast.Name):
+        name = node.id
+    elif isinstance(node, ast.Attribute):
+        name = node.attr
+    else:
+        return False
+    return name in ("db", "_db") or name.endswith("_db")
+
+
+def _private_reads_through_db(tree):
+    return [
+        f"line {node.lineno}: {ast.unparse(node)}"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute)
+        and node.attr.startswith("_")
+        and not node.attr.startswith("__")
+        and _is_db_handle(node.value)
+    ]
+
+
+def test_the_detector_sees_each_spelling():
+    tree = ast.parse(
+        "a = db._mem\nb = self._db._imm\nc = shard.db._wal\n"
+        "d = rep.db._seq\ne = rep_db._bg\nf = db.memtables\ng = db.__class__\n"
+    )
+    assert len(_private_reads_through_db(tree)) == 5
+
+
+def test_no_module_outside_db_py_reads_db_privates():
+    offenders = {
+        str(path.relative_to(SRC)): found
+        for path in sorted(SRC.rglob("*.py"))
+        if path != DB_PY and (found := _private_reads_through_db(_parse(path)))
+    }
+    assert not offenders, (
+        f"private DB state read outside lsm/db.py: {offenders}; "
+        "add a public read-only accessor to DB instead"
+    )
+
+
+def test_background_does_not_import_db():
+    for node in ast.walk(_parse(SRC / "lsm" / "background.py")):
+        if isinstance(node, ast.Import):
+            modules = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            modules = [node.module or ""] + [
+                f"{node.module}.{alias.name}" for alias in node.names
+            ]
+        else:
+            continue
+        assert "repro.lsm.db" not in modules, f"line {node.lineno}"
+
+
+def test_db_does_not_outgrow_its_shape():
+    (cls,) = [
+        node for node in _parse(DB_PY).body
+        if isinstance(node, ast.ClassDef) and node.name == "DB"
+    ]
+    methods = {
+        node.name for node in cls.body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+    }
+    attrs = {
+        node.attr
+        for node in ast.walk(cls)
+        if isinstance(node, ast.Attribute)
+        and isinstance(node.ctx, ast.Store)
+        and isinstance(node.value, ast.Name)
+        and node.value.id == "self"
+        and node.attr.startswith("_")
+    }
+    assert len(attrs) <= MAX_PRIVATE_ATTRS, sorted(attrs)
+    assert len(methods) <= MAX_METHODS, sorted(methods)

@@ -41,16 +41,20 @@ def _force_rotate(db, tag, entries=40):
     return mt_id, wal_path
 
 
+def _memtable_ids(job):
+    return [id(mt) for mt in job.spec.memtables]
+
+
 def test_inflight_flushes_pair_their_own_wals():
     """Two flush jobs pending at once: each carries exactly the WALs of
     its own memtables, recorded at rotation — never a positional slice."""
     db, _ = _open("thread")
     expected = dict([_force_rotate(db, b"a"), _force_rotate(db, b"b")])
-    flushes = [j for j in db._bg_pending if j.kind == "flush"]
+    flushes = db._bg.inflight("flush")
     assert flushes, "rotations scheduled no flush"
     seen_wals = []
     for job in flushes:
-        assert job.wal_paths == [expected[m] for m in job.memtable_ids]
+        assert job.wal_paths == [expected[m] for m in _memtable_ids(job)]
         seen_wals += job.wal_paths
     # jobs never share a WAL: each path belongs to exactly one batch
     assert len(seen_wals) == len(set(seen_wals))
@@ -62,11 +66,11 @@ def test_merged_flush_carries_every_member_wal():
     WALs — and install deletes both and clears the pairing map."""
     db, env = _open("thread", min_write_buffer_number_to_merge=2)
     first = _force_rotate(db, b"a")
-    assert not db._bg_pending, "flush scheduled below the merge width"
+    assert not db._bg.inflight("flush"), "flush scheduled below the merge width"
     second = _force_rotate(db, b"b")
-    flushes = [j for j in db._bg_pending if j.kind == "flush"]
+    flushes = db._bg.inflight("flush")
     assert len(flushes) == 1
-    assert flushes[0].memtable_ids == [first[0], second[0]]
+    assert _memtable_ids(flushes[0]) == [first[0], second[0]]
     assert flushes[0].wal_paths == [first[1], second[1]]
     db.wait_for_background()
     assert db._imm_wal == {}
@@ -82,7 +86,7 @@ def test_crash_with_flush_inflight_replays_wals():
         _force_rotate(db, tag)
         for i in range(40):
             expected[b"%s-%04d" % (tag, i)] = b"v" * 80
-    assert any(j.kind == "flush" for j in db._bg_pending)
+    assert db._bg.inflight("flush")
     db2 = db.crash_and_reopen()
     for key, value in expected.items():
         assert db2.get(key) == value, f"lost {key!r} across crash"
@@ -103,7 +107,9 @@ def test_wal_disabled_runs_have_no_pairings():
     db, _ = _open("inline", disable_wal=True)
     _force_rotate(db, b"a")
     assert db._imm_wal == {}
-    for job in db._bg_pending:
+    flushes = db._bg.inflight("flush")
+    assert flushes, "the rotation scheduled no flush"
+    for job in flushes:
         assert job.wal_paths == []
     db.wait_for_background()
     db.close()

@@ -37,7 +37,9 @@ class TestSlotPool:
         pool = SlotPool(2)
         pool.acquire(0.0, 100.0)
         assert pool.busy_count(50.0) == 1
+        assert pool.next_free_us(50.0) == 100.0
         assert pool.busy_count(150.0) == 0
+        assert pool.next_free_us(150.0) == float("inf")
 
     def test_earliest_free(self):
         pool = SlotPool(2)
@@ -71,56 +73,49 @@ class TestCompletionQueue:
     def test_empty(self):
         queue = CompletionQueue()
         assert len(queue) == 0
-        assert queue.peek() is None
         assert queue.pop_next() is None
-        assert queue.pop_due(1e9) == []
+        assert list(queue.pop_due(1e9)) == []
 
     def test_orders_by_time(self):
         queue = CompletionQueue()
-        queue.push(30.0, "b")
-        queue.push(10.0, "a")
-        queue.push(20.0, "c")
-        kinds = [queue.pop_next().kind for _ in range(3)]
-        assert kinds == ["a", "c", "b"]
+        queue.push(30.0, 1, "b")
+        queue.push(10.0, 2, "a")
+        queue.push(20.0, 3, "c")
+        assert [queue.pop_next() for _ in range(3)] == ["a", "c", "b"]
 
     def test_fifo_among_equal_times(self):
         queue = CompletionQueue()
-        queue.push(10.0, "first")
-        queue.push(10.0, "second")
-        assert queue.pop_next().kind == "first"
-        assert queue.pop_next().kind == "second"
+        queue.push(10.0, 1, "first")
+        queue.push(10.0, 2, "second")
+        assert queue.pop_next() == "first"
+        assert queue.pop_next() == "second"
 
     def test_pop_due_only_returns_due(self):
         queue = CompletionQueue()
-        queue.push(10.0, "early")
-        queue.push(100.0, "late")
-        due = queue.pop_due(50.0)
-        assert [c.kind for c in due] == ["early"]
+        queue.push(10.0, 1, "early")
+        queue.push(100.0, 2, "late")
+        assert list(queue.pop_due(50.0)) == ["early"]
         assert len(queue) == 1
 
     def test_pop_due_boundary_inclusive(self):
         queue = CompletionQueue()
-        queue.push(10.0, "exact")
-        assert [c.kind for c in queue.pop_due(10.0)] == ["exact"]
+        queue.push(10.0, 1, "exact")
+        assert list(queue.pop_due(10.0)) == ["exact"]
+
+    def test_pop_due_takes_one_item_per_step(self):
+        """While the caller applies one due item the later ones are
+        still queued (the scheduler derives what is in flight from it)."""
+        queue = CompletionQueue()
+        queue.push(10.0, 1, "a")
+        queue.push(20.0, 2, "b")
+        seen = [(item, sorted(queue)) for item in queue.pop_due(50.0)]
+        assert seen == [("a", ["b"]), ("b", [])]
+        assert queue.next_due_us == float("inf")
 
     def test_payload_carried(self):
         queue = CompletionQueue()
-        queue.push(5.0, "job", payload={"x": 1})
-        assert queue.pop_next().payload == {"x": 1}
-
-    def test_has_kind(self):
-        queue = CompletionQueue()
-        queue.push(5.0, "flush")
-        assert queue.has_kind("flush")
-        assert not queue.has_kind("compaction")
-
-    def test_drain(self):
-        queue = CompletionQueue()
-        for t in (5.0, 1.0, 3.0):
-            queue.push(t, "job")
-        drained = queue.drain()
-        assert [c.at_us for c in drained] == [1.0, 3.0, 5.0]
-        assert len(queue) == 0
+        queue.push(5.0, 1, {"x": 1})
+        assert queue.pop_next() == {"x": 1}
 
 
 class TestPendingBookings:
@@ -195,25 +190,18 @@ class TestPendingBookings:
 class TestReservedSeqnos:
     def test_reserved_seqno_breaks_same_time_ties_in_schedule_order(self):
         queue = CompletionQueue()
-        first = queue.reserve_seqno()   # scheduled first...
-        second = queue.reserve_seqno()
-        queue.push(10.0, "late-resolve", seqno=second)
-        queue.push(10.0, "early-resolve", seqno=first)  # ...pushed last
-        assert queue.pop_next().kind == "early-resolve"
-        assert queue.pop_next().kind == "late-resolve"
-
-    def test_reserved_and_implicit_seqnos_interleave(self):
-        queue = CompletionQueue()
-        reserved = queue.reserve_seqno()
-        queue.push(10.0, "implicit")  # allocates the next seqno
-        queue.push(10.0, "reserved", seqno=reserved)
-        assert [queue.pop_next().kind for _ in range(2)] == [
-            "reserved", "implicit",
-        ]
+        first, second = 1, 2            # scheduled in this order...
+        queue.push(10.0, second, "late-resolve")
+        queue.push(10.0, first, "early-resolve")  # ...pushed last
+        assert queue.pop_next() == "early-resolve"
+        assert queue.pop_next() == "late-resolve"
 
     def test_next_due_tracks_pushes(self):
         queue = CompletionQueue()
-        seqno = queue.reserve_seqno()
         assert queue.next_due_us == float("inf")
-        queue.push(42.0, "job", seqno=seqno)
+        queue.push(42.0, 1, "job")
+        assert queue.next_due_us == 42.0
+        queue.push(7.0, 2, "sooner")
+        assert queue.next_due_us == 7.0
+        queue.pop_next()
         assert queue.next_due_us == 42.0
