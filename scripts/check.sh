@@ -11,7 +11,9 @@
 #    place DB.get/scan/put are checked against a shadow dict under the
 #    exact op mix the benchmark times.
 # 4. Trace schema round-trip, 5. crash sweep, 6. replica chaos sweep,
-# 7. the determinism gate (five scenarios), 8. the console audit.
+# 7. the service layer's four pinned virtual-time claims
+#    (benchmarks/test_service_claims.py), 8. the determinism gate (five
+#    scenarios), 9. the console audit.
 #
 # For host-time numbers (with spread, against a parent commit), use
 # python benchmarks/perf/bench.py and its --compare.
@@ -49,6 +51,10 @@ echo "== service chaos: replica crashes + failover, seeded sweep, twice =="
 # byte-compared; the full 1000-schedule sweep is scripts/chaosmonkey.py
 # with defaults (docs/service.md, docs/crash_consistency.md).
 python scripts/chaosmonkey.py --schedules 200 --seed 77 --twice --quiet
+
+echo
+echo "== service claims: group commit, online tuning, live split, quorum =="
+python -m pytest -q benchmarks/test_service_claims.py
 
 echo
 echo "== determinism: bg (inline/thread), service, scan, online, reshard =="

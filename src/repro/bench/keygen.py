@@ -124,7 +124,7 @@ class MixgraphKeys:
         if not 0 < hot_access_fraction < 1:
             raise WorkloadError("hot_access_fraction must be in (0, 1)")
         self.num_keys = num_keys
-        self._hot_keys = max(1, int(num_keys * hot_fraction))
+        self._hot_range = max(1, int(num_keys * hot_fraction))
         self._hot_access = hot_access_fraction
         self._power = power
         self._rng = random.Random(seed)
@@ -134,9 +134,9 @@ class MixgraphKeys:
         if r.random() < self._hot_access:
             # Power-law rank inside the hot region.
             u = r.random()
-            rank = int(self._hot_keys * (u**self._power))
-            return min(rank, self._hot_keys - 1)
-        return self._hot_keys + r.randrange(max(1, self.num_keys - self._hot_keys))
+            rank = int(self._hot_range * (u**self._power))
+            return min(rank, self._hot_range - 1)
+        return self._hot_range + r.randrange(max(1, self.num_keys - self._hot_range))
 
     def next_key(self) -> bytes:
         return format_key(self.next_index())

@@ -19,7 +19,7 @@ from repro.hardware.profile import HardwareProfile, make_profile
 from repro.lsm.db import DB
 from repro.errors import SimulatedCrash
 from repro.lsm.env import Env
-from repro.lsm.histogram import HistogramSummary
+from repro.lsm.histogram import Histogram, HistogramSummary
 from repro.lsm.options import Options
 from repro.lsm.statistics import OpClass, Statistics, Ticker
 from repro.obs.events import BenchAbort, BenchEnd, BenchProgress, BenchStart
@@ -67,6 +67,44 @@ class BenchResult:
     #: Trace events captured during the run (populated by the parallel
     #: executor's workers so traces survive the process boundary).
     trace_events: list = field(default_factory=list)
+
+    @classmethod
+    def from_tickers(
+        cls,
+        tickers: dict[str, int],
+        write_hist: Histogram,
+        read_hist: Histogram,
+        **fields,
+    ) -> "BenchResult":
+        """A result whose engine-side fields are derived from a ticker
+        dict (``Statistics.as_dict()``, or several summed — the sharded
+        service's aggregate) and two latency histograms; ``fields`` are
+        the dataclass fields neither determines."""
+
+        def total(ticker: Ticker) -> int:
+            return tickers[ticker.value]
+
+        cache_hits = total(Ticker.BLOCK_CACHE_HIT)
+        cache_total = cache_hits + total(Ticker.BLOCK_CACHE_MISS)
+        bloom_checked = total(Ticker.BLOOM_CHECKED)
+        return cls(
+            write_summary=write_hist.summary() if write_hist.count else None,
+            read_summary=read_hist.summary() if read_hist.count else None,
+            stall_micros=total(Ticker.STALL_MICROS)
+            + total(Ticker.DELAYED_WRITE_MICROS),
+            stall_count=total(Ticker.STALL_COUNT),
+            slowdown_count=total(Ticker.SLOWDOWN_COUNT),
+            cache_hit_rate=cache_hits / cache_total if cache_total else 0.0,
+            bloom_useful_rate=(
+                total(Ticker.BLOOM_USEFUL) / bloom_checked if bloom_checked else 0.0
+            ),
+            flush_count=total(Ticker.FLUSH_COUNT),
+            compaction_count=total(Ticker.COMPACTION_COUNT),
+            bytes_written=total(Ticker.BYTES_WRITTEN),
+            bytes_read=total(Ticker.BYTES_READ),
+            tickers=tickers,
+            **fields,
+        )
 
     @property
     def ops_per_sec(self) -> float:
@@ -128,6 +166,24 @@ class BenchResult:
         }
 
 
+def preload_stream(spec: WorkloadSpec) -> tuple[list[int], ValueGenerator]:
+    """The preload every runner applies: key indices 0..preload-1 in a
+    seeded *random* order (like a fillrandom preload — the resulting
+    overlap across L0 files and levels is what gives readrandom its
+    paper-scale read amplification) and the value generator to draw one
+    value per key from, in that order. The sharded service routes the
+    same stream by key, so a 1-shard service preloads a DB
+    byte-identical to the bare benchmark's."""
+    values = ValueGenerator(
+        spec.value_size,
+        pareto_sizes=spec.pareto_values,
+        seed=spec.seed ^ 0x5EED,
+    )
+    order = list(range(spec.preload_keys))
+    random.Random(spec.seed ^ 0x10AD).shuffle(order)
+    return order, values
+
+
 class DbBench:
     """One-shot benchmark executor (construct, :meth:`run`, discard)."""
 
@@ -156,18 +212,9 @@ class DbBench:
     # -- phases ------------------------------------------------------------
 
     def _preload(self, db: DB) -> None:
-        """Fill keys 0..preload-1 in *random* order (like a fillrandom
-        preload): the resulting overlap across L0 files and levels is
-        what gives readrandom its paper-scale read amplification."""
         if self.spec.preload_keys <= 0:
             return
-        values = ValueGenerator(
-            self.spec.value_size,
-            pareto_sizes=self.spec.pareto_values,
-            seed=self.spec.seed ^ 0x5EED,
-        )
-        order = list(range(self.spec.preload_keys))
-        random.Random(self.spec.seed ^ 0x10AD).shuffle(order)
+        order, values = preload_stream(self.spec)
         for index in order:
             db.put(format_key(index), values.next_value())
         # Flushes are awaited; the compaction backlog stays live, like a
@@ -351,7 +398,10 @@ class DbBench:
             seek_hist = stats.histogram(OpClass.SEEK)
             if seek_hist.count:
                 read_hist = seek_hist
-        return BenchResult(
+        return BenchResult.from_tickers(
+            stats.as_dict(),
+            write_hist,
+            read_hist,
             spec=self.spec,
             profile=self.profile,
             options=self.options.copy(),
@@ -360,21 +410,8 @@ class DbBench:
             writes_done=writes,
             duration_s=duration_s,
             aborted=aborted,
-            write_summary=write_hist.summary() if write_hist.count else None,
-            read_summary=read_hist.summary() if read_hist.count else None,
-            stall_micros=stats.ticker(Ticker.STALL_MICROS)
-            + stats.ticker(Ticker.DELAYED_WRITE_MICROS),
-            stall_count=stats.ticker(Ticker.STALL_COUNT),
-            slowdown_count=stats.ticker(Ticker.SLOWDOWN_COUNT),
-            cache_hit_rate=stats.cache_hit_rate(),
-            bloom_useful_rate=stats.bloom_useful_rate(),
-            flush_count=stats.ticker(Ticker.FLUSH_COUNT),
-            compaction_count=stats.ticker(Ticker.COMPACTION_COUNT),
-            bytes_written=stats.ticker(Ticker.BYTES_WRITTEN),
-            bytes_read=stats.ticker(Ticker.BYTES_READ),
             level_shape=db.describe(),
             db_size_bytes=db.approximate_size(),
-            tickers=stats.as_dict(),
             snapshot=db.monitor.snapshot(self.env.clock.now_us),
         )
 

@@ -96,14 +96,14 @@ class MisroutedRequestError(ReproError):
     class the single-policy-object refactor exists to prevent).
     """
 
-    def __init__(self, key: bytes, shard: int, expected: tuple[int, ...]) -> None:
+    def __init__(self, key: bytes, shard: int, owner: int) -> None:
         super().__init__(
             f"request for key {key!r} served on shard {shard}, but the "
-            f"routing policy maps it to {sorted(expected)}"
+            f"routing policy maps it to shard {owner}"
         )
         self.key = key
         self.shard = shard
-        self.expected = tuple(expected)
+        self.owner = owner
 
 
 class WorkloadError(ReproError):

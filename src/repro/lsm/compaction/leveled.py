@@ -54,20 +54,11 @@ def run_compaction(
     )
     stats = ReadStats()
     new_files: list[FileMetaData] = []
-    builder: SSTableBuilder | None = None
     bytes_written = 0
     entries_merged = 0
     entries_dropped = 0
     no_snapshots = snapshots is None or len(snapshots) == 0
     drop_tombstones = bottommost and no_snapshots
-
-    def finish_builder() -> None:
-        nonlocal builder, bytes_written
-        if builder is not None and builder.num_entries > 0:
-            meta = builder.finish()
-            bytes_written += meta.file_size
-            new_files.append(meta)
-        builder = None
 
     def live_entries():
         """Merged entries with GC applied (version shadowing, bottommost
@@ -123,14 +114,11 @@ def run_compaction(
     while first is not None:
         builder = open_builder(new_table_path(), compaction.output_level)
         builder.add_packed(*first)
-        if builder.current_size >= target_size:
-            finish_builder()
-            first = next(entries, None)
-            continue
-        exhausted = builder.add_many_packed(entries, split_size=target_size)
-        finish_builder()
-        first = None if exhausted else next(entries, None)
-    finish_builder()
+        # Cuts fall only where the user key changes: see add_many_packed.
+        first = builder.add_many_packed(entries, split_size=target_size)
+        meta = builder.finish()
+        bytes_written += meta.file_size
+        new_files.append(meta)
     bytes_read = compaction.input_bytes
     return CompactionResult(
         new_files=new_files,

@@ -343,26 +343,19 @@ CATALOG: tuple[OptionSpec, ...] = (
     _opt("shard_count", _D, _I, 1,
          "Independent DB shards the service layer routes keys over; 1 "
          "runs a single instance (per-shard options apply to each). "
-         "Immutable at the DB level; under 'ring'/'hotkey' routing the "
-         "service applies changes as live shard splits and merges.",
+         "Immutable at the DB level; under 'ring' routing the service "
+         "applies changes as live shard splits and merges.",
          min=1, max=64),
     _opt("routing_policy", _D, _E, "modulo",
          "How the service maps keys to shards: 'modulo' (FNV-1a mod "
-         "shard_count, the static layout), 'ring' (consistent-hash ring "
-         "with virtual nodes; supports live shard split/merge), 'hotkey' "
-         "(ring plus heavy-hitter detection that fans hot-key reads to "
-         "the least-loaded shard holding a read copy).",
-         choices=("modulo", "ring", "hotkey")),
+         "shard_count, the static layout) or 'ring' (consistent-hash "
+         "ring with virtual nodes; supports live shard split/merge).",
+         choices=("modulo", "ring")),
     _opt("virtual_nodes", _D, _I, 16,
          "Virtual nodes per shard on the consistent-hash ring; more "
          "vnodes smooth the key distribution and give splits "
          "finer-grained donor arcs.",
          min=1, max=512),
-    _opt("hot_key_threshold", _D, _I, 64,
-         "Accesses within one progress window that classify a key as a "
-         "heavy hitter ('hotkey' routing only); hot keys gain read "
-         "copies kept fresh by write-through.",
-         min=1, max=10**6),
     _opt("overload_policy", _D, _E, "none",
          "Per-shard overload response: 'none' disables detection, "
          "'queue' detects and reports overload while requests keep "
@@ -657,8 +650,8 @@ IMMUTABLE_OPTIONS: frozenset[str] = frozenset({
     "lowest_used_cache_tier",
     # service topology: a DB-level set_options cannot reshuffle key
     # ownership (or the commit protocol) on a running engine. The
-    # *service* layer intercepts shard_count under ring/hotkey routing
-    # and applies it as a live split/merge; the policy and vnode layout
+    # *service* layer intercepts shard_count under ring routing and
+    # applies it as a live split/merge; the policy and vnode layout
     # themselves are fixed at open.
     "shard_count",
     "routing_policy",

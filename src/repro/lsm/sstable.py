@@ -171,19 +171,39 @@ class SSTableBuilder:
             self._flush_block()
 
     def add_many(
-        self,
-        entries: Iterator[tuple[bytes, ValueKind, bytes]],
-        split_size: int | None = None,
-    ) -> bool:
-        """Bulk :meth:`add`: one tight loop over ``(internal, kind, value)``.
+        self, entries: Iterator[tuple[bytes, ValueKind, bytes]]
+    ) -> None:
+        """Bulk :meth:`add` over ``(internal, kind, value)`` — the flush
+        kernel: each value is packed (kind byte prepended) on its way
+        into the :meth:`add_many_packed` loop. A second copy of that
+        loop with the pack inlined bought nothing measurable on
+        ``fill`` (docs/performance.md), so there is one."""
+        kind_bytes = _KIND_BYTES
+        self.add_many_packed(
+            (internal_key, kind_bytes[kind] + value)
+            for internal_key, kind, value in entries
+        )
 
-        Byte-identical to calling :meth:`add` per entry — the block
-        encoding is inlined here (flush/compaction push every entry of
-        every table through this loop, so the per-entry call stack is
-        the cost that matters). With ``split_size``, consumption stops
-        once the table's estimated size reaches it *after* an entry —
-        the caller finishes this table and starts the next one. Returns
-        True when ``entries`` was exhausted.
+    def add_many_packed(
+        self,
+        entries: Iterator[tuple[bytes, bytes]],
+        split_size: int | None = None,
+    ) -> tuple[bytes, bytes] | None:
+        """Bulk :meth:`add_packed`: one tight loop over ``(internal_key,
+        kind_byte + value)`` pairs, as :meth:`SSTableReader.read_packed`
+        yields them.
+
+        Byte-identical to calling :meth:`add_packed` per entry — the
+        block encoding is inlined here (flush/compaction push every
+        entry of every table through this loop, so the per-entry call
+        stack is the cost that matters). With ``split_size``, the table
+        is full once its estimated size reaches it, and consumption
+        stops at the next entry *of another user key*: versions of one
+        user key (kept apart by a live snapshot) never straddle two
+        tables, because table bounds are user keys and two L1+ files
+        sharing one would overlap (RocksDB's rule). Returns the entry
+        that starts the next table — consumed from ``entries`` but not
+        added — or None when ``entries`` was exhausted.
         """
         if self._finished:
             raise CorruptionError("add() after finish()")
@@ -198,13 +218,16 @@ class SSTableBuilder:
         offset = self._offset
         collect = self._collect_bloom
         prefix_add = self._bloom_prefixes.add
-        kind_bytes = _KIND_BYTES
         last_ikey = self._last_ikey
         num = self._num_entries
         first_unset = self._first_ikey is None
         from_bytes = int.from_bytes
-        exhausted = True
-        for internal_key, kind, value in entries:
+        full = split_size is not None and self.current_size >= split_size
+        carry = None
+        for internal_key, val in entries:
+            if full and internal_key[:-8] != last_ikey[:-8]:
+                carry = (internal_key, val)
+                break
             if num and internal_key <= last_ikey:
                 raise CorruptionError("sstable keys must be strictly increasing")
             if first_unset:
@@ -214,7 +237,6 @@ class SSTableBuilder:
             num += 1
             if collect:
                 prefix_add(internal_key[:-8])
-            val = kind_bytes[kind] + value
             key_len = len(internal_key)
             if counter < interval:
                 n = len(last)
@@ -269,115 +291,13 @@ class SSTableBuilder:
                 offset = self._offset
                 estimate = 8  # empty block: one restart slot + trailer
             if split_size is not None and offset + estimate >= split_size:
-                exhausted = False
-                break
+                full = True
         block._counter = counter
         block._last_key = last
         block._num_entries = block_entries
         self._last_ikey = last_ikey
         self._num_entries = num
-        return exhausted
-
-    def add_many_packed(
-        self,
-        entries: Iterator[tuple[bytes, bytes]],
-        split_size: int | None = None,
-    ) -> bool:
-        """:meth:`add_many` over already-packed ``(internal_key,
-        kind_byte + value)`` pairs — the compaction kernel. A deliberate
-        copy of the :meth:`add_many` loop minus the per-entry value
-        re-encode: the pairs come verbatim from
-        :meth:`SSTableReader.read_packed` and go verbatim into the
-        output block, so the bytes produced are identical.
-        """
-        if self._finished:
-            raise CorruptionError("add() after finish()")
-        block = self._block
-        buf = block._buf
-        restarts = block._restarts
-        counter = block._counter
-        last = block._last_key
-        block_entries = block._num_entries
-        interval = block._restart_interval
-        block_size = self._block_size
-        offset = self._offset
-        collect = self._collect_bloom
-        prefix_add = self._bloom_prefixes.add
-        last_ikey = self._last_ikey
-        num = self._num_entries
-        first_unset = self._first_ikey is None
-        from_bytes = int.from_bytes
-        exhausted = True
-        for internal_key, val in entries:
-            if num and internal_key <= last_ikey:
-                raise CorruptionError("sstable keys must be strictly increasing")
-            if first_unset:
-                self._first_ikey = internal_key
-                first_unset = False
-            last_ikey = internal_key
-            num += 1
-            if collect:
-                prefix_add(internal_key[:-8])
-            key_len = len(internal_key)
-            if counter < interval:
-                n = len(last)
-                if key_len == n:
-                    diff = (
-                        from_bytes(internal_key, "big")
-                        ^ from_bytes(last, "big")
-                    )
-                else:
-                    if key_len < n:
-                        n = key_len
-                    diff = (
-                        from_bytes(internal_key[:n], "big")
-                        ^ from_bytes(last[:n], "big")
-                    )
-                shared = n if diff == 0 else n - ((diff.bit_length() + 7) >> 3)
-            else:
-                restarts.append(len(buf))
-                counter = 0
-                shared = 0
-            non_shared = key_len - shared
-            val_len = len(val)
-            if shared < 0x80 and non_shared < 0x80 and val_len < 0x80:
-                buf.append(shared)
-                buf.append(non_shared)
-                buf.append(val_len)
-            else:
-                _put_varint(buf, shared)
-                _put_varint(buf, non_shared)
-                _put_varint(buf, val_len)
-            buf += internal_key[shared:]
-            buf += val
-            last = internal_key
-            counter += 1
-            block_entries += 1
-            estimate = len(buf) + 4 * len(restarts) + 4
-            if estimate >= block_size:
-                block._counter = counter
-                block._last_key = last
-                block._num_entries = block_entries
-                self._last_ikey = last_ikey
-                self._num_entries = num
-                self._flush_block()
-                block = self._block
-                buf = block._buf
-                restarts = block._restarts
-                counter = 0
-                last = b""
-                block_entries = 0
-                offset = self._offset
-                estimate = 8  # empty block: one restart slot + trailer
-            if split_size is not None and offset + estimate >= split_size:
-                exhausted = False
-                break
-        block._counter = counter
-        block._last_key = last
-        block._num_entries = block_entries
-        self._last_ikey = last_ikey
-        self._num_entries = num
-        return exhausted
+        return carry
 
     def _flush_block(self) -> None:
         if self._block.empty():

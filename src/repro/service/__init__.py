@@ -1,12 +1,12 @@
 """Sharded multi-client service layer over PyLSM.
 
 A hash-sharded front-end that routes keys over N independent DB
-instances through a pluggable :class:`RoutingPolicy` (modulo,
-consistent-hash ring, hot-key replication), drives a simulated
-open-loop population of concurrent clients on the virtual clock,
-coalesces concurrent writers into cross-client group commits per
-shard, and — under ring routing — splits or merges shards live
-mid-run via ``set_options``. See ``docs/service.md``.
+instances through a pluggable :class:`RoutingPolicy` (modulo or a
+consistent-hash ring), drives a simulated open-loop population of
+concurrent clients on the virtual clock, coalesces concurrent writers
+into cross-client group commits per shard, and — under ring routing —
+splits or merges shards live mid-run via ``set_options``. See
+``docs/service.md``.
 """
 
 from repro.service.chaos import (
@@ -24,11 +24,9 @@ from repro.service.replication import (
 from repro.service.report import render_service_report
 from repro.service.routing import (
     HashRingPolicy,
-    HotKeyPolicy,
     ModuloPolicy,
     ReshardPlan,
     RoutingPolicy,
-    TopKSketch,
     fnv1a_64,
     make_policy,
     ring_hash,
@@ -47,7 +45,6 @@ __all__ = [
     "DEFAULT_CLIENT_OPS_PER_SEC",
     "ClientStats",
     "HashRingPolicy",
-    "HotKeyPolicy",
     "ModuloPolicy",
     "OverloadDetector",
     "Replica",
@@ -61,7 +58,6 @@ __all__ = [
     "ShardStats",
     "ShardedService",
     "SimClient",
-    "TopKSketch",
     "build_clients",
     "client_role",
     "fnv1a_64",

@@ -101,9 +101,7 @@ class PendingCommit:
     #: The drained queue entries: (arrival_us, seq, Request) triples.
     members: list
     group_start_us: float
-    leader_finish_us: float
     acks_needed: int
-    size: int
     received: int = 0
     done: bool = False
     cancelled: bool = False

@@ -14,11 +14,6 @@ policy object, so a layout change is made in one place:
   arcs (not the points themselves) moves on split/merge, which bounds
   churn: a split hands half of the donor's arcs to the new shard and
   every other key stays put.
-* :class:`HotKeyPolicy` — the ring plus a windowed top-K heavy-hitter
-  sketch. Keys that cross the threshold within one window gain read
-  copies on every active shard; reads of a hot key go to the
-  least-loaded copy holder and writes fan out write-through so copies
-  never serve stale data.
 
 Policies are pure routing state — they never touch a DB. The service
 owns data movement (snapshot drain, journal replay) and asks the policy
@@ -30,7 +25,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Sequence
 
 from repro.errors import RoutingError
 from repro.lsm.options import Options
@@ -85,41 +80,14 @@ class RoutingPolicy:
     name = "base"
     #: Whether :meth:`plan_split` / :meth:`plan_merge` are supported.
     supports_resharding = False
-    #: Whether the policy needs :meth:`roll_window` called at progress
-    #: cadence (heavy-hitter detection).
-    needs_window = False
 
     def shard_ids(self) -> tuple[int, ...]:
         """Active shard ids, ascending."""
         raise NotImplementedError
 
     def owner(self, key: bytes) -> int:
-        """The shard that owns ``key`` (authoritative copy)."""
+        """The shard that owns ``key``."""
         raise NotImplementedError
-
-    def read_targets(self, key: bytes) -> tuple[int, ...]:
-        """Every shard allowed to serve a read of ``key``."""
-        return (self.owner(key),)
-
-    def read_shard(self, key: bytes, load: Callable[[int], int]) -> int:
-        """The shard a new read of ``key`` should go to. ``load`` maps a
-        shard id to its current queue depth (for least-loaded picks)."""
-        return self.owner(key)
-
-    def write_targets(self, key: bytes) -> tuple[int, ...]:
-        """Every shard a write of ``key`` must be applied to, owner
-        first."""
-        return (self.owner(key),)
-
-    def observe(self, key: bytes) -> None:
-        """Count one access (feeds heavy-hitter detection)."""
-
-    def roll_window(self) -> tuple[tuple[bytes, ...], tuple[bytes, ...]]:
-        """Close the access window; returns (promoted, demoted) keys."""
-        return ((), ())
-
-    def on_shard_retired(self, shard_id: int) -> None:
-        """A shard left the topology (merge); drop references to it."""
 
     # -- resharding (ring policies only) ------------------------------------
 
@@ -308,160 +276,6 @@ class HashRingPolicy(RoutingPolicy):
         self.version += 1
 
 
-# -------------------------------------------------------------- hot keys
-
-
-class TopKSketch:
-    """Space-saving heavy-hitter sketch with deterministic evictions.
-
-    Bounded to ``capacity`` counters; when full, a new key inherits the
-    (deterministically chosen) minimum counter + 1, the classic
-    space-saving overestimate. Good enough to surface keys that absorb
-    a material fraction of a window.
-    """
-
-    def __init__(self, capacity: int = 32) -> None:
-        if capacity < 1:
-            raise RoutingError("sketch capacity must be positive")
-        self.capacity = capacity
-        self._counts: dict[bytes, int] = {}
-
-    def observe(self, key: bytes) -> None:
-        counts = self._counts
-        if key in counts:
-            counts[key] += 1
-        elif len(counts) < self.capacity:
-            counts[key] = 1
-        else:
-            victim = min(counts, key=lambda k: (counts[k], k))
-            counts[key] = counts.pop(victim) + 1
-
-    def heavy(self, threshold: int) -> tuple[bytes, ...]:
-        """Keys at or above ``threshold``, sorted for determinism."""
-        return tuple(sorted(
-            k for k, c in self._counts.items() if c >= threshold
-        ))
-
-    def reset(self) -> None:
-        self._counts.clear()
-
-
-class HotKeyPolicy(RoutingPolicy):
-    """Ring routing plus hot-key read fan-out.
-
-    Wraps a :class:`HashRingPolicy` (ownership and resharding delegate
-    to it) and keeps a per-window :class:`TopKSketch`. When the window
-    rolls, keys above ``threshold`` are promoted: they gain read copies
-    on every active shard (the service installs the owner's value).
-    Reads of a hot key go to the least-loaded copy holder; writes fan
-    out to owner + copies so every copy stays fresh. Demoted keys are
-    forgotten — their stale copies become unreachable garbage.
-    """
-
-    name = "hotkey"
-    supports_resharding = True
-    needs_window = True
-
-    def __init__(
-        self,
-        ring: HashRingPolicy,
-        *,
-        threshold: int = 64,
-        sketch_capacity: int = 32,
-    ) -> None:
-        if threshold < 1:
-            raise RoutingError("hot_key_threshold must be positive")
-        self.ring = ring
-        self.threshold = threshold
-        self._sketch = TopKSketch(sketch_capacity)
-        #: hot key -> sorted tuple of shard ids holding a read copy
-        #: (always includes the owner).
-        self._copies: dict[bytes, tuple[int, ...]] = {}
-
-    @property
-    def hot_keys(self) -> tuple[bytes, ...]:
-        return tuple(sorted(self._copies))
-
-    def copies_of(self, key: bytes) -> tuple[int, ...]:
-        return self._copies.get(key, ())
-
-    # -- lookup --------------------------------------------------------------
-
-    def shard_ids(self) -> tuple[int, ...]:
-        return self.ring.shard_ids()
-
-    def owner(self, key: bytes) -> int:
-        return self.ring.owner(key)
-
-    def read_targets(self, key: bytes) -> tuple[int, ...]:
-        copies = self._copies.get(key)
-        if copies is None:
-            return (self.ring.owner(key),)
-        owner = self.ring.owner(key)
-        return copies if owner in copies else copies + (owner,)
-
-    def read_shard(self, key: bytes, load: Callable[[int], int]) -> int:
-        copies = self._copies.get(key)
-        if copies is None:
-            return self.ring.owner(key)
-        # Least-loaded copy holder; ties break on the lower shard id so
-        # the pick is deterministic.
-        return min(copies, key=lambda sid: (load(sid), sid))
-
-    def write_targets(self, key: bytes) -> tuple[int, ...]:
-        owner = self.ring.owner(key)
-        copies = self._copies.get(key)
-        if copies is None:
-            return (owner,)
-        return (owner,) + tuple(s for s in copies if s != owner)
-
-    # -- window --------------------------------------------------------------
-
-    def observe(self, key: bytes) -> None:
-        self._sketch.observe(key)
-
-    def roll_window(self) -> tuple[tuple[bytes, ...], tuple[bytes, ...]]:
-        heavy = set(self._sketch.heavy(self.threshold))
-        promoted = tuple(sorted(heavy - set(self._copies)))
-        demoted = tuple(sorted(set(self._copies) - heavy))
-        active = self.ring.shard_ids()
-        for key in promoted:
-            self._copies[key] = active
-        for key in demoted:
-            del self._copies[key]
-        self._sketch.reset()
-        return promoted, demoted
-
-    def on_shard_retired(self, shard_id: int) -> None:
-        for key, copies in list(self._copies.items()):
-            if shard_id in copies:
-                remaining = tuple(s for s in copies if s != shard_id)
-                if remaining:
-                    self._copies[key] = remaining
-                else:
-                    del self._copies[key]
-
-    # -- resharding (delegate) ------------------------------------------------
-
-    def arc_count(self, shard_id: int) -> int:
-        return self.ring.arc_count(shard_id)
-
-    def plan_split(self, donor: int, recipient: int) -> ReshardPlan:
-        return self.ring.plan_split(donor, recipient)
-
-    def plan_merge(self, victim: int) -> ReshardPlan:
-        return self.ring.plan_merge(victim)
-
-    def commit(self, plan: ReshardPlan) -> None:
-        self.ring.commit(plan)
-        if plan.kind == "split":
-            # The new shard holds the drained range but no copy values;
-            # existing copy sets stay valid (write-through keeps them
-            # fresh) and newly promoted keys will include it.
-            return
-        self.on_shard_retired(plan.donor)
-
-
 # ---------------------------------------------------------------- factory
 
 
@@ -471,11 +285,8 @@ def make_policy(options: Options) -> RoutingPolicy:
     policy_name = str(options.routing_policy)
     if policy_name == "modulo":
         return ModuloPolicy(shard_count)
-    ring = HashRingPolicy(
-        range(shard_count), virtual_nodes=int(options.virtual_nodes)
-    )
     if policy_name == "ring":
-        return ring
-    if policy_name == "hotkey":
-        return HotKeyPolicy(ring, threshold=int(options.hot_key_threshold))
+        return HashRingPolicy(
+            range(shard_count), virtual_nodes=int(options.virtual_nodes)
+        )
     raise RoutingError(f"unknown routing policy {policy_name!r}")

@@ -18,7 +18,7 @@ raises :class:`~repro.errors.MisroutedRequestError` on a mismatch, so a
 desync between the enqueue-side and serve-side views of the layout is
 an error, never a silent wrong-shard read. The default ``modulo``
 policy reproduces the original FNV-1a ``hash % N`` layout bit for bit;
-``ring``/``hotkey`` add a consistent-hash ring with live resharding.
+``ring`` adds a consistent-hash ring with live resharding.
 
 Concurrency model
 -----------------
@@ -68,8 +68,8 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable, Mapping
 
-from repro.bench.keygen import ValueGenerator, format_key
-from repro.bench.runner import BenchResult
+from repro.bench.keygen import format_key
+from repro.bench.runner import BenchResult, preload_stream
 from repro.bench.spec import WorkloadSpec
 from repro.errors import MisroutedRequestError, RoutingError, SimulatedCrash
 from repro.hardware.profile import HardwareProfile, make_profile
@@ -82,7 +82,7 @@ from repro.lsm.db import DB
 from repro.lsm.env import Env
 from repro.lsm.histogram import Histogram, HistogramSummary
 from repro.lsm.options import Options, ensure_mutable, spec_for
-from repro.lsm.statistics import OpClass, Statistics, Ticker
+from repro.lsm.statistics import Statistics, Ticker
 from repro.lsm.write_batch import WriteBatch
 from repro.obs.events import (
     BenchAbort,
@@ -102,7 +102,7 @@ from repro.obs.events import (
     ShardSummary,
 )
 from repro.obs.tracer import Tracer
-from repro.service.clients import GET, PUT, Request, SimClient, build_clients
+from repro.service.clients import MULTIGET, PUT, Request, SimClient, build_clients
 from repro.service.overload import OverloadDetector
 from repro.service.replication import (
     REPLICATION_HOP_US,
@@ -113,10 +113,7 @@ from repro.service.replication import (
     open_group,
 )
 from repro.service.routing import ReshardPlan, RoutingPolicy, make_policy
-
 from repro.sim.clock import SimClock
-
-import random
 
 #: Default open-loop arrival rate per client. At ~50µs mean
 #: interarrival a client outruns a single shard's service rate, so
@@ -422,23 +419,12 @@ class ShardedService:
         )
         return _Shard(index=index, env=env, stats=stats, db=db)
 
-    def _open_shards(self) -> list[_Shard]:
-        return [self._open_shard(i) for i in range(self.num_shards)]
-
-    def _preload(self, shards: list[_Shard]) -> None:
-        """Random-order preload, routed by key — same key/value streams
-        as :meth:`DbBench._preload` so a 1-shard service preloads a DB
-        byte-identical to the bare benchmark's."""
-        spec = self.spec
-        if spec.preload_keys <= 0:
+    def _preload(self) -> None:
+        """:func:`~repro.bench.runner.preload_stream`, routed by key."""
+        if self.spec.preload_keys <= 0:
             return
-        values = ValueGenerator(
-            spec.value_size,
-            pareto_sizes=spec.pareto_values,
-            seed=spec.seed ^ 0x5EED,
-        )
-        order = list(range(spec.preload_keys))
-        random.Random(spec.seed ^ 0x10AD).shuffle(order)
+        order, values = preload_stream(self.spec)
+        shards = self._shards
         owner = self._policy.owner
         for index in order:
             key = format_key(index)
@@ -468,39 +454,33 @@ class ShardedService:
         shard = self._shards[shard_id]
         return len(shard.write_q) + len(shard.read_q) + (1 if shard.busy else 0)
 
-    def _enqueue(self, shards: list[_Shard], req: Request, heap: list) -> None:
+    def _schedule(self, t_us: float, kind: int, who: int, payload: Any) -> None:
+        """Push one event; ``(t_us, seq)`` is its place in the run."""
+        self._seq += 1
+        heapq.heappush(self._heap, (t_us, self._seq, kind, who, payload))
+
+    def _enqueue(self, req: Request) -> None:
         """Route an arrived request to its shard queue(s)."""
-        policy = self._policy
-        if policy.needs_window:
-            if req.keys:
-                for key in req.keys:
-                    policy.observe(key)
+        owner = self._policy.owner
+        shards = self._shards
+        if req.kind != MULTIGET:  # point op: one owner, one queue
+            target = owner(req.key)
+            if self._overload is not None and self._overload.should_shed(
+                target, self._depth(target)
+            ):
+                return
+            shard = shards[target]
+            if req.kind == PUT:
+                shard.write_q.append((req.arrival_us, self._next_seq(), req))
             else:
-                policy.observe(req.key)
-        if req.kind == PUT:
-            target = policy.owner(req.key)
-            if self._overload is not None and self._overload.should_shed(
-                target, self._depth(target)
-            ):
-                return
-            shard = shards[target]
-            shard.write_q.append((req.arrival_us, self._next_seq(), req))
-            self._kick(shard, heap)
-        elif req.kind == GET:
-            target = policy.read_shard(req.key, self._depth)
-            if self._overload is not None and self._overload.should_shed(
-                target, self._depth(target)
-            ):
-                return
-            shard = shards[target]
-            shard.read_q.append(
-                (req.arrival_us, self._next_seq(), req, (req.key,), None)
-            )
-            self._kick(shard, heap)
+                shard.read_q.append(
+                    (req.arrival_us, self._next_seq(), req, (req.key,), None)
+                )
+            self._kick(shard)
         else:  # multiget: scatter keys by shard, gather on completion
             by_shard: dict[int, list[bytes]] = {}
             for key in req.keys:
-                by_shard.setdefault(policy.owner(key), []).append(key)
+                by_shard.setdefault(owner(key), []).append(key)
             fanout = _Fanout(
                 remaining=len(by_shard),
                 arrival_us=req.arrival_us,
@@ -517,17 +497,17 @@ class ShardedService:
                         fanout,
                     )
                 )
-                self._kick(shard, heap)
+                self._kick(shard)
 
-    def _kick(self, shard: _Shard, heap: list) -> None:
+    def _kick(self, shard: _Shard) -> None:
         """Start serving if the shard is idle (a fenced shard only has
         reads to offer — see :attr:`_Shard.fenced`)."""
         if not shard.busy and (
             shard.read_q or (shard.write_q and not shard.fenced)
         ):
-            self._serve(shard, heap)
+            self._serve(shard)
 
-    def _serve(self, shard: _Shard, heap: list) -> None:
+    def _serve(self, shard: _Shard) -> None:
         """Serve one unit of work (a write group or one read) and
         schedule the shard's completion event."""
         shard.busy = True
@@ -546,32 +526,29 @@ class ShardedService:
             )
         )
         if serve_write:
-            completed = self._serve_writes(shard, heap)
+            completed = self._serve_writes(shard)
         else:
             self._serve_read(shard)
             completed = True
         if completed:
-            heapq.heappush(
-                heap,
-                (shard.env.clock.now_us, self._next_seq(), _FREE, shard.index, None),
-            )
+            self._schedule(shard.env.clock.now_us, _FREE, shard.index, None)
 
-    def _serve_writes(self, shard: _Shard, heap: list) -> bool:
+    def _serve_writes(self, shard: _Shard) -> bool:
         """Serve one write group; returns True when the group completed
         synchronously (push the shard's FREE event), False when it is
         waiting on a replication quorum or fell into failover."""
         group_start_us = shard.env.clock.now_us
         n = min(len(shard.write_q), self._max_group)
         members = [shard.write_q.popleft() for _ in range(n)]
-        policy = self._policy
         # Serve-time route check: the policy is the single source of
         # truth, and a queue entry it no longer maps here is a bug (a
-        # reshard or demotion failed to migrate it), not a wrong-shard
-        # write waiting to happen.
+        # reshard failed to migrate it), not a wrong-shard write waiting
+        # to happen.
+        owner_of = self._policy.owner
         for _, _, req in members:
-            targets = policy.write_targets(req.key)
-            if shard.index != targets[0]:
-                raise MisroutedRequestError(req.key, shard.index, targets)
+            owner = owner_of(req.key)
+            if owner != shard.index:
+                raise MisroutedRequestError(req.key, shard.index, owner)
         group = shard.group
         entries = [(req.key, req.value) for _, _, req in members]
         try:
@@ -593,7 +570,7 @@ class ShardedService:
             return False
         if group is None:
             self._finish_write_group(
-                shard, members, n, group_start_us, shard.env.clock.now_us
+                shard, members, group_start_us, shard.env.clock.now_us
             )
             return True
         # The service ack — and with it the audit/journal bookkeeping —
@@ -619,15 +596,13 @@ class ShardedService:
             # Leader-only quorum: the group commits on the leader's WAL
             # sync; followers were still shipped to (async replication).
             self._finish_write_group(
-                shard, members, n, group_start_us, leader_finish_us
+                shard, members, group_start_us, leader_finish_us
             )
             return True
         pending = PendingCommit(
             members=members,
             group_start_us=group_start_us,
-            leader_finish_us=leader_finish_us,
             acks_needed=needed,
-            size=n,
         )
         shard.pending = pending
         # Any quorum-1 acks satisfy the write, so only the fastest
@@ -635,29 +610,25 @@ class ShardedService:
         chosen = sorted(a for _, a in acks if a is not None)[:needed]
         pending.resolve_us = chosen[-1]
         for ack_us in chosen:
-            heapq.heappush(
-                heap, (ack_us, self._next_seq(), _REPL, shard.index, pending)
-            )
+            self._schedule(ack_us, _REPL, shard.index, pending)
         return False
 
     def _finish_write_group(
         self,
         shard: _Shard,
         members: list,
-        n: int,
         group_start_us: float,
         finish_us: float,
     ) -> None:
         """The service-ack point of a write group: only here do writes
-        reach the migration journal, the write audit, and the hot-key
-        read copies. A group that never commits (leader crashed before
-        quorum; its members were requeued) must never get here — an
-        unacked write in the journal would materialize on a reshard
-        recipient, which the audit oracle reports as a misroute."""
-        policy = self._policy
+        reach the migration journal and the write audit. A group that
+        never commits (leader crashed before quorum; its members were
+        requeued) must never get here — an unacked write in the journal
+        would materialize on a reshard recipient, which the audit
+        oracle reports as a misroute."""
         mig = self._migration
         audit = self.write_audit
-        for _, _, req in members:
+        for arrival_us, _, req in members:
             # Migration journal: a write applied to the moving range
             # while the drain is in flight must be replayed into the
             # recipient at the swap, or it is lost.
@@ -665,32 +636,13 @@ class ShardedService:
                 mig.journal.append((req.key, req.value))
             if audit is not None:
                 audit[req.key] = req.value
-            # Hot-key write-through: every read copy gets the new value
-            # so fanned-out reads never serve stale data.
-            targets = policy.write_targets(req.key)
-            for copy_id in targets[1:]:
-                self._apply_group(
-                    self._shards[copy_id],
-                    [(req.key, req.value)],
-                    self._clock.now_us,
-                    use_batch=False,
-                )
-        for arrival_us, _, req in members:
             latency = finish_us - arrival_us
-            self._write_hist.add(latency)
-            shard.write_hist.add(latency)
-            self._client_hist[req.client].add(latency)
-            if self._overload is not None:
-                self._overload.record_latency(shard.index, latency)
-        shard.writes += n
-        shard.requests += n
-        self._writes_done += n
-        self._ops_done += n
-        if n > 1 and self.tracer is not None:
+            self._record(shard, True, 1, latency, req.client, latency)
+        if len(members) > 1 and self.tracer is not None:
             self.tracer.emit(
                 GroupCommit(
                     shard=shard.index,
-                    size=n,
+                    size=len(members),
                     leader_client=members[0][2].client,
                     latency_us=finish_us - group_start_us,
                 )
@@ -701,11 +653,9 @@ class ShardedService:
         shard: _Shard,
         entries: list,
         now_us: float,
-        *,
-        use_batch: bool = True,
     ) -> None:
         """Apply already-acked internal writes (drain installs, journal
-        replay, hot-key copies) to every live replica of ``shard``.
+        replay) to every live replica of ``shard``.
 
         On a bare shard this is exactly the old single-DB install; on a
         replica group each live member applies and force-syncs so the
@@ -720,12 +670,12 @@ class ShardedService:
         group = shard.group
         if group is None:
             shard.env.clock.advance_to(now_us)
-            self._install(shard.db, entries, use_batch)
+            self._install(shard.db, entries)
             return
         for rep in group.live_replicas():
             rep.env.clock.advance_to(now_us)
             try:
-                self._install(rep.db, entries, use_batch)
+                self._install(rep.db, entries)
                 rep.db.sync_wal()
             except SimulatedCrash:
                 if rep.replica_id == group.leader_id:
@@ -738,86 +688,82 @@ class ShardedService:
                 rep.acked_seq = rep.db.last_sequence
 
     @staticmethod
-    def _install(db: DB, entries: list, use_batch: bool) -> None:
-        if use_batch:
-            for base in range(0, len(entries), _MIGRATE_BATCH):
-                batch = WriteBatch()
-                for key, value in entries[base:base + _MIGRATE_BATCH]:
-                    batch.put(key, value)
-                db.write(batch)
-        else:
-            for key, value in entries:
-                db.put(key, value)
+    def _install(db: DB, entries: list) -> None:
+        for base in range(0, len(entries), _MIGRATE_BATCH):
+            batch = WriteBatch()
+            for key, value in entries[base:base + _MIGRATE_BATCH]:
+                batch.put(key, value)
+            db.write(batch)
 
     def _serve_read(self, shard: _Shard) -> None:
         arrival_us, _, req, keys, fanout = shard.read_q.popleft()
-        policy = self._policy
-        if (
-            shard.group is not None
-            and fanout is None
-            and len(keys) == 1
-            and bool(self.options.follower_reads)
-        ):
+        # Serve-time route check, as for writes (see _serve_writes).
+        owner_of = self._policy.owner
+        for key in keys:
+            owner = owner_of(key)
+            if owner != shard.index:
+                raise MisroutedRequestError(key, shard.index, owner)
+        if fanout is not None:
+            shard.db.multi_get(list(keys))
+            finish_us = shard.env.clock.now_us
+            fanout.remaining -= 1
+            fanout.finish_us = max(fanout.finish_us, finish_us)
+            # The client sees the multi-get complete with its last part.
+            self._record(
+                shard, False, len(keys), finish_us - arrival_us, fanout.client,
+                fanout.finish_us - fanout.arrival_us
+                if fanout.remaining == 0 else None,
+            )
+            return
+        rep = None
+        if shard.group is not None and bool(self.options.follower_reads):
+            rep = shard.group.follower_for_read(shard.db.last_sequence)
+        if rep is not None:
             # Bounded-staleness follower read: a live follower within
             # the lag bound serves the GET on its own clock (one hop
             # out, one hop back) and the leader is freed immediately —
             # its clock never advances, so the FREE event fires "now".
-            rep = shard.group.follower_for_read(shard.db.last_sequence)
-            if rep is not None:
-                targets = policy.read_targets(keys[0])
-                if shard.index not in targets:
-                    raise MisroutedRequestError(keys[0], shard.index, targets)
-                rep.env.clock.advance_to(
-                    self._clock.now_us + REPLICATION_HOP_US
-                )
-                rep.db.get(keys[0])
-                rep.reads_served += 1
-                finish_us = rep.env.clock.now_us + REPLICATION_HOP_US
-                latency = finish_us - arrival_us
-                shard.read_hist.add(latency)
-                shard.reads += 1
-                shard.requests += 1
-                self._reads_done += 1
-                self._ops_done += 1
-                self._read_hist.add(latency)
-                self._client_hist[req.client].add(latency)
-                if self._overload is not None:
-                    self._overload.record_latency(shard.index, latency)
-                return
-        if fanout is None and len(keys) == 1:
-            targets = policy.read_targets(keys[0])
-            if shard.index not in targets:
-                raise MisroutedRequestError(keys[0], shard.index, targets)
+            rep.env.clock.advance_to(self._clock.now_us + REPLICATION_HOP_US)
+            rep.db.get(keys[0])
+            rep.reads_served += 1
+            finish_us = rep.env.clock.now_us + REPLICATION_HOP_US
+        else:
             shard.db.get(keys[0])
+            finish_us = shard.env.clock.now_us
+        latency = finish_us - arrival_us
+        self._record(shard, False, 1, latency, req.client, latency)
+
+    def _record(
+        self,
+        shard: _Shard,
+        write: bool,
+        ops: int,
+        latency_us: float,
+        client: int,
+        client_latency_us: float | None,
+    ) -> None:
+        """The one epilogue of a served unit: the shard's histogram,
+        counters and overload window take ``latency_us``; the service
+        and per-client histograms take ``client_latency_us`` once the
+        client-visible request is complete (None: a fan-out with parts
+        still outstanding). :meth:`_collect` reads all of it back."""
+        if write:
+            shard.write_hist.add(latency_us)
+            shard.writes += ops
+            self._writes_done += ops
+            service_hist = self._write_hist
         else:
-            for key in keys:
-                owner = policy.owner(key)
-                if owner != shard.index:
-                    raise MisroutedRequestError(key, shard.index, (owner,))
-            shard.db.multi_get(list(keys))
-        finish_us = shard.env.clock.now_us
-        shard.read_hist.add(finish_us - arrival_us)
-        shard.reads += len(keys)
+            shard.read_hist.add(latency_us)
+            shard.reads += ops
+            self._reads_done += ops
+            service_hist = self._read_hist
         shard.requests += 1
-        self._reads_done += len(keys)
-        self._ops_done += len(keys)
-        if fanout is None:
-            latency = finish_us - arrival_us
-            self._read_hist.add(latency)
-            self._client_hist[req.client].add(latency)
-            if self._overload is not None:
-                self._overload.record_latency(shard.index, latency)
-        else:
-            fanout.remaining -= 1
-            fanout.finish_us = max(fanout.finish_us, finish_us)
-            if fanout.remaining == 0:
-                latency = fanout.finish_us - fanout.arrival_us
-                self._read_hist.add(latency)
-                self._client_hist[fanout.client].add(latency)
-            if self._overload is not None:
-                self._overload.record_latency(
-                    shard.index, finish_us - arrival_us
-                )
+        self._ops_done += ops
+        if self._overload is not None:
+            self._overload.record_latency(shard.index, latency_us)
+        if client_latency_us is not None:
+            service_hist.add(client_latency_us)
+            self._client_hist[client].add(client_latency_us)
 
     # -- run ---------------------------------------------------------------
 
@@ -826,7 +772,9 @@ class ShardedService:
         spec = self.spec
         if self.tracer is not None:
             self.tracer.bind_clock(lambda: self._clock.now_us)
-        shards = self._open_shards()
+        shards = self._shards = [
+            self._open_shard(i) for i in range(self.num_shards)
+        ]
         clients = build_clients(
             spec, self.num_clients, 1e6 / self.client_ops_per_sec
         )
@@ -836,28 +784,22 @@ class ShardedService:
         self._ops_done = 0
         self._total_ops = sum(c.num_requests for c in clients)
         self._aborted = False
-        self._shards = shards
         try:
-            self._preload(shards)
+            self._preload()
             # Align every clock to one post-preload base so arrival
             # stamps, shard clocks, and the trace share a timeline.
             # (Replica clocks too: a shard's env aliases its leader's,
-            # so the group loop covers leaders and followers alike.)
-            base_us = max(
-                rep.env.clock.now_us
+            # so a group's replicas cover leader and followers alike;
+            # a bare shard stands in as its own only member.)
+            members = [
+                rep
                 for s in shards
-                for rep in (
-                    s.group.replicas if s.group is not None else (s,)
-                )
-            )
-            for shard in shards:
-                if shard.group is not None:
-                    for rep in shard.group.replicas:
-                        rep.env.clock.advance_to(base_us)
-                        rep.stats.reset()
-                else:
-                    shard.env.clock.advance_to(base_us)
-                    shard.stats.reset()
+                for rep in (s.group.replicas if s.group is not None else (s,))
+            ]
+            base_us = max(rep.env.clock.now_us for rep in members)
+            for rep in members:
+                rep.env.clock.advance_to(base_us)
+                rep.stats.reset()
             self._clock.advance_to(base_us)
             if self.on_serving_start is not None:
                 self.on_serving_start(self)
@@ -871,9 +813,9 @@ class ShardedService:
                         group_commit=self._max_group > 1,
                     )
                 )
-            self._drive(shards, clients, base_us)
+            self._drive(clients, base_us)
             duration_s = (self._clock.now_us - base_us) / 1e6
-            result = self._collect(shards, clients, duration_s)
+            result = self._collect(clients, duration_s)
             result.wall_clock_s = time.perf_counter() - wall_start
             if self.on_complete is not None:
                 self.on_complete(self)
@@ -890,41 +832,33 @@ class ShardedService:
                 self._bg_executor.close()
                 self._bg_executor = None
 
-    def _drive(
-        self, shards: list[_Shard], clients: list[SimClient], base_us: float
-    ) -> None:
+    def _drive(self, clients: list[SimClient], base_us: float) -> None:
         """The event loop: interleave arrivals and shard completions."""
-        heap: list = []
-        self._heap = heap
+        heap = self._heap = []
+        shards = self._shards
         streams = [c.requests(start_us=base_us) for c in clients]
         for client_id, stream in enumerate(streams):
             req = next(stream, None)
             if req is not None:
-                heapq.heappush(
-                    heap,
-                    (req.arrival_us, self._next_seq(), _ARRIVAL, client_id, req),
-                )
+                self._schedule(req.arrival_us, _ARRIVAL, client_id, req)
         next_progress = self.PROGRESS_EVERY
         watch = self.tracer is not None or self.on_progress is not None
         while heap:
             t_us, _, kind, who, payload = heapq.heappop(heap)
             self._clock.advance_to(t_us)
             if kind == _ARRIVAL:
-                self._enqueue(shards, payload, heap)
+                self._enqueue(payload)
                 nxt = next(streams[who], None)
                 if nxt is not None:
-                    heapq.heappush(
-                        heap,
-                        (nxt.arrival_us, self._next_seq(), _ARRIVAL, who, nxt),
-                    )
+                    self._schedule(nxt.arrival_us, _ARRIVAL, who, nxt)
             elif kind == _FREE:
                 shard = shards[who]
                 if not shard.failing_over:
                     shard.busy = False
-                    self._kick(shard, heap)
-                # else: a leader crash (e.g. via a write-through into
-                # this shard) raced the FREE event; the lease event now
-                # owns the shard until promotion.
+                    self._kick(shard)
+                # else: a leader crash (e.g. a drain install or an
+                # options fan-out into this shard) raced the FREE event;
+                # the lease event now owns the shard until promotion.
             elif kind == _REPL:
                 pending: PendingCommit = payload
                 if not (pending.cancelled or pending.done):
@@ -936,14 +870,13 @@ class ShardedService:
                         self._finish_write_group(
                             shard,
                             pending.members,
-                            pending.size,
                             pending.group_start_us,
                             t_us,
                         )
                         shard.busy = False
-                        self._kick(shard, heap)
+                        self._kick(shard)
             elif kind == _FAILOVER:
-                self._finish_failover(shards[who], payload, heap)
+                self._finish_failover(shards[who], payload)
             else:  # _RESHARD: the drain finished; swap the ring
                 self._finish_reshard(payload)
             # Progress sampling between events: the same contract as
@@ -953,8 +886,6 @@ class ShardedService:
                 next_progress = (
                     self._ops_done // self.PROGRESS_EVERY + 1
                 ) * self.PROGRESS_EVERY
-                if self._policy.needs_window:
-                    self._roll_hot_window()
                 if self._overload is not None:
                     self._evaluate_overload()
                 if watch:
@@ -987,32 +918,7 @@ class ShardedService:
             cache_hit_rate=hits / blocks if blocks else 0.0,
         )
 
-    # -- hot keys / overload (progress cadence) ----------------------------
-
-    def _roll_hot_window(self) -> None:
-        """Close the hot-key window: install read copies for promoted
-        keys, and rescue reads queued on shards a demotion just removed
-        from the key's target set."""
-        promoted, demoted = self._policy.roll_window()
-        if not promoted and not demoted:
-            return
-        now = self._clock.now_us
-        for key in promoted:
-            owner = self._shards[self._policy.owner(key)]
-            if owner.failing_over:
-                continue  # its db is the dead leader; next window retries
-            owner.env.clock.advance_to(now)
-            value = owner.db.get(key)
-            if value is None:
-                continue  # hot but never written; copies stay empty too
-            for copy_id in self._policy.copies_of(key):
-                if copy_id == owner.index:
-                    continue
-                self._apply_group(
-                    self._shards[copy_id], [(key, value)], now, use_batch=False
-                )
-        if demoted:
-            self._revalidate_queues(list(self._policy.shard_ids()))
+    # -- overload (progress cadence) ---------------------------------------
 
     def _evaluate_overload(self) -> None:
         """Re-check every active shard; trace state transitions."""
@@ -1072,10 +978,10 @@ class ShardedService:
         the inverse diff is applied to every shard already updated, so
         the fleet never diverges (and no event is emitted).
 
-        Under a resharding policy (``ring``/``hotkey``), a
-        ``shard_count`` change is intercepted and applied as live shard
-        splits/merges instead of a per-shard engine diff; the topology
-        converges over virtual time while the service keeps serving.
+        Under a resharding policy (``ring``), a ``shard_count`` change
+        is intercepted and applied as live shard splits/merges instead
+        of a per-shard engine diff; the topology converges over virtual
+        time while the service keeps serving.
         Under ``modulo`` it stays immutable and raises, before any
         shard is touched. Each shard's clock is aligned to the global
         timeline first, and no shard is reopened.
@@ -1282,8 +1188,8 @@ class ShardedService:
         donor.env.clock.advance_to(now)
         # Drain via the cursor API at a pinned snapshot: only keys whose
         # arc moves ship; values the donor holds but no longer owns
-        # (garbage from an earlier reshard, stale hot-key copies) are
-        # skipped — installing them would overwrite fresher data.
+        # (garbage from an earlier reshard) are skipped — installing
+        # them would overwrite fresher data.
         moving: dict[int, list[tuple[bytes, bytes]]] = {}
         keys_drained = 0
         with donor.db.snapshot() as snap:
@@ -1309,11 +1215,7 @@ class ShardedService:
             donor.env.clock.now_us,
             *(shards[t].env.clock.now_us for t in sorted(moving) or [plan.donor]),
         )
-        assert self._heap is not None
-        heapq.heappush(
-            self._heap,
-            (done_us, self._next_seq(), _RESHARD, plan.donor, migration),
-        )
+        self._schedule(done_us, _RESHARD, plan.donor, migration)
         if self.tracer is not None:
             after = len(self._policy.shard_ids()) + (
                 1 if plan.kind == "split" else -1
@@ -1350,16 +1252,8 @@ class ShardedService:
         pending = donor.pending
         if pending is not None and not (pending.done or pending.cancelled):
             donor.fenced = True
-            assert self._heap is not None
-            heapq.heappush(
-                self._heap,
-                (
-                    max(now, pending.resolve_us),
-                    self._next_seq(),
-                    _RESHARD,
-                    plan.donor,
-                    migration,
-                ),
+            self._schedule(
+                max(now, pending.resolve_us), _RESHARD, plan.donor, migration
             )
             return
         donor.fenced = False
@@ -1378,8 +1272,7 @@ class ShardedService:
         migrated = self._revalidate_queues([plan.donor])
         # Writes the fence held back (revalidation only kicks shards
         # that *received* entries) can go again.
-        assert self._heap is not None
-        self._kick(donor, self._heap)
+        self._kick(donor)
         self._reshards.append((plan.kind, plan.donor, plan.recipient))
         if self.tracer is not None:
             self.tracer.emit(
@@ -1409,7 +1302,6 @@ class ShardedService:
         moved_writes: dict[int, list] = {}
         moved_reads: dict[int, list] = {}
         moved = 0
-        assert self._heap is not None
         for shard_id in shard_ids:
             shard = shards[shard_id]
             if shard.write_q:
@@ -1426,43 +1318,36 @@ class ShardedService:
                 keep = deque()
                 for entry in shard.read_q:
                     arrival_us, seq, req, keys, fanout = entry
-                    if fanout is None and len(keys) == 1:
-                        if shard_id in policy.read_targets(keys[0]):
-                            keep.append(entry)
+                    by_owner: dict[int, list[bytes]] = {}
+                    for key in keys:
+                        by_owner.setdefault(policy.owner(key), []).append(key)
+                    if set(by_owner) == {shard_id}:
+                        keep.append(entry)
+                        continue
+                    # The sub-read splits: this shard keeps its
+                    # still-owned keys (same seq); each other owner
+                    # gets a fresh entry, and the fan-out gains one
+                    # outstanding completion per extra part. (A point
+                    # GET has one key: it moves whole, stamp included.)
+                    if fanout is not None:
+                        fanout.remaining += len(by_owner) - 1
+                    for owner in sorted(by_owner):
+                        part_keys = tuple(by_owner[owner])
+                        if owner == shard_id:
+                            keep.append(
+                                (arrival_us, seq, req, part_keys, fanout)
+                            )
                         else:
-                            dest = policy.read_shard(keys[0], self._depth)
-                            moved_reads.setdefault(dest, []).append(entry)
+                            moved_reads.setdefault(owner, []).append(
+                                (
+                                    arrival_us,
+                                    seq if fanout is None else self._next_seq(),
+                                    req,
+                                    part_keys,
+                                    fanout,
+                                )
+                            )
                             moved += 1
-                    else:
-                        by_owner: dict[int, list[bytes]] = {}
-                        for key in keys:
-                            by_owner.setdefault(policy.owner(key), []).append(key)
-                        if set(by_owner) == {shard_id}:
-                            keep.append(entry)
-                            continue
-                        # The sub-read splits: this shard keeps its
-                        # still-owned keys (same seq); each other owner
-                        # gets a fresh entry, and the fan-out gains one
-                        # outstanding completion per extra part.
-                        if fanout is not None:
-                            fanout.remaining += len(by_owner) - 1
-                        for owner in sorted(by_owner):
-                            part_keys = tuple(by_owner[owner])
-                            if owner == shard_id:
-                                keep.append(
-                                    (arrival_us, seq, req, part_keys, fanout)
-                                )
-                            else:
-                                moved_reads.setdefault(owner, []).append(
-                                    (
-                                        arrival_us,
-                                        self._next_seq(),
-                                        req,
-                                        part_keys,
-                                        fanout,
-                                    )
-                                )
-                                moved += 1
                 shard.read_q = keep
         for dest, entries in sorted(moved_writes.items()):
             shard = shards[dest]
@@ -1475,7 +1360,7 @@ class ShardedService:
                 sorted(list(shard.read_q) + entries, key=lambda e: e[:2])
             )
         for dest in sorted(set(moved_writes) | set(moved_reads)):
-            self._kick(shards[dest], self._heap)
+            self._kick(shards[dest])
         return moved
 
     # -- failover ----------------------------------------------------------
@@ -1520,21 +1405,14 @@ class ShardedService:
                     requeued=len(members),
                 )
             )
-        assert self._heap is not None
-        heapq.heappush(
-            self._heap,
-            (
-                self._clock.now_us + lease_us,
-                self._next_seq(),
-                _FAILOVER,
-                shard.index,
-                (self._clock.now_us, crashed.replica_id),
-            ),
+        self._schedule(
+            self._clock.now_us + lease_us,
+            _FAILOVER,
+            shard.index,
+            (self._clock.now_us, crashed.replica_id),
         )
 
-    def _finish_failover(
-        self, shard: _Shard, info: tuple, heap: list
-    ) -> None:
+    def _finish_failover(self, shard: _Shard, info: tuple) -> None:
         """The lease expired: promote the freshest durable follower,
         repoint the shard at it, and drain the queued backlog."""
         begin_us, crashed_id = info
@@ -1576,7 +1454,7 @@ class ShardedService:
         # the requeued members carry; re-validate before serving so the
         # serve-time route check never trips on them.
         self._revalidate_queues([shard.index])
-        self._kick(shard, heap)
+        self._kick(shard)
         # A topology step deferred by this failover can go again.
         if self._topology_target is not None:
             self._advance_topology()
@@ -1627,30 +1505,22 @@ class ShardedService:
     # -- results -----------------------------------------------------------
 
     def _collect(
-        self,
-        shards: list[_Shard],
-        clients: list[SimClient],
-        duration_s: float,
+        self, clients: list[SimClient], duration_s: float
     ) -> ServiceResult:
+        shards = self._shards
         tickers: dict[str, int] = {}
         for shard in shards:
             for name, value in shard.stats.as_dict().items():
                 tickers[name] = tickers.get(name, 0) + value
-
-        def total(ticker: Ticker) -> int:
-            return tickers.get(ticker.value, 0)
-
-        cache_total = total(Ticker.BLOCK_CACHE_HIT) + total(Ticker.BLOCK_CACHE_MISS)
-        bloom_checked = total(Ticker.BLOOM_CHECKED)
-        writes_done = sum(s.writes for s in shards)
         reads_done = self._reads_done
+        writes_done = self._writes_done
         groups = sum(s.groups for s in shards)
         grouped_writes = sum(s.grouped_writes for s in shards)
-        wal_syncs = total(Ticker.WAL_SYNCS)
-        level_shape = "\n".join(
-            f"shard {s.index}: {s.db.describe()}" for s in shards
-        )
-        aggregate = BenchResult(
+        wal_syncs = tickers[Ticker.WAL_SYNCS.value]
+        aggregate = BenchResult.from_tickers(
+            tickers,
+            self._write_hist,
+            self._read_hist,
             spec=self.spec,
             profile=self.profile,
             options=self.options.copy(),
@@ -1659,29 +1529,10 @@ class ShardedService:
             writes_done=writes_done,
             duration_s=duration_s,
             aborted=self._aborted,
-            write_summary=(
-                self._write_hist.summary() if self._write_hist.count else None
+            level_shape="\n".join(
+                f"shard {s.index}: {s.db.describe()}" for s in shards
             ),
-            read_summary=(
-                self._read_hist.summary() if self._read_hist.count else None
-            ),
-            stall_micros=total(Ticker.STALL_MICROS)
-            + total(Ticker.DELAYED_WRITE_MICROS),
-            stall_count=total(Ticker.STALL_COUNT),
-            slowdown_count=total(Ticker.SLOWDOWN_COUNT),
-            cache_hit_rate=(
-                total(Ticker.BLOCK_CACHE_HIT) / cache_total if cache_total else 0.0
-            ),
-            bloom_useful_rate=(
-                total(Ticker.BLOOM_USEFUL) / bloom_checked if bloom_checked else 0.0
-            ),
-            flush_count=total(Ticker.FLUSH_COUNT),
-            compaction_count=total(Ticker.COMPACTION_COUNT),
-            bytes_written=total(Ticker.BYTES_WRITTEN),
-            bytes_read=total(Ticker.BYTES_READ),
-            level_shape=level_shape,
             db_size_bytes=sum(s.db.approximate_size() for s in shards),
-            tickers=tickers,
         )
         shard_stats = []
         for s in shards:

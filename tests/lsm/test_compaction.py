@@ -1,8 +1,10 @@
 """Tests for compaction picking and execution."""
 
+import random
+
 import pytest
 
-from repro.lsm import ikey
+from repro.lsm import DB, ikey
 from repro.lsm.compaction.fifo import FifoPicker
 from repro.lsm.compaction.leveled import run_compaction
 from repro.lsm.compaction.picker import Compaction, CompactionPicker
@@ -11,6 +13,7 @@ from repro.lsm.env import MemFileSystem
 from repro.lsm.memtable import ValueKind
 from repro.lsm.options import MiB, Options
 from repro.lsm.sstable import FileMetaData, SSTableBuilder, SSTableReader
+from repro.lsm.statistics import Ticker
 from repro.lsm.version import Version
 
 
@@ -234,3 +237,53 @@ class TestFifoPicker:
         version = Version(num_levels=3)
         version.add_file(0, simple_table(fs, 1, [b"a"]))
         assert FifoPicker(Options()).pick_drop(version) is None
+
+
+#: Buffers, files and L1 so small that an output table fills in the
+#: middle of one user key's versions once a snapshot pins them.
+TINY_GEOMETRY = {
+    "write_buffer_size": 4096,
+    "target_file_size_base": 8192,
+    "max_bytes_for_level_base": 32768,
+}
+
+
+@pytest.mark.parametrize("style", ["level", "universal", "fifo"])
+def test_snapshot_held_across_compactions(style):
+    """Regression (pre-fix, ``level``: ``DBError: overlap installing
+    file 133 at L1`` from inside a foreground put). A held snapshot
+    keeps several versions of a hot key alive, and a leveled output cut
+    between two of them made two L1 files share a bound. Universal
+    merges write only L0 and FIFO only drops, so neither ever splits —
+    run, not assumed."""
+    db = DB.open(
+        f"/tiny-{style}", Options({**TINY_GEOMETRY, "compaction_style": style})
+    )
+    rng = random.Random(1)
+    keys = [b"k%05d" % i for i in range(300)]
+    pinned: dict[bytes, bytes] = {}
+    model: dict[bytes, bytes] = {}
+    snap = None
+    for op in range(3000):
+        key = rng.choice(keys)
+        model[key] = b"%0100d" % op
+        db.put(key, model[key])
+        if op == 1000:
+            snap = db.snapshot()
+            pinned = dict(model)
+    db.flush()
+    stats = db.statistics
+    assert stats.ticker(Ticker.COMPACTION_COUNT) > 0
+    if style == "level":
+        assert db.version.num_files(1) >= 2  # outputs were split
+    else:
+        assert not any(db.version.num_files(level) for level in range(1, 7))
+    if style == "fifo":
+        assert stats.ticker(Ticker.COMPACTION_BYTES_WRITTEN) == 0
+    else:  # FIFO drops whole files, pinned versions included
+        assert {k: db.get(k, snapshot=snap) for k in pinned} == pinned
+        assert {k: db.get(k) for k in keys} == model
+    gets = {k: db.get(k) for k in keys}
+    assert db.scan() == sorted((k, v) for k, v in gets.items() if v is not None)
+    snap.release()
+    db.close()

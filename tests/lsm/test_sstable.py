@@ -349,10 +349,10 @@ class TestPackedPath:
         packed_builder = SSTableBuilder(fs, "/db/b.sst", block_size=256,
                                         bloom_bits_per_key=10.0)
         packed_builder.add_packed(*self._pack(entries[0]))
-        exhausted = packed_builder.add_many_packed(
+        carry = packed_builder.add_many_packed(
             self._pack(e) for e in entries[1:]
         )
-        assert exhausted
+        assert carry is None
         packed_builder.finish()
         assert fs.read_all("/db/a.sst") == fs.read_all("/db/b.sst")
         # ...and identical to what commit ce208f7 wrote for the same
@@ -363,21 +363,54 @@ class TestPackedPath:
         )
 
     def test_add_many_packed_split_size_matches_add_many(self):
+        """The split lands where the per-entry API's ``current_size``
+        first reaches it, and the entry after the cut is handed back."""
         fs = MemFileSystem()
         entries = self._entries(400, deletes=False)
-        via_add_many = SSTableBuilder(fs, "/db/c.sst", block_size=256)
+        via_add = SSTableBuilder(fs, "/db/c.sst", block_size=256)
         it = iter(entries)
-        first = next(it)
-        via_add_many.add(*first)
-        assert not via_add_many.add_many(it, split_size=2048)
-        via_add_many.finish()
+        while via_add.current_size < 2048:
+            via_add.add(*next(it))
+        via_add.finish()
 
         via_packed = SSTableBuilder(fs, "/db/d.sst", block_size=256)
         pit = (self._pack(e) for e in entries)
         via_packed.add_packed(*next(pit))
-        assert not via_packed.add_many_packed(pit, split_size=2048)
+        carry = via_packed.add_many_packed(pit, split_size=2048)
         via_packed.finish()
+        assert carry == self._pack(next(it))
         assert fs.read_all("/db/c.sst") == fs.read_all("/db/d.sst")
+
+    def test_add_many_is_the_packed_loop(self):
+        fs = MemFileSystem()
+        entries = self._entries(300)
+        via_add = SSTableBuilder(fs, "/db/e.sst", block_size=256)
+        for entry in entries:
+            via_add.add(*entry)
+        via_add.finish()
+        via_many = SSTableBuilder(fs, "/db/f.sst", block_size=256)
+        via_many.add_many(iter(entries))
+        via_many.finish()
+        assert fs.read_all("/db/e.sst") == fs.read_all("/db/f.sst")
+
+    def test_split_never_falls_between_versions_of_one_user_key(self):
+        """Table bounds are user keys: two L1+ files sharing one would
+        overlap, so a full table keeps taking entries until the user
+        key changes (a live snapshot is what keeps several versions)."""
+        fs = MemFileSystem()
+        # 40 versions of each of 5 keys, newest first within a key.
+        entries = [
+            (ikey.encode(b"key-%02d" % k, 1000 - v), b"\x01" + bytes(40))
+            for k in range(5) for v in range(40)
+        ]
+        builder = SSTableBuilder(fs, "/db/g.sst", block_size=256)
+        pit = iter(entries)
+        builder.add_packed(*next(pit))
+        carry = builder.add_many_packed(pit, split_size=512)
+        meta = builder.finish()
+        assert meta.num_entries == 40  # 512 bytes is ~8 entries
+        assert (meta.smallest_key, meta.largest_key) == (b"key-00", b"key-00")
+        assert carry == entries[40]
 
     @staticmethod
     def _pack(entry):

@@ -189,9 +189,9 @@ class TestShedIsolationRegression:
         detector = service._overload
         orig_enqueue = service._enqueue
 
-        def record_sheds(shards, req, heap):
+        def record_sheds(req):
             before = detector.total_sheds()
-            orig_enqueue(shards, req, heap)
+            orig_enqueue(req)
             if detector.total_sheds() > before and req.value is not None:
                 shed.append(
                     (req.key, req.value, service._migration is not None)

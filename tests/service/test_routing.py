@@ -17,9 +17,7 @@ from repro.errors import MisroutedRequestError, RoutingError
 from repro.lsm.options import Options
 from repro.service.routing import (
     HashRingPolicy,
-    HotKeyPolicy,
     ModuloPolicy,
-    TopKSketch,
     fnv1a_64,
     make_policy,
     ring_hash,
@@ -180,81 +178,6 @@ class TestFactory:
         )
         assert isinstance(ring, HashRingPolicy)
         assert ring.shard_ids() == (0, 1, 2)
-        hot = make_policy(
-            Options({"routing_policy": "hotkey", "hot_key_threshold": 5})
-        )
-        assert isinstance(hot, HotKeyPolicy)
-        assert hot.threshold == 5
-
-
-class TestTopKSketch:
-    def test_heavy_hitters_surface(self):
-        sketch = TopKSketch(capacity=4)
-        for _ in range(10):
-            sketch.observe(b"hot")
-        sketch.observe(b"cold")
-        assert sketch.heavy(5) == (b"hot",)
-
-    def test_eviction_is_deterministic(self):
-        def fill():
-            s = TopKSketch(capacity=2)
-            for k in (b"a", b"b", b"c", b"c", b"d"):
-                s.observe(k)
-            return dict(s._counts)
-
-        assert fill() == fill()
-
-
-class TestHotKeyPolicy:
-    def _hot(self):
-        ring = HashRingPolicy([0, 1], virtual_nodes=8)
-        return HotKeyPolicy(ring, threshold=3)
-
-    def test_promotion_and_demotion(self):
-        policy = self._hot()
-        key = KEYS[0]
-        for _ in range(3):
-            policy.observe(key)
-        promoted, demoted = policy.roll_window()
-        assert promoted == (key,) and demoted == ()
-        assert set(policy.copies_of(key)) == {0, 1}
-        # Quiet window: the key cools off and is forgotten.
-        promoted, demoted = policy.roll_window()
-        assert promoted == () and demoted == (key,)
-        assert policy.copies_of(key) == ()
-
-    def test_hot_reads_go_to_least_loaded_copy(self):
-        policy = self._hot()
-        key = KEYS[0]
-        for _ in range(3):
-            policy.observe(key)
-        policy.roll_window()
-        load = {0: 5, 1: 2}
-        assert policy.read_shard(key, lambda s: load[s]) == 1
-        load = {0: 2, 1: 2}  # tie: lower shard id wins
-        assert policy.read_shard(key, lambda s: load[s]) == 0
-        # Cold keys always read from the owner.
-        cold = KEYS[1]
-        assert policy.read_shard(cold, lambda s: 0) == policy.owner(cold)
-
-    def test_writes_fan_out_owner_first(self):
-        policy = self._hot()
-        key = KEYS[0]
-        for _ in range(3):
-            policy.observe(key)
-        policy.roll_window()
-        targets = policy.write_targets(key)
-        assert targets[0] == policy.owner(key)
-        assert set(targets) == {0, 1}
-
-    def test_retired_shard_leaves_copy_sets(self):
-        policy = self._hot()
-        key = KEYS[0]
-        for _ in range(3):
-            policy.observe(key)
-        policy.roll_window()
-        policy.on_shard_retired(1)
-        assert policy.copies_of(key) == (0,)
 
 
 class TestServiceParity:
@@ -314,4 +237,5 @@ class TestMisrouteDetection:
         with pytest.raises(MisroutedRequestError) as err:
             service.run()
         assert sabotaged
-        assert "routing policy maps it to" in str(err.value)
+        assert "routing policy maps it to shard" in str(err.value)
+        assert err.value.owner == 1 - err.value.shard

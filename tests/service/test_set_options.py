@@ -156,13 +156,26 @@ class TestServiceSetOptions:
             ["block_cache_size", 8 << 20, 4 << 20]
         ]
 
-    def test_partial_apply_rolls_back_already_updated_shards(self):
+    @pytest.mark.parametrize(
+        "replicas, failing_shard",
+        [(1, 0), (1, 1), (1, 2), (3, 1)],
+        ids=["shard0", "shard1", "shard2", "follower-of-shard1"],
+    )
+    def test_partial_apply_rolls_back_already_updated_shards(
+        self, replicas, failing_shard
+    ):
         """Regression: a failure on shard k used to leave shards 0..k-1
         on the new options and k..N-1 on the old (divergent fleet, no
-        event). The fan-out is now all-or-nothing."""
+        event). The fan-out is all-or-nothing at every index — and on a
+        replica group, where the failure (not a SimulatedCrash, which
+        would only degrade the group) hits a follower after the leader
+        and every earlier shard's replicas already applied."""
         sink = RingSink()
         service = ShardedService(
-            _spec(), Options({"shard_count": 3}), tracer=Tracer(sink)
+            _spec(),
+            Options({"shard_count": 3, "replicas_per_shard": replicas,
+                     "replication_quorum": min(2, replicas)}),
+            tracer=Tracer(sink),
         )
         ran = []
 
@@ -170,23 +183,30 @@ class TestServiceSetOptions:
             if ran:
                 return
             ran.append(event.ops_done)
-            # Inject a failing setter on the middle shard: shard 0
-            # applies, shard 1 blows up, shard 2 is never reached.
             boom = RuntimeError("injected mid-fan-out failure")
 
             def failing(items):
                 raise boom
 
-            svc._shards[1].db.set_options = failing
+            victim = svc._shards[failing_shard]
+            if replicas > 1:
+                victim = victim.group.followers()[0]
+            victim.db.set_options = failing
             with pytest.raises(RuntimeError) as err:
                 svc.set_options({"write_buffer_size": 8 << 20})
             assert err.value is boom
-            # Shard 0 was rolled back: the shared paper-unit bag and
-            # every live component binding show the old value.
-            for shard in svc._shards:
-                assert shard.db.options.write_buffer_size == 64 << 20
-            assert svc._shards[0].db._mem.capacity_bytes == 64 << 20
-            assert svc._shards[2].db._mem.capacity_bytes == 64 << 20
+            # Everything already updated was rolled back: the shared
+            # paper-unit bag and every live component binding show the
+            # old value.
+            dbs = [
+                rep.db
+                for shard in svc._shards
+                for rep in (shard.group.replicas if shard.group else [shard])
+            ]
+            assert len(dbs) == 3 * replicas
+            for db in dbs:
+                assert db.options.write_buffer_size == 64 << 20
+                assert db._mem.capacity_bytes == 64 << 20
 
         service.on_progress = hook
         service.run()
