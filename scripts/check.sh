@@ -12,8 +12,9 @@
 #    exact op mix the benchmark times.
 # 4. Trace schema round-trip, 5. crash sweep, 6. replica chaos sweep,
 # 7. the service layer's four pinned virtual-time claims
-#    (benchmarks/test_service_claims.py), 8. the determinism gate (five
-#    scenarios), 9. the console audit.
+#    (benchmarks/test_service_claims.py), 8. the determinism gate
+#    (scripts/check_determinism.py: six scenarios, each run twice and
+#    held to its pinned sha256), 9. the console audit.
 #
 # For host-time numbers (with spread, against a parent commit), use
 # python benchmarks/perf/bench.py and its --compare.
@@ -57,9 +58,9 @@ echo "== service claims: group commit, online tuning, live split, quorum =="
 python -m pytest -q benchmarks/test_service_claims.py
 
 echo
-echo "== determinism: bg (inline/thread), service, scan, online, reshard =="
+echo "== determinism: bg (inline/thread), service, scan, online, reshard, tune =="
 # Each scenario runs at least twice and is byte-compared (trace and
-# report); the printed sha256 digests pin the bytes across refactors.
+# report); its sha256 must equal the pin in the script's EXPECTED table.
 python scripts/check_determinism.py
 
 echo

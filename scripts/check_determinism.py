@@ -1,4 +1,4 @@
-"""Determinism gate: five seeded scenarios, run repeatedly, byte-compared.
+"""Determinism gate: six seeded scenarios, run repeatedly, byte-compared.
 
 Run by ``scripts/check.sh``; ``python scripts/check_determinism.py``
 runs every scenario, ``... check_determinism.py scan`` just that one.
@@ -9,10 +9,10 @@ one legitimately nondeterministic field) and a list of problems with
 the run itself. The skeleton runs the scenario once per variant and
 compares trace and report line by line against the first run. Any
 divergence means host state (dict order, salted hashes, real time,
-thread timing) leaked into the simulation. On success it prints the
-event count and the sha256 of the compared bytes (``trace + "\\n" +
-report``), so a refactor can be checked by comparing this output
-before and after.
+thread timing) leaked into the simulation. The sha256 of the compared
+bytes (``trace + "\\n" + report``) must then equal the scenario's pin in
+:data:`EXPECTED`: a change that moves virtual time fails here unless
+the same commit moves the pin, and says so in its ``CHANGES.md`` line.
 
 Scenarios:
 
@@ -36,6 +36,12 @@ Scenarios:
     Skewed ``hotspot`` over 2 ring-routed shards with a mid-run live
     split (2 -> 3). The split must happen, every operation must be
     served and the write-audit oracle must come back clean.
+``tune``
+    An offline :class:`~repro.core.tuner.ElmoTune` session at the
+    host-time benchmark's ``tune`` scale: ``mixgraph`` on the 2-core HDD
+    cell, baseline + 3 iterations, a fresh store per iteration and
+    table filters switched on by the expert's first diff — the path
+    the other five never take. The report is the session summary.
 """
 
 from __future__ import annotations
@@ -46,9 +52,16 @@ from typing import Callable
 
 from repro.bench.report import render_report
 from repro.bench.runner import DbBench
-from repro.bench.spec import workload
+from repro.bench.spec import (
+    DEFAULT_BYTE_SCALE,
+    DEFAULT_SCALE,
+    paper_workload,
+    workload,
+)
 from repro.core.online import OnlineTuner, OnlineTunerConfig
-from repro.hardware.profile import make_profile
+from repro.core.stopping import StoppingCriteria
+from repro.core.tuner import ElmoTune, TunerConfig
+from repro.hardware.profile import PAPER_HDD_2C4G, make_profile
 from repro.llm.simulated import SimulatedExpert
 from repro.lsm.db import DB
 from repro.lsm.env import Env
@@ -178,6 +191,27 @@ def reshard() -> Run:
     return _trace_lines(sink.events), render_service_report(result), problems
 
 
+def tune() -> Run:
+    factor = 0.1  # benchmarks/perf's TUNE_SCALE
+    config = TunerConfig(
+        workload=paper_workload("mixgraph", DEFAULT_SCALE * factor),
+        profile=PAPER_HDD_2C4G,
+        byte_scale=DEFAULT_BYTE_SCALE * factor,
+        stopping=StoppingCriteria(max_iterations=3),
+    )
+    session = ElmoTune(config, SimulatedExpert(seed=42)).run()
+    problems = []
+    if len(session.iterations) != 4:
+        problems.append(f"session ran {len(session.iterations)} of 4 benchmarks")
+    if not any(
+        name == "bloom_filter_bits_per_key" and value > 0
+        for record in session.iterations
+        for name, value in record.accepted_changes
+    ):
+        problems.append("no accepted diff switched table filters on")
+    return _trace_lines(session.trace_events), session.describe(), problems
+
+
 #: name -> (scenario function, one argument tuple per run).
 SCENARIOS: dict[str, tuple[Callable[..., Run], list[tuple]]] = {
     "bg": (bg, [("inline",), ("thread",), ("thread",)]),
@@ -185,6 +219,19 @@ SCENARIOS: dict[str, tuple[Callable[..., Run], list[tuple]]] = {
     "scan": (scan, [(), ()]),
     "online": (online, [(), ()]),
     "reshard": (reshard, [(), ()]),
+    "tune": (tune, [(), ()]),
+}
+
+#: name -> sha256 of the compared bytes. The first five are the digests
+#: every CHANGES.md entry since PR 12 quoted by hand; ``tune`` was
+#: recorded at commit 4159a23, before the bulk pool draw and run hashing.
+EXPECTED = {
+    "bg": "abe2e6db924bc21d949b2392d06b8036bb4f1a179f11bdeb9fa62275074a9278",
+    "service": "7cf50f016484f5b13f452ddb8cd7ddde1cfd360f993f757a19c7fd39a5a0d45c",
+    "scan": "74ae75720768d5dcbb59034973f16f4b8e22aeaa1300e4886ca4ae6152737d60",
+    "online": "f2c0e98fd5837d4c6d9e21a386cd398f4c3ae2f1ccb0f05ce336b5617c750cad",
+    "reshard": "51869c562da196023230eb419c08b285a7de5c9d73166d6d1b2fb48243bd2cf9",
+    "tune": "13a77065392ffe288ca78ecab449037967c567ac1cb58966675068ae131811e9",
 }
 
 
@@ -221,8 +268,15 @@ def check(name: str) -> bool:
             return False
     assert first is not None
     trace, report_lines = first
-    digest = hashlib.sha256("\n".join(trace + report_lines).encode())
-    print(f"{name}: {len(trace)} events, sha256 {digest.hexdigest()}, "
+    digest = hashlib.sha256("\n".join(trace + report_lines).encode()).hexdigest()
+    if digest != EXPECTED[name]:
+        print(
+            f"FAIL: {name}: {len(trace)} events, sha256 {digest}, "
+            f"pinned {EXPECTED[name]}: virtual time moved",
+            file=sys.stderr,
+        )
+        return False
+    print(f"{name}: {len(trace)} events, sha256 {digest}, "
           f"byte-identical across {len(variants)} runs")
     return True
 

@@ -4,6 +4,11 @@ Keys follow ``db_bench``'s convention: fixed-width decimal strings over
 a bounded key space. Distributions: uniform, zipfian (hot keys), and the
 two-term power-law used by the mixgraph workload. Values are ~50%
 compressible like ``db_bench``'s default ``compression_ratio=0.5``.
+
+The value pool is a pure function of its seed, so it is drawn in bulk
+from the same Mersenne stream a per-byte ``randrange`` would consume,
+byte for byte, and the last few pools stay memoised
+(docs/performance.md).
 """
 
 from __future__ import annotations
@@ -11,6 +16,7 @@ from __future__ import annotations
 import math
 import random
 from functools import lru_cache
+from itertools import compress
 
 from repro.errors import WorkloadError
 
@@ -153,8 +159,47 @@ def make_generator(distribution: str, num_keys: int, seed: int = 0):
     raise WorkloadError(f"unknown key distribution {distribution!r}")
 
 
+_POOL_SIZE = 64 * 1024
+# Words drawn per getrandbits call: the bigint temporaries of one chunk
+# stay under ~100 KiB instead of the ~3 MB of a single draw.
+_POOL_LANES = 4096
+_LANE_LOW9 = int.from_bytes(b"\xff\x01\x00\x00" * _POOL_LANES, "little")
+_LANE_BIT8 = int.from_bytes(b"\x00\x01\x00\x00" * _POOL_LANES, "little")
+
+
+@lru_cache(maxsize=8)
+def _value_pool(seed: int) -> bytes:
+    """``_POOL_SIZE`` draws of ``Random(seed).randrange(1 << 8)`` as
+    bytes, without the Python-level loop.
+
+    Each such draw is ``getrandbits(9)`` redrawn while the result is
+    >= 256, and ``getrandbits(9)`` is the top 9 bits of one 32-bit
+    Mersenne word; ``getrandbits(32 * n)`` lays the same n words out as
+    little-endian lanes. So: shift every lane right by 23, keep its low
+    9 bits, flip bit 8 (now 1 = accepted), and of each lane's four
+    bytes take byte 0 wherever byte 1 is set. Memoised because a tuning
+    session rebuilds the same two pools on every iteration: at most 8
+    immutable pools, 512 KiB.
+    """
+    rng = random.Random(seed)
+    pool = bytearray()
+    while len(pool) < _POOL_SIZE:
+        lanes = (
+            ((rng.getrandbits(32 * _POOL_LANES) >> 23) & _LANE_LOW9) ^ _LANE_BIT8
+        ).to_bytes(4 * _POOL_LANES, "little")
+        pool += bytes(compress(lanes[0::4], lanes[1::4]))
+    return bytes(pool[:_POOL_SIZE])
+
+
 class ValueGenerator:
-    """~50% compressible values of fixed or Pareto-distributed size."""
+    """~50% compressible values of fixed or Pareto-distributed size.
+
+    A value's random part is a slice of a 64 KiB pool, so it must be
+    shorter than the pool: the largest size a generator can draw
+    (``value_size``, 20x that under ``pareto_sizes``) times
+    ``compression_ratio`` has to stay below 65,536, or construction
+    raises :class:`~repro.errors.WorkloadError`.
+    """
 
     def __init__(
         self,
@@ -168,13 +213,18 @@ class ValueGenerator:
             raise WorkloadError("value size must be positive")
         if not 0.0 <= compression_ratio <= 1.0:
             raise WorkloadError("compression ratio must be in [0, 1]")
+        largest = value_size * 20 if pareto_sizes else value_size
+        if int(largest * compression_ratio) >= _POOL_SIZE:
+            raise WorkloadError(
+                f"value size {value_size} is too large: the random part of "
+                f"a {largest}-byte value does not fit the {_POOL_SIZE}-byte pool"
+            )
         self.value_size = value_size
         self._ratio = compression_ratio
         self._pareto = pareto_sizes
         self._rng = random.Random(seed)
         # Pre-built random pool sliced at random offsets: cheap per call.
-        pool_rng = random.Random(seed ^ 0xABCDEF)
-        self._pool = bytes(pool_rng.randrange(256) for _ in range(64 * 1024))
+        self._pool = _value_pool(seed ^ 0xABCDEF)
 
     def _size(self) -> int:
         if not self._pareto:

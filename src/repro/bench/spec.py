@@ -72,6 +72,8 @@ class WorkloadSpec:
     def __post_init__(self) -> None:
         if self.num_ops <= 0 or self.num_keys <= 0:
             raise WorkloadError("ops and key space must be positive")
+        if self.value_size <= 0:
+            raise WorkloadError("value size must be positive")
         if not 0.0 <= self.read_fraction <= 1.0:
             raise WorkloadError("read_fraction must be in [0, 1]")
         if self.threads < 1:

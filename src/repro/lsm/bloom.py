@@ -10,11 +10,17 @@ filter it meets — memtable bloom, then one SSTable filter per table
 probed. The hash is FNV-1a and stays FNV-1a: its bits decide the false
 positives, those decide which blocks a read touches, and that is
 virtual time.
+
+A table's keys arrive sorted, and FNV-1a is a left fold, so
+:meth:`BloomFilter.add_run` resumes each key's hash from the state it
+shares with the previous key — the same hash, fewer steps
+(docs/performance.md).
 """
 
 from __future__ import annotations
 
 import math
+from typing import Iterable
 
 _MASK64 = (1 << 64) - 1
 _FNV_PRIME = 1099511628211
@@ -75,7 +81,43 @@ class BloomFilter:
         return self._num_added
 
     def add(self, key: bytes) -> None:
-        h, step = key_hashes(key)
+        self._set_probes(*key_hashes(key))
+
+    def add_run(self, keys: Iterable[bytes]) -> None:
+        """:meth:`add` every key of ``keys``, hashing each from where
+        it parts with the one before.
+
+        ``states[i]`` is the two-lane FNV-1a state after ``i`` bytes of
+        the previous key; a key that shares its first ``shared`` bytes
+        with it resumes from ``states[shared]``. A table builder's
+        ascending fixed-width keys hash in 2-3 steps instead of 16; any
+        other order is only slower, never different. The state is
+        O(key length) and dies with the call.
+        """
+        lanes_byte = _LANES_BYTE
+        from_bytes = int.from_bytes
+        set_probes = self._set_probes
+        states = [_LANES_SEED]
+        push = states.append
+        prev = b""
+        for key in keys:
+            n = len(prev)
+            if len(key) == n:
+                diff = from_bytes(key, "big") ^ from_bytes(prev, "big")
+            else:
+                if len(key) < n:
+                    n = len(key)
+                diff = from_bytes(key[:n], "big") ^ from_bytes(prev[:n], "big")
+            shared = n - ((diff.bit_length() + 7) >> 3)
+            del states[shared + 1:]
+            h = states[shared]
+            for b in key[shared:]:
+                h = ((h ^ lanes_byte[b]) * _FNV_PRIME) & _LANES_MASK
+                push(h)
+            prev = key
+            set_probes(h & _MASK64, (h >> _LANE) | 1)
+
+    def _set_probes(self, h: int, step: int) -> None:
         bits = self._bits
         nbits = self._nbits
         for _ in range(self._num_probes):

@@ -123,12 +123,13 @@ class SSTableBuilder:
         self._first_ikey: bytes | None = None
         self._last_ikey = b""
         #: Escaped-user-key prefixes (``internal_key[:-8]``) of bloom
-        #: candidates. The escape is injective and the terminator occurs
-        #: only as the terminator, so distinct prefixes == distinct user
-        #: keys; decoding is deferred to :meth:`finish`, once per unique
-        #: key instead of once per entry. Bloom bits are an OR over the
-        #: added keys, so insertion order cannot change the filter.
-        self._bloom_prefixes: set[bytes] = set()
+        #: candidates, ascending. The escape is injective and the
+        #: terminator occurs only as the terminator, so distinct
+        #: prefixes == distinct user keys, and the versions of one user
+        #: key are adjacent: skipping a repeat of the last prefix keeps
+        #: the list unique. Decoding is deferred to :meth:`finish`, once
+        #: per unique key instead of once per entry.
+        self._bloom_prefixes: list[bytes] = []
         self._collect_bloom = bloom_bits_per_key > 0 and whole_key_filtering
         self._finished = False
 
@@ -150,9 +151,14 @@ class SSTableBuilder:
         self._last_ikey = internal_key
         self._num_entries += 1
         if self._collect_bloom:
-            self._bloom_prefixes.add(internal_key[:-8])
+            self._note_bloom_prefix(internal_key[:-8])
         if self._block.add(internal_key, _KIND_BYTES[kind] + value) >= self._block_size:
             self._flush_block()
+
+    def _note_bloom_prefix(self, prefix: bytes) -> None:
+        prefixes = self._bloom_prefixes
+        if not prefixes or prefixes[-1] != prefix:
+            prefixes.append(prefix)
 
     def add_packed(self, internal_key: bytes, packed_value: bytes) -> None:
         """:meth:`add` with the value already in block encoding (kind
@@ -166,7 +172,7 @@ class SSTableBuilder:
         self._last_ikey = internal_key
         self._num_entries += 1
         if self._collect_bloom:
-            self._bloom_prefixes.add(internal_key[:-8])
+            self._note_bloom_prefix(internal_key[:-8])
         if self._block.add(internal_key, packed_value) >= self._block_size:
             self._flush_block()
 
@@ -217,7 +223,8 @@ class SSTableBuilder:
         block_size = self._block_size
         offset = self._offset
         collect = self._collect_bloom
-        prefix_add = self._bloom_prefixes.add
+        prefixes = self._bloom_prefixes
+        last_prefix = prefixes[-1] if prefixes else None
         last_ikey = self._last_ikey
         num = self._num_entries
         first_unset = self._first_ikey is None
@@ -236,7 +243,10 @@ class SSTableBuilder:
             last_ikey = internal_key
             num += 1
             if collect:
-                prefix_add(internal_key[:-8])
+                prefix = internal_key[:-8]
+                if prefix != last_prefix:
+                    prefixes.append(prefix)
+                    last_prefix = prefix
             key_len = len(internal_key)
             if counter < interval:
                 n = len(last)
@@ -315,11 +325,15 @@ class SSTableBuilder:
         self._flush_block()
         filter_off = filter_sz = 0
         if self._bloom_bits > 0 and self._bloom_prefixes:
-            bloom = BloomFilter(self._bloom_bits, max(1, len(self._bloom_prefixes)))
-            for prefix in self._bloom_prefixes:
-                # prefix = escape(user_key) + terminator; unescape once
-                # per unique key (reader probes with plain user keys).
-                bloom.add(prefix[:-2].replace(b"\x00\xff", b"\x00"))
+            bloom = BloomFilter(self._bloom_bits, len(self._bloom_prefixes))
+            # prefix = escape(user_key) + terminator; unescape once per
+            # unique key (reader probes with plain user keys). Unescaped
+            # keys ascend as the prefixes do, which is the order
+            # add_run hashes fastest in.
+            bloom.add_run(
+                prefix[:-2].replace(b"\x00\xff", b"\x00")
+                for prefix in self._bloom_prefixes
+            )
             payload = compress_block(bloom.to_bytes(), "none")
             filter_off = self._offset
             filter_sz = len(payload)

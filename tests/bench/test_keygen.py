@@ -1,5 +1,7 @@
 """Tests for key/value generators."""
 
+import hashlib
+import random
 import zlib
 from collections import Counter
 
@@ -13,6 +15,7 @@ from repro.bench.keygen import (
     format_key,
     make_generator,
 )
+from repro.bench.spec import WorkloadSpec
 from repro.errors import WorkloadError
 
 
@@ -68,9 +71,10 @@ class TestZipfian:
             ZipfianKeys(100, theta=0.0)
 
     def test_deterministic(self):
-        a = [ZipfianKeys(100, seed=9).next_index() for _ in range(1)]
-        b = [ZipfianKeys(100, seed=9).next_index() for _ in range(1)]
-        assert a == b
+        a, b = ZipfianKeys(100, seed=9), ZipfianKeys(100, seed=9)
+        assert [a.next_index() for _ in range(1000)] == [
+            b.next_index() for _ in range(1000)
+        ]
 
 
 class TestMixgraph:
@@ -84,6 +88,12 @@ class TestMixgraph:
     def test_tail_covers_cold_region(self):
         gen = MixgraphKeys(10_000, seed=4)
         assert any(gen.next_index() >= 100 for _ in range(1000))
+
+    def test_deterministic(self):
+        a, b = MixgraphKeys(10_000, seed=9), MixgraphKeys(10_000, seed=9)
+        assert [a.next_index() for _ in range(1000)] == [
+            b.next_index() for _ in range(1000)
+        ]
 
     def test_invalid_params(self):
         with pytest.raises(WorkloadError):
@@ -138,3 +148,99 @@ class TestValues:
             ValueGenerator(0)
         with pytest.raises(WorkloadError):
             ValueGenerator(100, compression_ratio=1.5)
+
+    def test_value_too_large_for_the_pool_is_rejected_at_construction(self):
+        """Was a bare ``ValueError: empty range for randrange()`` from
+        ``next_value`` — on the first call here, on the 347th for
+        ``ValueGenerator(8192, pareto_sizes=True, seed=3)``, i.e. inside
+        a preload that had already written."""
+        with pytest.raises(WorkloadError):
+            ValueGenerator(200_000).next_value()
+        with pytest.raises(WorkloadError):
+            gen = ValueGenerator(8192, pareto_sizes=True, seed=3)
+            for _ in range(347):
+                gen.next_value()
+
+    def test_largest_value_that_fits_still_works(self):
+        gen = ValueGenerator(65_535, compression_ratio=1.0, seed=1)
+        assert len(gen.next_value()) == 65_535
+        with pytest.raises(WorkloadError):
+            ValueGenerator(65_536, compression_ratio=1.0).next_value()
+        ValueGenerator(6553, pareto_sizes=True)  # 20x, halved: 65,530
+        with pytest.raises(WorkloadError):
+            ValueGenerator(6554, pareto_sizes=True)
+
+    def test_spec_rejects_non_positive_value_size(self):
+        for value_size in (0, -1):
+            with pytest.raises(WorkloadError):
+                WorkloadSpec(
+                    name="fillrandom", num_ops=10, num_keys=10,
+                    preload_keys=0, read_fraction=0.0,
+                    distribution="uniform", value_size=value_size,
+                )
+
+
+def _per_byte_pool(seed: int) -> bytes:
+    """The reference: what ``ValueGenerator`` ran up to commit 4159a23."""
+    rng = random.Random(seed ^ 0xABCDEF)
+    return bytes(rng.randrange(256) for _ in range(64 * 1024))
+
+
+def _sha256(chunks) -> str:
+    return hashlib.sha256(b"".join(chunks)).hexdigest()
+
+
+class TestValuePool:
+    """The pool is drawn in bulk and memoised; neither may move a byte
+    of it, or of any value cut from it (values are virtual time: their
+    sizes and compressibility decide flushes and block counts)."""
+
+    # seed -> sha256 of (pool, 1,000 fixed values, 1,000 Pareto values),
+    # recorded at commit 4159a23 from the per-byte ``randrange(256)``
+    # pool; 42 ^ 0x5EED is the preload stream's seed at the default 42.
+    PINS = {
+        0: (
+            "780b342de3abd7398add49da614506b2f06f5722b45971c6e2e88d453de76488",
+            "20a67b855c18336b9c278e36344fe095e77d860a2c6d1e1a6b021e5f8ff211a6",
+            "3809166ab4174cb02858dc6bf35ac5df0e460ac22b1158eb42453220ed995051",
+        ),
+        1: (
+            "62400d8f23a76aed57c3f192be72867846d0903ac8634088c3290bf1b4d65987",
+            "0efdc1c73c81c76ba5d1508767f91e84a4cefd0956575c07f083e589942f45ef",
+            "c7d4df20915d1fad4b976f566fbd7fcc92ed9385a49f9d18745812f843ffd47f",
+        ),
+        42: (
+            "ca650d6f0594e8c36b2683ccf44c94ce26f59226e1312c1abcd8b35ced61cb33",
+            "5e3f033652e5db82e1642381e361075d321aaa02ccefd73107e143663b4f38f8",
+            "618c21e053f834bf0c5de0bc130a3cf38f6277001504a4ad1beba6ac29534ecd",
+        ),
+        42 ^ 0x5EED: (
+            "b943f9f845a32ea81a5c528aa4420cc717d975a1d76bdba517aaf86eaaa3e737",
+            "28e5f62dfc0e64bfb8bfccd6475ca0b7200d0f99891c81b91c39a4c32d36cade",
+            "edbb0877605dcf21bef0c1efc6a2b83785f1ac9cf1cb4eb30c25ee727f7d3db1",
+        ),
+    }
+
+    @pytest.mark.parametrize("seed", sorted(PINS))
+    def test_pool_and_values_are_pinned(self, seed):
+        pool, fixed, pareto = self.PINS[seed]
+        gen = ValueGenerator(100, seed=seed)
+        assert _sha256([gen._pool]) == pool
+        assert _sha256(gen.next_value() for _ in range(1000)) == fixed
+        gen = ValueGenerator(100, pareto_sizes=True, seed=seed)
+        assert _sha256(gen.next_value() for _ in range(1000)) == pareto
+
+    def test_bulk_draw_equals_per_byte_reference(self):
+        seeds = random.Random(23)
+        for _ in range(20):
+            seed = seeds.getrandbits(seeds.choice((8, 32, 64)))
+            assert ValueGenerator(100, seed=seed)._pool == _per_byte_pool(seed)
+
+    def test_pool_is_shared_and_the_memo_is_bounded(self):
+        first = ValueGenerator(100, seed=7000)
+        assert ValueGenerator(999, pareto_sizes=True, seed=7000)._pool is first._pool
+        for seed in range(7001, 7009):  # eight more distinct pools
+            ValueGenerator(100, seed=seed)
+        rebuilt = ValueGenerator(100, seed=7000)._pool
+        assert rebuilt is not first._pool
+        assert rebuilt == first._pool

@@ -1,6 +1,7 @@
 """Tests for the bloom filter: no false negatives, bounded false positives."""
 
 import hashlib
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -83,6 +84,59 @@ class TestKeyHashes:
             )
 
 
+class TestAddRun:
+    """``add_run`` resumes FNV-1a from the state shared with the
+    previous key; per-key ``add`` is the reference it must equal."""
+
+    @staticmethod
+    def _filters(keys, bits_per_key=10):
+        per_key = BloomFilter(bits_per_key, max(1, len(keys)))
+        for key in keys:
+            per_key.add(key)
+        run = BloomFilter(bits_per_key, max(1, len(keys)))
+        run.add_run(iter(keys))
+        return per_key, run
+
+    def test_run_equals_per_key_add_in_any_order(self):
+        rng = random.Random(5)
+        edge = [b"", b"\x00", b"\x00\xff", b"\x00\xff\x00", b"a", b"a\x00", b"ab"]
+        for trial in range(200):
+            # A small alphabet and short lengths force shared prefixes,
+            # keys that are prefixes of one another, and NUL runs.
+            keys = rng.sample(edge, rng.randrange(len(edge) + 1)) + [
+                bytes(rng.choice(b"\x00\xffab") for _ in range(rng.randrange(1, 9)))
+                for _ in range(rng.randrange(60))
+            ]
+            if trial % 4 == 0:  # dense fixed-width keys, as a table's are
+                keys += [b"%016d" % rng.randrange(500) for _ in range(40)]
+            shuffled = keys[:]
+            rng.shuffle(shuffled)
+            for order in (sorted(keys), sorted(keys, reverse=True), shuffled):
+                per_key, run = self._filters(order)
+                assert run.to_bytes() == per_key.to_bytes()
+                assert run.num_added == per_key.num_added == len(order)
+
+    def test_one_key_run_and_empty_run(self):
+        per_key, run = self._filters([b"only"])
+        assert run.to_bytes() == per_key.to_bytes() and run.num_added == 1
+        empty = BloomFilter(10, 1)
+        empty.add_run([])
+        assert empty.to_bytes() == BloomFilter(10, 1).to_bytes()
+        assert empty.num_added == 0
+
+    def test_nothing_is_kept_between_runs(self):
+        """Two runs on one filter == one run over both: the resumed
+        state is local to the call."""
+        a = [b"key-%04d" % i for i in range(0, 50)]
+        b = [b"key-%04d" % i for i in range(50, 100)]
+        split = BloomFilter(10, 100)
+        split.add_run(a)
+        split.add_run(b)
+        whole = BloomFilter(10, 100)
+        whole.add_run(a + b)
+        assert split.to_bytes() == whole.to_bytes()
+
+
 class TestSerialization:
     def test_round_trip_preserves_membership(self):
         bloom = BloomFilter(10, 500)
@@ -119,6 +173,10 @@ class TestSerialization:
         for key in keys:
             bloom.add(key)
         assert hashlib.sha256(bloom.to_bytes()).hexdigest() == digest
+        for order in (keys, sorted(keys)):
+            run = BloomFilter(bits_per_key, len(keys))
+            run.add_run(order)
+            assert hashlib.sha256(run.to_bytes()).hexdigest() == digest
 
     def test_from_bytes_too_short(self):
         with pytest.raises(ValueError):

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from repro.errors import CorruptionError
 from repro.lsm import ikey
+from repro.lsm.bloom import BloomFilter
 from repro.lsm.env import MemFileSystem
 from repro.lsm.memtable import ValueKind
 from repro.lsm.sstable import FileMetaData, SSTableBuilder, SSTableReader
@@ -216,6 +217,38 @@ class TestBloomIntegration:
         for i in range(500):
             found, _, _, _ = reader.get(b"key-%06d" % i)
             assert found
+
+    @pytest.mark.parametrize("bulk", [False, True])
+    def test_filter_is_sized_for_unique_user_keys(self, bulk):
+        """Several versions of one user key (a live snapshot keeps them
+        apart) are one filter key: the filter is the one a table holding
+        each user key once gets, byte for byte — NUL-bearing keys
+        included, which the builder has to unescape."""
+        user_keys = sorted(
+            [b"key-%03d" % i for i in range(40)]
+            + [b"", b"\x00", b"\x00\xff", b"a\x00b", b"a\x00\xffb"]
+        )
+        fs = MemFileSystem()
+        for path, versions in (("/db/000001.sst", 5), ("/db/000002.sst", 1)):
+            entries = [
+                (ikey.encode(key, 100 - v), b"\x01" + b"v%d" % v)
+                for key in user_keys for v in range(versions)
+            ]
+            builder = SSTableBuilder(
+                fs, path, block_size=256, bloom_bits_per_key=10.0
+            )
+            if bulk:
+                builder.add_many_packed(iter(entries))
+            else:
+                for internal_key, packed in entries:
+                    builder.add_packed(internal_key, packed)
+            assert builder.finish().num_entries == len(user_keys) * versions
+        many, once = open_reader(fs), open_reader(fs, "/db/000002.sst", 2)
+        assert many._bloom.to_bytes() == once._bloom.to_bytes()
+        expected = BloomFilter(10.0, len(user_keys))
+        for key in user_keys:
+            expected.add(key)
+        assert many._bloom.to_bytes() == expected.to_bytes()
 
     def test_no_bloom_no_check(self):
         fs = MemFileSystem()
