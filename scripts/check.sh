@@ -58,8 +58,8 @@ echo "== service claims: group commit, online tuning, live split, quorum =="
 python -m pytest -q benchmarks/test_service_claims.py
 
 echo
-echo "== determinism: bg (inline/thread), service, scan, online, reshard, tune =="
-# Each scenario runs at least twice and is byte-compared (trace and
+echo "== determinism: bg, service, scan, online, reshard, tune =="
+# Each scenario runs twice and is byte-compared (trace and
 # report); its sha256 must equal the pin in the script's EXPECTED table.
 python scripts/check_determinism.py
 

@@ -6,22 +6,21 @@ runs every scenario, ``... check_determinism.py scan`` just that one.
 Each scenario function executes one seeded run and returns its trace
 (one JSONL line per event), a report text (host wall-clock zeroed — the
 one legitimately nondeterministic field) and a list of problems with
-the run itself. The skeleton runs the scenario once per variant and
-compares trace and report line by line against the first run. Any
-divergence means host state (dict order, salted hashes, real time,
-thread timing) leaked into the simulation. The sha256 of the compared
-bytes (``trace + "\\n" + report``) must then equal the scenario's pin in
+the run itself. The skeleton runs each scenario twice and compares
+trace and report line by line against the first run. Any divergence
+means host state (dict order, salted hashes, real time) leaked into
+the simulation. The sha256 of the compared bytes
+(``trace + "\\n" + report``) must then equal the scenario's pin in
 :data:`EXPECTED`: a change that moves virtual time fails here unless
 the same commit moves the pin, and says so in its ``CHANGES.md`` line.
 
 Scenarios:
 
 ``bg``
-    A compaction-heavy fill under the ``inline`` executor, then twice
-    under ``thread`` (run-to-run *and* cross-mode identity); the report
-    is the final per-key state, the ticker vector and the virtual clock.
-    The deferred-completion design requires every virtual quantity to
-    come from schedule-time inputs only.
+    A compaction-heavy fill; the report is the final per-key state,
+    the ticker vector and the virtual clock. The deferred-completion
+    design requires every virtual quantity to come from schedule-time
+    inputs only.
 ``service``
     ``readwhilewriting`` over 4 shards with 8 open-loop clients.
 ``scan``
@@ -82,17 +81,16 @@ def _trace_lines(events) -> list[str]:
     return [to_jsonl_line(e).rstrip("\n") for e in events]
 
 
-def bg(mode: str) -> Run:
+def bg() -> Run:
     sink = RingSink()
     env = Env()
     stats = Statistics()
     db = DB.open(
-        f"/bg-det-{mode}",
+        "/bg-det",
         Options({
             "write_buffer_size": 8 * 1024,
             "target_file_size_base": 16 * 1024,
             "max_bytes_for_level_base": 64 * 1024,
-            "background_executor": mode,
         }),
         env=env,
         statistics=stats,
@@ -213,14 +211,16 @@ def tune() -> Run:
 
 
 #: name -> (scenario function, one argument tuple per run).
-SCENARIOS: dict[str, tuple[Callable[..., Run], list[tuple]]] = {
-    "bg": (bg, [("inline",), ("thread",), ("thread",)]),
-    "service": (service, [(), ()]),
-    "scan": (scan, [(), ()]),
-    "online": (online, [(), ()]),
-    "reshard": (reshard, [(), ()]),
-    "tune": (tune, [(), ()]),
+SCENARIOS: dict[str, Callable[[], Run]] = {
+    "bg": bg,
+    "service": service,
+    "scan": scan,
+    "online": online,
+    "reshard": reshard,
+    "tune": tune,
 }
+#: Times each scenario runs; every run is compared with the first.
+RUNS = 2
 
 #: name -> sha256 of the compared bytes. The first five are the digests
 #: every CHANGES.md entry since PR 12 quoted by hand; ``tune`` was
@@ -237,11 +237,11 @@ EXPECTED = {
 
 def check(name: str) -> bool:
     """Run one scenario's variants; report the first divergence."""
-    scenario, variants = SCENARIOS[name]
+    scenario = SCENARIOS[name]
     first: tuple[list[str], list[str]] | None = None
-    for run, args in enumerate(variants, start=1):
-        label = f"{name} run {run}" + (f" ({args[0]})" if args else "")
-        trace, report, problems = scenario(*args)
+    for run in range(1, RUNS + 1):
+        label = f"{name} run {run}"
+        trace, report, problems = scenario()
         if not trace:
             problems = problems + ["run produced no trace events"]
         for problem in problems:
@@ -277,7 +277,7 @@ def check(name: str) -> bool:
         )
         return False
     print(f"{name}: {len(trace)} events, sha256 {digest}, "
-          f"byte-identical across {len(variants)} runs")
+          f"byte-identical across {RUNS} runs")
     return True
 
 

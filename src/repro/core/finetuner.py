@@ -22,6 +22,7 @@ from repro.core.bench_parser import BenchMetrics, parse_report
 from repro.core.safeguard import default_blacklist
 from repro.core.session import TuningSession
 from repro.core.tuner import ElmoTune, TunerConfig
+from repro.errors import OptionError
 from repro.llm.client import LLMClient
 from repro.lsm.options import OptKind, Options, spec_for
 
@@ -202,7 +203,7 @@ class FineTuner:
                     trial = current.copy()
                     try:
                         trial.set(name, new_value)
-                    except Exception:  # noqa: BLE001 - clamped value raced a bound
+                    except OptionError:  # clamped value raced a bound
                         continue
                     if trial.memory_budget_bytes() > \
                             self.config.profile.memory_bytes * 0.60:

@@ -88,6 +88,11 @@ class RoutingError(ReproError):
     too few virtual nodes to give half away)."""
 
 
+class NoLiveReplicaError(ReproError):
+    """A replica group was formed with no live member (every replica
+    died while provisioning), so it has no leader to serve from."""
+
+
 class MisroutedRequestError(ReproError):
     """A request reached a shard the routing policy does not map it to.
 

@@ -1,44 +1,25 @@
-"""Host-parallel background execution for flush and compaction jobs.
+"""Flush and compaction jobs: pure job functions and their virtual schedule.
 
-The virtual clock has always overlapped background work (the
-``SlotPool``/``CompletionQueue`` pair in :mod:`repro.sim.resources`);
-this module makes the *host* overlap it too. At schedule time the DB
-captures every deterministic input of a flush or compaction — the
-immutable memtable batch, positional-read handles over the input
-tables, a frozen snapshot floor, the build options — into a job spec
-and hands it to a :class:`BackgroundExecutor`. The job function is
-**pure**: it builds into a private scratch :class:`MemFileSystem` and
-returns result counters plus the finished table bytes, never touching
-the DB's filesystem, caches, tracer, or clock. The foreground joins the
-future only when virtual time forces it (see
-:class:`BackgroundScheduler`, which owns everything between a captured
-job and its install), so the answer is bit-identical no matter where
-the merge ran.
+At schedule time the DB captures every deterministic input of a flush
+or compaction — the immutable memtable batch, positional-read handles
+over the input tables, a frozen snapshot floor, the build options —
+into a job spec. The job function is **pure**: it builds into a private
+scratch :class:`MemFileSystem` and returns result counters plus the
+finished table bytes, never touching the DB's filesystem, caches,
+tracer, or clock.
 
-Two modes:
-
-``inline``
-    Runs the job synchronously at submit. The default — zero host
-    overlap, zero risk, and the reference behaviour ``thread`` must
-    reproduce byte-for-byte.
-``thread``
-    A ``ThreadPoolExecutor``. Cheap handoff (inputs are shared by
-    reference), but pure-Python merge work holds the GIL, so the
-    overlap mostly covers the foreground's own C-level time (WAL CRC,
-    bytearray appends). It is not here for speed: it is the canary
-    that real host concurrency cannot leak into virtual time.
-
-Fault-injection runs (``FaultFS``) pin ``inline`` regardless of the
-configured mode: crash-at-Nth-syscall schedules count foreground
-filesystem calls, and background workers must never race that count.
+On the host a job runs at submit, on the foreground: concurrency is
+modelled, not executed. In virtual time the job stays in flight —
+:class:`BackgroundScheduler` books it a slot until a lower bound on its
+completion, settles the exact duration when the clock crosses that
+bound (the join), and installs the result at its completion time. The
+threaded and forked host vehicles this module once carried are parked
+in DESIGN.md §7 with the measurements that retired them.
 """
 
 from __future__ import annotations
 
 import math
-import os
-import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
@@ -205,115 +186,6 @@ def execute_compaction_job(spec: CompactionJobSpec) -> BgJobOutput:
     )
 
 
-# --------------------------------------------------------------- executors
-
-
-class BgHandle:
-    """Join handle for a submitted job; records the host stall paid."""
-
-    __slots__ = ("_value", "_future", "wait_s")
-
-    def __init__(self, value: BgJobOutput | None = None, future=None) -> None:
-        self._value = value
-        self._future = future
-        #: Host seconds the foreground spent blocked in :meth:`result`.
-        self.wait_s = 0.0
-
-    def result(self) -> BgJobOutput:
-        if self._future is not None:
-            t0 = time.perf_counter()
-            self._value = self._future.result()
-            self.wait_s += time.perf_counter() - t0
-            self._future = None
-        assert self._value is not None
-        return self._value
-
-
-class BackgroundExecutor:
-    """Where flush/compaction job functions run on the host.
-
-    Implementations only change *where* the pure job executes; every
-    scheduling, pricing, and install decision stays on the foreground,
-    which is what keeps virtual time identical across modes.
-    """
-
-    mode: str = "inline"
-
-    def submit(
-        self, fn: Callable[[object], BgJobOutput], spec: object
-    ) -> BgHandle:
-        """Run ``fn(spec)`` somewhere and return its join handle."""
-        raise NotImplementedError
-
-    def resize(self, workers: int) -> None:
-        """Adopt a new worker count (from ``max_background_jobs``)."""
-
-    def close(self) -> None:
-        """Release host resources; idempotent."""
-
-
-class InlineExecutor(BackgroundExecutor):
-    """Run jobs synchronously at submit (the reference mode)."""
-
-    mode = "inline"
-
-    def submit(self, fn, spec) -> BgHandle:
-        return BgHandle(value=fn(spec))
-
-
-class ThreadExecutor(BackgroundExecutor):
-    """Jobs on a lazily built thread pool: shared-memory handoff,
-    GIL-bound merges."""
-
-    mode = "thread"
-
-    def __init__(self, workers: int) -> None:
-        self._workers = max(1, workers)
-        self._pool: ThreadPoolExecutor | None = None
-
-    def submit(self, fn, spec) -> BgHandle:
-        if self._pool is None:
-            self._pool = ThreadPoolExecutor(
-                max_workers=self._workers, thread_name_prefix="lsm-bg"
-            )
-        return BgHandle(future=self._pool.submit(fn, spec))
-
-    def resize(self, workers: int) -> None:
-        workers = max(1, workers)
-        if workers == self._workers:
-            return
-        self._workers = workers
-        # Only the executor's owner resizes it, after its DBs joined
-        # their pending jobs; a straggler's future still completes
-        # (shutdown drains the queue) and is joined from its handle.
-        self.close()
-
-    def close(self) -> None:
-        if self._pool is not None:
-            self._pool.shutdown(wait=True)
-            self._pool = None
-
-
-def executor_width(options: Options) -> int:
-    """Host workers backing an executor: the virtual slot budget
-    (``max_background_jobs`` and its per-kind overrides) capped by the
-    machine actually running the simulation."""
-    width = (
-        options.effective_max_background_flushes()
-        + options.effective_max_background_compactions()
-    )
-    return max(1, min(width, os.cpu_count() or 2))
-
-
-def make_executor(mode: str, workers: int = 2) -> BackgroundExecutor:
-    """Build the executor for ``background_executor=mode``."""
-    if mode == "inline":
-        return InlineExecutor()
-    if mode == "thread":
-        return ThreadExecutor(workers)
-    raise ValueError(f"unknown background executor mode {mode!r}")
-
-
 # --------------------------------------------------------------- scheduler
 
 
@@ -322,8 +194,9 @@ class BgJob:
     """One background job: the same record from submit to install.
 
     The DB fills the first block when it captures the job,
-    :meth:`BackgroundScheduler.submit` books the second, the join fills
-    the third, and ``install`` reads what it needs of all three.
+    :meth:`BackgroundScheduler.submit` runs it and books the second,
+    the join prices the third, and ``install`` reads what it needs of
+    all three.
     """
 
     #: ``"flush"`` or ``"compaction"``: names the slot pool, the
@@ -350,7 +223,9 @@ class BgJob:
     #: Also the tie-break between completions on one virtual
     #: microsecond: submit order, whichever was joined first.
     job_id: int = 0
-    handle: BgHandle | None = None
+    #: What ``run(spec)`` returned. The schedule does not read it before
+    #: the join: a slot is chosen by what is known at schedule time.
+    output: BgJobOutput | None = None
     sched_now_us: float = 0.0
     slot: int = 0
     #: Lower bound on the completion time; the booking may chain behind
@@ -358,7 +233,6 @@ class BgJob:
     lb_due_us: float = 0.0
 
     # -- known once joined
-    output: BgJobOutput | None = None
     duration_us: float = 0.0
     done_at_us: float = 0.0
 
@@ -367,10 +241,13 @@ class BackgroundScheduler:
     """The flush/compaction pipeline between capture and install.
 
     The DB captures a :class:`BgJob` and installs its result. What lies
-    between — booking a slot until the job's lower bound, joining it
-    once virtual time crosses that bound, pricing the exact duration,
-    ordering completions — happens here, on the foreground thread only
-    and at virtual-time points that are the same in every executor mode.
+    between — running the job, booking a slot until its lower bound,
+    joining it once virtual time crosses that bound, pricing the exact
+    duration, ordering completions — happens here. A job is booked with
+    what a scheduler can know at schedule time: its slot is chosen by
+    the provisional end (input bytes, zero output), never by the result
+    the host already holds, and the exact duration enters virtual time
+    only at the join.
     """
 
     def __init__(
@@ -379,19 +256,7 @@ class BackgroundScheduler:
         perf: PerfModel,
         clock: SimClock,
         tracer: Tracer,
-        *,
-        executor: BackgroundExecutor | None = None,
-        fault_injection: bool = False,
     ) -> None:
-        # Fault-injecting filesystems pin the inline executor:
-        # crash-at-Nth-syscall schedules count foreground fs calls and a
-        # worker must never race that count.
-        mode = "inline" if fault_injection else options.get("background_executor")
-        self._owns_executor = executor is None or executor.mode != mode
-        self._executor = (
-            make_executor(mode, executor_width(options))
-            if self._owns_executor else executor
-        )
         self._clock = clock
         self._tracer = tracer
         self._trace_on = tracer.enabled
@@ -415,11 +280,10 @@ class BackgroundScheduler:
         self._busy_cache: tuple[float, int] = (-math.inf, 0)
         self._submitted = 0
         self._joined = 0
-        self._join_stall_s = 0.0
         self.rebind(options)
 
     def rebind(self, options: Options) -> None:
-        """Adopt ``options``: pool widths, limiter rate, executor width.
+        """Adopt ``options``: pool widths and limiter rate.
 
         Pending jobs were priced under the old bindings and hold slot
         indices a resize would invalidate, so they are joined first.
@@ -432,17 +296,12 @@ class BackgroundScheduler:
         self._pools["compaction"].resize(
             options.effective_max_background_compactions()
         )
-        # A shared executor belongs to the service, which resizes it
-        # once after its fan-out; tearing it down here would block on
-        # other shards' in-flight jobs.
-        if self._owns_executor:
-            self._executor.resize(executor_width(options))
         self._refresh()
 
     # -- submit / join -------------------------------------------------------
 
     def submit(self, job: BgJob) -> None:
-        """Book ``job`` a slot until its lower bound and start it."""
+        """Run ``job`` and book it a slot until its lower bound."""
         now = self._clock.now_us
         self._submitted += 1
         job.job_id = self._submitted
@@ -455,7 +314,7 @@ class BackgroundScheduler:
         job.slot, _, job.lb_due_us = self._pools[job.kind].acquire_pending(
             now, lb_duration
         )
-        job.handle = self._executor.submit(job.run, job.spec)
+        job.output = job.run(job.spec)
         self._pending.append(job)
         self._refresh()
         if self._trace_on:
@@ -473,10 +332,8 @@ class BackgroundScheduler:
         provisional slot booking is settled, and the completion is
         queued under the job's id — so the queue orders as if the result
         had been known all along."""
-        out = job.handle.result()
+        out = job.output
         self._joined += 1
-        self._join_stall_s += job.handle.wait_s
-        job.output = out
         bytes_in, bytes_out, entries = out.work
         duration = (
             self._duration_us[job.kind](bytes_in, bytes_out, entries)
@@ -506,7 +363,7 @@ class BackgroundScheduler:
         limiter requests must replay in strict submit order, since their
         returns feed durations. Without one they commute, so only the
         due jobs are joined (in submit order among themselves) and
-        later-bounded work keeps running."""
+        later-bounded work stays pending."""
         pending = self._pending
         if self._rate_limiter.enabled:
             while pending and min(j.lb_due_us for j in pending) <= now_us:
@@ -588,33 +445,20 @@ class BackgroundScheduler:
         ]
 
     @property
-    def shared_executor(self) -> BackgroundExecutor | None:
-        """The executor handed in at construction, if it was adopted
-        (``None`` when this scheduler built and owns its own)."""
-        return None if self._owns_executor else self._executor
-
-    @property
     def stats(self) -> dict[str, Any]:
-        """Host-side gauge of the pipeline (see ``DB.background_stats``)."""
+        """Gauge of the pipeline (see ``DB.background_stats``)."""
         return {
-            "executor_mode": self._executor.mode,
             "jobs_submitted": self._submitted,
             "jobs_joined": self._joined,
             "jobs_pending": len(self._pending),
-            "join_stall_seconds": self._join_stall_s,
+            # benchmarks/perf/workloads.py reads it until lsm.bg_join_wait_s goes
+            "join_stall_seconds": 0.0,
         }
 
     # -- lifecycle -----------------------------------------------------------
 
     def drop(self) -> None:
         """Crash: in-flight jobs die with the process image. Forget the
-        pending list without joining (workers finish into scratch space
-        nobody reads) and release an owned host pool."""
+        pending list without joining."""
         self._pending.clear()
         self._refresh()
-        self.close()
-
-    def close(self) -> None:
-        """Release an owned executor; a shared one is its owner's."""
-        if self._owns_executor:
-            self._executor.close()

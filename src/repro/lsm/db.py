@@ -19,7 +19,6 @@ from repro.errors import DBClosedError, DBError
 from repro.hardware.monitor import SystemMonitor
 from repro.hardware.profile import HardwareProfile, make_profile
 from repro.lsm.background import (
-    BackgroundExecutor,
     BackgroundScheduler,
     BgJob,
     BuilderConfig,
@@ -145,7 +144,6 @@ class DB:
         statistics: Statistics,
         byte_scale: float = 1.0,
         tracer: Tracer | None = None,
-        executor: BackgroundExecutor | None = None,
     ) -> None:
         from repro.lsm.options import scale_bytes
 
@@ -195,12 +193,7 @@ class DB:
         #: The flush/compaction pipeline between a job this class
         #: captures (_maybe_schedule_*) and its install (_install_*).
         self._bg = BackgroundScheduler(
-            options,
-            self._perf,
-            env.clock,
-            self._tracer,
-            executor=executor,
-            fault_injection=getattr(env.fs, "fault_injection", False),
+            options, self._perf, env.clock, self._tracer
         )
         self._controller = WriteController(options, self._tracer)
         self._block_cache = LRUCache(
@@ -337,26 +330,18 @@ class DB:
         statistics: Statistics | None = None,
         byte_scale: float = 1.0,
         tracer: Tracer | None = None,
-        executor: BackgroundExecutor | None = None,
     ) -> "DB":
         """Open (creating or recovering) a database at ``path``.
 
         ``byte_scale`` shrinks byte-denominated options and the memory
         budget together for scaled-down experiments; see
         :data:`repro.lsm.options.BYTE_SCALED_OPTIONS`.
-
-        ``executor`` shares one host :class:`BackgroundExecutor` across
-        DBs (the service layer passes a single pool to every shard and
-        replica); ``None`` builds one from ``background_executor``.
         """
         options = options if options is not None else Options()
         env = env if env is not None else Env()
         profile = profile if profile is not None else _DEFAULT_PROFILE
         statistics = statistics if statistics is not None else Statistics()
-        db = cls(
-            path, options, env, profile, statistics, byte_scale, tracer,
-            executor=executor,
-        )
+        db = cls(path, options, env, profile, statistics, byte_scale, tracer)
         db._recover()
         return db
 
@@ -558,8 +543,8 @@ class DB:
 
     @property
     def background_stats(self) -> dict[str, Any]:
-        """Host-side gauge of the background pipeline (not traced —
-        traces carry only virtual quantities so runs stay comparable)."""
+        """Job counts of the background pipeline: submitted, joined,
+        and pending (in flight in virtual time)."""
         return self._bg.stats
 
     def _materialize_table(self, data: bytes) -> int:
@@ -626,8 +611,7 @@ class DB:
         compaction = job.spec.compaction
         result = job.output.result
         # Outputs were built in job-local scratch space; land the bytes
-        # and allocate real file numbers now, in install order — the
-        # same deterministic point in every executor mode.
+        # and allocate real file numbers now, in install order.
         result.new_files = [
             replace(meta, file_number=self._materialize_table(data))
             for meta, data in zip(result.new_files, job.output.files)
@@ -763,9 +747,9 @@ class DB:
         return self._execute_compaction(compaction)
 
     def _execute_compaction(self, compaction: Compaction) -> bool:
-        """Capture the merge's inputs and schedule it on the executor,
-        unless it would read from or write into a key range an
-        in-flight compaction is going to install."""
+        """Capture the merge's inputs and submit the job, unless it
+        would read from or write into a key range an in-flight
+        compaction is going to install."""
         lo, hi = compaction.key_range()
         touched = (compaction.level, compaction.output_level)
         for job in self._bg.inflight("compaction"):
@@ -776,9 +760,9 @@ class DB:
             ):
                 return False
         # Prime the table cache exactly as the eager path did: handle
-        # churn (opens, evictions) is part of the schedule-time state
-        # and must stay identical in every executor mode. The job gets
-        # its own positional handles so workers never share readers.
+        # churn (opens, evictions) is part of the schedule-time state.
+        # The job gets its own positional handles, which pin the input
+        # bytes past an install that unlinks the paths.
         for meta in compaction.all_inputs:
             self._table_cache.get(meta.file_number)
         input_files = [
@@ -1705,7 +1689,6 @@ class DB:
                 self._durable_seq = self._seq
             self._wal.close()
         self._closed = True
-        self._bg.close()
 
     def crash_and_reopen(self) -> "DB":
         """Kill this process image and recover from the surviving disk.
@@ -1729,7 +1712,6 @@ class DB:
             statistics=self._stats,
             byte_scale=self._byte_scale,
             tracer=self._tracer,
-            executor=self._bg.shared_executor,
         )
 
     def __enter__(self) -> "DB":

@@ -89,11 +89,6 @@ class FaultFS:
     write/recovery path) but do fail once the process is "dead".
     """
 
-    #: Duck-typed marker the DB checks to pin the inline background
-    #: executor: crash-at-Nth-syscall schedules count foreground fs
-    #: calls, and a background worker must never race that count.
-    fault_injection = True
-
     def __init__(
         self,
         inner: MemFileSystem | None = None,

@@ -16,12 +16,11 @@ view list is never mutated after it is handed out: a cursor that holds
 one keeps reading the memtable as it was at its seek. Point lookups
 never touch the view at all.
 
-Threads: a flush worker and the foreground may both ask an *immutable*
-memtable for its view. The view and the entries not yet merged into it
-are published together as one tuple and neither is mutated by a
-refresh, so concurrent refreshes compute the same list from the same
-inputs and whichever assignment lands last is correct. Writes (``add``)
-only ever come from the one thread that owns the active memtable.
+The view and the entries not yet merged into it are published together
+as one tuple, and a refresh replaces the tuple without mutating either
+half. That is what cursor stability rests on: a flush job and a cursor
+that asked the same memtable for its view at different times each hold
+a list that no later ``add`` or refresh can change.
 """
 
 from __future__ import annotations

@@ -205,12 +205,6 @@ CATALOG: tuple[OptionSpec, ...] = (
     _opt("max_subcompactions", _D, _I, 1,
          "Split one compaction into up to N parallel subcompactions.",
          min=1, max=32),
-    _opt("background_executor", _D, _E, "inline",
-         "Where flush/compaction merge work runs on the host: inline on "
-         "the foreground thread, or on a thread pool sized from "
-         "max_background_jobs. Virtual-time results are identical in "
-         "both modes; fault-injection runs always pin inline.",
-         choices=("inline", "thread")),
     _opt("max_open_files", _D, _I, -1,
          "Table-handle cache capacity; -1 keeps every file open.",
          min=-1, max=1_000_000),
@@ -609,9 +603,6 @@ CATALOG: tuple[OptionSpec, ...] = (
 #: ``set_options`` fan-out (write-controller thresholds, cache
 #: capacities, rate limits, memtable threshold, perf-model constants).
 IMMUTABLE_OPTIONS: frozenset[str] = frozenset({
-    # the host executor is constructed (and possibly shared across
-    # shards) at open; its *width* stays mutable via max_background_jobs
-    "background_executor",
     # write-path threading shape is fixed when the write path is built
     "enable_pipelined_write",
     "allow_concurrent_memtable_write",

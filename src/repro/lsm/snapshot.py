@@ -72,8 +72,7 @@ class SnapshotList:
 
         Background flush/compaction jobs capture the snapshot floor at
         schedule time; a frozen copy makes the GC decision independent
-        of snapshots acquired or released while the job is in flight,
-        so every executor mode sees the same drop set.
+        of snapshots acquired or released while the job is in flight.
         """
         frozen = SnapshotList()
         frozen._seqs = list(self._seqs)

@@ -114,12 +114,11 @@ class FlushInstalled(TraceEvent):
 @register_event
 @dataclass
 class BgSubmit(TraceEvent):
-    """A flush/compaction job was handed to the background executor.
+    """A flush/compaction job was submitted to the background scheduler.
 
-    Carries only virtual quantities (the lower-bound completion time
-    computed from schedule-time-known inputs) so traces stay
-    byte-identical across executor modes; host-side stall time lives in
-    ``DB.background_stats``, never in the trace.
+    Carries the lower-bound completion time computed from what is known
+    at schedule time (input bytes and entries, no output bytes): the
+    bound a slot is booked until, settled at the matching ``BgJoin``.
     """
 
     TYPE: ClassVar[str] = "engine.bg.submit"

@@ -47,7 +47,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.errors import SimulatedCrash
+from repro.errors import NoLiveReplicaError, SimulatedCrash
 from repro.hardware.profile import HardwareProfile
 from repro.lsm.db import DB
 from repro.lsm.env import Env
@@ -122,7 +122,7 @@ class ReplicaGroup:
     def __init__(self, shard_index: int, replicas: list[Replica]) -> None:
         live = [rep for rep in replicas if rep.alive]
         if not live:
-            raise ValueError(
+            raise NoLiveReplicaError(
                 f"replica group for shard {shard_index} has no live member"
             )
         self.shard_index = shard_index
@@ -270,17 +270,13 @@ def open_group(
     *,
     replicas: int,
     env_factory=None,
-    executor=None,
 ) -> ReplicaGroup:
     """Open a full replica group for one shard.
 
     Replica ``r`` lives at ``{base_path}/shard-NN/r{r}`` with its own
     env/stats; replica 0 is the initial leader. ``env_factory`` (a
     ``(shard_index, replica_id) -> Env`` callable) lets the chaos
-    harness back members with fault-injecting filesystems. ``executor``
-    (a shared host :class:`~repro.lsm.background.BackgroundExecutor`)
-    is threaded through to every member DB; fault-injected members
-    decline it and pin inline.
+    harness back members with fault-injecting filesystems.
     """
     members: list[Replica] = []
     for r in range(replicas):
@@ -294,7 +290,6 @@ def open_group(
                 profile=profile,
                 statistics=stats,
                 byte_scale=byte_scale,
-                executor=executor,
             )
         except SimulatedCrash:
             # Dead on arrival (a chaos schedule killed the member while

@@ -71,13 +71,13 @@ from typing import Any, Callable, Iterable, Mapping
 from repro.bench.keygen import format_key
 from repro.bench.runner import BenchResult, preload_stream
 from repro.bench.spec import WorkloadSpec
-from repro.errors import MisroutedRequestError, RoutingError, SimulatedCrash
-from repro.hardware.profile import HardwareProfile, make_profile
-from repro.lsm.background import (
-    BackgroundExecutor,
-    executor_width,
-    make_executor,
+from repro.errors import (
+    MisroutedRequestError,
+    NoLiveReplicaError,
+    RoutingError,
+    SimulatedCrash,
 )
+from repro.hardware.profile import HardwareProfile, make_profile
 from repro.lsm.db import DB
 from repro.lsm.env import Env
 from repro.lsm.histogram import Histogram, HistogramSummary
@@ -352,28 +352,8 @@ class ShardedService:
         self._failovers: list[tuple[int, int, int]] = []
         self._shards: list[_Shard] = []
         self._aborted = False
-        #: One host BackgroundExecutor shared by every shard/replica DB
-        #: (created lazily on first shard open, closed with the run).
-        self._bg_executor: BackgroundExecutor | None = None
 
     # -- setup -------------------------------------------------------------
-
-    def _shared_executor(self) -> BackgroundExecutor:
-        """The one host executor backing background work service-wide.
-
-        Worker threads are a *host* resource: N shards each
-        spawning a private pool would oversubscribe the machine, so
-        every shard and replica DB shares this pool. DBs opened under
-        fault injection decline it (they pin the inline executor), and
-        a DB that receives a shared executor never closes it — the
-        service does, after the run.
-        """
-        if self._bg_executor is None:
-            self._bg_executor = make_executor(
-                self.options.get("background_executor"),
-                executor_width(self.options),
-            )
-        return self._bg_executor
 
     def _open_shard(self, index: int) -> _Shard:
         if self.num_replicas > 1:
@@ -385,7 +365,6 @@ class ShardedService:
                 self.byte_scale,
                 replicas=self.num_replicas,
                 env_factory=self.env_factory,
-                executor=self._shared_executor(),
             )
             leader = group.leader
             shard = _Shard(
@@ -415,7 +394,6 @@ class ShardedService:
             profile=self.profile,
             statistics=stats,
             byte_scale=self.byte_scale,
-            executor=self._shared_executor(),
         )
         return _Shard(index=index, env=env, stats=stats, db=db)
 
@@ -828,9 +806,6 @@ class ShardedService:
                     shard.group.close()
                 elif not shard.db.closed:
                     shard.db.close()
-            if self._bg_executor is not None:
-                self._bg_executor.close()
-                self._bg_executor = None
 
     def _drive(self, clients: list[SimClient], base_us: float) -> None:
         """The event loop: interleave arrivals and shard completions."""
@@ -1057,10 +1032,6 @@ class ShardedService:
                 for rep_db, _diff in reversed(done):
                     rep_db.set_options(inverse)
             raise
-        # The shards share this pool and none of them owns it: adopt
-        # the new width once, after every DB joined its pending jobs.
-        if self._bg_executor is not None:
-            self._bg_executor.resize(executor_width(self.options))
         if applied and self._overload_keys & applied.keys():
             self._reconfigure_overload()
         if topology is not None:
@@ -1162,7 +1133,7 @@ class ShardedService:
         plan = policy.plan_split(donor, recipient)
         try:
             shard = self._open_shard(recipient)
-        except ValueError as exc:
+        except NoLiveReplicaError as exc:
             # Every recipient replica died while provisioning (chaos):
             # the plan was never committed, so dropping it aborts the
             # split cleanly.

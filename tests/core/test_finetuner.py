@@ -10,6 +10,7 @@ from repro.core.finetuner import (
 )
 from repro.core.stopping import StoppingCriteria
 from repro.core.tuner import TunerConfig
+from repro.errors import InvalidOptionValueError
 from repro.hardware import make_profile
 from repro.llm import ScriptedLLM
 from repro.lsm.options import Options, spec_for
@@ -114,6 +115,28 @@ class TestFineTunerSearch:
         tuner = FineTuner(config(), FineTuneConfig(max_probes=2))
         result = tuner.run(Options())
         assert "probes" in result.describe()
+
+    def test_a_rejected_value_skips_the_probe_and_a_bug_surfaces(
+        self, monkeypatch
+    ):
+        fine = FineTuneConfig(max_probes=2, options_to_tune=("block_cache_size",))
+        tuner = FineTuner(config(), fine)
+        metrics = tuner._bench(Options())
+        # no benchmark runs below, so the search is set()'s only caller
+        monkeypatch.setattr(tuner, "_bench", lambda options: metrics)
+
+        def reject(self, name, value, **kwargs):
+            raise InvalidOptionValueError(name, value, "raced a bound")
+
+        monkeypatch.setattr(Options, "set", reject)
+        assert tuner.run(Options()).probes == []
+
+        def bug(self, name, value, **kwargs):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(Options, "set", bug)
+        with pytest.raises(RuntimeError, match="boom"):
+            tuner.run(Options())
 
 
 class TestHybridTuner:

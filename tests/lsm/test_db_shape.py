@@ -1,15 +1,22 @@
 """The boundary around ``DB``, checked by ``ast`` so it cannot rot.
 
 ``DB`` is the one class every layer holds a handle to, so it is where
-state and reach-ins pile up. These tests pin three structural facts:
+state and reach-ins pile up. These tests pin four structural facts:
 nothing outside ``lsm/db.py`` reads a DB's private attributes, the
-background scheduler does not know the class that drives it, and the
+background scheduler does not know the class that drives it, the
 class does not grow back past the size the scheduler extraction left
-it at (lower the caps when a later decomposition shrinks it further).
+it at (lower the caps when a later decomposition shrinks it further),
+and the engine and the service run on one host thread: concurrency is
+modelled in virtual time, and ``repro.parallel`` is the one
+host-parallel package.
 """
 
 import ast
+import inspect
 from pathlib import Path
+
+from repro.lsm.db import DB
+from repro.service.replication import open_group
 
 SRC = Path(__file__).resolve().parents[2] / "src" / "repro"
 DB_PY = SRC / "lsm" / "db.py"
@@ -109,3 +116,25 @@ def test_db_does_not_outgrow_its_shape():
     methods, attrs = class_shape(_parse(DB_PY), "DB")
     assert len(attrs) <= MAX_PRIVATE_ATTRS, sorted(attrs)
     assert len(methods) <= MAX_METHODS, sorted(methods)
+
+
+def test_engine_and_service_have_no_host_concurrency():
+    offenders = {
+        str(path.relative_to(SRC)): sorted(found)
+        for layer in ("lsm", "service")
+        for path in sorted((SRC / layer).rglob("*.py"))
+        if (found := {
+            module for module in imported_modules(_parse(path))
+            if module.split(".")[0] == "threading"
+            or module.startswith("concurrent.futures")
+        })
+    }
+    assert not offenders, (
+        f"host concurrency imported under lsm/ or service/: {offenders}; "
+        "background work runs at submit and overlaps in virtual time only"
+    )
+
+
+def test_no_executor_is_threaded_through_open():
+    for opener in (DB.open, DB.__init__, open_group):
+        assert "executor" not in inspect.signature(opener).parameters, opener

@@ -1,7 +1,6 @@
 """Tests for the memtable."""
 
 import random
-import threading
 
 import pytest
 
@@ -138,45 +137,6 @@ class TestIteration:
         assert user_keys(mem.view()) == [b"a", b"b", b"c"]
         assert held == frozen
         assert user_keys(cursor) == [b"b"]
-
-    def test_concurrent_refreshes_never_hand_out_a_stale_view(
-        self, mem, monkeypatch
-    ):
-        """A flush worker and the foreground may refresh the view of an
-        immutable memtable at once. Hold one refresh in the middle of
-        its merge: a second reader must still get every entry, and the
-        first one finishing later must not put an older list back."""
-        from repro.lsm import memtable as memtable_mod
-
-        for seq in range(1, 101):
-            mem.add(seq, ValueKind.VALUE, b"k%03d" % seq, b"")
-        mem.view()
-        for seq in range(101, 201):
-            mem.add(seq, ValueKind.VALUE, b"j%03d" % seq, b"")
-
-        merging, release = threading.Event(), threading.Event()
-        real_bisect = memtable_mod.bisect_left
-
-        def gated_bisect(*args):
-            if threading.current_thread() is not threading.main_thread():
-                merging.set()
-                assert release.wait(10)
-            return real_bisect(*args)
-
-        monkeypatch.setattr(memtable_mod, "bisect_left", gated_bisect)
-        sizes = []
-        worker = threading.Thread(target=lambda: sizes.append(len(mem.view())))
-        worker.start()
-        try:
-            assert merging.wait(10)
-            assert len(mem.view()) == 200
-            assert len(list(mem.seek(b"k"))) == 100
-        finally:
-            release.set()
-            worker.join()
-        assert sizes == [200]
-        assert len(mem.view()) == 200
-        assert mem.view() == sorted(mem.view())
 
 
 class TestMemtableBloom:

@@ -18,12 +18,11 @@ from repro.lsm.env import Env
 from repro.lsm.options import Options
 
 
-def _open(mode="thread", **extra):
+def _open(**extra):
     base = {
         # roomy enough that only _force_rotate's explicit rotations
         # happen — an auto-rotation mid-fill would add a surprise batch
         "write_buffer_size": 64 * 1024,
-        "background_executor": mode,
         "max_background_jobs": 8,
     }
     base.update(extra)
@@ -48,10 +47,12 @@ def _memtable_ids(job):
 def test_inflight_flushes_pair_their_own_wals():
     """Two flush jobs pending at once: each carries exactly the WALs of
     its own memtables, recorded at rotation — never a positional slice."""
-    db, _ = _open("thread")
+    db, _ = _open()
     expected = dict([_force_rotate(db, b"a"), _force_rotate(db, b"b")])
     flushes = db._bg.inflight("flush")
     assert flushes, "rotations scheduled no flush"
+    # in flight in virtual time: run at submit, not joined until the bound
+    assert db.background_stats["jobs_pending"] == len(flushes) == 2
     seen_wals = []
     for job in flushes:
         assert job.wal_paths == [expected[m] for m in _memtable_ids(job)]
@@ -64,12 +65,13 @@ def test_inflight_flushes_pair_their_own_wals():
 def test_merged_flush_carries_every_member_wal():
     """min_write_buffer_number_to_merge=2: one job, two memtables, two
     WALs — and install deletes both and clears the pairing map."""
-    db, env = _open("thread", min_write_buffer_number_to_merge=2)
+    db, env = _open(min_write_buffer_number_to_merge=2)
     first = _force_rotate(db, b"a")
     assert not db._bg.inflight("flush"), "flush scheduled below the merge width"
     second = _force_rotate(db, b"b")
     flushes = db._bg.inflight("flush")
     assert len(flushes) == 1
+    assert db.background_stats["jobs_pending"] == 1
     assert _memtable_ids(flushes[0]) == [first[0], second[0]]
     assert flushes[0].wal_paths == [first[1], second[1]]
     db.wait_for_background()
@@ -80,13 +82,14 @@ def test_merged_flush_carries_every_member_wal():
 
 def test_crash_with_flush_inflight_replays_wals():
     """Data whose flush never installed must come back from its WAL."""
-    db, env = _open("thread")
+    db, env = _open()
     expected = {}
     for tag in (b"a", b"b", b"c"):
         _force_rotate(db, tag)
         for i in range(40):
             expected[b"%s-%04d" % (tag, i)] = b"v" * 80
     assert db._bg.inflight("flush")
+    assert db.background_stats["jobs_pending"] > 0
     db2 = db.crash_and_reopen()
     for key, value in expected.items():
         assert db2.get(key) == value, f"lost {key!r} across crash"
@@ -97,14 +100,14 @@ def test_disable_wal_is_not_hot_swappable():
     """The mid-run ``disable_wal`` toggle the pairing audit worried
     about cannot happen: WAL existence is resolved at open and
     ``set_options`` must reject it (half of the structural fix)."""
-    db, _ = _open("inline")
+    db, _ = _open()
     with pytest.raises(ImmutableOptionError):
         db.set_options({"disable_wal": True})
     db.close()
 
 
 def test_wal_disabled_runs_have_no_pairings():
-    db, _ = _open("inline", disable_wal=True)
+    db, _ = _open(disable_wal=True)
     _force_rotate(db, b"a")
     assert db._imm_wal == {}
     flushes = db._bg.inflight("flush")

@@ -11,7 +11,7 @@ truth throughout: no service-acked write may be lost or misrouted.
 import pytest
 
 from repro.bench.spec import WorkloadSpec
-from repro.errors import ImmutableOptionError
+from repro.errors import ImmutableOptionError, NoLiveReplicaError
 from repro.lsm.faults import FaultEnvFactory
 from repro.lsm.options import Options
 from repro.obs.events import (
@@ -298,7 +298,7 @@ class TestGroupMechanics:
         dead = Replica(
             replica_id=0, env=None, stats=None, db=None, alive=False
         )
-        with pytest.raises(ValueError):
+        with pytest.raises(NoLiveReplicaError):
             ReplicaGroup(0, [dead])
 
     def test_dead_on_arrival_member_cedes_lease_to_first_live(self):

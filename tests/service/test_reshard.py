@@ -11,6 +11,7 @@ import pytest
 
 from repro.bench.spec import WorkloadSpec
 from repro.errors import ImmutableOptionError
+from repro.lsm.faults import FaultEnvFactory
 from repro.lsm.options import Options
 from repro.obs.events import (
     ReshardBegin,
@@ -210,6 +211,55 @@ class TestTopologyGuards:
             return "\n".join(to_jsonl_line(e) for e in sink.events)
 
         assert run() == run()
+
+
+class TestRecipientOpenFailure:
+    """A split gives up only for the one reason it can name: every
+    replica of the recipient died while provisioning. Any other error
+    out of the recipient's open is a bug and must surface."""
+
+    def test_unrelated_error_from_the_open_propagates(self):
+        service = _service()
+        fired = []
+
+        def boom(index):
+            raise ValueError("boom")
+
+        def hook(svc, event):
+            if not fired and event.ops_done >= 4000:
+                fired.append(True)
+                svc._open_shard = boom
+                svc.set_options({"shard_count": 3})
+
+        service.on_progress = hook
+        with pytest.raises(ValueError, match="boom"):
+            service.run()
+        assert fired
+
+    def test_all_dead_recipient_aborts_the_split_cleanly(self):
+        service = _service(Options({
+            "shard_count": 2, "routing_policy": "ring",
+            "replicas_per_shard": 2,
+        }))
+        factory = FaultEnvFactory(seed=3)
+        service.env_factory = factory
+        failures = _audit_clean(service)
+        fired = []
+
+        def hook(svc, event):
+            if not fired and event.ops_done >= 4000:
+                for replica in (0, 1):  # die inside the recipient's open
+                    factory.arm_after(2, replica, 1)
+                fired.append(svc.set_options({"shard_count": 3}))
+
+        service.on_progress = hook
+        result = service.run()
+        assert fired and fired[0]["shard_count"] == (2, 3)
+        assert factory.crashed(2, 0) and factory.crashed(2, 1)
+        assert result.reshards == []
+        assert len(result.shards) == 2
+        assert result.aggregate.ops_done == _spec().num_ops
+        assert failures == []
 
 
 class TestOverload:

@@ -6,7 +6,6 @@ import pytest
 from repro.bench.spec import WorkloadSpec
 from repro.core.monitor import BenchmarkMonitor, MonitorConfig
 from repro.errors import ImmutableOptionError
-from repro.lsm.background import executor_width
 from repro.lsm.options import Options
 from repro.obs.events import ServiceProgress, SetOptions
 from repro.obs.sinks import RingSink
@@ -95,27 +94,6 @@ class TestServiceSetOptions:
         result = service.run()
         assert applied_at, "hook never ran"
         assert result.aggregate.ops_done == _spec().num_ops
-
-    def test_shared_executor_resized_once_after_fan_out(self):
-        """The shards share one host pool and none owns it: a width
-        change reaches it from the service, once, not once per shard."""
-        service = ShardedService(
-            _spec(),
-            Options({"shard_count": 3, "background_executor": "thread"}),
-        )
-        calls = []
-
-        def hook(svc, event):
-            if calls:
-                return
-            executor = svc._bg_executor
-            resize = executor.resize
-            executor.resize = lambda width: (calls.append(width), resize(width))
-            svc.set_options({"max_background_jobs": 6})
-
-        service.on_progress = hook
-        service.run()
-        assert calls == [executor_width(service.options)]
 
     def test_topology_keys_rejected_before_any_shard_is_touched(self):
         service = ShardedService(_spec(), Options({"shard_count": 2}))
