@@ -38,7 +38,6 @@ REQUIRED_SERVICE_TYPES = {
     "service.progress",
     "service.reshard.begin",
     "service.reshard.end",
-    "service.overload",
     "service.failover.begin",
     "service.failover.end",
     "replica.ship",

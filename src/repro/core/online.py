@@ -353,12 +353,10 @@ class OnlineTuner:
                 f"{drift.previous:.2f} to {drift.current:.2f} over the last "
                 f"{drift.window_ops} operations.",
             ]
-        # Topology/overload context only exists beyond the default
-        # static layout; omitting it otherwise keeps legacy prompts
-        # (and everything seeded off them) byte-identical.
-        if service.supports_resharding or service.overloaded_shards() or (
-            service.topology_context()["sheds"] > 0
-        ):
+        # Topology context only exists beyond the default static
+        # layout; omitting it otherwise keeps legacy prompts (and
+        # everything seeded off them) byte-identical.
+        if service.supports_resharding:
             ctx = service.topology_context()
             depths = ", ".join(
                 f"shard {sid}: {depth}"
@@ -371,18 +369,11 @@ class OnlineTuner:
                 f"{ctx['active_shards']} active shard(s).",
                 f"Queue depths: {depths}.",
             ]
-            if service.supports_resharding:
-                lines.append(
-                    "shard_count is live-tunable: raising it splits the "
-                    "most loaded shard, lowering it merges the newest "
-                    "shard back."
-                )
-            if ctx["overloaded"]:
-                lines.append(
-                    "Overloaded shards: "
-                    + ", ".join(str(s) for s in ctx["overloaded"])
-                    + f" ({ctx['sheds']} requests shed so far)."
-                )
+            lines.append(
+                "shard_count is live-tunable: raising it splits the "
+                "most loaded shard, lowering it merges the newest "
+                "shard back."
+            )
             if ctx["resharding"]:
                 lines.append("A topology change is currently in flight.")
         lines += [

@@ -15,6 +15,7 @@ import random
 import re
 from typing import Any
 
+from repro.errors import OptionError, OptionsFileError
 from repro.llm.client import ChatMessage, LLMClient
 from repro.llm.hallucination import HallucinationInjector, HallucinationProfile
 from repro.llm.knowledge import (
@@ -87,7 +88,7 @@ def _parse_current_options(text: str) -> dict[str, Any]:
     section = text[idx:] if end < 0 else text[idx:end]
     try:
         options, _warnings = parse_options_text(section, strict=False)
-    except Exception:  # noqa: BLE001 - a real model shrugs at bad input
+    except (OptionsFileError, OptionError):  # a real model shrugs at bad input
         return {}
     return options.as_dict()
 
@@ -171,10 +172,7 @@ class SimulatedExpert(LLMClient):
             for move in rotated:
                 if budget <= 0 or rule_budget <= 0:
                     break
-                try:
-                    value = move.value(facts)
-                except Exception:  # noqa: BLE001 - lore can misfire
-                    continue
+                value = move.value(facts)
                 current = facts.option(move.option)
                 if current is not None and _values_equal(current, value):
                     continue

@@ -350,20 +350,6 @@ CATALOG: tuple[OptionSpec, ...] = (
          "vnodes smooth the key distribution and give splits "
          "finer-grained donor arcs.",
          min=1, max=512),
-    _opt("overload_policy", _D, _E, "none",
-         "Per-shard overload response: 'none' disables detection, "
-         "'queue' detects and reports overload while requests keep "
-         "queueing, 'shed' additionally drops point requests arriving "
-         "at an overloaded shard.",
-         choices=("none", "queue", "shed")),
-    _opt("overload_queue_depth", _D, _I, 128,
-         "Pending requests on one shard at which it counts as "
-         "overloaded.",
-         min=1, max=10**6),
-    _opt("overload_p99_ms", _D, _F, 0.0,
-         "Windowed p99 service latency (milliseconds) that also flags a "
-         "shard as overloaded (0 disables the latency trigger).",
-         min=0.0, max=1e5),
     _opt("enable_group_commit", _D, _B, True,
          "Coalesce concurrent writers on one shard into a single write "
          "group with one WAL sync boundary (service layer)."),

@@ -8,14 +8,9 @@ uniform phase dilutes it). When a window's characterization moves past
 a threshold against the previous window, the detector produces a
 ``workload.drift`` event.
 
-Two ways to consume it:
-
-* as a :class:`~repro.obs.sinks.TraceSink` attached to a tracer — drift
-  events queue in an outbox (sinks must not re-enter ``tracer.emit``);
-  the driver drains :meth:`take_drift` and emits them itself;
-* directly via :meth:`observe` from a progress callback (how the
-  online tuner uses it), which returns the drift event, if any, for
-  the caller to act on and emit.
+The one way to consume it is :meth:`DriftDetector.observe`, called
+from a progress callback (the online tuner's): it returns the drift
+event, if any, for the caller to act on and emit.
 """
 
 from __future__ import annotations
@@ -23,7 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.obs.events import ServiceProgress, TraceEvent, WorkloadDrift
-from repro.obs.sinks import TraceSink
 
 
 @dataclass(frozen=True)
@@ -55,16 +49,11 @@ class DriftConfig:
             raise ValueError("min_ops_between_emits cannot be negative")
 
 
-class DriftDetector(TraceSink):
+class DriftDetector:
     """Rolling-window phase characterization over progress samples."""
 
     def __init__(self, config: DriftConfig | None = None) -> None:
-        super().__init__()
         self.config = config if config is not None else DriftConfig()
-        #: Drift events produced while running as a sink (outbox).
-        self.pending: list[WorkloadDrift] = []
-        #: Total drift events produced over the detector's lifetime.
-        self.drift_count = 0
         self._last_ops = 0
         self._last_reads = 0
         self._prev_mix: float | None = None
@@ -112,17 +101,6 @@ class DriftDetector(TraceSink):
         ) * self.config.window_ops
         if drift is not None:
             drift.t_us = event.t_us
-            self.drift_count += 1
             self._last_emit_ops = event.ops_done
         return drift
 
-    def emit(self, event: TraceEvent) -> None:
-        """Sink protocol: queue drift events for the driver to drain."""
-        drift = self.observe(event)
-        if drift is not None:
-            self.pending.append(drift)
-
-    def take_drift(self) -> list[WorkloadDrift]:
-        """Drain and return queued drift events (sink mode)."""
-        drained, self.pending = self.pending, []
-        return drained

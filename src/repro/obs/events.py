@@ -458,23 +458,6 @@ class ReshardEnd(TraceEvent):
     shards_after: int
 
 
-@register_event
-@dataclass
-class ServiceOverload(TraceEvent):
-    """A shard crossed the overload detector's threshold (either way).
-
-    Emitted on state *transitions* only, at progress cadence, so steady
-    overload does not flood the trace.
-    """
-
-    TYPE: ClassVar[str] = "service.overload"
-    shard: int
-    state: str  # "enter" | "exit"
-    queue_depth: int
-    p99_us: float
-    sheds: int
-
-
 # ---------------------------------------------------------- replication
 
 @register_event

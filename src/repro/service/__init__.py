@@ -15,7 +15,6 @@ from repro.service.chaos import (
     service_sweep,
 )
 from repro.service.clients import Request, SimClient, build_clients, client_role
-from repro.service.overload import OverloadDetector, ShardLoadState
 from repro.service.replication import (
     Replica,
     ReplicaGroup,
@@ -46,7 +45,6 @@ __all__ = [
     "ClientStats",
     "HashRingPolicy",
     "ModuloPolicy",
-    "OverloadDetector",
     "Replica",
     "ReplicaGroup",
     "Request",
@@ -54,7 +52,6 @@ __all__ = [
     "RoutingPolicy",
     "ServiceResult",
     "ServiceScheduleResult",
-    "ShardLoadState",
     "ShardStats",
     "ShardedService",
     "SimClient",

@@ -95,7 +95,6 @@ from repro.obs.events import (
     ReshardBegin,
     ReshardEnd,
     ServiceEnd,
-    ServiceOverload,
     ServiceProgress,
     ServiceStart,
     SetOptions,
@@ -103,7 +102,6 @@ from repro.obs.events import (
 )
 from repro.obs.tracer import Tracer
 from repro.service.clients import MULTIGET, PUT, Request, SimClient, build_clients
-from repro.service.overload import OverloadDetector
 from repro.service.replication import (
     REPLICATION_HOP_US,
     PendingCommit,
@@ -246,7 +244,8 @@ class ServiceResult:
     #: Completed live topology changes, in order: (kind, donor,
     #: recipient) tuples.
     reshards: list = field(default_factory=list)
-    #: Point requests dropped by the ``shed`` overload policy.
+    #: Always 0 (the service refuses no request); its one reader is
+    #: ``service.sheds`` in benchmarks/perf/workloads.py.
     sheds: int = 0
     #: Completed leader failovers, in order: (shard, crashed_replica,
     #: promoted_replica) tuples.
@@ -321,7 +320,6 @@ class ShardedService:
         #: The single source of routing truth: every lookup goes
         #: through this object (see module docstring).
         self._policy: RoutingPolicy = make_policy(self.options)
-        self._overload = OverloadDetector.from_options(self.options)
         self._migration: _Migration | None = None
         self._topology_target: int | None = None
         self._next_shard_id = self.num_shards
@@ -442,12 +440,7 @@ class ShardedService:
         owner = self._policy.owner
         shards = self._shards
         if req.kind != MULTIGET:  # point op: one owner, one queue
-            target = owner(req.key)
-            if self._overload is not None and self._overload.should_shed(
-                target, self._depth(target)
-            ):
-                return
-            shard = shards[target]
+            shard = shards[owner(req.key)]
             if req.kind == PUT:
                 shard.write_q.append((req.arrival_us, self._next_seq(), req))
             else:
@@ -720,11 +713,11 @@ class ShardedService:
         client: int,
         client_latency_us: float | None,
     ) -> None:
-        """The one epilogue of a served unit: the shard's histogram,
-        counters and overload window take ``latency_us``; the service
-        and per-client histograms take ``client_latency_us`` once the
-        client-visible request is complete (None: a fan-out with parts
-        still outstanding). :meth:`_collect` reads all of it back."""
+        """The one epilogue of a served unit: the shard's histogram and
+        counters take ``latency_us``; the service and per-client
+        histograms take ``client_latency_us`` once the client-visible
+        request is complete (None: a fan-out with parts still
+        outstanding). :meth:`_collect` reads all of it back."""
         if write:
             shard.write_hist.add(latency_us)
             shard.writes += ops
@@ -737,8 +730,6 @@ class ShardedService:
             service_hist = self._read_hist
         shard.requests += 1
         self._ops_done += ops
-        if self._overload is not None:
-            self._overload.record_latency(shard.index, latency_us)
         if client_latency_us is not None:
             service_hist.add(client_latency_us)
             self._client_hist[client].add(client_latency_us)
@@ -861,8 +852,6 @@ class ShardedService:
                 next_progress = (
                     self._ops_done // self.PROGRESS_EVERY + 1
                 ) * self.PROGRESS_EVERY
-                if self._overload is not None:
-                    self._evaluate_overload()
                 if watch:
                     event = self._progress_event(base_us)
                     if self.tracer is not None:
@@ -893,33 +882,6 @@ class ShardedService:
             cache_hit_rate=hits / blocks if blocks else 0.0,
         )
 
-    # -- overload (progress cadence) ---------------------------------------
-
-    def _evaluate_overload(self) -> None:
-        """Re-check every active shard; trace state transitions."""
-        detector = self._overload
-        assert detector is not None
-        for shard_id in self._policy.shard_ids():
-            depth = self._depth(shard_id)
-            transition = detector.evaluate(shard_id, depth)
-            if transition is not None and self.tracer is not None:
-                state = detector.state(shard_id)
-                self.tracer.emit(
-                    ServiceOverload(
-                        shard=shard_id,
-                        state=transition,
-                        queue_depth=depth,
-                        p99_us=state.p99_us(),
-                        sheds=state.sheds,
-                    )
-                )
-
-    def overloaded_shards(self) -> tuple[int, ...]:
-        """Shards currently past the overload threshold (may be empty)."""
-        if self._overload is None:
-            return ()
-        return self._overload.overloaded_shards()
-
     def topology_context(self) -> dict[str, Any]:
         """Live topology facts for the online tuner's prompt."""
         per_shard = {
@@ -930,8 +892,6 @@ class ShardedService:
             "routing_policy": self._policy.name,
             "active_shards": len(per_shard),
             "queue_depths": per_shard,
-            "overloaded": list(self.overloaded_shards()),
-            "sheds": self._overload.total_sheds() if self._overload else 0,
             "resharding": self._migration is not None
             or self._topology_target is not None,
         }
@@ -1032,8 +992,6 @@ class ShardedService:
                 for rep_db, _diff in reversed(done):
                     rep_db.set_options(inverse)
             raise
-        if applied and self._overload_keys & applied.keys():
-            self._reconfigure_overload()
         if topology is not None:
             current = (
                 self._topology_target
@@ -1049,20 +1007,6 @@ class ShardedService:
                 [[n, old, new] for n, (old, new) in sorted(applied.items())]
             ))
         return applied
-
-    _overload_keys = frozenset(
-        {"overload_policy", "overload_queue_depth", "overload_p99_ms"}
-    )
-
-    def _reconfigure_overload(self) -> None:
-        """Rebuild the overload detector after its options changed,
-        carrying the rolling per-shard state across."""
-        detector = OverloadDetector.from_options(
-            self._shards[0].db.options if self._shards else self.options
-        )
-        if detector is not None and self._overload is not None:
-            detector.adopt_states(self._overload)
-        self._overload = detector
 
     # -- live resharding ---------------------------------------------------
 
@@ -1238,8 +1182,6 @@ class ShardedService:
         self._policy.commit(plan)
         if plan.kind == "merge":
             shards[plan.donor].retired = True
-            if self._overload is not None:
-                self._overload.forget(plan.donor)
         migrated = self._revalidate_queues([plan.donor])
         # Writes the fence held back (revalidation only kicks shards
         # that *received* entries) can go again.
@@ -1572,7 +1514,6 @@ class ShardedService:
             wal_syncs=wal_syncs,
             requests_done=sum(s.requests for s in shards),
             reshards=list(self._reshards),
-            sheds=self._overload.total_sheds() if self._overload else 0,
             failovers=list(self._failovers),
             follower_reads_served=sum(
                 rep.reads_served

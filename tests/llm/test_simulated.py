@@ -90,6 +90,10 @@ class TestParsePrompt:
         assert facts.cpu_cores == 4
         assert facts.current == {}
 
+    def test_malformed_options_block_reads_as_no_options(self):
+        prompt = NVME_READ_PROMPT + "\n[Version]\nnot a key value line\n"
+        assert parse_prompt(prompt).current == {}
+
 
 class TestExpertProposals:
     def test_read_heavy_gets_bloom_and_cache(self):
@@ -170,6 +174,22 @@ class TestExpertProposals:
 
     def test_model_name(self):
         assert "expert" in SimulatedExpert().model_name
+
+    def test_a_failing_move_propagates(self, monkeypatch):
+        """A knowledge-base bug surfaces instead of silently shrinking
+        the proposal."""
+        from repro.llm import simulated
+        from repro.llm.knowledge import Move, TuningRule
+
+        broken = TuningRule(
+            name="broken",
+            priority=100,
+            applies=lambda f: True,
+            moves=(Move("write_buffer_size", lambda f: 1 // 0, "bug"),),
+        )
+        monkeypatch.setattr(simulated, "matching_rules", lambda facts: [broken])
+        with pytest.raises(ZeroDivisionError):
+            ask(HDD_WRITE_PROMPT)
 
 
 class TestHallucinationIntegration:

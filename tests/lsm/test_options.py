@@ -127,6 +127,16 @@ class TestValidation:
             with pytest.raises(UnknownOptionError):
                 attempt()
 
+    @pytest.mark.parametrize(
+        "name", ["overload_policy", "overload_queue_depth", "overload_p99_ms"]
+    )
+    def test_overload_knobs_are_unknown(self, name):
+        # the service has no overload detector, so nothing reads these
+        with pytest.raises(UnknownOptionError):
+            Options({name: "1"})
+        with pytest.raises(UnknownOptionError):
+            spec_for(name)
+
     def test_float_option(self):
         opts = Options({"max_bytes_for_level_multiplier": "8"})
         assert opts.get("max_bytes_for_level_multiplier") == 8.0

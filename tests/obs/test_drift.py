@@ -36,9 +36,8 @@ class TestDetection:
 
     def test_steady_mix_never_drifts(self):
         det = self._detector()
-        for i in range(1, 11):
-            assert det.observe(_sample(i * 1000, i * 200)) is None
-        assert det.drift_count == 0
+        emitted = [det.observe(_sample(i * 1000, i * 200)) for i in range(1, 11)]
+        assert [d for d in emitted if d is not None] == []
 
     def test_read_mix_shift_drifts_once(self):
         det = self._detector()
@@ -108,7 +107,6 @@ class TestHysteresis:
         # Drift fires at the first flip (ops 2000), then once per
         # elapsed cooldown: 2000, 6000, 10000, 14000.
         assert self._alternate(det) == 4
-        assert det.drift_count == 4
 
     def test_zero_cooldown_restores_emit_per_boundary(self):
         det = DriftDetector(
@@ -141,14 +139,3 @@ class TestHysteresis:
         with pytest.raises(ValueError):
             DriftConfig(min_ops_between_emits=-1)
 
-
-class TestSinkMode:
-    def test_outbox_collects_and_drains(self):
-        det = DriftDetector(DriftConfig(window_ops=1000))
-        det.emit(_sample(1000, 200))
-        det.emit(_sample(2000, 1100))
-        assert len(det.pending) == 1
-        drained = det.take_drift()
-        assert len(drained) == 1 and drained[0].metric == "read_fraction"
-        assert det.pending == []
-        assert det.take_drift() == []

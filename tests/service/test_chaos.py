@@ -81,35 +81,24 @@ def _spec(num_ops=3000, **overrides):
     return WorkloadSpec(**base)
 
 
-def _split_service(
-    overrides=None, *, split_at=1000, saturate=True, progress_every=None
-):
-    options = dict(
-        {
+def _split_service():
+    service = ShardedService(
+        _spec(),
+        Options({
             "shard_count": 2,
             "routing_policy": "ring",
             "replicas_per_shard": 2,
             "replication_quorum": 2,
             "lease_timeout_ms": 5.0,
-        }
-    )
-    options.update(overrides or {})
-    service = ShardedService(
-        _spec(),
-        Options(options),
+        }),
         num_clients=4,
-        client_ops_per_sec=500_000.0 if saturate else 100_000.0,
+        client_ops_per_sec=500_000.0,
     )
     service.write_audit = {}
-    if progress_every is not None:
-        # Finer progress cadence: under the shed policy most writes
-        # never complete, so ops_done would not reach the default
-        # sampling interval and the split hook would never fire.
-        service.PROGRESS_EVERY = progress_every
     fired = []
 
     def hook(svc, event):
-        if not fired and event.ops_done >= split_at:
+        if not fired and event.ops_done >= 1000:
             fired.append(True)
             svc.set_options({"shard_count": svc.num_shards + 1})
 
@@ -152,84 +141,6 @@ class TestSwapFenceRegression:
             result = service.run()
             assert result.reshards, f"seed {seed}: split never completed"
             assert failures == []
-
-
-class TestShedIsolationRegression:
-    @pytest.mark.parametrize("replicas", [1, 2])
-    def test_shed_writes_never_reach_journal_audit_or_recipient(
-        self, replicas
-    ):
-        """Shed writes are not acked writes (invariant guard).
-
-        A write shed at enqueue during an in-flight reshard was never
-        served, so it must never be appended to the migration journal,
-        counted toward the write audit, or materialize on the
-        recipient — an unacked value in any of those places would
-        surface as a phantom write after the swap. The journal/audit
-        appends live at the service-ack point (`_finish_write_group`);
-        this test pins the invariant for both bare and replicated
-        donors by recording every shed (key, value) and the journal
-        contents at swap time.
-        """
-        # The split must fire early: under the shed policy almost no
-        # write completes once the queues saturate, so a later split
-        # threshold would land after the interesting overlap (or, for
-        # the replicated donor, never be reached at all).
-        service, failures = _split_service(
-            {
-                "replicas_per_shard": replicas,
-                "replication_quorum": min(2, replicas),
-                "overload_policy": "shed",
-                "overload_queue_depth": 64,
-            },
-            split_at=50,
-            progress_every=50,
-        )
-        shed: list = []
-        detector = service._overload
-        orig_enqueue = service._enqueue
-
-        def record_sheds(req):
-            before = detector.total_sheds()
-            orig_enqueue(req)
-            if detector.total_sheds() > before and req.value is not None:
-                shed.append(
-                    (req.key, req.value, service._migration is not None)
-                )
-
-        service._enqueue = record_sheds
-        journal_snapshot: list = []
-        orig_finish = service._finish_reshard
-
-        def snapshot_journal(migration):
-            journal_snapshot[:] = list(migration.journal)
-            orig_finish(migration)
-
-        service._finish_reshard = snapshot_journal
-        # Probe the final cluster state for the shed values while the
-        # shards are still open.
-        leaked: list = []
-        chained = service.on_complete
-
-        def check_leaks(svc):
-            for key, value, _ in shed:
-                owner = svc._shards[svc._policy.owner(key)]
-                if owner.db.get(key) == value:
-                    leaked.append(key)
-            chained(svc)
-
-        service.on_complete = check_leaks
-        result = service.run()
-        assert result.sheds > 0 and shed
-        # At least one shed landed inside the drain window, or the test
-        # exercised nothing interesting.
-        assert any(mid_drain for _, _, mid_drain in shed)
-        shed_pairs = {(k, v) for k, v, _ in shed}
-        assert not shed_pairs & set(journal_snapshot)
-        audit = service.write_audit
-        assert all(audit.get(k) != v for k, v in shed_pairs)
-        assert leaked == []
-        assert failures == []
 
 
 class TestOptionsFanoutCrashRegression:

@@ -1,4 +1,4 @@
-"""Live resharding and overload tests for the sharded service.
+"""Live resharding tests for the sharded service.
 
 The split/merge machinery runs entirely on the virtual clock: a drain
 at a pinned snapshot, a migration journal for writes that land during
@@ -16,7 +16,6 @@ from repro.lsm.options import Options
 from repro.obs.events import (
     ReshardBegin,
     ReshardEnd,
-    ServiceOverload,
     SetOptions,
     to_jsonl_line,
 )
@@ -261,63 +260,3 @@ class TestRecipientOpenFailure:
         assert result.aggregate.ops_done == _spec().num_ops
         assert failures == []
 
-
-class TestOverload:
-    def test_queue_policy_traces_transitions(self):
-        sink = RingSink()
-        options = Options({
-            "shard_count": 2,
-            "routing_policy": "ring",
-            "overload_policy": "queue",
-            "overload_queue_depth": 4,
-        })
-        service = _service(options, tracer=Tracer(sink), saturate=True)
-        result = service.run()
-        overloads = [e for e in sink.events if type(e) is ServiceOverload]
-        assert overloads, "saturated shards never crossed the threshold"
-        assert overloads[0].state == "enter"
-        assert all(e.state in ("enter", "exit") for e in overloads)
-        # queue mode observes but never drops.
-        assert result.sheds == 0
-        assert result.aggregate.ops_done == _spec().num_ops
-
-    def test_shed_policy_drops_point_requests(self):
-        options = Options({
-            "shard_count": 2,
-            "routing_policy": "ring",
-            "overload_policy": "shed",
-            "overload_queue_depth": 4,
-        })
-        service = _service(options, saturate=True)
-        failures = _audit_clean(service)
-        result = service.run()
-        assert result.sheds > 0
-        # Shed requests never complete, so fewer ops finish...
-        assert result.aggregate.ops_done < _spec().num_ops
-        # ...but every *acked* write is still durable and routable.
-        assert failures == []
-
-    def test_overload_options_are_live_tunable(self):
-        options = Options({
-            "shard_count": 2,
-            "routing_policy": "ring",
-            "overload_policy": "none",
-        })
-        service = _service(options, saturate=True)
-        switched = []
-
-        def hook(svc, event):
-            if not switched:
-                switched.append(True)
-                assert svc._overload is None
-                svc.set_options({
-                    "overload_policy": "shed",
-                    "overload_queue_depth": 4,
-                })
-                assert svc._overload is not None
-                assert svc._overload.policy == "shed"
-
-        service.on_progress = hook
-        result = service.run()
-        assert switched
-        assert result.sheds > 0

@@ -1,20 +1,22 @@
 """The boundary around ``ShardedService``, checked by ``ast`` so it
 cannot rot — ``tests/lsm/test_db_shape.py``'s checks, pointed at the
 service: nothing outside ``service/service.py`` reads a service's
-private attributes, the policy/replication/overload/client modules do
-not know the class that drives them, the class and the routing interface
-do not grow back (lower the caps when a later PR shrinks them), and the
-event heap keeps one push site.
+private attributes, the policy/replication/client modules do not know
+the class that drives them, the class and the routing interface do not
+grow back (lower the caps when a later PR shrinks them), the event heap
+keeps one push site, and every service mode is selected by something
+that ships.
 """
 
 import ast
 
+from repro.lsm.options import CATALOG, OptKind
 from tests.lsm.test_db_shape import SRC, _parse, class_shape, imported_modules
 
 SERVICE_PY = SRC / "service" / "service.py"
 
-MAX_PRIVATE_ATTRS = 20
-MAX_METHODS = 36
+MAX_PRIVATE_ATTRS = 19
+MAX_METHODS = 33
 MAX_POLICY_METHODS = 6
 MAX_HEAPPUSH_FUNCTIONS = 1
 
@@ -59,7 +61,7 @@ def test_no_module_outside_service_py_reads_service_privates():
 
 
 def test_collaborators_do_not_import_the_service():
-    for name in ("routing", "replication", "overload", "clients"):
+    for name in ("routing", "replication", "clients"):
         modules = imported_modules(_parse(SRC / "service" / f"{name}.py"))
         assert "repro.service.service" not in modules, name
         assert "repro.service" not in modules, name  # the package re-exports it
@@ -90,3 +92,49 @@ def test_one_function_pushes_events():
         )
     )
     assert len(pushers) <= MAX_HEAPPUSH_FUNCTIONS, pushers
+
+
+#: What ships a service configuration: the benchmark workloads, the
+#: pinned claims, the determinism scenarios and the chaos schedules.
+SELECTORS = (
+    SRC.parents[1] / "benchmarks" / "perf" / "workloads.py",
+    SRC.parents[1] / "benchmarks" / "test_service_claims.py",
+    SRC.parents[1] / "scripts" / "check_determinism.py",
+    SRC / "service" / "chaos.py",
+)
+
+
+def _names(paths):
+    """Every attribute name and string constant in ``paths``."""
+    found = set()
+    for path in paths:
+        for node in ast.walk(_parse(path)):
+            if isinstance(node, ast.Attribute):
+                found.add(node.attr)
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                found.add(node.value)
+    return found
+
+
+def test_every_service_mode_is_selected():
+    """A mode with no workload, pinned claim or chaos scenario gets one
+    or goes: every enum or bool option only the service layer reads
+    must be set by at least one shipped selector."""
+    service_reads = _names((SRC / "service").rglob("*.py"))
+    engine_reads = _names(
+        path for path in (SRC / "lsm").rglob("*.py")
+        if path.name not in ("options.py", "options_doc.py")
+    )
+    modes = [
+        spec.name for spec in CATALOG
+        if spec.kind in (OptKind.ENUM, OptKind.BOOL)
+        and spec.name in service_reads
+        and spec.name not in engine_reads
+    ]
+    assert modes, "no service mode found; the reader scan is broken"
+    selected = _names(SELECTORS)
+    unselected = [name for name in modes if name not in selected]
+    assert not unselected, (
+        f"service modes no shipped workload, claim, determinism scenario "
+        f"or chaos schedule selects: {unselected}"
+    )
