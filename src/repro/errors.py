@@ -96,9 +96,12 @@ class NoLiveReplicaError(ReproError):
 class MisroutedRequestError(ReproError):
     """A request reached a shard the routing policy does not map it to.
 
-    The service recomputes the route at serve time; a mismatch means the
-    enqueue-side and serve-side views of the policy diverged (the bug
-    class the single-policy-object refactor exists to prevent).
+    A request is hashed once, at enqueue, and its queue entry carries
+    that route. At serve time the service maps the carried route to an
+    owner under the policy's *current* layout; an owner other than the
+    serving shard means the layout changed under the queued request
+    without migrating it (the bug class the single-policy-object design
+    exists to prevent).
     """
 
     def __init__(self, key: bytes, shard: int, owner: int) -> None:
@@ -109,6 +112,12 @@ class MisroutedRequestError(ReproError):
         self.key = key
         self.shard = shard
         self.owner = owner
+
+
+class AuditUnavailableError(ReproError):
+    """The write-audit oracle was asked to check a run it cannot check:
+    the audit was not enabled before the run, or the shards it reads
+    are already closed."""
 
 
 class WorkloadError(ReproError):

@@ -202,8 +202,8 @@ class PerfModel:
         self._put_base_us = base
         self._put_per_byte_us = c.wal_encode_per_byte
         self._put_coord_us = coord
-        self._put_speed = self.profile.cpu_speed
-        self._put_cores = self.profile.cpu_cores
+        self._cpu_speed = self.profile.cpu_speed
+        self._cpu_cores = self.profile.cpu_cores
         self._put_rot_seek_us = (
             device.seek_us * self._fixed_scale if device.rotational else 0.0
         )
@@ -219,8 +219,8 @@ class PerfModel:
             self._put_base_us,
             self._put_per_byte_us,
             self._put_coord_us,
-            self._put_speed,
-            self._put_cores,
+            self._cpu_speed,
+            self._cpu_cores,
             self._put_rot_seek_us,
             self._readahead_relief_cached,
         )
@@ -229,9 +229,10 @@ class PerfModel:
 
     def _cpu(self, us: float, busy_bg_jobs: int = 0) -> float:
         """Scale a CPU cost by core speed and background contention."""
-        cores = self.profile.cpu_cores
-        contention = max(1.0, (1.0 + busy_bg_jobs) / cores)
-        return us / self.profile.cpu_speed * contention
+        contention = (1.0 + busy_bg_jobs) / self._cpu_cores
+        if contention < 1.0:
+            contention = 1.0
+        return us / self._cpu_speed * contention
 
     def _device_read_factor(self, busy_bg_jobs: int) -> float:
         """Queueing inflation for foreground reads under background I/O."""
@@ -261,10 +262,7 @@ class PerfModel:
             ) + self._put_coord_us
         else:
             cost = self._put_base_us + self._put_coord_us
-        contention = (1.0 + busy_bg_jobs) / self._put_cores
-        if contention < 1.0:
-            contention = 1.0
-        total = cost / self._put_speed * contention
+        total = self._cpu(cost, busy_bg_jobs)
         rot_seek = self._put_rot_seek_us
         if rot_seek and busy_bg_jobs:
             # On a rotational disk the WAL stream shares the arm with
@@ -316,7 +314,6 @@ class PerfModel:
         if stats.block_searches:
             cpu_cost += c.block_search * stats.block_searches
         device_cost = 0.0
-        read_factor = self._device_read_factor(busy_bg_jobs)
         for nbytes, source in stats.block_reads:
             cpu_cost += c.block_search + c.block_decode_per_kb * nbytes / 1024.0
             if source == "cache":
@@ -329,7 +326,7 @@ class PerfModel:
             else:
                 device_cost += (
                     self.profile.device.read_cost_us(nbytes, sequential=False)
-                    * read_factor
+                    * self._device_read_factor(busy_bg_jobs)
                 )
         return self._cpu(cpu_cost, busy_bg_jobs) + device_cost
 

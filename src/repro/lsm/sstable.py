@@ -63,7 +63,7 @@ class FileMetaData:
         return True
 
 
-@dataclass
+@dataclass(slots=True)
 class ReadStats:
     """What one point lookup touched inside a table.
 
@@ -552,7 +552,9 @@ class SSTableReader:
             hashes if hashes is not None else key_hashes(user_key)
         ):
             return False, None, None, FILTERED_OUT
-        stats = ReadStats(bloom_checked=bloom is not None)
+        # bloom_checked, passed positionally: a keyword argument costs
+        # ~0.1 us on this per-table path.
+        stats = ReadStats(bloom is not None)
         seek = ikey_mod.seek_key(user_key, snapshot_seq)
         idx = self._block_index_for(seek)
         if idx is None:

@@ -23,6 +23,12 @@ class Version:
     #: Monotonic mutation counter; bumps whenever the file set changes so
     #: derived quantities (pending compaction debt) can be memoized.
     stamp: int = 0
+    #: ``largest_key`` of every file, per level and in list order: the
+    #: bisect keys of :meth:`files_for_key` and :meth:`files_from`,
+    #: updated by every mutation instead of rebuilt per lookup.
+    _largest: list[list[bytes]] = field(
+        default_factory=list, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         if self.num_levels < 2:
@@ -31,6 +37,9 @@ class Version:
             self.levels = [[] for _ in range(self.num_levels)]
         elif len(self.levels) != self.num_levels:
             raise DBError("levels list does not match num_levels")
+        self._largest = [
+            [f.largest_key for f in files] for files in self.levels
+        ]
 
     # -- mutation ----------------------------------------------------------
 
@@ -48,18 +57,18 @@ class Version:
         files = self.levels[level]
         if level == 0:
             files.append(meta)  # newest last; read path scans newest first
+            self._largest[0].append(meta.largest_key)
         else:
-            keys = [f.smallest_key for f in files]
-            idx = bisect.bisect_left(keys, meta.smallest_key)
-            if idx > 0 and files[idx - 1].largest_key >= meta.smallest_key:
-                raise DBError(
-                    f"overlap installing file {meta.file_number} at L{level}"
-                )
+            # The first file ending at or after the new one's start is
+            # the only one it can overlap: the run is sorted and disjoint.
+            largest = self._largest[level]
+            idx = bisect.bisect_left(largest, meta.smallest_key)
             if idx < len(files) and files[idx].smallest_key <= meta.largest_key:
                 raise DBError(
                     f"overlap installing file {meta.file_number} at L{level}"
                 )
             files.insert(idx, meta)
+            largest.insert(idx, meta.largest_key)
 
     def add_file_l0_front(self, meta: FileMetaData) -> None:
         """Install at the *oldest* L0 position (universal merge outputs
@@ -74,6 +83,7 @@ class Version:
             level=0,
         )
         self.levels[0].insert(0, meta)
+        self._largest[0].insert(0, meta.largest_key)
 
     def remove_file(self, level: int, file_number: int) -> FileMetaData:
         self._check_level(level)
@@ -81,6 +91,7 @@ class Version:
         for idx, meta in enumerate(files):
             if meta.file_number == file_number:
                 self.stamp += 1
+                del self._largest[level][idx]
                 return files.pop(idx)
         raise DBError(f"file {file_number} not found at L{level}")
 
@@ -114,15 +125,16 @@ class Version:
 
     def files_for_key(self, level: int, user_key: bytes) -> list[FileMetaData]:
         """Files possibly containing ``user_key``, newest first at L0."""
-        self._check_level(level)
+        # _check_level inlined: this runs per level of every point lookup.
+        if not 0 <= level < self.num_levels:
+            raise DBError(f"level {level} out of range")
         files = self.levels[level]
         if level == 0:
             return [
                 f for f in reversed(files)
                 if f.smallest_key <= user_key <= f.largest_key
             ]
-        keys = [f.largest_key for f in files]
-        idx = bisect.bisect_left(keys, user_key)
+        idx = bisect.bisect_left(self._largest[level], user_key)
         if idx < len(files) and files[idx].smallest_key <= user_key:
             return [files[idx]]
         return []
@@ -143,8 +155,7 @@ class Version:
         files = self.levels[level]
         if start is None or not files:
             return files
-        keys = [f.largest_key for f in files]
-        return files[bisect.bisect_left(keys, start):]
+        return files[bisect.bisect_left(self._largest[level], start):]
 
     def overlapping_files(
         self, level: int, lo: bytes | None, hi: bytes | None

@@ -98,7 +98,7 @@ class PendingCommit:
     stale ack events still sitting in the heap become no-ops.
     """
 
-    #: The drained queue entries: (arrival_us, seq, Request) triples.
+    #: The drained queue entries: (arrival_us, seq, Request, route).
     members: list
     group_start_us: float
     acks_needed: int

@@ -15,6 +15,13 @@ policy object, so a layout change is made in one place:
   churn: a split hands half of the donor's arcs to the new shard and
   every other key stays put.
 
+Routing is two steps. :meth:`RoutingPolicy.route` hashes a key into
+its *route*, a function of the key alone; :meth:`RoutingPolicy.owner`
+maps a route to a shard under the layout in force when asked. The
+service hashes a request once, at enqueue, and carries the route, so
+every later "which shard?" (the serve-time check, queue revalidation,
+the migration journal) is one ``%`` or one bisect, never a rehash.
+
 Policies are pure routing state — they never touch a DB. The service
 owns data movement (snapshot drain, journal replay) and asks the policy
 only *where* things live, via :meth:`RoutingPolicy.plan_split` /
@@ -38,9 +45,12 @@ _MASK64 = (1 << 64) - 1
 def fnv1a_64(data: bytes) -> int:
     """FNV-1a 64-bit hash (stable across processes, unlike hash())."""
     h = _FNV_OFFSET
+    # The low 64 bits of a product depend only on the low 64 bits of its
+    # factors, and the XOR touches only the low 8: one mask at the end
+    # gives the same bits as a mask per byte.
     for byte in data:
-        h = ((h ^ byte) * _FNV_PRIME) & _MASK64
-    return h
+        h = (h ^ byte) * _FNV_PRIME
+    return h & _MASK64
 
 
 def shard_for_key(key: bytes, num_shards: int) -> int:
@@ -85,8 +95,13 @@ class RoutingPolicy:
         """Active shard ids, ascending."""
         raise NotImplementedError
 
-    def owner(self, key: bytes) -> int:
-        """The shard that owns ``key``."""
+    def route(self, key: bytes) -> int:
+        """The route of ``key``: the one hash a request carries from
+        enqueue to serve. Layout changes never change it."""
+        raise NotImplementedError
+
+    def owner(self, route: int) -> int:
+        """The shard that owns ``route`` (from :meth:`route`) now."""
         raise NotImplementedError
 
     # -- resharding (ring policies only) ------------------------------------
@@ -122,8 +137,12 @@ class ModuloPolicy(RoutingPolicy):
     def shard_ids(self) -> tuple[int, ...]:
         return tuple(range(self._count))
 
-    def owner(self, key: bytes) -> int:
-        return shard_for_key(key, self._count)
+    def route(self, key: bytes) -> int:
+        # One shard needs no hash, as in shard_for_key.
+        return fnv1a_64(key) if self._count > 1 else 0
+
+    def owner(self, route: int) -> int:
+        return route % self._count
 
 
 # ------------------------------------------------------------------ ring
@@ -149,13 +168,13 @@ class ReshardPlan:
     def vnodes_moved(self) -> int:
         return len(self.reassign)
 
-    def moves(self, key: bytes) -> bool:
-        """Does ``key`` change owner when this plan commits?"""
-        return self.ring._arc_index(key) in self.reassign
+    def moves(self, route: int) -> bool:
+        """Does ``route`` change owner when this plan commits?"""
+        return self.ring._arc_index(route) in self.reassign
 
-    def target(self, key: bytes) -> int:
-        """Post-commit owner of ``key``."""
-        arc = self.ring._arc_index(key)
+    def target(self, route: int) -> int:
+        """Post-commit owner of ``route``."""
+        arc = self.ring._arc_index(route)
         return self.reassign.get(arc, self.ring._owners[arc])
 
 
@@ -200,15 +219,18 @@ class HashRingPolicy(RoutingPolicy):
 
     # -- lookup --------------------------------------------------------------
 
-    def _arc_index(self, key: bytes) -> int:
-        idx = bisect_left(self._points, ring_hash(key))
+    def _arc_index(self, route: int) -> int:
+        idx = bisect_left(self._points, route)
         return 0 if idx == len(self._points) else idx
 
     def shard_ids(self) -> tuple[int, ...]:
         return tuple(self._active)
 
-    def owner(self, key: bytes) -> int:
-        return self._owners[self._arc_index(key)]
+    def route(self, key: bytes) -> int:
+        return ring_hash(key)
+
+    def owner(self, route: int) -> int:
+        return self._owners[self._arc_index(route)]
 
     def arc_count(self, shard_id: int) -> int:
         return self._owners.count(shard_id)

@@ -13,10 +13,12 @@ Routing
 -------
 Exactly one policy object answers every "which shard?" question — the
 preload, the enqueue paths, queued-request migration, and the audit
-oracle all go through it. The serve path *recomputes* the route and
-raises :class:`~repro.errors.MisroutedRequestError` on a mismatch, so a
-desync between the enqueue-side and serve-side views of the layout is
-an error, never a silent wrong-shard read. The default ``modulo``
+oracle all go through it. A request's key is hashed once, at enqueue,
+into a route the queue entry carries. The serve path maps that route to
+its owner under the *current* layout and raises
+:class:`~repro.errors.MisroutedRequestError` on a mismatch, so a desync
+between the enqueue-side and serve-side views of the layout is an
+error, never a silent wrong-shard read. The default ``modulo``
 policy reproduces the original FNV-1a ``hash % N`` layout bit for bit;
 ``ring`` adds a consistent-hash ring with live resharding.
 
@@ -72,6 +74,7 @@ from repro.bench.keygen import format_key
 from repro.bench.runner import BenchResult, preload_stream
 from repro.bench.spec import WorkloadSpec
 from repro.errors import (
+    AuditUnavailableError,
     MisroutedRequestError,
     NoLiveReplicaError,
     RoutingError,
@@ -150,9 +153,10 @@ class _Shard:
     env: Env
     stats: Statistics
     db: DB
-    #: Pending writes: (arrival_us, seq, Request).
+    #: Pending writes: (arrival_us, seq, Request, route).
     write_q: deque = field(default_factory=deque)
-    #: Pending reads: (arrival_us, seq, Request, keys, _Fanout | None).
+    #: Pending reads: (arrival_us, seq, Request, keys, routes,
+    #: _Fanout | None), ``routes[i]`` being the route of ``keys[i]``.
     read_q: deque = field(default_factory=deque)
     busy: bool = False
     #: A merge victim: no longer in the ring, kept only for accounting.
@@ -191,7 +195,8 @@ class _Migration:
     begin_us: float
     keys_drained: int
     #: Writes applied to the moving range while the drain was in
-    #: flight; replayed into the recipient(s) at the ring swap.
+    #: flight, as (key, value, route); replayed into the recipient(s)
+    #: at the ring swap.
     journal: list = field(default_factory=list)
 
 
@@ -401,10 +406,11 @@ class ShardedService:
             return
         order, values = preload_stream(self.spec)
         shards = self._shards
+        route = self._policy.route
         owner = self._policy.owner
         for index in order:
             key = format_key(index)
-            shard = shards[owner(key)]
+            shard = shards[owner(route(key))]
             value = values.next_value()
             shard.db.put(key, value)
             # Followers preload too: a promoted follower must already
@@ -436,22 +442,30 @@ class ShardedService:
         heapq.heappush(self._heap, (t_us, self._seq, kind, who, payload))
 
     def _enqueue(self, req: Request) -> None:
-        """Route an arrived request to its shard queue(s)."""
-        owner = self._policy.owner
+        """Route an arrived request to its shard queue(s). This is the
+        one place a request's keys are hashed: the queue entry carries
+        each key's route from here on."""
+        policy = self._policy
         shards = self._shards
         if req.kind != MULTIGET:  # point op: one owner, one queue
-            shard = shards[owner(req.key)]
+            route = policy.route(req.key)
+            shard = shards[policy.owner(route)]
             if req.kind == PUT:
-                shard.write_q.append((req.arrival_us, self._next_seq(), req))
-            else:
-                shard.read_q.append(
-                    (req.arrival_us, self._next_seq(), req, (req.key,), None)
+                shard.write_q.append(
+                    (req.arrival_us, self._next_seq(), req, route)
                 )
+            else:
+                shard.read_q.append((
+                    req.arrival_us, self._next_seq(), req, (req.key,), (route,), None
+                ))
             self._kick(shard)
         else:  # multiget: scatter keys by shard, gather on completion
-            by_shard: dict[int, list[bytes]] = {}
+            by_shard: dict[int, tuple[list[bytes], list[int]]] = {}
             for key in req.keys:
-                by_shard.setdefault(owner(key), []).append(key)
+                route = policy.route(key)
+                keys, routes = by_shard.setdefault(policy.owner(route), ([], []))
+                keys.append(key)
+                routes.append(route)
             fanout = _Fanout(
                 remaining=len(by_shard),
                 arrival_us=req.arrival_us,
@@ -459,12 +473,14 @@ class ShardedService:
             )
             for idx in sorted(by_shard):
                 shard = shards[idx]
+                keys, routes = by_shard[idx]
                 shard.read_q.append(
                     (
                         req.arrival_us,
                         self._next_seq(),
                         req,
-                        tuple(by_shard[idx]),
+                        tuple(keys),
+                        tuple(routes),
                         fanout,
                     )
                 )
@@ -512,16 +528,16 @@ class ShardedService:
         n = min(len(shard.write_q), self._max_group)
         members = [shard.write_q.popleft() for _ in range(n)]
         # Serve-time route check: the policy is the single source of
-        # truth, and a queue entry it no longer maps here is a bug (a
-        # reshard failed to migrate it), not a wrong-shard write waiting
-        # to happen.
+        # truth, and a queue entry whose carried route it no longer maps
+        # here is a bug (a reshard failed to migrate it), not a
+        # wrong-shard write waiting to happen.
         owner_of = self._policy.owner
-        for _, _, req in members:
-            owner = owner_of(req.key)
+        for _, _, req, route in members:
+            owner = owner_of(route)
             if owner != shard.index:
                 raise MisroutedRequestError(req.key, shard.index, owner)
         group = shard.group
-        entries = [(req.key, req.value) for _, _, req in members]
+        entries = [(req.key, req.value) for _, _, req, _ in members]
         try:
             apply_entries(shard.db, entries)
             if n > 1:
@@ -599,12 +615,12 @@ class ShardedService:
         oracle reports as a misroute."""
         mig = self._migration
         audit = self.write_audit
-        for arrival_us, _, req in members:
+        for arrival_us, _, req, route in members:
             # Migration journal: a write applied to the moving range
             # while the drain is in flight must be replayed into the
             # recipient at the swap, or it is lost.
-            if mig is not None and mig.plan.moves(req.key):
-                mig.journal.append((req.key, req.value))
+            if mig is not None and mig.plan.moves(route):
+                mig.journal.append((req.key, req.value, route))
             if audit is not None:
                 audit[req.key] = req.value
             latency = finish_us - arrival_us
@@ -667,11 +683,11 @@ class ShardedService:
             db.write(batch)
 
     def _serve_read(self, shard: _Shard) -> None:
-        arrival_us, _, req, keys, fanout = shard.read_q.popleft()
+        arrival_us, _, req, keys, routes, fanout = shard.read_q.popleft()
         # Serve-time route check, as for writes (see _serve_writes).
         owner_of = self._policy.owner
-        for key in keys:
-            owner = owner_of(key)
+        for key, route in zip(keys, routes):
+            owner = owner_of(route)
             if owner != shard.index:
                 raise MisroutedRequestError(key, shard.index, owner)
         if fanout is not None:
@@ -1107,13 +1123,15 @@ class ShardedService:
         # them would overwrite fresher data.
         moving: dict[int, list[tuple[bytes, bytes]]] = {}
         keys_drained = 0
+        route_of = self._policy.route
         with donor.db.snapshot() as snap:
             it = donor.db.iterator(snapshot=snap)
             it.seek(None)
             while it.valid:
                 key = it.key
-                if plan.moves(key):
-                    moving.setdefault(plan.target(key), []).append(
+                route = route_of(key)
+                if plan.moves(route):
+                    moving.setdefault(plan.target(route), []).append(
                         (key, it.value)
                     )
                     keys_drained += 1
@@ -1175,8 +1193,8 @@ class ShardedService:
         # Replay writes that landed on the moving range during the
         # drain, in apply order — they are already acked on the donor.
         by_target: dict[int, list[tuple[bytes, bytes]]] = {}
-        for key, value in migration.journal:
-            by_target.setdefault(plan.target(key), []).append((key, value))
+        for key, value, route in migration.journal:
+            by_target.setdefault(plan.target(route), []).append((key, value))
         for target_id in sorted(by_target):
             self._apply_group(shards[target_id], by_target[target_id], now)
         self._policy.commit(plan)
@@ -1203,8 +1221,9 @@ class ShardedService:
         self._advance_topology()
 
     def _revalidate_queues(self, shard_ids: list[int]) -> int:
-        """Re-route every queued request the policy no longer maps to
-        its current shard; returns how many entries moved.
+        """Re-route every queued request whose carried route the policy
+        no longer maps to its current shard; returns how many entries
+        moved.
 
         Moved entries keep their ``(arrival, seq)`` stamps and are
         merge-sorted into the destination queues, so FIFO order (and
@@ -1220,7 +1239,7 @@ class ShardedService:
             if shard.write_q:
                 keep: deque = deque()
                 for entry in shard.write_q:
-                    owner = policy.owner(entry[2].key)
+                    owner = policy.owner(entry[3])
                     if owner == shard_id:
                         keep.append(entry)
                     else:
@@ -1230,10 +1249,14 @@ class ShardedService:
             if shard.read_q:
                 keep = deque()
                 for entry in shard.read_q:
-                    arrival_us, seq, req, keys, fanout = entry
-                    by_owner: dict[int, list[bytes]] = {}
-                    for key in keys:
-                        by_owner.setdefault(policy.owner(key), []).append(key)
+                    arrival_us, seq, req, keys, routes, fanout = entry
+                    by_owner: dict[int, tuple[list[bytes], list[int]]] = {}
+                    for key, route in zip(keys, routes):
+                        part_keys, part_routes = by_owner.setdefault(
+                            policy.owner(route), ([], [])
+                        )
+                        part_keys.append(key)
+                        part_routes.append(route)
                     if set(by_owner) == {shard_id}:
                         keep.append(entry)
                         continue
@@ -1245,19 +1268,17 @@ class ShardedService:
                     if fanout is not None:
                         fanout.remaining += len(by_owner) - 1
                     for owner in sorted(by_owner):
-                        part_keys = tuple(by_owner[owner])
+                        part_keys, part_routes = by_owner[owner]
+                        part = (tuple(part_keys), tuple(part_routes), fanout)
                         if owner == shard_id:
-                            keep.append(
-                                (arrival_us, seq, req, part_keys, fanout)
-                            )
+                            keep.append((arrival_us, seq, req, *part))
                         else:
                             moved_reads.setdefault(owner, []).append(
                                 (
                                     arrival_us,
                                     seq if fanout is None else self._next_seq(),
                                     req,
-                                    part_keys,
-                                    fanout,
+                                    *part,
                                 )
                             )
                             moved += 1
@@ -1399,13 +1420,14 @@ class ShardedService:
         :attr:`write_audit` to have been set before the run; call from
         :attr:`on_complete` while shards are still open."""
         if self.write_audit is None:
-            raise ValueError("write_audit was not enabled for this run")
+            raise AuditUnavailableError("write_audit was not enabled for this run")
         if not self._shards:
-            raise ValueError("shards are closed; verify from on_complete")
+            raise AuditUnavailableError("shards are closed; verify from on_complete")
+        policy = self._policy
         failures: list[str] = []
         for key in sorted(self.write_audit):
             expected = self.write_audit[key]
-            owner = self._policy.owner(key)
+            owner = policy.owner(policy.route(key))
             got = self._shards[owner].db.get(key)
             if got != expected:
                 failures.append(

@@ -103,6 +103,109 @@ class TestReadCost:
             plain.table_read_cost_us(self._stats("device"))
 
 
+def reference_memtable_get_cost_us(m, tables_probed, busy):
+    """The unhoisted memtable price the hoisted constants must reproduce."""
+    contention = max(1.0, (1.0 + busy) / m.profile.cpu_cores)
+    us = m.cpu.memtable_lookup * max(1, tables_probed)
+    return us / m.profile.cpu_speed * contention
+
+
+def reference_table_read_cost_us(m, stats, busy):
+    """The unhoisted table price, read live from the model's
+    ``CpuCosts``, profile, device and options bag: the formula the
+    hoisted constants must reproduce bit for bit."""
+    c = m.cpu
+    cpu_cost = 0.0
+    if stats.bloom_checked:
+        cpu_cost += c.bloom_probe
+    if stats.index_read:
+        cpu_cost += c.index_search
+    if stats.bloom_probes:
+        cpu_cost += c.bloom_probe * stats.bloom_probes
+    if stats.index_searches:
+        cpu_cost += c.index_search * stats.index_searches
+    if stats.block_searches:
+        cpu_cost += c.block_search * stats.block_searches
+    device_cost = 0.0
+    per_job = 0.45 if m.profile.device.rotational else 0.08
+    read_factor = 1.0 + per_job * busy
+    for nbytes, source in stats.block_reads:
+        cpu_cost += c.block_search + c.block_decode_per_kb * nbytes / 1024.0
+        if source == "cache":
+            continue
+        cpu_cost += c.decompress_cost(m.options.get("compression"), nbytes)
+        if source == "page":
+            cpu_cost += c.page_cache_hit
+        else:
+            device_cost += (
+                m.profile.device.read_cost_us(nbytes, sequential=False)
+                * read_factor
+            )
+    contention = max(1.0, (1.0 + busy) / m.profile.cpu_cores)
+    return cpu_cost / m.profile.cpu_speed * contention + device_cost
+
+
+def _shapes():
+    """Every single-get shape, plus batched and multi-block records."""
+    for bloom in (False, True):
+        for index in (False, True):
+            yield ReadStats(bloom_checked=bloom, index_read=index)
+            for source in ("cache", "page", "device"):
+                for nbytes in (1, 517, 4096, 4153, 16391):
+                    yield ReadStats(
+                        bloom_checked=bloom,
+                        index_read=index,
+                        block_reads=[(nbytes, source)],
+                    )
+    yield ReadStats(
+        block_reads=[(4096, "cache"), (3999, "page"), (4153, "device")],
+        bloom_probes=7,
+        index_searches=5,
+        block_searches=2,
+    )
+
+
+def assert_prices_equal_reference(m):
+    for busy in range(4):
+        for probes in range(4):
+            assert m.memtable_get_cost_us(probes, busy) == \
+                reference_memtable_get_cost_us(m, probes, busy)
+        for stats in _shapes():
+            assert m.table_read_cost_us(stats, busy_bg_jobs=busy) == \
+                reference_table_read_cost_us(m, stats, busy), (stats, busy)
+
+
+class TestPriceIdentity:
+    """The point-lookup prices hoist lookups (CPU speed and cores),
+    never arithmetic: every price equals the unhoisted formula exactly
+    (float ``==``)."""
+
+    @pytest.mark.parametrize("codec", ["none", "snappy", "zlib", "zstd"])
+    @pytest.mark.parametrize(
+        "profile",
+        [make_profile(4, 4, NVME_SSD), make_profile(2, 4, SATA_HDD)],
+        ids=["nvme-4core", "hdd-2core"],
+    )
+    def test_prices_equal_the_formula(self, profile, codec):
+        assert_prices_equal_reference(
+            model(Options({"compression": codec}), profile, byte_scale=1 / 64)
+        )
+
+    @pytest.mark.parametrize("codec", ["none", "zlib", "zstd"])
+    def test_prices_follow_set_options(self, codec):
+        from repro.lsm.db import DB
+
+        db = DB.open("/plan", Options({"compression": "snappy"}))
+        try:
+            perf = db._perf
+            assert_prices_equal_reference(perf)
+            db.set_options({"compression": codec})
+            assert perf.options.get("compression") == codec
+            assert_prices_equal_reference(perf)
+        finally:
+            db.close()
+
+
 class TestBackgroundJobs:
     def test_flush_scales_with_bytes(self):
         m = model()

@@ -1,5 +1,8 @@
 """Tests for the Version (level structure)."""
 
+import bisect
+import random
+
 import pytest
 
 from repro.errors import DBError
@@ -171,3 +174,79 @@ class TestStamp:
         with _pytest.raises(DBError):
             v.remove_file(0, 999)
         assert v.stamp == before
+
+
+class TestKeyListsStayCurrent:
+    """``files_for_key`` and ``files_from`` bisect per-level key lists
+    that every mutation keeps current; after any sequence of mutations
+    they must answer exactly what a scan of the file lists answers."""
+
+    LEVELS = 4
+
+    @staticmethod
+    def scan_for_key(v, level, key):
+        files = v.files_at(level)
+        if level == 0:
+            return [
+                f for f in reversed(files)
+                if f.smallest_key <= key <= f.largest_key
+            ]
+        return [f for f in files if f.smallest_key <= key <= f.largest_key]
+
+    @staticmethod
+    def scan_from(v, level, start):
+        files = v.files_at(level)
+        if start is None:
+            return list(files)
+        first = next(
+            (i for i, f in enumerate(files) if f.largest_key >= start),
+            len(files),
+        )
+        return files[first:]
+
+    def _mutate(self, v, rng, next_number):
+        op = rng.random()
+        level = rng.randrange(self.LEVELS)
+        files = v.files_at(level)
+        if files and op < 0.3:
+            v.remove_file(level, rng.choice(files).file_number)
+            return
+        lo = rng.randrange(200)
+        hi = min(199, lo + rng.randrange(16))
+        new = meta(next_number, b"k%03d" % lo, b"k%03d" % hi)
+        if level == 0:
+            if op < 0.65:
+                v.add_file_l0_front(new)
+            else:
+                v.add_file(0, new)
+            return
+        # A disjoint slot: only add when [lo, hi] fits between neighbours.
+        smallest = [f.smallest_key for f in files]
+        idx = bisect.bisect_left(smallest, new.smallest_key)
+        if idx > 0 and files[idx - 1].largest_key >= new.smallest_key:
+            return
+        if idx < len(files) and files[idx].smallest_key <= new.largest_key:
+            return
+        v.add_file(level, new)
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_random_mutations_match_a_scan(self, seed):
+        rng = random.Random(seed)
+        v = Version(num_levels=self.LEVELS)
+        probes = [b"k%03d" % i for i in range(0, 201, 7)] + [b"a", b"z"]
+        for step in range(300):
+            self._mutate(v, rng, next_number=step + 1)
+            for level in range(self.LEVELS):
+                for key in probes:
+                    assert v.files_for_key(level, key) == \
+                        self.scan_for_key(v, level, key), (step, level, key)
+                if level == 0:
+                    continue
+                for start in (None, *probes):
+                    assert v.files_from(level, start) == \
+                        self.scan_from(v, level, start), (step, level, start)
+            for bad in (-1, self.LEVELS):
+                with pytest.raises(DBError):
+                    v.files_for_key(bad, b"k000")
+                with pytest.raises(DBError):
+                    v.files_from(bad, b"k000")

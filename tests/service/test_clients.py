@@ -3,10 +3,12 @@
 import pytest
 
 from repro.bench.spec import workload
+from repro.errors import WorkloadError
 from repro.service.clients import (
     GET,
     MULTIGET,
     PUT,
+    Request,
     SimClient,
     build_clients,
     client_role,
@@ -32,6 +34,19 @@ class TestRoles:
         spec = spec_of("readrandomwriterandom")
         assert client_role(spec, 0) == "mixed"
         assert client_role(spec, 3) == "mixed"
+
+
+class TestRequest:
+    def test_request_is_an_immutable_value(self):
+        a = Request(3, 7, 12.5, PUT, key=b"k", value=b"v")
+        b = Request(3, 7, 12.5, PUT, key=b"k", value=b"v")
+        assert a == b and hash(a) == hash(b)
+        assert a != Request(3, 7, 12.5, PUT, key=b"k", value=b"w")
+        assert (a.client, a.index, a.arrival_us, a.kind) == (3, 7, 12.5, PUT)
+        with pytest.raises(AttributeError):
+            a.key = b"other"
+        get = Request(0, 0, 1.0, GET, key=b"k")
+        assert (get.value, get.keys) == (b"", ())
 
 
 class TestStreams:
@@ -79,7 +94,7 @@ class TestStreams:
         )
 
     def test_invalid_interarrival_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(WorkloadError):
             SimClient(0, spec_of("readwhilewriting"), 10, 0.0)
 
 
@@ -94,5 +109,5 @@ class TestBuildClients:
         assert sizes == sorted(sizes, reverse=True)
 
     def test_at_least_one_client(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(WorkloadError):
             build_clients(spec_of("readwhilewriting"), 0, 50.0)

@@ -3,9 +3,12 @@ group-commit economics, and report compatibility."""
 
 import random
 
+import pytest
+
 from repro.bench.keygen import ValueGenerator, format_key
 from repro.bench.spec import workload
 from repro.core.bench_parser import parse_report
+from repro.errors import AuditUnavailableError
 from repro.hardware import make_profile
 from repro.lsm.db import DB
 from repro.lsm.env import Env
@@ -199,3 +202,24 @@ class TestMultiRead:
         assert agg.writes_done == 0
         assert agg.read_summary is not None
         assert agg.read_summary.count == spec.num_ops
+
+
+class TestWriteAudit:
+    def test_audit_refuses_a_run_it_cannot_check(self):
+        spec = small("readwhilewriting", factor=0.02)
+        service = ShardedService(
+            spec, Options({"shard_count": 2}), PROFILE, num_clients=2
+        )
+        checked = []
+
+        def on_complete(svc):
+            with pytest.raises(AuditUnavailableError, match="not enabled"):
+                svc.verify_write_audit()
+            checked.append(True)
+
+        service.on_complete = on_complete
+        service.run()
+        assert checked
+        service.write_audit = {}
+        with pytest.raises(AuditUnavailableError, match="closed"):
+            service.verify_write_audit()

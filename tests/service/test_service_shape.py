@@ -4,8 +4,8 @@ service: nothing outside ``service/service.py`` reads a service's
 private attributes, the policy/replication/client modules do not know
 the class that drives them, the class and the routing interface do not
 grow back (lower the caps when a later PR shrinks them), the event heap
-keeps one push site, and every service mode is selected by something
-that ships.
+keeps one push site, the serve paths never rehash a request, and every
+service mode is selected by something that ships.
 """
 
 import ast
@@ -17,7 +17,9 @@ SERVICE_PY = SRC / "service" / "service.py"
 
 MAX_PRIVATE_ATTRS = 19
 MAX_METHODS = 33
-MAX_POLICY_METHODS = 6
+#: ``route`` is the seventh: a request is hashed once, at enqueue, and
+#: ``owner`` maps the carried route.
+MAX_POLICY_METHODS = 7
 MAX_HEAPPUSH_FUNCTIONS = 1
 
 
@@ -92,6 +94,40 @@ def test_one_function_pushes_events():
         )
     )
     assert len(pushers) <= MAX_HEAPPUSH_FUNCTIONS, pushers
+
+
+#: The routing hash and everything that computes it.
+HASHING = {"route", "fnv1a_64", "ring_hash", "shard_for_key"}
+
+
+def _hash_sites(func):
+    """Every place ``func`` reaches the routing hash: a policy's
+    ``route`` method (called or bound to a local) or a hash function."""
+    return [
+        f"line {node.lineno}: {ast.unparse(node)}"
+        for node in ast.walk(func)
+        if (isinstance(node, ast.Attribute) and node.attr in HASHING)
+        or (isinstance(node, ast.Name) and node.id in HASHING - {"route"})
+    ]
+
+
+def test_serve_paths_never_hash():
+    """A request is hashed once, at enqueue; the serve paths check the
+    route its queue entry carries with ``owner`` and never rehash."""
+    probe = ast.parse(
+        "a = self._policy.route(key)\nb = policy.route\nc = fnv1a_64(key)\n"
+        "d = self._policy.owner(route)\n"
+    )
+    assert len(_hash_sites(probe)) == 3
+    (cls,) = [
+        node for node in _parse(SERVICE_PY).body
+        if isinstance(node, ast.ClassDef) and node.name == "ShardedService"
+    ]
+    methods = {
+        node.name: node for node in cls.body if isinstance(node, ast.FunctionDef)
+    }
+    for name in ("_serve_read", "_serve_writes"):
+        assert not _hash_sites(methods[name]), (name, _hash_sites(methods[name]))
 
 
 #: What ships a service configuration: the benchmark workloads, the
