@@ -1,12 +1,13 @@
 """Flush and compaction jobs: pure job functions and their virtual schedule.
 
 At schedule time the DB captures every deterministic input of a flush
-or compaction — the immutable memtable batch, positional-read handles
-over the input tables, a frozen snapshot floor, the build options —
-into a job spec. The job function is **pure**: it builds into a private
-scratch :class:`MemFileSystem` and returns result counters plus the
-finished table bytes, never touching the DB's filesystem, caches,
-tracer, or clock.
+or compaction — the immutable memtable batch, the table cache's open
+readers over the input tables, a frozen snapshot floor, the build
+options — into a job spec. The job function is **pure**: it builds into
+a private scratch :class:`MemFileSystem` and returns result counters
+plus the finished table bytes, never touching the DB's filesystem,
+block or page cache, tracer, or clock. (Reading an input does drop
+that reader's decoded-block memo: host state, never modelled.)
 
 On the host a job runs at submit, on the foreground: concurrency is
 modelled, not executed. In virtual time the job stays in flight —
@@ -25,14 +26,14 @@ from typing import Any, Callable
 
 from repro.lsm.compaction.leveled import CompactionResult, run_compaction
 from repro.lsm.compaction.picker import Compaction
-from repro.lsm.env import MemFileSystem, RandomAccessFile
+from repro.lsm.env import MemFileSystem
 from repro.lsm.flush import FlushResult, run_flush
 from repro.lsm.memtable import MemTable
 from repro.lsm.options import Options
 from repro.lsm.perf_model import PerfModel
 from repro.lsm.rate_limiter import RateLimiter
 from repro.lsm.snapshot import SnapshotList
-from repro.lsm.sstable import SSTableBuilder, SSTableReader
+from repro.lsm.sstable import KeptBlock, SSTableBuilder, SSTableReader
 from repro.obs.events import BgJoin, BgSubmit, CompactionRun, FlushRun
 from repro.obs.tracer import Tracer
 from repro.sim.clock import SimClock
@@ -57,7 +58,9 @@ class BuilderConfig:
     bloom_bits_per_key: float
     whole_key_filtering: bool
 
-    def open(self, fs: MemFileSystem, path: str) -> SSTableBuilder:
+    def open(
+        self, fs: MemFileSystem, path: str, *, keep_blocks: bool = False
+    ) -> SSTableBuilder:
         return SSTableBuilder(
             fs,
             path,
@@ -66,6 +69,7 @@ class BuilderConfig:
             compression=self.compression,
             bloom_bits_per_key=self.bloom_bits_per_key,
             whole_key_filtering=self.whole_key_filtering,
+            keep_blocks=keep_blocks,
         )
 
 
@@ -82,15 +86,16 @@ class FlushJobSpec:
 class CompactionJobSpec:
     """Deterministic inputs of one compaction job.
 
-    ``input_files`` are positional-read handles captured on the
-    foreground at schedule time: they pin the input tables' bytes (a
-    ``bytearray`` reference), so the job survives even an install that
-    later unlinks the paths.
+    ``readers`` are the table cache's open readers over the inputs
+    (``compaction.all_inputs`` order). A job runs at submit, so it reads
+    them before the install that retires the tables can happen.
     """
 
     compaction: Compaction
-    input_files: list[RandomAccessFile]
-    verify_checksums: bool
+    readers: list[SSTableReader]
+    #: Whether the output level is the bottommost populated one. An
+    #: output above it will be compacted again, so its builder keeps
+    #: its blocks for the table cache to seed that table's reader with.
     bottommost: bool
     snapshots: SnapshotList
     builder: BuilderConfig
@@ -115,6 +120,9 @@ class BgJobOutput:
     #: them, and as the trace event the foreground emits at the join.
     work: tuple[int, int, int]
     run_event: FlushRun | CompactionRun
+    #: Aligned with ``files`` for a compaction above the bottommost
+    #: level: each output's kept blocks (see ``SSTableBuilder``).
+    blocks: list[list[KeptBlock]] = field(default_factory=list)
 
 
 def _scratch_path(number: int) -> str:
@@ -149,20 +157,22 @@ def execute_flush_job(spec: FlushJobSpec) -> BgJobOutput:
 
 def execute_compaction_job(spec: CompactionJobSpec) -> BgJobOutput:
     """Pure compaction: merge input tables into new tables' bytes."""
-    readers = [
-        SSTableReader(
-            file, meta.file_number, verify_checksums=spec.verify_checksums
-        )
-        for file, meta in zip(spec.input_files, spec.compaction.all_inputs)
-    ]
     fs = MemFileSystem()
     counter = iter(range(1, 1 << 30))
+    keep = not spec.bottommost
+    builders: list[SSTableBuilder] = []
+
+    def open_builder(path: str, level: int) -> SSTableBuilder:
+        builder = spec.builder.open(fs, path, keep_blocks=keep)
+        builders.append(builder)
+        return builder
+
     result = run_compaction(
         spec.compaction,
-        readers,
+        spec.readers,
         spec.target_file_size,
         new_table_path=lambda: _scratch_path(next(counter)),
-        open_builder=lambda path, level: spec.builder.open(fs, path),
+        open_builder=open_builder,
         bottommost=spec.bottommost,
         snapshots=spec.snapshots,
     )
@@ -173,6 +183,7 @@ def execute_compaction_job(spec: CompactionJobSpec) -> BgJobOutput:
     return BgJobOutput(
         result=result,
         files=files,
+        blocks=[builder.kept_blocks for builder in builders] if keep else [],
         work=(result.bytes_read, result.bytes_written, result.entries_merged),
         run_event=CompactionRun(
             level=spec.compaction.level,

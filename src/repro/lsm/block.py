@@ -75,7 +75,9 @@ class BlockBuilder:
         """Append one entry; returns the updated size estimate."""
         last = self._last_key
         if self._num_entries and key <= last:
-            raise ValueError("block keys must be added in strictly increasing order")
+            raise CorruptionError(
+                "block keys must be added in strictly increasing order"
+            )
         buf = self._buf
         key_len = len(key)
         if self._counter < self._restart_interval:
@@ -137,23 +139,29 @@ def decode_block(payload: bytes) -> list[tuple[bytes, bytes]]:
     append = entries.append
     pos = 0
     last_key = b""
-    # Per-entry varints are parsed inline with a single-byte fast path
-    # (lengths below 128 cover typical blocks); compaction decodes every
-    # entry of every input through here.
+    # The three length varints are read as one 3-byte slice: shared and
+    # non-shared lengths are one byte each in any block-sized entry, the
+    # value length one or two (values under 16 KiB). Anything longer
+    # takes the general varint path. The slice never runs short: the
+    # restart count alone puts 4 bytes after the data region, and a
+    # header that reaches into them fails the overrun check below.
+    # Compaction decodes every entry of every input through here.
     try:
         while pos < data_end:
-            shared = payload[pos]
-            pos += 1
-            if shared & 0x80:
-                shared, pos = _get_varint(payload, pos - 1)
-            non_shared = payload[pos]
-            pos += 1
-            if non_shared & 0x80:
-                non_shared, pos = _get_varint(payload, pos - 1)
-            value_len = payload[pos]
-            pos += 1
-            if value_len & 0x80:
-                value_len, pos = _get_varint(payload, pos - 1)
+            shared, non_shared, value_len = payload[pos : pos + 3]
+            if (shared | non_shared) & 0x80:
+                shared, pos = _get_varint(payload, pos)
+                non_shared, pos = _get_varint(payload, pos)
+                value_len, pos = _get_varint(payload, pos)
+            elif value_len & 0x80:
+                high = payload[pos + 3]
+                if high & 0x80:
+                    value_len, pos = _get_varint(payload, pos + 2)
+                else:
+                    value_len = (value_len & 0x7F) | (high << 7)
+                    pos += 4
+            else:
+                pos += 3
             if shared > len(last_key) or pos + non_shared + value_len > data_end:
                 raise CorruptionError("block entry overruns payload")
             key = last_key[:shared] + payload[pos : pos + non_shared]

@@ -22,6 +22,8 @@ from __future__ import annotations
 import math
 from typing import Iterable
 
+from repro.errors import CorruptionError
+
 _MASK64 = (1 << 64) - 1
 _FNV_PRIME = 1099511628211
 
@@ -36,6 +38,9 @@ _LANES_SEED = (
     (14695981039346656037 ^ (1 * 0x9E3779B97F4A7C15)) & _MASK64
 ) | (((14695981039346656037 ^ (2 * 0x9E3779B97F4A7C15)) & _MASK64) << _LANE)
 _LANES_BYTE = [b | (b << _LANE) for b in range(256)]
+
+#: ``bytes.translate`` table turning a 0/1 byte map into ASCII digits.
+_FLAG_DIGITS = bytes(range(48, 50)) + bytes(254)
 
 
 def key_hashes(key: bytes) -> tuple[int, int]:
@@ -93,13 +98,19 @@ class BloomFilter:
         ascending fixed-width keys hash in 2-3 steps instead of 16; any
         other order is only slower, never different. The state is
         O(key length) and dies with the call.
+
+        Probes land in a byte-per-bit map, one store each, and the map
+        is packed into bits and ORed into the filter once per call.
         """
         lanes_byte = _LANES_BYTE
         from_bytes = int.from_bytes
-        set_probes = self._set_probes
+        nbits = self._nbits
+        probes = range(self._num_probes)
+        flags = bytearray(nbits)
         states = [_LANES_SEED]
         push = states.append
         prev = b""
+        added = 0
         for key in keys:
             n = len(prev)
             if len(key) == n:
@@ -115,7 +126,22 @@ class BloomFilter:
                 h = ((h ^ lanes_byte[b]) * _FNV_PRIME) & _LANES_MASK
                 push(h)
             prev = key
-            set_probes(h & _MASK64, (h >> _LANE) | 1)
+            added += 1
+            # The probes of _set_probes: ((h1 + i*h2) mod 2**64) mod nbits.
+            step = (h >> _LANE) | 1
+            h &= _MASK64
+            for _ in probes:
+                flags[h % nbits] = 1
+                h = (h + step) & _MASK64
+        if added:
+            # Bit i of the filter is flags[i]: as a binary numeral with
+            # flags[0] last, the map is the filter's little-endian value.
+            nbytes = len(self._bits)
+            run = int(flags.translate(_FLAG_DIGITS)[::-1], 2)
+            self._bits = bytearray(
+                (from_bytes(self._bits, "little") | run).to_bytes(nbytes, "little")
+            )
+            self._num_added += added
 
     def _set_probes(self, h: int, step: int) -> None:
         bits = self._bits
@@ -156,7 +182,7 @@ class BloomFilter:
     @classmethod
     def from_bytes(cls, data: bytes, bits_per_key: float) -> "BloomFilter":
         if len(data) < 2:
-            raise ValueError("bloom payload too short")
+            raise CorruptionError("bloom payload too short")
         obj = cls.__new__(cls)
         obj.bits_per_key = bits_per_key
         obj._num_probes = data[0]

@@ -80,13 +80,15 @@ def run_compaction(
         # so the resulting order is identical to the heap merge's. The
         # entries stay in packed block encoding end to end (see
         # ``read_packed``/``add_many_packed``); ``packed[0]`` is the
-        # kind byte (0 == DELETE).
+        # kind byte (0 == DELETE). Each surviving entry is yielded as the
+        # tuple the merge holds, which a builder keeping its blocks keeps.
         merged: list[tuple[bytes, bytes]] = []
         for reader in readers:
             merged += reader.read_packed(stats=stats)
         if len(readers) > 1:
             merged.sort(key=itemgetter(0))
-        for internal_key, packed in merged:
+        for entry in merged:
+            internal_key, packed = entry
             entries_merged += 1
             prefix = internal_key[:-8]
             if prefix == last_prefix:
@@ -107,7 +109,7 @@ def run_compaction(
             if drop_tombstones and packed[0] == 0:
                 entries_dropped += 1  # tombstone reached the bottom
                 continue
-            yield internal_key, packed
+            yield entry
 
     entries = live_entries()
     first = next(entries, None)

@@ -618,6 +618,10 @@ class DB:
             replace(meta, file_number=self._materialize_table(data))
             for meta, data in zip(result.new_files, job.output.files)
         ]
+        # Outputs above the bottommost level come with their builders'
+        # kept blocks: the next compaction reads them undecoded.
+        for meta, blocks in zip(result.new_files, job.output.blocks):
+            self._table_cache.seed(meta.file_number, blocks)
         edit = VersionEdit(comment=f"compaction L{compaction.level}")
         for meta in compaction.all_inputs:
             edit.deleted.append((meta.level, meta.file_number))
@@ -761,21 +765,18 @@ class DB:
                 hi < other_lo or lo > other_hi
             ):
                 return False
-        # Prime the table cache exactly as the eager path did: handle
-        # churn (opens, evictions) is part of the schedule-time state.
-        # The job gets its own positional handles, which pin the input
-        # bytes past an install that unlinks the paths.
-        for meta in compaction.all_inputs:
-            self._table_cache.get(meta.file_number)
-        input_files = [
-            self._env.fs.open_random(self._sst_path(meta.file_number))
+        # The job reads through the table cache's readers: fetching
+        # them is the handle churn (opens, evictions) of the
+        # schedule-time state, and a reader the cache later evicts stays
+        # readable for the job that holds it.
+        readers = [
+            self._table_cache.get(meta.file_number)[0]
             for meta in compaction.all_inputs
         ]
         output_level = compaction.output_level
         spec = CompactionJobSpec(
             compaction=compaction,
-            input_files=input_files,
-            verify_checksums=self._options.get("paranoid_checks"),
+            readers=readers,
             bottommost=output_level >= self._version.max_populated_level(),
             snapshots=self._snapshots.freeze(),
             builder=self._builder_config(output_level),
@@ -1690,6 +1691,7 @@ class DB:
             if not self._disable_wal:
                 self._durable_seq = self._seq
             self._wal.close()
+        self._table_cache.drop_seeds()
         self._closed = True
 
     def crash_and_reopen(self) -> "DB":
@@ -1705,6 +1707,7 @@ class DB:
         """
         self._closed = True
         self._bg.drop()
+        self._table_cache.drop_seeds()
         self._env.fs.crash()
         return DB.open(
             self._path,

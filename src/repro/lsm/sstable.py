@@ -42,6 +42,16 @@ _MAGIC = 0x88E241B785F4CFF7
 _KIND_BYTES = (b"\x00", b"\x01")
 _KIND_OF = (ValueKind.DELETE, ValueKind.VALUE)
 
+#: Decoded-block memo size per open reader (blocks), and the most blocks
+#: a builder keeps for one. Nothing served from the memo is trusted
+#: without a byte compare against what the modelled read just returned,
+#: so the bound only caps memory.
+_DECODED_CACHE_BLOCKS = 128
+
+#: One finished block as its builder held it: ``(offset, envelope,
+#: entries)``, the entries exactly what decoding the envelope yields.
+KeptBlock = tuple[int, bytes, list[tuple[bytes, bytes]]]
+
 
 @dataclass(frozen=True)
 class FileMetaData:
@@ -108,7 +118,10 @@ class SSTableBuilder:
         compression: str = "none",
         bloom_bits_per_key: float = -1.0,
         whole_key_filtering: bool = True,
+        keep_blocks: bool = False,
     ) -> None:
+        """``keep_blocks``: hold each finished block's entries, for
+        :attr:`kept_blocks` (the first ``_DECODED_CACHE_BLOCKS`` only)."""
         self._file = fs.create(path)
         self._path = path
         self._block_size = max(256, block_size)
@@ -131,11 +144,19 @@ class SSTableBuilder:
         #: per unique key instead of once per entry.
         self._bloom_prefixes: list[bytes] = []
         self._collect_bloom = bloom_bits_per_key > 0 and whole_key_filtering
+        #: The open block's entries while blocks are kept, else None.
+        self._kept: list[tuple[bytes, bytes]] | None = [] if keep_blocks else None
+        self._kept_blocks: list[KeptBlock] = []
         self._finished = False
 
     @property
     def num_entries(self) -> int:
         return self._num_entries
+
+    @property
+    def kept_blocks(self) -> list[KeptBlock]:
+        """The finished blocks kept under ``keep_blocks``, in file order."""
+        return self._kept_blocks
 
     @property
     def current_size(self) -> int:
@@ -152,7 +173,10 @@ class SSTableBuilder:
         self._num_entries += 1
         if self._collect_bloom:
             self._note_bloom_prefix(internal_key[:-8])
-        if self._block.add(internal_key, _KIND_BYTES[kind] + value) >= self._block_size:
+        packed = _KIND_BYTES[kind] + value
+        if self._kept is not None:
+            self._kept.append((internal_key, packed))
+        if self._block.add(internal_key, packed) >= self._block_size:
             self._flush_block()
 
     def _note_bloom_prefix(self, prefix: bytes) -> None:
@@ -173,6 +197,8 @@ class SSTableBuilder:
         self._num_entries += 1
         if self._collect_bloom:
             self._note_bloom_prefix(internal_key[:-8])
+        if self._kept is not None:
+            self._kept.append((internal_key, packed_value))
         if self._block.add(internal_key, packed_value) >= self._block_size:
             self._flush_block()
 
@@ -210,6 +236,11 @@ class SSTableBuilder:
         sharing one would overlap (RocksDB's rule). Returns the entry
         that starts the next table — consumed from ``entries`` but not
         added — or None when ``entries`` was exhausted.
+
+        The loop keeps the block's size estimate as a running count and
+        the previous key as an int (one ``int.from_bytes`` per entry),
+        and writes one- and two-byte value lengths inline. Under
+        ``keep_blocks`` the entry tuples themselves are kept.
         """
         if self._finished:
             raise CorruptionError("add() after finish()")
@@ -218,22 +249,28 @@ class SSTableBuilder:
         restarts = block._restarts
         counter = block._counter
         last = block._last_key
+        from_bytes = int.from_bytes
+        last_int = from_bytes(last, "big")
         block_entries = block._num_entries
         interval = block._restart_interval
         block_size = self._block_size
-        offset = self._offset
+        estimate = block.size_estimate()
+        # The table is full once estimate >= room (split_size - offset).
+        no_split = split_size is None
+        room = 1 << 62 if no_split else split_size - self._offset
+        kept = self._kept
         collect = self._collect_bloom
         prefixes = self._bloom_prefixes
         last_prefix = prefixes[-1] if prefixes else None
         last_ikey = self._last_ikey
         num = self._num_entries
         first_unset = self._first_ikey is None
-        from_bytes = int.from_bytes
-        full = split_size is not None and self.current_size >= split_size
+        full = estimate >= room
         carry = None
-        for internal_key, val in entries:
+        for entry in entries:
+            internal_key, val = entry
             if full and internal_key[:-8] != last_ikey[:-8]:
-                carry = (internal_key, val)
+                carry = entry
                 break
             if num and internal_key <= last_ikey:
                 raise CorruptionError("sstable keys must be strictly increasing")
@@ -247,16 +284,16 @@ class SSTableBuilder:
                 if prefix != last_prefix:
                     prefixes.append(prefix)
                     last_prefix = prefix
+            if kept is not None:
+                kept.append(entry)
             key_len = len(internal_key)
+            key_int = from_bytes(internal_key, "big")
             if counter < interval:
                 n = len(last)
                 if key_len == n:
                     # Equal-length keys (the norm: fixed-width user keys
                     # + 10-byte suffix): XOR whole keys, no slicing.
-                    diff = (
-                        from_bytes(internal_key, "big")
-                        ^ from_bytes(last, "big")
-                    )
+                    diff = key_int ^ last_int
                 else:
                     if key_len < n:
                         n = key_len
@@ -267,24 +304,38 @@ class SSTableBuilder:
                 shared = n if diff == 0 else n - ((diff.bit_length() + 7) >> 3)
             else:
                 restarts.append(len(buf))
+                estimate += 4
                 counter = 0
                 shared = 0
             non_shared = key_len - shared
             val_len = len(val)
-            if shared < 0x80 and non_shared < 0x80 and val_len < 0x80:
+            if shared < 0x80 and non_shared < 0x80:
                 buf.append(shared)
                 buf.append(non_shared)
-                buf.append(val_len)
+                if val_len < 0x80:
+                    buf.append(val_len)
+                    estimate += 3
+                elif val_len < 0x4000:
+                    buf.append(val_len & 0x7F | 0x80)
+                    buf.append(val_len >> 7)
+                    estimate += 4
+                else:
+                    before = len(buf)
+                    _put_varint(buf, val_len)
+                    estimate += 2 + len(buf) - before
             else:
+                before = len(buf)
                 _put_varint(buf, shared)
                 _put_varint(buf, non_shared)
                 _put_varint(buf, val_len)
+                estimate += len(buf) - before
             buf += internal_key[shared:]
             buf += val
+            estimate += non_shared + val_len
             last = internal_key
+            last_int = key_int
             counter += 1
             block_entries += 1
-            estimate = len(buf) + 4 * len(restarts) + 4
             if estimate >= block_size:
                 block._counter = counter
                 block._last_key = last
@@ -297,10 +348,13 @@ class SSTableBuilder:
                 restarts = block._restarts
                 counter = 0
                 last = b""
+                last_int = 0
                 block_entries = 0
-                offset = self._offset
+                kept = self._kept
+                if not no_split:
+                    room = split_size - self._offset
                 estimate = 8  # empty block: one restart slot + trailer
-            if split_size is not None and offset + estimate >= split_size:
+            if estimate >= room:
                 full = True
         block._counter = counter
         block._last_key = last
@@ -312,10 +366,15 @@ class SSTableBuilder:
     def _flush_block(self) -> None:
         if self._block.empty():
             return
-        payload = compress_block(self._block.finish(), self._compression)
-        self._file.append(payload)
-        self._index.append((self._last_ikey, self._offset, len(payload)))
-        self._offset += len(payload)
+        envelope = compress_block(self._block.finish(), self._compression)
+        kept = self._kept
+        if kept is not None:
+            blocks = self._kept_blocks
+            blocks.append((self._offset, envelope, kept))
+            self._kept = [] if len(blocks) < _DECODED_CACHE_BLOCKS else None
+        self._file.append(envelope)
+        self._index.append((self._last_ikey, self._offset, len(envelope)))
+        self._offset += len(envelope)
         self._block = BlockBuilder(self._restart_interval)
 
     def finish(self) -> FileMetaData:
@@ -385,12 +444,6 @@ def _file_number_from_path(path: str) -> int:
 CacheGet = Callable[[tuple[int, int]], bytes | None]
 CachePut = Callable[[tuple[int, int], bytes, int], None]
 
-#: Decoded-block memo size per open reader (blocks); each slot holds one
-#: block's envelope, payload and decoded entries. Nothing served from it
-#: is trusted without a byte compare against what the modelled read
-#: just returned, so the bound only caps memory.
-_DECODED_CACHE_BLOCKS = 128
-
 
 def _version_at(entries: list[tuple[bytes, bytes]], seek: bytes) -> bytes | None:
     """The packed value of the newest version ``seek`` (a
@@ -452,9 +505,11 @@ class SSTableReader:
         # envelope that differs by one byte takes the full verifying
         # path, so corruption is detected exactly as without the memo.
         # ``envelope`` is None for a slot first filled from the block
-        # cache.
+        # cache; ``payload`` is None for a slot seeded from the table's
+        # builder (:meth:`seed`), so a block-cache hit on one decodes
+        # and a file read that fills the block cache decompresses.
         self._decoded: dict[
-            int, tuple[bytes | None, bytes, list[tuple[bytes, bytes]]]
+            int, tuple[bytes | None, bytes | None, list[tuple[bytes, bytes]]]
         ] = {}
 
     @property
@@ -464,6 +519,15 @@ class SSTableReader:
     @property
     def has_bloom(self) -> bool:
         return self._bloom is not None
+
+    def seed(self, blocks: list[KeptBlock]) -> None:
+        """Start the decoded-block memo from what this table's builder
+        kept (:attr:`SSTableBuilder.kept_blocks`), so the table's first
+        reads need not decode what was just encoded. Each slot is still
+        matched on the envelope a read returns."""
+        decoded = self._decoded
+        for off, envelope, entries in blocks:
+            decoded[off] = (envelope, None, entries)
 
     def _block_index_for(self, internal_key: bytes) -> int | None:
         """First block whose last key >= internal_key, else None."""
@@ -504,6 +568,9 @@ class SSTableReader:
                 page_put(cache_key, envelope, len(envelope))
         if memo is not None and (envelope is memo[0] or envelope == memo[0]):
             _envelope, payload, entries = memo
+            if payload is None and cache_put is not None:
+                payload = decompress_block(envelope, verify_checksum=self._verify)
+                self._decoded[off] = (envelope, payload, entries)
         else:
             payload = decompress_block(envelope, verify_checksum=self._verify)
             if memo is not None and payload == memo[1]:
@@ -653,11 +720,16 @@ class SSTableReader:
         re-emits the packed value verbatim, skipping the kind decode /
         value slice / re-concat of the tuple path. Read accounting
         matches :meth:`iter_entries` exactly.
+
+        Compaction is the one caller, and the table dies when the
+        compaction installs, so the decoded-block memo is dropped after
+        this one front-to-back read.
         """
         local = stats if stats is not None else ReadStats()
         out: list[tuple[bytes, bytes]] = []
         for idx in range(len(self._index)):
             out += self._read_block(idx, cache_get, cache_put, local)
+        self._decoded.clear()
         return out
 
     def iter_from(

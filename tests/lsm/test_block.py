@@ -32,13 +32,13 @@ class TestBlockBuilder:
     def test_rejects_out_of_order(self):
         builder = BlockBuilder()
         builder.add(b"b", b"")
-        with pytest.raises(ValueError):
+        with pytest.raises(CorruptionError):
             builder.add(b"a", b"")
 
     def test_rejects_duplicates(self):
         builder = BlockBuilder()
         builder.add(b"a", b"")
-        with pytest.raises(ValueError):
+        with pytest.raises(CorruptionError):
             builder.add(b"a", b"")
 
     def test_prefix_compression_shrinks_shared_keys(self):
@@ -70,6 +70,17 @@ class TestBlockBuilder:
         pairs = sorted(mapping.items())
         assert decode_block(build(pairs)) == pairs
 
+    @pytest.mark.parametrize("restart_interval", [1, 16])
+    def test_round_trip_across_varint_widths(self, restart_interval):
+        """Lengths either side of each varint width: one-byte (127),
+        two-byte (128, 16,383) and three-byte (16,384) values, and keys
+        long enough that the shared and non-shared lengths need two."""
+        pairs = [
+            (b"k" * 200 + b"%03d" % i, bytes([i]) * n)
+            for i, n in enumerate([0, 1, 127, 128, 129, 16383, 16384, 20000])
+        ] + [(b"z%03d" % i, b"v" * (i * 37 % 300)) for i in range(40)]
+        assert decode_block(build(pairs, restart_interval)) == pairs
+
 
 class TestDecodeCorruption:
     def test_truncated_block(self):
@@ -81,6 +92,19 @@ class TestDecodeCorruption:
         bad = payload[:-4] + (10**6).to_bytes(4, "little")
         with pytest.raises(CorruptionError):
             decode_block(bad)
+
+    @pytest.mark.parametrize("high", [0x00, 0x81])
+    def test_value_length_cut_by_the_data_region_end(self, high):
+        """An entry header ending in the first byte of a two-byte (or
+        longer) value length, with the data region ending right there:
+        the length's next byte is the restart array's, and the entry
+        overruns instead of decoding."""
+        header = bytes([0, 1, 0x81])
+        restarts = (0).to_bytes(4, "little") + (1).to_bytes(4, "little")
+        payload = header + bytes([high]) + restarts[1:]
+        assert len(payload) - 8 == len(header)  # data region is the header
+        with pytest.raises(CorruptionError):
+            decode_block(payload)
 
 
 class TestCompressionEnvelope:

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.errors import CorruptionError
 from repro.lsm.bloom import BloomFilter, key_hashes
 
 
@@ -84,6 +85,10 @@ class TestKeyHashes:
             )
 
 
+#: From one probe (bits_per_key 1) to the clamp's 30 (43 * ln 2 > 29.5).
+BITS_PER_KEY = [1, 2.5, 6.5, 10, 20, 43]
+
+
 class TestAddRun:
     """``add_run`` resumes FNV-1a from the state shared with the
     previous key; per-key ``add`` is the reference it must equal."""
@@ -98,23 +103,51 @@ class TestAddRun:
         return per_key, run
 
     def test_run_equals_per_key_add_in_any_order(self):
+        """Over bits_per_key 1 to 43, so probe counts 1 to 30."""
         rng = random.Random(5)
         edge = [b"", b"\x00", b"\x00\xff", b"\x00\xff\x00", b"a", b"a\x00", b"ab"]
-        for trial in range(200):
+        for trial in range(240):
+            bits_per_key = BITS_PER_KEY[trial % len(BITS_PER_KEY)]
             # A small alphabet and short lengths force shared prefixes,
             # keys that are prefixes of one another, and NUL runs.
             keys = rng.sample(edge, rng.randrange(len(edge) + 1)) + [
                 bytes(rng.choice(b"\x00\xffab") for _ in range(rng.randrange(1, 9)))
                 for _ in range(rng.randrange(60))
             ]
-            if trial % 4 == 0:  # dense fixed-width keys, as a table's are
+            if trial % 5 == 0:  # dense fixed-width keys, as a table's are
                 keys += [b"%016d" % rng.randrange(500) for _ in range(40)]
             shuffled = keys[:]
             rng.shuffle(shuffled)
             for order in (sorted(keys), sorted(keys, reverse=True), shuffled):
-                per_key, run = self._filters(order)
+                per_key, run = self._filters(order, bits_per_key)
                 assert run.to_bytes() == per_key.to_bytes()
                 assert run.num_added == per_key.num_added == len(order)
+
+    @pytest.mark.parametrize("bits_per_key", BITS_PER_KEY)
+    def test_probe_counts_span_one_to_thirty(self, bits_per_key):
+        """Every probe count the clamp allows, from 1 to 30, sets the
+        bits per-key ``add`` sets, on a filter sized below and above the
+        64-bit floor."""
+        keys = sorted(b"user%012d" % (i * 7919) for i in range(300))
+        for count in (3, len(keys)):
+            per_key, run = self._filters(keys[:count], bits_per_key)
+            assert 1 <= run.num_probes <= 30
+            assert run.to_bytes() == per_key.to_bytes()
+        assert BloomFilter(43, 1).num_probes == 30
+
+    def test_add_then_add_run_on_one_filter(self):
+        """A run ORs into the bits already set, never replaces them."""
+        early = [b"early-%03d" % i for i in range(40)]
+        late = sorted(b"late-%03d" % i for i in range(60))
+        mixed = BloomFilter(10, 100)
+        for key in early:
+            mixed.add(key)
+        mixed.add_run(late)
+        reference = BloomFilter(10, 100)
+        for key in early + late:
+            reference.add(key)
+        assert mixed.to_bytes() == reference.to_bytes()
+        assert mixed.num_added == reference.num_added == 100
 
     def test_one_key_run_and_empty_run(self):
         per_key, run = self._filters([b"only"])
@@ -179,7 +212,7 @@ class TestSerialization:
             assert hashlib.sha256(run.to_bytes()).hexdigest() == digest
 
     def test_from_bytes_too_short(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(CorruptionError):
             BloomFilter.from_bytes(b"\x07", 10)
 
     @given(st.sets(st.binary(min_size=1, max_size=24), min_size=1, max_size=200))

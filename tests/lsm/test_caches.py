@@ -135,6 +135,32 @@ class TestTableCache:
         _, was_cached = cache.get(5)
         assert not was_cached
 
+    def test_a_seed_goes_to_the_next_reader_opened_only(self):
+        seeded = []
+
+        class Reader:
+            def __init__(self, number):
+                self.number = number
+
+            def seed(self, blocks):
+                seeded.append((self.number, blocks))
+
+        cache = TableCache(Reader, -1)
+        cache.seed(1, ["b1"])
+        cache.seed(2, ["b2"])
+        cache.seed(3, ["b3"])
+        cache.get(1)
+        cache.get(1)
+        assert seeded == [(1, ["b1"])]
+        cache.evict(1)
+        cache.get(1)  # re-opened cold: the handoff was used
+        cache.evict(2)  # retired before any read: the handoff goes too
+        cache.get(2)
+        assert seeded == [(1, ["b1"])]
+        cache.drop_seeds()  # close / crash
+        cache.get(3)
+        assert seeded == [(1, ["b1"])]
+
     def test_set_capacity(self):
         opener, _ = self._opener_factory()
         cache = TableCache(opener, -1)

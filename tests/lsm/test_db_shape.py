@@ -112,6 +112,33 @@ def test_background_does_not_import_db():
     )
 
 
+def test_compaction_jobs_read_through_the_table_cache():
+    """A compaction job reads the readers the DB fetched from the table
+    cache: it constructs no reader of its own, and its spec carries no
+    file handles to build one from."""
+    tree = _parse(SRC / "lsm" / "background.py")
+    (job,) = [
+        node for node in tree.body
+        if isinstance(node, ast.FunctionDef)
+        and node.name == "execute_compaction_job"
+    ]
+    calls = {
+        ast.unparse(node.func)
+        for node in ast.walk(job) if isinstance(node, ast.Call)
+    }
+    assert not {c for c in calls if c.split(".")[-1] == "SSTableReader"}, calls
+    (spec,) = [
+        node for node in tree.body
+        if isinstance(node, ast.ClassDef) and node.name == "CompactionJobSpec"
+    ]
+    fields = {
+        node.target.id for node in spec.body
+        if isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name)
+    }
+    assert "readers" in fields
+    assert not fields & {"input_files", "verify_checksums"}, fields
+
+
 def test_db_does_not_outgrow_its_shape():
     methods, attrs = class_shape(_parse(DB_PY), "DB")
     assert len(attrs) <= MAX_PRIVATE_ATTRS, sorted(attrs)

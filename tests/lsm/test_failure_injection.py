@@ -1,5 +1,7 @@
 """Failure-injection tests: corruption, resource limits, hostile configs."""
 
+import random
+
 import pytest
 
 from repro.errors import CorruptionError
@@ -71,6 +73,37 @@ class TestCorruption:
             db.get(b"%05d" % 0)
         db.close()
 
+    def test_corrupt_data_block_detected_with_a_seeded_memo(self):
+        """A compaction output above the bottom level reaches its first
+        reader with the entries its builder kept, keyed by the envelope
+        bytes written. Damage the table before that reader opens, then
+        compact it (the one read that fills no block cache, so nothing
+        but the envelope compare stands between the damage and the
+        merge): the damaged bytes differ from the seeded envelope, and
+        the checksum is verified as if nothing was kept."""
+        env = Env()
+        db = open_db(env, {
+            "write_buffer_size": 4096,
+            "target_file_size_base": 4096,
+            "max_bytes_for_level_base": 16384,
+            "level0_file_num_compaction_trigger": 2,
+        })
+        assert db.options.get("paranoid_checks")
+        rng = random.Random(7)
+        for i in range(3000):
+            value = bytes(rng.randrange(256) for _ in range(64))
+            db.put(b"%05d" % (i * 7919 % 3000), value)
+        db.wait_for_background()
+        seeds = db._table_cache._seeds
+        number, blocks = next(iter(seeds.items()))
+        offset, envelope, entries = blocks[0]
+        assert offset == 0 and len(envelope) > 50
+        user_key = entries[0][0][:5]  # fixed-width keys, no NUL to unescape
+        env.fs.corrupt(f"/fi-db/{number:06d}.sst", 50, envelope[50] ^ 0xFF)
+        with pytest.raises(CorruptionError):
+            db.compact_range(user_key, user_key)
+        assert number not in seeds  # the seeded reader did the read
+
     def test_corrupt_manifest_fails_reopen(self):
         env = Env()
         db = open_db(env)
@@ -95,8 +128,6 @@ class TestCorruption:
 
 class TestResourceLimits:
     def test_tiny_table_cache_forces_reopens(self):
-        import random
-
         env = Env()
         db = open_db(env, {"max_open_files": 2,
                            "target_file_size_base": 8 * 1024,

@@ -11,7 +11,7 @@ from repro.lsm import ikey
 from repro.lsm.bloom import BloomFilter
 from repro.lsm.env import MemFileSystem
 from repro.lsm.memtable import ValueKind
-from repro.lsm.sstable import FileMetaData, SSTableBuilder, SSTableReader
+from repro.lsm.sstable import FileMetaData, ReadStats, SSTableBuilder, SSTableReader
 
 
 def build_table(fs, path="/db/000001.sst", keys=100, *, bloom=-1.0,
@@ -449,3 +449,226 @@ class TestPackedPath:
     def _pack(entry):
         key, kind, value = entry
         return key, bytes([kind.value]) + value
+
+
+class CountingFile:
+    """A positional-read handle that counts its reads."""
+
+    def __init__(self, inner):
+        self.inner, self.path, self.reads = inner, inner.path, 0
+
+    def size(self):
+        return self.inner.size()
+
+    def read(self, offset, nbytes):
+        self.reads += 1
+        return self.inner.read(offset, nbytes)
+
+
+#: Value lengths either side of the one-, two- and three-byte varints.
+VARINT_EDGES = [0, 1, 127, 128, 16383, 16384]
+
+_user_keys = st.lists(st.binary(max_size=12), max_size=30, unique=True)
+
+
+def _versioned_entries(user_keys, data):
+    """Sorted packed entries: up to three versions per user key (a live
+    snapshot keeps them apart), tombstones and edge-length values."""
+    entries = []
+    seq = 10_000
+    for user_key in sorted({*user_keys, b"", b"\x00", b"a\x00\xffb"}):
+        for _ in range(data.draw(st.integers(1, 3))):
+            seq -= 1
+            if data.draw(st.integers(0, 5)) == 0:
+                entries.append((ikey.encode(user_key, seq), b"\x00"))
+                continue
+            n = data.draw(st.sampled_from(VARINT_EDGES + [5, 40, 300]))
+            entries.append((ikey.encode(user_key, seq), b"\x01" + bytes([seq % 251]) * n))
+    # Versions of one key descend by sequence: internal keys ascend.
+    entries.sort(key=lambda e: e[0])
+    return entries
+
+
+def build_kept(fs, path, entries, *, block_size, restart_interval, codec,
+               bloom=10.0):
+    builder = SSTableBuilder(
+        fs, path, block_size=block_size, restart_interval=restart_interval,
+        compression=codec, bloom_bits_per_key=bloom, keep_blocks=True,
+    )
+    it = iter(entries)
+    builder.add_packed(*next(it))
+    assert builder.add_many_packed(it) is None
+    builder.finish()
+    return builder.kept_blocks
+
+
+class TestKeptBlocks:
+    """A builder under ``keep_blocks`` holds, per finished block, the
+    entries decoding that block's bytes yields: the reader a compaction
+    output is seeded with trusts them only after an envelope compare,
+    but the entries themselves must be exactly right."""
+
+    @given(
+        user_keys=_user_keys,
+        data=st.data(),
+        restart_interval=st.sampled_from([1, 16]),
+        block_size=st.sampled_from([256, 4096]),
+        codec=st.sampled_from(["none", "snappy", "lz4", "zlib", "zstd"]),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_kept_entries_are_what_the_bytes_decode_to(
+        self, user_keys, data, restart_interval, block_size, codec
+    ):
+        from repro.lsm.block import decode_block, decompress_block
+
+        entries = _versioned_entries(user_keys, data)
+        fs = MemFileSystem()
+        kept = build_kept(
+            fs, "/db/000001.sst", entries, block_size=block_size,
+            restart_interval=restart_interval, codec=codec,
+        )
+        image = fs.read_all("/db/000001.sst")
+        reader = open_reader(fs)
+        offsets = [off for _last, off, _sz in reader._index]
+        assert [off for off, _, _ in kept] == offsets[: len(kept)]
+        assert len(kept) == min(len(offsets), 128)
+        for off, envelope, block_entries in kept:
+            assert image[off : off + len(envelope)] == envelope
+            assert decode_block(decompress_block(envelope)) == block_entries
+        flat = [entry for _, _, block_entries in kept for entry in block_entries]
+        assert flat == entries[: len(flat)]
+
+    def test_blocks_are_kept_per_api(self):
+        """``add``, ``add_packed`` and ``add_many`` keep what
+        ``add_many_packed`` keeps, and a builder not asked keeps none."""
+        fs = MemFileSystem()
+        rows = TestPackedPath._entries(200)
+        packed = [TestPackedPath._pack(row) for row in rows]
+        reference = build_kept(fs, "/db/a.sst", packed, block_size=256,
+                               restart_interval=16, codec="none", bloom=-1.0)
+        for name, feed in [
+            ("add", lambda b: [b.add(*row) for row in rows]),
+            ("add_packed", lambda b: [b.add_packed(*p) for p in packed]),
+            ("add_many", lambda b: b.add_many(iter(rows))),
+        ]:
+            builder = SSTableBuilder(fs, f"/db/{name}.sst", block_size=256,
+                                     keep_blocks=True)
+            feed(builder)
+            builder.finish()
+            assert builder.kept_blocks == reference, name
+        plain = SSTableBuilder(fs, "/db/plain.sst", block_size=256)
+        plain.add_many(iter(rows))
+        plain.finish()
+        assert plain.kept_blocks == []
+        assert fs.read_all("/db/plain.sst") == fs.read_all("/db/a.sst")
+
+    def test_at_most_the_memo_bound_is_kept(self):
+        fs = MemFileSystem()
+        entries = [
+            (ikey.encode(b"key-%06d" % i, 1), b"\x01" + bytes(200))
+            for i in range(400)
+        ]
+        kept = build_kept(fs, "/db/000001.sst", entries, block_size=256,
+                          restart_interval=16, codec="none")
+        assert open_reader(fs).num_blocks > 128
+        assert len(kept) == 128
+
+
+class TestSeededReader:
+    """A reader seeded with its table's kept blocks answers every read
+    as a cold reader does: same results, same ``ReadStats``, the same
+    file reads in the same number, the same cache traffic."""
+
+    @staticmethod
+    def _side(fs, kept, hooked):
+        """One reader with its file, and with its own block and page
+        caches when ``hooked``."""
+        file = CountingFile(fs.open_random("/db/000001.sst"))
+        reader = SSTableReader(file, 1)
+        if kept is not None:
+            reader.seed(kept)
+        blocks, pages = {}, {}
+        hooks = {}
+        if hooked:
+            hooks = {
+                "cache_get": blocks.get,
+                "cache_put": lambda k, v, c: blocks.__setitem__(k, v),
+                "page_get": pages.get,
+                "page_put": lambda k, v, c: pages.__setitem__(k, v),
+            }
+        return reader, file, hooks, (blocks, pages)
+
+    @pytest.mark.parametrize("codec", ["none", "zstd"])
+    @pytest.mark.parametrize("hooked", [False, True])
+    def test_seeded_reads_equal_cold_reads(self, codec, hooked, monkeypatch):
+        import repro.lsm.sstable as sstable_mod
+
+        entries = [
+            (ikey.encode(b"key-%04d" % (i // 3), 900 - i),
+             b"\x01" + b"v%d" % i * (i % 50))
+            for i in range(600)
+        ]
+        entries.sort(key=lambda e: e[0])
+        fs = MemFileSystem()
+        kept = build_kept(fs, "/db/000001.sst", entries, block_size=512,
+                          restart_interval=16, codec=codec)
+        sides = [self._side(fs, None, hooked), self._side(fs, kept, hooked)]
+        decodes = [0, 0]
+        decode = sstable_mod.decode_block
+
+        def both(call):
+            out = []
+            for i, (reader, _file, hooks, _stores) in enumerate(sides):
+                def counted(payload, i=i):
+                    decodes[i] += 1
+                    return decode(payload)
+                monkeypatch.setattr(sstable_mod, "decode_block", counted)
+                out.append(call(reader, hooks))
+            assert out[0] == out[1]
+            assert sides[0][1].reads == sides[1][1].reads
+            assert sides[0][3] == sides[1][3]  # same cache contents
+            return out[0]
+
+        for i in range(0, 220, 7):
+            for snapshot in (ikey.MAX_SEQUENCE, 900 - 3 * i, 10):
+                both(lambda r, h: r.get(b"key-%04d" % i, snapshot, **h))
+            both(lambda r, h: r.get(b"key-%04dx" % i, **h))
+
+        def scan(r, h, start):
+            stats = ReadStats()
+            rows = list(r.iter_from(start, stats=stats, **{
+                k: v for k, v in h.items() if k.startswith("cache")
+            }))
+            return rows, stats
+
+        for start in (b"", b"key-0100", b"key-9999"):
+            both(lambda r, h: scan(r, h, start))
+
+        def packed(r, h):
+            stats = ReadStats()
+            rows = r.read_packed(stats=stats, **{
+                k: v for k, v in h.items() if k.startswith("cache")
+            })
+            return rows, stats
+
+        # The seeded reader decoded nothing the builder had kept.
+        assert decodes[1] == 0 and decodes[0] == sides[0][0].num_blocks
+        rows, _ = both(packed)
+        assert rows == entries
+        assert not sides[0][0]._decoded and not sides[1][0]._decoded
+
+    def test_a_seeded_slot_is_not_trusted_over_damaged_bytes(self):
+        entries = [
+            (ikey.encode(b"key-%04d" % i, 1), b"\x01" + b"v" * 40)
+            for i in range(100)
+        ]
+        fs = MemFileSystem()
+        kept = build_kept(fs, "/db/000001.sst", entries, block_size=512,
+                          restart_interval=16, codec="none")
+        fs.corrupt("/db/000001.sst", 10, 0xFF)
+        reader = open_reader(fs)
+        reader.seed(kept)
+        with pytest.raises(CorruptionError):
+            reader.get(b"key-0000")
+        with pytest.raises(CorruptionError):
+            reader.read_packed()
