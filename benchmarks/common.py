@@ -8,9 +8,8 @@ Figure 3 fillrandom/HDD session), so sessions are memoized per
 Sessions are executed through :mod:`repro.parallel`: experiments that
 need several cells call :func:`tuning_sessions` once, which fans the
 independent sessions over worker processes (one per core; serial on a
-single-core host) with bit-identical results either way. Setting
-``PYLSM_RESULT_CACHE=<dir>`` additionally persists finished sessions on
-disk across pytest invocations.
+single-core host) with identical results either way. Nothing persists
+across pytest invocations, so every run reflects the code it runs.
 
 Every benchmark writes its rendered table/series to
 ``benchmarks/results/<name>.txt`` so EXPERIMENTS.md can reference real
@@ -23,12 +22,7 @@ import os
 
 from repro.bench.spec import DEFAULT_SCALE
 from repro.core.session import TuningSession
-from repro.parallel import (
-    ResultCache,
-    SessionTask,
-    profile_for_cell,
-    run_session_tasks,
-)
+from repro.parallel import SessionTask, profile_for_cell, run_session_tasks
 
 RESULTS_DIR = os.path.join(os.path.dirname(__file__), "results")
 
@@ -47,18 +41,14 @@ def profile_for(cell: str):
     return profile_for_cell(cell)
 
 
-def _disk_cache() -> ResultCache | None:
-    root = os.environ.get("PYLSM_RESULT_CACHE")
-    return ResultCache(root) if root else None
-
-
 def tuning_sessions(
     pairs, seed: int = SEED, scale: float = DEFAULT_SCALE
 ) -> list[TuningSession]:
     """Run (or fetch) the sessions for many (workload, cell) pairs.
 
-    Uncached sessions run through the parallel executor; results come
-    back in input order and match a serial execution exactly.
+    Sessions not yet in the in-process memo fan out over worker
+    processes; results come back in input order and match a serial
+    run exactly.
     """
     pairs = list(pairs)
     missing = []
@@ -72,7 +62,7 @@ def tuning_sessions(
                         iterations=ITERATIONS)
             for w, c, s, sc in missing
         ]
-        sessions = run_session_tasks(tasks, cache=_disk_cache())
+        sessions = run_session_tasks(tasks)
         _SESSIONS.update(zip(missing, sessions))
     return [_SESSIONS[(w, c, seed, scale)] for w, c in pairs]
 

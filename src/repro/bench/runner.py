@@ -64,9 +64,6 @@ class BenchResult:
     #: Real (host) seconds the run took. Diagnostic only: every headline
     #: metric is virtual-time and deterministic; this one is not.
     wall_clock_s: float = 0.0
-    #: Trace events captured during the run (populated by the parallel
-    #: executor's workers so traces survive the process boundary).
-    trace_events: list = field(default_factory=list)
 
     @classmethod
     def from_tickers(
@@ -136,7 +133,7 @@ class BenchResult:
 
         Everything virtual-time-derived, excluding ``wall_clock_s`` and
         the monitor ``snapshot`` (both reflect the host, not the model).
-        Serial and parallel executions of the same task must produce
+        Two runs of the same spec, options and profile must produce
         identical fingerprints.
         """
         from dataclasses import asdict

@@ -22,9 +22,6 @@ class FlagDecision:
     improved: bool
     reason: str
 
-    def feedback_text(self) -> str:
-        return self.reason
-
 
 class ActiveFlagger:
     """Throughput-first keep/revert policy with a p99 tiebreaker."""

@@ -41,7 +41,7 @@ class TuningSession:
     iterations: list[IterationRecord] = field(default_factory=list)
     stop_reason: str = ""
     #: The session's trace (populated when the tuner captures one; rides
-    #: across the executor's process boundary in pickled form).
+    #: back from a worker process in pickled form).
     trace_events: list = field(default_factory=list)
 
     # -- recording ---------------------------------------------------------

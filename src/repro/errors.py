@@ -65,10 +65,6 @@ class CorruptionError(DBError):
     """On-disk state (WAL record, SSTable block, manifest) failed a check."""
 
 
-class NotFoundError(DBError):
-    """Key not present (raised only by APIs documented to raise)."""
-
-
 class SimulatedCrash(DBError):
     """The fault-injection layer killed the simulated process.
 
@@ -139,7 +135,3 @@ class SafeguardViolation(ReproError):
         super().__init__(f"safeguard rejected {name!r}: {reason}")
         self.name = name
         self.reason = reason
-
-
-class TuningError(ReproError):
-    """The tuning loop hit an unrecoverable condition."""

@@ -22,10 +22,6 @@ class CpuTimes:
     iowait_us: float = 0.0
     idle_us: float = 0.0
 
-    @property
-    def total_us(self) -> float:
-        return self.user_us + self.iowait_us + self.idle_us
-
 
 @dataclass(frozen=True)
 class MemorySnapshot:

@@ -78,10 +78,6 @@ class BloomFilter:
         return self._num_probes
 
     @property
-    def size_bytes(self) -> int:
-        return len(self._bits)
-
-    @property
     def num_added(self) -> int:
         return self._num_added
 

@@ -924,11 +924,3 @@ def scale_byte_value(name: str, value: Any, factor: float) -> Any:
 def default_options() -> Options:
     """The out-of-box configuration (the paper's baseline)."""
     return Options()
-
-
-def db_bench_default_options() -> Options:
-    """What ``db_bench`` runs with when no OPTIONS file is given.
-
-    Matches the paper's Table 5 "Default" column.
-    """
-    return Options()

@@ -289,9 +289,6 @@ class PerfModel:
     def wal_sync_cost_us(self) -> float:
         return self.profile.device.sync_cost_us()
 
-    def writeback_stall_us(self, nbytes: int) -> float:
-        return self.smoother.on_bytes_written(nbytes)
-
     # -- foreground reads -----------------------------------------------------
 
     def memtable_get_cost_us(self, tables_probed: int, busy_bg_jobs: int = 0) -> float:

@@ -64,9 +64,6 @@ class SnapshotList:
         # the list is the one sanctioned writer of the release mark.
         object.__setattr__(snapshot, "_released", True)
 
-    def live_sequences(self) -> list[int]:
-        return list(self._seqs)
-
     def freeze(self) -> "SnapshotList":
         """A detached copy of the current snapshot set.
 

@@ -4,8 +4,8 @@ One event vocabulary (:mod:`repro.obs.events`), one publication point
 (:class:`Tracer`), pluggable consumers (:mod:`repro.obs.sinks`), and a
 replay path (:mod:`repro.obs.replay`) that reconstructs a tuning
 session from its trace alone. Engine internals, the bench runner, the
-tuning loop, and the parallel executor all publish here; the CLIs'
-``--trace-out`` and ``--quiet`` flags consume it.
+service, the tuning loop, and the crash/chaos sweeps all publish here;
+the CLIs' ``--trace-out`` and ``--quiet`` flags consume it.
 """
 
 from repro.obs import console

@@ -671,23 +671,23 @@ class SessionEnd(TraceEvent):
     best_ops_per_sec: float
 
 
-# ------------------------------------------------------------ parallel
+# ------------------------------------------------------ sweep schedules
 
 @register_event
 @dataclass
 class TaskStart(TraceEvent):
-    """The experiment executor began replaying one task's trace."""
+    """A crash or chaos sweep began one seeded schedule."""
 
     TYPE: ClassVar[str] = "exec.task.start"
     index: int
-    kind: str  # "bench" | "session"
+    kind: str  # "crash" | "chaos"
     label: str = ""
 
 
 @register_event
 @dataclass
 class TaskEnd(TraceEvent):
-    """End of one task's replayed trace."""
+    """End of one sweep schedule."""
 
     TYPE: ClassVar[str] = "exec.task.end"
     index: int

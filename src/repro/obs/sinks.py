@@ -53,9 +53,9 @@ class NullSink(TraceSink):
 class RingSink(TraceSink):
     """Keeps the last ``capacity`` events in memory (None = unbounded).
 
-    This is the executor's shipping container: workers capture a task's
-    trace here, the event list rides back in the pickled result, and the
-    parent replays it into its own sinks.
+    The tuners' default capture: a session's trace lands here and is
+    copied onto ``TuningSession.trace_events``, which rides back from a
+    worker process inside the pickled session.
     """
 
     def __init__(self, capacity: int | None = None) -> None:

@@ -1,6 +1,6 @@
 """The tracer: one publication point for the whole system.
 
-Producers (engine, bench runner, tuning loop, executor) call
+Producers (engine, bench runner, service, tuning loop) call
 :meth:`Tracer.emit`; subscribed sinks receive every event, stamped with
 the bound *virtual* clock. Two extra facilities make this the system's
 spine rather than just a logger:

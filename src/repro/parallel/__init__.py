@@ -1,35 +1,15 @@
-"""Process-parallel experiment execution.
+"""Process-parallel tuning sessions.
 
-The paper's grids (Tables 1-5, Figures 3-4) are embarrassingly
-parallel: every cell is one fully seeded, virtual-time benchmark or
-tuning session with no shared state. This package fans those runs out
-over a :class:`~concurrent.futures.ProcessPoolExecutor` and memoizes
-results on disk, while guaranteeing bit-identical results to a serial
-execution.
+The paper's tables are built from independent, fully seeded tuning
+sessions with no shared state. This package fans those sessions out
+over a :class:`~concurrent.futures.ProcessPoolExecutor`, with results
+identical to a serial run.
 """
 
-from repro.parallel.cache import ResultCache, bench_cache_key, cache_key
 from repro.parallel.executor import (
-    BenchTask,
-    ServiceTask,
     SessionTask,
-    default_workers,
     profile_for_cell,
-    run_bench_tasks,
-    run_service_tasks,
     run_session_tasks,
 )
 
-__all__ = [
-    "BenchTask",
-    "ResultCache",
-    "ServiceTask",
-    "SessionTask",
-    "bench_cache_key",
-    "cache_key",
-    "default_workers",
-    "profile_for_cell",
-    "run_bench_tasks",
-    "run_service_tasks",
-    "run_session_tasks",
-]
+__all__ = ["SessionTask", "profile_for_cell", "run_session_tasks"]

@@ -1,10 +1,10 @@
-"""Fan independent benchmark/tuning runs over worker processes.
+"""Fan independent tuning sessions over worker processes.
 
-Every task is a frozen dataclass carrying its own seed, so a run's
-outcome depends only on the task — never on which process executed it
-or in what order the pool scheduled it. Results always come back in
-input order, and with ``max_workers=1`` (or on a single-core host) the
-executor degrades to a plain serial loop with identical results.
+Every task is a frozen dataclass carrying its own seed, so a session's
+outcome depends only on the task — never on which process ran it or in
+what order the pool scheduled it. Results come back in input order,
+and with one worker the fan-out is a plain serial loop with identical
+results.
 """
 
 from __future__ import annotations
@@ -12,31 +12,15 @@ from __future__ import annotations
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
-from repro.bench.runner import BenchResult, DbBench
-from repro.bench.spec import (
-    DEFAULT_BYTE_SCALE,
-    DEFAULT_SCALE,
-    WorkloadSpec,
-    workload,
-)
-from repro.core.stopping import StoppingCriteria
+from repro.bench.spec import DEFAULT_BYTE_SCALE, DEFAULT_SCALE, workload
 from repro.core.session import TuningSession
+from repro.core.stopping import StoppingCriteria
 from repro.core.tuner import ElmoTune, TunerConfig
 from repro.hardware.device import device_by_name
 from repro.hardware.profile import HardwareProfile, make_profile
 from repro.llm.simulated import SimulatedExpert
-from repro.lsm.options import Options
-from repro.obs.events import TaskEnd, TaskStart
-from repro.obs.sinks import RingSink, TraceSink
-from repro.obs.tracer import Tracer
-from repro.parallel.cache import ResultCache, bench_cache_key, cache_key
-
-
-def default_workers() -> int:
-    """Worker count when the caller does not choose: one per core."""
-    return os.cpu_count() or 1
 
 
 def profile_for_cell(cell: str) -> HardwareProfile:
@@ -46,47 +30,6 @@ def profile_for_cell(cell: str) -> HardwareProfile:
     return make_profile(
         int(cpus), float(mem.rstrip("g")), device_by_name(device_name)
     )
-
-
-@dataclass(frozen=True)
-class BenchTask:
-    """One independent :class:`DbBench` run."""
-
-    spec: WorkloadSpec
-    options: Options
-    profile: HardwareProfile
-    byte_scale: float = 1.0
-    label: str = ""
-
-    def key(self) -> str:
-        return bench_cache_key(
-            self.spec, self.options, self.profile, self.byte_scale
-        )
-
-
-@dataclass(frozen=True)
-class ServiceTask:
-    """One independent sharded-service run (multi-client, group commit)."""
-
-    spec: WorkloadSpec
-    options: Options
-    profile: HardwareProfile
-    num_clients: int | None = None
-    client_ops_per_sec: float = 20_000.0
-    byte_scale: float = 1.0
-    label: str = ""
-
-    def key(self) -> str:
-        return cache_key(
-            {
-                "kind": "service",
-                "bench": bench_cache_key(
-                    self.spec, self.options, self.profile, self.byte_scale
-                ),
-                "num_clients": self.num_clients,
-                "client_ops_per_sec": self.client_ops_per_sec,
-            }
-        )
 
 
 @dataclass(frozen=True)
@@ -100,181 +43,29 @@ class SessionTask:
     iterations: int = 7
     byte_scale: float = DEFAULT_BYTE_SCALE
 
-    def key(self) -> str:
-        return cache_key(
-            {
-                "kind": "session",
-                "workload": self.workload,
-                "cell": self.cell,
-                "seed": self.seed,
-                "scale": self.scale,
-                "iterations": self.iterations,
-                "byte_scale": self.byte_scale,
-            }
-        )
-
-
-# Workers must be module-level functions: ProcessPoolExecutor pickles
-# the callable and the task into the child. Each worker captures its
-# task's trace into a ring and ships the event list back inside the
-# (pickled) result, so per-task traces survive the process boundary and
-# cached results replay the exact trace of their original run.
-
-def _run_bench_task(task: BenchTask) -> BenchResult:
-    ring = RingSink()
-    bench = DbBench(
-        task.spec, task.options, task.profile, byte_scale=task.byte_scale,
-        tracer=Tracer(ring),
-    )
-    result = bench.run()
-    result.trace_events = ring.events
-    return result
-
-
-def _run_service_task(task: ServiceTask):
-    from repro.service.service import ShardedService
-
-    ring = RingSink()
-    service = ShardedService(
-        task.spec,
-        task.options,
-        task.profile,
-        num_clients=task.num_clients,
-        client_ops_per_sec=task.client_ops_per_sec,
-        byte_scale=task.byte_scale,
-        tracer=Tracer(ring),
-    )
-    result = service.run()
-    result.trace_events = ring.events
-    return result
-
 
 def _run_session_task(task: SessionTask) -> TuningSession:
+    # Module-level so ProcessPoolExecutor can pickle it into the child.
     # Any named workload is a valid session target (paper, scan, or
-    # service); resolution errors surface at task build time.
+    # service); an unknown name raises WorkloadError here.
     config = TunerConfig(
         workload=workload(task.workload, task.scale).with_seed(task.seed),
         profile=profile_for_cell(task.cell),
         byte_scale=task.byte_scale,
         stopping=StoppingCriteria(max_iterations=task.iterations),
     )
-    # The tuner's default ring capture lands on session.trace_events.
+    # The tuner's default ring capture lands on session.trace_events,
+    # which rides back to the parent inside the pickled session.
     return ElmoTune(config, SimulatedExpert(seed=task.seed)).run()
 
 
-def _task_label(task) -> str:
-    label = getattr(task, "label", "")
-    if label:
-        return label
-    if isinstance(task, SessionTask):
-        return f"{task.workload}@{task.cell}"
-    return ""
-
-
-def _task_kind(task) -> str:
-    if isinstance(task, SessionTask):
-        return "session"
-    if isinstance(task, ServiceTask):
-        return "service"
-    return "bench"
-
-
-def _replay_traces(tasks: Sequence, results: list, sink: TraceSink) -> None:
-    """Merge per-task traces into the caller's sink, in input order.
-
-    Each task's events are bracketed by ``exec.task.start``/``end`` so a
-    merged trace can be split back per task. Events keep their stored
-    virtual timestamps (no re-stamping: the replay tracer has no clock),
-    so serial and parallel executions ship byte-identical traces.
-    """
-    tracer = Tracer(sink)
-    for index, (task, result) in enumerate(zip(tasks, results)):
-        events = getattr(result, "trace_events", None) or []
-        tracer.emit(TaskStart(index, _task_kind(task), _task_label(task)))
-        for event in events:
-            sink.emit(event)
-        tracer.emit(TaskEnd(index))
-    tracer.remove_sink(sink)
-
-
-def _execute(tasks: Sequence, worker, max_workers: int | None,
-             cache: ResultCache | None,
-             sink: TraceSink | None = None) -> list:
-    """Shared fan-out: cache-hit short circuit, pool or serial run,
-    cache fill, results in input order."""
-    results: list = [None] * len(tasks)
-    keys: list[str | None] = [None] * len(tasks)
-    misses: list[int] = []
-    if cache is not None:
-        for i, task in enumerate(tasks):
-            keys[i] = task.key()
-            hit = cache.get(keys[i])
-            if hit is None:
-                misses.append(i)
-            else:
-                results[i] = hit
-    else:
-        misses = list(range(len(tasks)))
-    workers = default_workers() if max_workers is None else max_workers
-    workers = max(1, min(workers, len(misses))) if misses else 1
-    if workers <= 1:
-        for i in misses:
-            results[i] = worker(tasks[i])
-    else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            pending = [tasks[i] for i in misses]
-            for i, result in zip(misses, pool.map(worker, pending)):
-                results[i] = result
-    if cache is not None:
-        for i in misses:
-            cache.put(keys[i], results[i])
-    if sink is not None:
-        _replay_traces(tasks, results, sink)
-    return results
-
-
-def run_bench_tasks(
-    tasks: Iterable[BenchTask],
-    *,
-    max_workers: int | None = None,
-    cache: ResultCache | None = None,
-    sink: TraceSink | None = None,
-) -> list[BenchResult]:
-    """Run benchmark tasks, parallel when cores allow; input order.
-
-    With ``sink``, every task's trace (captured in the worker, cached
-    alongside the result) is replayed into it, bracketed by task
-    start/end events.
-    """
-    return _execute(list(tasks), _run_bench_task, max_workers, cache, sink)
-
-
-def run_service_tasks(
-    tasks: Iterable[ServiceTask],
-    *,
-    max_workers: int | None = None,
-    cache: ResultCache | None = None,
-    sink: TraceSink | None = None,
-) -> list:
-    """Run sharded-service benchmarks, parallel when cores allow.
-
-    Results are :class:`repro.service.service.ServiceResult` objects in
-    input order; traces replay into ``sink`` exactly as for
-    :func:`run_bench_tasks`.
-    """
-    return _execute(list(tasks), _run_service_task, max_workers, cache, sink)
-
-
 def run_session_tasks(
-    tasks: Iterable[SessionTask],
-    *,
-    max_workers: int | None = None,
-    cache: ResultCache | None = None,
-    sink: TraceSink | None = None,
+    tasks: Iterable[SessionTask], *, max_workers: int | None = None
 ) -> list[TuningSession]:
-    """Run tuning sessions, parallel when cores allow; input order.
-
-    With ``sink``, per-session traces are replayed into it exactly as
-    for :func:`run_bench_tasks`.
-    """
-    return _execute(list(tasks), _run_session_task, max_workers, cache, sink)
+    """Run tuning sessions, one process per core by default; input order."""
+    tasks = list(tasks)
+    workers = min(max_workers or os.cpu_count() or 1, len(tasks))
+    if workers <= 1:
+        return [_run_session_task(task) for task in tasks]
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(_run_session_task, tasks))

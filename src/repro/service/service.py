@@ -260,9 +260,6 @@ class ServiceResult:
     follower_reads_served: int = 0
     #: Replica-group size the service ran with (1: bare shards).
     replicas_per_shard: int = 1
-    #: Trace events captured during the run (populated by the parallel
-    #: executor's workers so traces survive the process boundary).
-    trace_events: list = field(default_factory=list)
 
     @property
     def syncs_per_write(self) -> float:

@@ -68,6 +68,11 @@ class TestRunner:
         assert a.ops_per_sec == b.ops_per_sec
         assert a.write_summary.p99 == b.write_summary.p99
 
+    def test_wall_clock_is_populated_but_not_fingerprinted(self):
+        result = run(TINY_WRITE)
+        assert result.wall_clock_s > 0
+        assert "wall_clock_s" not in result.fingerprint()
+
     def test_options_affect_results(self):
         base = run(TINY_READ)
         tuned = run(TINY_READ, Options({"bloom_filter_bits_per_key": 10.0,

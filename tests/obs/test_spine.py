@@ -1,14 +1,14 @@
 """Integration tests for the observability spine.
 
 The load-bearing contracts: a tuning session reconstructs *exactly*
-from its trace, serial and parallel executions ship identical traces,
+from its trace, serial and parallel sessions carry identical traces,
 and the early-stop monitor / flagger / feedback chain appears in the
 trace in causal order.
 """
 
 import pytest
 
-from repro.bench.spec import WorkloadSpec, paper_workload
+from repro.bench.spec import WorkloadSpec
 from repro.core.monitor import MonitorConfig
 from repro.core.stopping import StoppingCriteria
 from repro.core.tuner import ElmoTune, TunerConfig
@@ -18,7 +18,7 @@ from repro.lsm.db import DB
 from repro.lsm.options import Options
 from repro.obs import JsonlSink, RingSink, Tracer
 from repro.obs.replay import read_trace, summarize_session
-from repro.parallel import BenchTask, ResultCache, run_bench_tasks
+from repro.parallel import SessionTask, run_session_tasks
 
 TINY = WorkloadSpec(
     name="fillrandom", num_ops=3000, num_keys=3000, preload_keys=0,
@@ -153,47 +153,20 @@ class TestMonitorAndFlaggerInTrace:
 
 
 class TestExecutorTraces:
-    def _tasks(self, n=2):
-        spec = paper_workload("fillrandom", 0.0001)
-        return [
-            BenchTask(
-                spec=spec.with_seed(7 + i),
-                options=Options({"write_buffer_size": 256 * 1024}),
-                profile=make_profile(2, 4),
-                byte_scale=1 / 1024,
-                label=f"task-{i}",
-            )
-            for i in range(n)
-        ]
-
     def test_serial_and_parallel_traces_identical(self):
-        tasks = self._tasks()
-        serial_sink, parallel_sink = RingSink(), RingSink()
-        serial = run_bench_tasks(tasks, max_workers=1, sink=serial_sink)
-        parallel = run_bench_tasks(tasks, max_workers=2, sink=parallel_sink)
-        assert [r.fingerprint() for r in serial] == [
-            r.fingerprint() for r in parallel
+        tasks = [
+            SessionTask(workload="fillrandom", cell="2c4g-nvme-ssd",
+                        seed=7 + i, scale=0.0001, iterations=1)
+            for i in range(2)
         ]
-        assert serial_sink.events == parallel_sink.events
-        types = [e.type for e in serial_sink.events]
-        assert types.count("exec.task.start") == len(tasks)
-        assert types.count("exec.task.end") == len(tasks)
-        assert types[0] == "exec.task.start"
-        assert types[-1] == "exec.task.end"
-
-    def test_trace_events_excluded_from_fingerprint(self):
-        tasks = self._tasks(n=1)
-        [result] = run_bench_tasks(tasks, max_workers=1)
-        assert result.trace_events
-        assert "trace_events" not in result.fingerprint()
-
-    def test_cached_results_replay_their_stored_trace(self, tmp_path):
-        tasks = self._tasks()
-        cache = ResultCache(str(tmp_path / "cache"))
-        first_sink, second_sink = RingSink(), RingSink()
-        run_bench_tasks(tasks, max_workers=1, cache=cache, sink=first_sink)
-        # Second run is served entirely from the cache, yet the merged
-        # trace must be indistinguishable from the live one.
-        run_bench_tasks(tasks, max_workers=1, cache=cache, sink=second_sink)
-        assert cache.hits == len(tasks)
-        assert first_sink.events == second_sink.events
+        serial = run_session_tasks(tasks, max_workers=1)
+        parallel = run_session_tasks(tasks, max_workers=2)
+        for s, p in zip(serial, parallel):
+            assert s.trace_events
+            assert s.trace_events == p.trace_events
+            # Each session's trace crossed the process boundary whole.
+            summary = summarize_session(p.trace_events)
+            assert summary.complete
+            assert len(summary.iterations) == len(s.iterations)
+        # Different seeds, different runs: traces are per session.
+        assert serial[0].trace_events != serial[1].trace_events

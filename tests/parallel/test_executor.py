@@ -1,46 +1,55 @@
-"""Parallel executor: serial/parallel equivalence and cache plumbing.
+"""Session fan-out: serial/parallel equivalence, order and errors.
 
-The determinism contract is the load-bearing property: fanning runs over
-worker processes must change nothing but wall-clock time. These tests
-force ``max_workers=2`` (fork works regardless of core count), so the
-contract is exercised even on a single-core host.
+The determinism contract is the load-bearing property: fanning sessions
+over worker processes must change nothing but wall-clock time, traces
+included. These tests force ``max_workers=2`` (fork works regardless of
+core count), so the contract is exercised even on a single-core host.
 """
 
-import json
+import pathlib
+import re
 
 import pytest
 
-from repro.bench.spec import paper_workload
-from repro.hardware.profile import make_profile
-from repro.lsm.options import Options
-from repro.parallel import (
-    BenchTask,
-    ResultCache,
-    SessionTask,
-    profile_for_cell,
-    run_bench_tasks,
-    run_session_tasks,
-)
+import repro.parallel
+from repro.errors import WorkloadError
+from repro.parallel import SessionTask, profile_for_cell, run_session_tasks
 
 SCALE = 0.0001
+ROOT = pathlib.Path(__file__).resolve().parents[2]
+
+# One paper workload, one scan workload, and one service workload (the
+# tuner routes it through the sharded service).
+WORKLOADS = ["fillrandom", "seekrandom", "readwhilewriting"]
+TASKS = [
+    SessionTask(workload=w, cell="2c4g-nvme-ssd", seed=42, scale=SCALE,
+                iterations=2)
+    for w in WORKLOADS
+]
 
 
-def _bench_tasks(n=3):
-    spec = paper_workload("fillrandom", SCALE)
-    return [
-        BenchTask(
-            spec=spec.with_seed(7 + i),
-            options=Options({"write_buffer_size": 256 * 1024}),
-            profile=make_profile(2, 4),
-            byte_scale=1 / 1024,
-        )
-        for i in range(n)
-    ]
+@pytest.fixture(scope="module")
+def serial_and_parallel():
+    return (run_session_tasks(TASKS, max_workers=1),
+            run_session_tasks(TASKS, max_workers=2))
 
 
-def _fingerprints(results):
-    return [json.dumps(r.fingerprint(), sort_keys=True, default=str)
-            for r in results]
+def pair_for(serial_and_parallel, workload):
+    i = WORKLOADS.index(workload)
+    serial, parallel = serial_and_parallel
+    return serial[i], parallel[i]
+
+
+def assert_identical(serial, parallel):
+    name = serial.workload_name
+    assert serial.describe() == parallel.describe(), name
+    assert serial.throughput_series() == parallel.throughput_series(), name
+    assert serial.p99_write_series() == parallel.p99_write_series(), name
+    assert serial.best.options.overrides() == \
+        parallel.best.options.overrides(), name
+    assert serial.stop_reason == parallel.stop_reason, name
+    assert serial.trace_events, name
+    assert serial.trace_events == parallel.trace_events, name
 
 
 class TestProfileForCell:
@@ -54,144 +63,60 @@ class TestProfileForCell:
         assert profile_for_cell("4c8g-sata-hdd").device.name == "sata-hdd"
 
 
-class TestBenchExecutor:
-    def test_serial_and_parallel_results_identical(self):
-        tasks = _bench_tasks()
-        serial = run_bench_tasks(tasks, max_workers=1)
-        parallel = run_bench_tasks(tasks, max_workers=2)
-        assert _fingerprints(serial) == _fingerprints(parallel)
+class TestSessionExecutor:
+    def test_serial_and_parallel_sessions_identical(self, serial_and_parallel):
+        assert_identical(*pair_for(serial_and_parallel, "fillrandom"))
 
-    def test_results_come_back_in_input_order(self):
-        tasks = _bench_tasks()
-        results = run_bench_tasks(tasks, max_workers=2)
-        assert [r.spec.seed for r in results] == [t.spec.seed for t in tasks]
+    def test_seekrandom_session_serial_parallel_and_cached(
+            self, serial_and_parallel):
+        # Scans take a different path through the engine than writes.
+        # Nothing is cached any more: a re-run recomputes the session
+        # and must reproduce it exactly.
+        serial, parallel = pair_for(serial_and_parallel, "seekrandom")
+        assert_identical(serial, parallel)
+        [rerun] = run_session_tasks([TASKS[WORKLOADS.index("seekrandom")]],
+                                    max_workers=1)
+        assert_identical(serial, rerun)
 
-    def test_wall_clock_is_populated_but_not_fingerprinted(self):
-        result = run_bench_tasks(_bench_tasks(1), max_workers=1)[0]
-        assert result.wall_clock_s > 0
-        assert "wall_clock_s" not in result.fingerprint()
-
-    def test_cache_round_trip(self, tmp_path):
-        tasks = _bench_tasks(2)
-        cache = ResultCache(str(tmp_path))
-        first = run_bench_tasks(tasks, max_workers=1, cache=cache)
-        assert cache.misses == 2 and cache.hits == 0
-        second = run_bench_tasks(tasks, max_workers=1, cache=cache)
-        assert cache.hits == 2
-        assert _fingerprints(first) == _fingerprints(second)
-
-    def test_option_change_misses_the_cache(self, tmp_path):
-        cache = ResultCache(str(tmp_path))
-        base = _bench_tasks(1)
-        run_bench_tasks(base, max_workers=1, cache=cache)
-        tuned = [
-            BenchTask(
-                spec=base[0].spec,
-                options=Options({"write_buffer_size": 512 * 1024}),
-                profile=base[0].profile,
-                byte_scale=base[0].byte_scale,
-            )
-        ]
-        cache.hits = cache.misses = 0
-        run_bench_tasks(tuned, max_workers=1, cache=cache)
-        assert cache.misses == 1 and cache.hits == 0
-        assert len(cache) == 2
+    def test_results_come_back_in_input_order(self, serial_and_parallel):
+        for sessions in serial_and_parallel:
+            assert [s.workload_name for s in sessions] == WORKLOADS
 
     def test_empty_task_list(self):
-        assert run_bench_tasks([]) == []
+        assert run_session_tasks([]) == []
+        assert run_session_tasks([], max_workers=2) == []
 
-
-class TestSessionExecutor:
-    def test_serial_and_parallel_sessions_identical(self):
-        tasks = [SessionTask(workload="fillrandom", cell="2c4g-nvme-ssd",
-                             seed=42, scale=SCALE, iterations=2)]
-        serial = run_session_tasks(tasks, max_workers=1)[0]
-        parallel = run_session_tasks(tasks, max_workers=2)[0]
-        assert serial.throughput_series() == parallel.throughput_series()
-        assert serial.p99_write_series() == parallel.p99_write_series()
-        assert serial.best.options.overrides() == \
-            parallel.best.options.overrides()
-        assert serial.stop_reason == parallel.stop_reason
-
-    def test_session_cache_round_trip(self, tmp_path):
-        cache = ResultCache(str(tmp_path))
-        tasks = [SessionTask(workload="fillrandom", cell="2c4g-nvme-ssd",
-                             seed=42, scale=SCALE, iterations=2)]
-        first = run_session_tasks(tasks, max_workers=1, cache=cache)[0]
-        assert cache.misses == 1
-        second = run_session_tasks(tasks, max_workers=1, cache=cache)[0]
-        assert cache.hits == 1
-        assert first.throughput_series() == second.throughput_series()
-
-    def test_different_iteration_budget_changes_key(self):
-        short = SessionTask(workload="fillrandom", cell="2c4g-nvme-ssd",
-                            iterations=2)
-        long = SessionTask(workload="fillrandom", cell="2c4g-nvme-ssd",
-                           iterations=7)
-        assert short.key() != long.key()
-
-    def test_seekrandom_session_serial_parallel_and_cached(self, tmp_path):
-        # Scan workloads flow through the tuning loop like any paper
-        # workload: serial == parallel, and a re-run hits the cache.
-        cache = ResultCache(str(tmp_path))
-        tasks = [SessionTask(workload="seekrandom", cell="2c4g-nvme-ssd",
-                             seed=42, scale=SCALE, iterations=2)]
-        serial = run_session_tasks(tasks, max_workers=1, cache=cache)[0]
-        assert cache.misses == 1
-        parallel = run_session_tasks(tasks, max_workers=2)[0]
-        assert serial.throughput_series() == parallel.throughput_series()
-        assert serial.best.options.overrides() == \
-            parallel.best.options.overrides()
-        cached = run_session_tasks(tasks, max_workers=1, cache=cache)[0]
-        assert cache.hits == 1
-        assert cached.throughput_series() == serial.throughput_series()
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_unknown_workload_raises_workload_error(self, workers):
+        bad = SessionTask(workload="nope", cell="2c4g-nvme-ssd",
+                          scale=SCALE, iterations=1)
+        with pytest.raises(WorkloadError, match="nope"):
+            run_session_tasks([bad, bad], max_workers=workers)
 
 
 class TestServiceExecutor:
-    def _service_tasks(self, n=2):
-        from repro.bench.spec import workload
-        from repro.parallel import ServiceTask
+    def test_serial_and_parallel_service_runs_identical(
+            self, serial_and_parallel):
+        # readwhilewriting is served by the sharded service, so this
+        # pair covers the service path across the process boundary.
+        serial, parallel = pair_for(serial_and_parallel, "readwhilewriting")
+        assert "service.start" in {e.type for e in serial.trace_events}
+        assert_identical(serial, parallel)
 
-        spec = workload("readwhilewriting").scaled(0.08)
-        return [
-            ServiceTask(
-                spec=spec.with_seed(7 + i),
-                options=Options({"shard_count": 2, "use_fsync": True}),
-                profile=make_profile(2, 4),
-                num_clients=4,
-            )
-            for i in range(n)
+
+class TestPackageSurface:
+    def test_exports_only_the_session_fan_out(self):
+        assert repro.parallel.__all__ == [
+            "SessionTask", "profile_for_cell", "run_session_tasks",
         ]
 
-    def test_serial_and_parallel_service_runs_identical(self):
-        from repro.parallel import run_service_tasks
-
-        tasks = self._service_tasks()
-        serial = run_service_tasks(tasks, max_workers=1)
-        parallel = run_service_tasks(tasks, max_workers=2)
-        assert _fingerprints([r.aggregate for r in serial]) == \
-            _fingerprints([r.aggregate for r in parallel])
-        assert [r.wal_syncs for r in serial] == \
-            [r.wal_syncs for r in parallel]
-
-    def test_service_cache_round_trip(self, tmp_path):
-        from repro.parallel import run_service_tasks
-
-        cache = ResultCache(str(tmp_path))
-        tasks = self._service_tasks(n=1)
-        first = run_service_tasks(tasks, max_workers=1, cache=cache)[0]
-        assert cache.misses == 1
-        second = run_service_tasks(tasks, max_workers=1, cache=cache)[0]
-        assert cache.hits == 1
-        assert first.aggregate.fingerprint() == second.aggregate.fingerprint()
-        assert first.trace_events and second.trace_events
-
-    def test_topology_changes_the_cache_key(self):
-        from repro.parallel import ServiceTask
-
-        base = self._service_tasks(n=1)[0]
-        more_clients = ServiceTask(
-            spec=base.spec, options=base.options, profile=base.profile,
-            num_clients=8,
-        )
-        assert base.key() != more_clients.key()
+    def test_no_environment_knobs(self):
+        pattern = re.compile(rb"os\.environ|getenv")
+        readers = [
+            str(path.relative_to(ROOT))
+            for top in ("src", "scripts", "benchmarks")
+            for path in sorted((ROOT / top).rglob("*"))
+            if path.is_file() and "__pycache__" not in path.parts
+            and pattern.search(path.read_bytes())
+        ]
+        assert readers == []
