@@ -64,7 +64,7 @@ from repro.lsm.wal import (
     WalWriter,
     replay_wal,
 )
-from repro.lsm.write_batch import WriteBatch
+from repro.lsm.write_batch import BatchOp, WriteBatch
 from repro.lsm.write_controller import WriteController, WriteState
 from repro.obs.events import (
     CacheEviction,
@@ -224,25 +224,15 @@ class DB:
         # Write-path fast lane: `_write` runs once per put at fillrandom
         # rates, so everything it needs — the clock, the precomputed
         # put-cost constants, the monitor/histogram sinks — is bound to
-        # one attribute hop here. Rebound where the underlying object
-        # changes (_rotate_memtable rebinds _mem_add; the
-        # foreground_parallelism setter refreshes _put_plan/_fg_div).
+        # one attribute hop, the write plan (_rebuild_write_plan).
         self._clock = env.clock
         self._clock_advance = env.clock.advance
-        self._wal_enabled = not self._disable_wal
         #: Sum of approx_bytes over self._imm, maintained incrementally
         #: (rotation adds, _install_flush recomputes) so the per-write
         #: memory gauge and global-budget check stay O(1).
         self._imm_bytes = 0
         self._fg_div = 1
         self._set_used_memory = self._monitor.set_used_memory
-        self._account_put = self._monitor.record_put
-        self._observe_put = statistics.histogram(OpClass.PUT).add
-        self._observe_delete = statistics.histogram(OpClass.DELETE).add
-        self._mem_add = self._mem.add
-        #: Bound group-commit appender; rebound wherever self._wal
-        #: changes (_recover, _rotate_memtable).
-        self._wal_add_records = None
         self._bind_options()
 
     def _bind_options(self) -> None:
@@ -268,7 +258,6 @@ class DB:
         self._mem.capacity_bytes = opts.get("write_buffer_size")
         self._perf.refresh_options()
         self._swap_factor = self._compute_swap_factor()
-        self._use_fsync = opts.get("use_fsync")
         # Whether lookups hash their key up front: some filter (memtable
         # whole-key bloom or SSTable filter block) is configured, so the
         # pair will almost surely be wanted. Only a hint — a filter met
@@ -281,42 +270,47 @@ class DB:
         self._stats_dump_period_us = opts.get("stats_dump_period_sec") * 1e6
         self._db_write_buffer_size = opts.get("db_write_buffer_size")
         self._max_total_wal_size = opts.get("max_total_wal_size")
-        self._budget_caps = bool(
-            self._db_write_buffer_size or self._max_total_wal_size
-        )
         #: (version stamp, imm count, verdict) memo for the stall-clear
         #: check: the verdict can only change when the file set or the
         #: immutable list does — or, here, the thresholds.
         self._clear_cache: tuple[int, int, bool] = (-1, -1, False)
         #: (version stamp, value) memo for pending compaction debt.
         self._pending_bytes_cache: tuple[int, int] = (-1, 0)
-        self._put_plan = self._perf.put_cost_params()
-        self._writeback = self._perf.smoother.on_bytes_written
         self._rebuild_write_plan()
         self._update_memory_gauge()
 
     def _rebuild_write_plan(self) -> None:
-        """Pack the per-put hot state into one tuple.
+        """Pack the per-write hot state into one tuple.
 
         ``_write`` unpacks this once per operation instead of paying
         ~25 attribute loads. Every member is either fixed for the DB's
-        lifetime or rebound here by the sites that change it:
-        ``_recover`` (wal), ``_rotate_memtable`` (memtable + wal), the
-        ``foreground_parallelism`` setter (cost constants, divisor), and
-        ``_bind_options`` (everything option-derived).
+        lifetime or derived here from state whose every change calls
+        this: ``_bind_options`` (everything option-derived), ``_recover``
+        (wal), ``_rotate_memtable`` (memtable + wal) and the
+        ``foreground_parallelism`` setter (cost constants, divisor).
         """
-        base, per_byte, coord, speed, cores, rot_seek, relief = self._put_plan
+        base, per_byte, coord, speed, cores, rot_seek, relief = (
+            self._perf.put_cost_params()
+        )
+        wal = self._wal
+        stats = self._stats
         self._write_plan = (
             self._bg.busy,
-            base, per_byte, coord, speed, cores, rot_seek, relief,
-            self._wal_enabled, self._use_fsync, self._swap_factor,
+            # WAL off: no bytes to encode, and (base + 0.0) + coord is
+            # exactly base + coord.
+            base, 0.0 if wal is None else per_byte, coord, speed, cores,
+            rot_seek, relief,
+            wal, self._options.get("use_fsync"), self._swap_factor,
             self._fg_div, self._stats_dump_period_us,
             self._tickers,
-            None if self._wal is None else self._wal._append,
-            self._mem, self._mem_add,
-            self._writeback, self._account_put, self._clock_advance,
-            self._observe_put, self._observe_delete, self._block_cache,
-            self._budget_caps,
+            None if wal is None else wal._append,
+            self._mem, self._mem.add,
+            self._perf.smoother.on_bytes_written, self._monitor.record_put,
+            self._clock_advance,
+            stats.histogram(OpClass.PUT).add,
+            stats.histogram(OpClass.DELETE).add,
+            self._block_cache,
+            bool(self._db_write_buffer_size or self._max_total_wal_size),
         )
 
     # ------------------------------------------------------------- open
@@ -398,7 +392,6 @@ class DB:
             self._next_file_number = max(self._next_file_number, number + 1)
         if not self._disable_wal:
             self._wal = WalWriter(fs, self._wal_path(self._new_file_number()))
-            self._wal_add_records = self._wal.add_records
         for path in old_wals:
             for seq, kind, key, value in replay_wal(fs, path):
                 self._mem.add(seq, kind, key, value)
@@ -915,132 +908,39 @@ class DB:
         ``WAL_SYNCS`` under ``use_fsync``) count the batch once — one
         commit, one sync boundary.
         """
-        if self._closed:
-            raise DBClosedError("database is closed")
-        ops = batch.ops
-        if not ops:
-            return 0.0
         # Validate before mutating anything: a bad op discovered
         # mid-batch would otherwise leave earlier ops in the WAL with no
         # committed sequence — half a batch after replay.
+        ops = batch.ops
         for op in ops:
             if not op.key:
                 raise DBError("empty keys are not supported")
-        clock = self._clock
-        bg = self._bg
-        if bg.next_event_us <= clock._now_us:
-            bg.poll(clock._now_us)
-        stamp = self._version.stamp
-        n_imm = len(self._imm)
-        cache = self._clear_cache
-        if cache[0] == stamp and cache[1] == n_imm:
-            clear = cache[2]
-        else:
-            clear = self._controller.clear(
-                self._version.num_files(0),
-                n_imm,
-                self._pending_compaction_bytes(),
-            )
-            self._clear_cache = (stamp, n_imm, clear)
-        if clear:
-            stall_us = 0.0
-        else:
-            stall_us = self._make_room_for_write(batch.approximate_bytes)
-        now = clock._now_us
-        # A stall advance can cross a pending job's lower bound; busy()
-        # joins such a job first, so the count is exact.
-        busy = bg.busy(now)
-        base, per_byte, coord, speed, cores, rot_seek, relief = self._put_plan
-        contention = (1.0 + busy) / cores
-        if contention < 1.0:
-            contention = 1.0
-        rot_extra = (
-            rot_seek * busy * 12.0 * relief if rot_seek and busy else 0.0
-        )
-        tickers = self._tickers
-        mem_add = self._mem_add
-        swap = self._swap_factor
-        latency = 0.0
-        wal_bytes = 0
-        wal_enabled = self._wal_enabled
-        seq = self._seq
-        if wal_enabled:
-            # One WAL append per batch: records are encoded into a single
-            # buffer (byte-identical to N add_record calls) and handed to
-            # the file once, so group commit pays one append round-trip.
-            records = []
-            add_rec = records.append
-            for op in ops:
-                seq += 1
-                key = op.key
-                value = op.value
-                cost = (base + (len(key) + len(value) + 24) * per_byte) + coord
-                per = cost / speed * contention
-                per += rot_extra
-                latency += per * swap
-                add_rec((seq, op.kind, key, value))
-                mem_add(seq, op.kind, key, value)
-            wal_bytes = self._wal_add_records(records)
-        else:
-            per = (base + coord) / speed * contention
-            per += rot_extra
-            per *= swap
-            for op in ops:
-                seq += 1
-                latency += per
-                mem_add(seq, op.kind, op.key, op.value)
-        self._seq = seq
-        tickers[_T_NUMBER_KEYS_WRITTEN] += len(ops)
-        if wal_enabled:
-            tickers[_T_WAL_BYTES] += wal_bytes
-            tickers[_T_WRITE_WITH_WAL] += 1
-            if self._use_fsync:
-                self._wal.sync()
-                self._durable_seq = seq
-                latency += self._perf.wal_sync_cost_us()
-                tickers[_T_WAL_SYNCS] += 1
-                self._monitor.record_sync()
-        latency += self._writeback(wal_bytes + batch.approximate_bytes)
-        period = self._stats_dump_period_us
-        if period > 0.0 and now - self._last_stats_dump_us >= period:
-            self._last_stats_dump_us = now
-            latency += self._perf.stats_dump_cost_us()
-        tickers[_T_WRITE_DONE_BY_SELF] += 1
-        mem = self._mem
-        mem_bytes = mem.approx_bytes
-        self._account_put(
-            latency,
-            wal_bytes,
-            mem_bytes + self._imm_bytes + self._block_cache.used_bytes,
-        )
-        self._clock_advance(latency / self._fg_div)
-        total = latency + stall_us
-        self._observe_put(total)
-        if mem_bytes >= mem.capacity_bytes or (
-            self._budget_caps and self._over_global_write_budget()
-        ):
-            rotation_cost = self._perf.rotation_overhead_us()
-            self._clock_advance(rotation_cost / self._fg_div)
-            total += rotation_cost
-            self._rotate_memtable()
-        return total
+        return self._write(_VALUE, None, None, ops)
 
-    def _write(self, kind: ValueKind, key: bytes, value: bytes) -> float:
-        # Fillrandom's inner loop. The mutate path (WAL append + memtable
-        # insert) runs tight; the virtual-time math around it is a fused
-        # multiply-add over constants precomputed in _put_plan, preserving
-        # put_cost_us's exact FP evaluation order so results stay
-        # bit-identical. Accounting flows through bound sinks and the
-        # O(1) memory gauge rather than per-call attribute chains.
+    def _write(self, kind: ValueKind, key: bytes | None, value: bytes | None,
+               ops: list[BatchOp] | None = None) -> float:
+        # The one commit path: one op from put/delete, or a batch's ops
+        # from write (kind then only picks the histogram: a batch is
+        # observed under PUT). Only the data path branches on the input;
+        # either way the WAL append precedes the memtable insert and the
+        # sequence commits after both, so a failed append leaves nothing
+        # readable. Pricing is a fused multiply-add over _write_plan's
+        # constants in put_cost_us's exact FP evaluation order, so a
+        # group costs exactly the sum of its ops, bit for bit.
         if self._closed:
             raise DBClosedError("database is closed")
-        if not key:
-            raise DBError("empty keys are not supported")
+        if ops is None:
+            if not key:
+                raise DBError("empty keys are not supported")
+            entry_bytes = len(key) + len(value) + 24
+        elif ops:
+            entry_bytes = sum(len(op.key) + len(op.value) + 24 for op in ops)
+        else:
+            return 0.0
         clock = self._clock
         bg = self._bg
         if bg.next_event_us <= clock._now_us:
             bg.poll(clock._now_us)
-        entry_bytes = len(key) + len(value) + 24
         # Stall fast path: the clear verdict is pure in (L0 files, imm
         # count, pending debt), all functions of (version stamp, imm
         # count) — memoize on those so the common NORMAL case is a tuple
@@ -1057,10 +957,7 @@ class DB:
                 self._pending_compaction_bytes(),
             )
             self._clear_cache = (stamp, n_imm, clear)
-        if clear:
-            stall_us = 0.0
-        else:
-            stall_us = self._make_room_for_write(entry_bytes)
+        stall_us = 0.0 if clear else self._make_room_for_write(entry_bytes)
         # One attribute hop for everything the mutate+price section
         # needs: the plan tuple is rebuilt whenever any member changes
         # (_rebuild_write_plan call sites). Unpacked only after the
@@ -1068,60 +965,75 @@ class DB:
         (
             bg_busy,
             base, per_byte, coord, speed, cores, rot_seek, relief,
-            wal_enabled, use_fsync, swap, fg_div, period,
+            wal, use_fsync, swap, fg_div, period,
             tickers, wal_append, mem, mem_add, writeback, account_put,
             clock_advance, observe_put, observe_delete, block_cache,
             budget_caps,
         ) = self._write_plan
-        seq = self._seq + 1
-        self._seq = seq
         now = clock._now_us
         # A stall advance can cross a pending job's lower bound; busy()
         # settles such a job's real duration into its slot first.
         busy = bg_busy(now)
-        if wal_enabled:
-            cost = (base + entry_bytes * per_byte) + coord
-        else:
-            cost = base + coord
         contention = (1.0 + busy) / cores
         if contention < 1.0:
             contention = 1.0
-        latency = cost / speed * contention
-        if rot_seek and busy:
-            latency += rot_seek * busy * 12.0 * relief
-        latency *= swap
+        rot_extra = (
+            rot_seek * busy * 12.0 * relief if rot_seek and busy else 0.0
+        )
         wal_bytes = 0
-        if wal_enabled:
-            payload = (
-                _wal_pack_fixed(seq, kind, len(key))
-                + key
-                + _wal_pack_u32(len(value))
-                + value
-            )
-            wal_bytes = wal_append(
-                _wal_pack_header(_wal_crc32(payload), len(payload)) + payload
-            )
+        if ops is None:
+            # One op, fillrandom's inner loop: its record is encoded
+            # inline, with no tuple and no loop.
+            seq = self._seq + 1
+            latency = (
+                ((base + entry_bytes * per_byte) + coord) / speed * contention
+                + rot_extra
+            ) * swap
+            if wal is not None:
+                payload = (_wal_pack_fixed(seq, kind, len(key)) + key
+                           + _wal_pack_u32(len(value)) + value)
+                wal_bytes = wal_append(
+                    _wal_pack_header(_wal_crc32(payload), len(payload))
+                    + payload
+                )
+            mem_add(seq, kind, key, value)
+            tickers[_T_NUMBER_KEYS_WRITTEN] += 1
+        else:
+            # A group: every record lands in one WAL append.
+            seq = self._seq
+            latency = 0.0
+            records = []
+            for op in ops:
+                seq += 1
+                latency += (
+                    ((base + (len(op.key) + len(op.value) + 24) * per_byte)
+                     + coord) / speed * contention
+                    + rot_extra
+                ) * swap
+                records.append((seq, op.kind, op.key, op.value))
+            if wal is not None:
+                wal_bytes = wal.add_records(records)
+            for record in records:
+                mem_add(*record)
+            tickers[_T_NUMBER_KEYS_WRITTEN] += len(ops)
+        self._seq = seq
+        if wal is not None:
             tickers[_T_WAL_BYTES] += wal_bytes
             tickers[_T_WRITE_WITH_WAL] += 1
             if use_fsync:
-                self._wal.sync()
+                wal.sync()
                 self._durable_seq = seq
                 latency += self._perf.wal_sync_cost_us()
                 tickers[_T_WAL_SYNCS] += 1
                 self._monitor.record_sync()
-        mem_add(seq, kind, key, value)
         latency += writeback(wal_bytes + entry_bytes)
         if period > 0.0 and now - self._last_stats_dump_us >= period:
             self._last_stats_dump_us = now
             latency += self._perf.stats_dump_cost_us()
-        tickers[_T_NUMBER_KEYS_WRITTEN] += 1
         tickers[_T_WRITE_DONE_BY_SELF] += 1
         mem_bytes = mem.approx_bytes
-        account_put(
-            latency,
-            wal_bytes,
-            mem_bytes + self._imm_bytes + block_cache.used_bytes,
-        )
+        account_put(latency, wal_bytes,
+                    mem_bytes + self._imm_bytes + block_cache.used_bytes)
         clock_advance(latency / fg_div)
         total = latency + stall_us
         (observe_delete if kind is _DELETE else observe_put)(total)
@@ -1129,7 +1041,7 @@ class DB:
             budget_caps and self._over_global_write_budget()
         ):
             rotation_cost = self._perf.rotation_overhead_us()
-            self._clock_advance(rotation_cost / self._fg_div)
+            clock_advance(rotation_cost / fg_div)
             total += rotation_cost
             self._rotate_memtable()
         return total
@@ -1175,9 +1087,7 @@ class DB:
             self._wal = WalWriter(
                 self._env.fs, self._wal_path(self._new_file_number())
             )
-            self._wal_add_records = self._wal.add_records
         self._mem = self._new_memtable()
-        self._mem_add = self._mem.add
         self._rebuild_write_plan()
         self._maybe_schedule_flush()
 
@@ -1744,7 +1654,6 @@ class DB:
         self._perf.foreground_threads = value
         # The coordination constant flips between the single-writer and
         # write-group figure; refresh the fast lane's snapshot.
-        self._put_plan = self._perf.put_cost_params()
         self._rebuild_write_plan()
 
     @property

@@ -25,12 +25,12 @@ Three layers, smallest first:
   regression read back as a too-old value.
 
 * :func:`run_crash_schedule` / :func:`sweep` — one seeded workload
-  (fillrandom with overwrites and deletes, explicit flush, compaction
-  churn, a tuning-style restart with a changed option) crashed at an
-  arbitrary point in the syscall stream, recovered, and checked; and the
-  randomized sweep over many such schedules across all three compaction
-  styles. ``scripts/crashmonkey.py`` is the CLI; ``scripts/check.sh``
-  gates every PR on a bounded sweep.
+  (fillrandom with overwrites, deletes and small write batches, explicit
+  flush, compaction churn, a tuning-style restart with a changed option)
+  crashed at an arbitrary point in the syscall stream, recovered, and
+  checked; and the randomized sweep over many such schedules across all
+  three compaction styles. ``scripts/crashmonkey.py`` is the CLI;
+  ``scripts/check.sh`` gates every PR on a bounded sweep.
 """
 
 from __future__ import annotations
@@ -40,6 +40,7 @@ from dataclasses import dataclass, field
 
 from repro.errors import DBError, InjectedIOError, SimulatedCrash
 from repro.lsm.env import Env, MemFileSystem, RandomAccessFile, WritableFile
+from repro.lsm.write_batch import WriteBatch
 from repro.obs.events import CrashSimulated, FaultInjected
 from repro.obs.tracer import NULL_TRACER, Tracer
 
@@ -463,22 +464,35 @@ def _overrides(style: str, **extra) -> dict:
 
 
 def _step(db, model: KVModel, rng: random.Random) -> None:
-    key = b"key%03d" % rng.randrange(_KEYSPACE)
-    # Record BEFORE issuing, under the sequence the single-op write will
-    # be assigned: if a crash lands inside the call after the WAL append
+    # Record BEFORE issuing, under the sequence each op will be
+    # assigned: if a crash lands inside the call after the WAL append
     # (e.g. during the rotation it triggered), the write may still
     # surface at recovery, and the oracle must know it was possible.
+    # About one step in ten is a 2-4 op WriteBatch, so crash points
+    # also land inside a group commit's single append.
     seq = db.last_sequence + 1
-    if rng.random() < 0.12:
-        model.record(key, None, seq)
-        db.delete(key)
+    if rng.random() < 0.1:
+        batch = WriteBatch()
+        for i in range(rng.randint(2, 4)):
+            _record_op(model, rng, seq + i, batch.put, batch.delete)
+        db.write(batch)
     else:
-        value = model.next_value(rng)
-        model.record(key, value, seq)
-        db.put(key, value)
+        _record_op(model, rng, seq, db.put, db.delete)
     model.mark_durable(db.durable_sequence)
     if rng.random() < 0.05:
         db.get(b"key%03d" % rng.randrange(_KEYSPACE))
+
+
+def _record_op(model: KVModel, rng: random.Random, seq: int, put, delete) -> None:
+    """Draw one put or delete, record it under ``seq``, then issue it."""
+    key = b"key%03d" % rng.randrange(_KEYSPACE)
+    if rng.random() < 0.12:
+        model.record(key, None, seq)
+        delete(key)
+    else:
+        value = model.next_value(rng)
+        model.record(key, value, seq)
+        put(key, value)
 
 
 def _workload(env, style: str, model: KVModel, seed: int, profile) -> None:

@@ -60,8 +60,8 @@ class WalWriter:
 
         The whole group is packed into one buffer (struct packers bound,
         one CRC per record — the on-disk bytes are identical to N
-        ``add_record`` calls) and lands in a single append. This is the
-        group-commit fast lane used by ``DB.write``.
+        ``add_record`` calls) and lands in a single append. ``DB._write``
+        calls it for a batch; a single op encodes its record inline.
         """
         buf = bytearray()
         extend = buf.extend

@@ -1,11 +1,16 @@
-"""WriteBatch: atomic multi-operation writes.
+"""WriteBatch: multi-operation writes.
 
-All operations in a batch become durable together (single WAL sync
-boundary) and visible together (applied under one sequence range), the
-RocksDB contract. Replaying a torn WAL never surfaces half a batch
-because the batch is encoded as one WAL record per op but recovery
-consumes records in order and the memtable rotation happens after the
-whole batch.
+A running store applies a batch all at once: its ops get one sequence
+range, land in one WAL append, share one sync boundary, and become
+visible together (the memtable never rotates mid-batch). A failed
+append applies none of them.
+
+A crash is weaker. The batch is encoded as one WAL record per op, and
+replay stops at the first damaged record, so a crash inside the batch's
+append can recover the first k ops of that unacknowledged batch, in
+order, for some k. Encoding the whole batch as one WAL record would
+make recovery all-or-nothing, but it changes the WAL bytes and with
+them every virtual-time result, so it is not done.
 """
 
 from __future__ import annotations

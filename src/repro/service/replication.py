@@ -138,7 +138,7 @@ class ReplicaGroup:
         for rep in self.replicas:
             if rep.replica_id == self.leader_id:
                 return rep
-        raise ValueError(f"leader r{self.leader_id} left the group")
+        raise NoLiveReplicaError(f"leader r{self.leader_id} left the group")
 
     def followers(self) -> list[Replica]:
         """Live members other than the leader, in replica-id order."""

@@ -75,10 +75,12 @@ from repro.bench.runner import BenchResult, preload_stream
 from repro.bench.spec import WorkloadSpec
 from repro.errors import (
     AuditUnavailableError,
+    DBClosedError,
     MisroutedRequestError,
     NoLiveReplicaError,
     RoutingError,
     SimulatedCrash,
+    WorkloadError,
 )
 from repro.hardware.profile import HardwareProfile, make_profile
 from repro.lsm.db import DB
@@ -302,9 +304,9 @@ class ShardedService:
             num_clients if num_clients is not None else max(1, spec.threads)
         )
         if self.num_clients < 1:
-            raise ValueError("need at least one client")
+            raise WorkloadError("need at least one client")
         if client_ops_per_sec <= 0:
-            raise ValueError("client_ops_per_sec must be positive")
+            raise WorkloadError("client_ops_per_sec must be positive")
         self.client_ops_per_sec = client_ops_per_sec
         self.byte_scale = byte_scale
         self.base_path = base_path
@@ -937,7 +939,7 @@ class ShardedService:
         Returns the applied paper-unit diff ``{name: (old, new)}``.
         """
         if not self._shards:
-            raise ValueError("set_options requires a running service")
+            raise DBClosedError("set_options requires a running service")
         if isinstance(changes, Mapping):
             items = list(changes.items())
         else:

@@ -1,8 +1,9 @@
 """Batch-vs-singles parity across the write-path config matrix.
 
-The fast-lane rewrite gave ``DB.write`` its own inlined loop (group
-commit, one WAL append) separate from ``DB._write``; these properties
-pin the two code paths to each other across
+``put``/``delete`` and ``write`` commit through the one ``DB._write``,
+whose data path branches on its input: one op encodes its WAL record
+inline, a batch's ops land in one WAL append (group commit). These
+properties pin the two branches to each other across
 {use_fsync} x {disable_wal} x {memtable bloom}:
 
 - per-key state (values, sequences, durable watermark) is identical,
@@ -136,9 +137,9 @@ class TestParityMatrix:
 
 @pytest.mark.parametrize("use_fsync,disable_wal,bloom", MATRIX)
 def test_batches_of_one_match_singles_exactly(use_fsync, disable_wal, bloom):
-    """The case that admits no difference. ``put``/``delete`` go
-    through ``DB._write`` and a WriteBatch through ``DB.write``: two
-    lanes kept on measurement (docs/performance.md, "Write path"), so N
+    """The case that admits no difference. ``put``/``delete`` take
+    ``DB._write``'s one-op branch and a WriteBatch its group branch,
+    kept apart on measurement (docs/performance.md, "Write path"), so N
     batches of *one* against N singles must leave the identical clock,
     ticker array (per-write tickers included), WAL bytes and durable
     watermark. The one intended difference is which histogram sees the
@@ -150,7 +151,7 @@ def test_batches_of_one_match_singles_exactly(use_fsync, disable_wal, bloom):
                                disable_wal=disable_wal, bloom=bloom)
     k0, v0 = kv(0)
     # An idle DB's first put is priced by the reference formula both
-    # lanes inline (nothing in src/ calls it), plus the sync it pays.
+    # branches inline (nothing in src/ calls it), plus the sync it pays.
     expected = single._perf.put_cost_us(
         len(k0), len(v0), wal_enabled=not disable_wal)
     if use_fsync and not disable_wal:

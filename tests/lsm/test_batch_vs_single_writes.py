@@ -9,9 +9,11 @@ sync boundaries under ``use_fsync`` — count the batch once.
 
 import pytest
 
-from repro.errors import DBError
+from repro.errors import DBError, InjectedIOError, SimulatedCrash
 from repro.hardware import make_profile
-from repro.lsm import DB, Options
+from repro.lsm import DB, Env, Options
+from repro.lsm.faults import FaultFS
+from repro.lsm.ikey import decode
 from repro.lsm.memtable import ValueKind
 from repro.lsm.statistics import Statistics, Ticker
 from repro.lsm.write_batch import BatchOp, WriteBatch
@@ -19,15 +21,23 @@ from repro.lsm.write_batch import BatchOp, WriteBatch
 N = 20
 
 
-def open_db(path, *, use_fsync):
+def open_db(path, *, use_fsync, env=None):
     stats = Statistics()
     db = DB.open(
         path,
         Options({"use_fsync": use_fsync}),
+        env=env,
         profile=make_profile(4, 8),
         statistics=stats,
     )
     return db, stats
+
+
+def memtable_sequences(db):
+    return [
+        decode(internal)[1]
+        for mt in db.memtables for internal, _, _ in mt.view()
+    ]
 
 
 def kv(i):
@@ -133,3 +143,73 @@ class TestBatchAtomicity:
         assert db.last_sequence == 0
         assert stats.ticker(Ticker.WRITE_DONE_BY_SELF) == 0
         db.close()
+
+    @pytest.mark.parametrize("use_fsync", [False, True])
+    @pytest.mark.parametrize("batched", [True, False], ids=["group", "single"])
+    def test_failed_append_changes_nothing(self, batched, use_fsync):
+        # The WAL append comes before any memtable insert, and the
+        # sequences commit after both: a write whose append fails is
+        # neither readable nor holding sequence numbers.
+        fs = FaultFS()
+        db, stats = open_db("/audit-io", use_fsync=use_fsync, env=Env(fs=fs))
+        db.put(b"before", b"v")
+        written = stats.ticker(Ticker.NUMBER_KEYS_WRITTEN)
+        batch = WriteBatch().put(b"x", b"1")
+        if batched:
+            batch.put(b"y", b"2").put(b"z", b"3")
+        fs.schedule_error(fs.op_index)  # the write's one WAL append
+        with pytest.raises(InjectedIOError):
+            if batched:
+                db.write(batch)
+            else:
+                db.put(b"x", b"1")
+        for op in batch.ops:
+            assert db.get(op.key) is None
+        assert stats.ticker(Ticker.NUMBER_KEYS_WRITTEN) == written
+        db.put(b"after", b"v")
+        # The next write takes a sequence no memtable entry holds.
+        seqs = memtable_sequences(db)
+        assert sorted(seqs) == sorted(set(seqs))
+        assert max(seqs) == db.last_sequence
+        assert db.get(b"before") == db.get(b"after") == b"v"
+        db.close()
+
+
+class TestBatchAcrossCrash:
+    """What a crash inside a batch's WAL append recovers.
+
+    The batch is N records in one append and replay stops at the first
+    damaged record, so a torn append recovers a prefix of the batch:
+    its first k ops, in order, for some k — not all or nothing."""
+
+    KEYS = [b"batch-%d" % i for i in range(4)]
+
+    def recovered_ops(self, seed):
+        fs = FaultFS(seed=seed)
+        env = Env(fs=fs)
+        db, _ = open_db("/torn", use_fsync=True, env=env)
+        db.put(b"durable", b"d")
+        batch = WriteBatch()
+        for key in self.KEYS:
+            batch.put(key, key + b"-value")
+        fs.schedule_crash(fs.op_index)  # tear the batch's one append
+        with pytest.raises(SimulatedCrash):
+            db.write(batch)
+        fs.crash()
+        db, _ = open_db("/torn", use_fsync=True, env=env)
+        assert db.get(b"durable") == b"d"
+        got = [db.get(key) for key in self.KEYS]
+        db.close()
+        return got
+
+    def test_recovery_surfaces_a_prefix_of_the_batch(self):
+        partial = 0
+        for seed in range(40):
+            got = self.recovered_ops(seed)
+            k = sum(value is not None for value in got)
+            assert got == [key + b"-value" for key in self.KEYS[:k]] + [
+                None
+            ] * (len(self.KEYS) - k), (seed, got)
+            partial += 0 < k < len(self.KEYS)
+        # Not all-or-nothing: some crash recovers only part of the batch.
+        assert partial > 0

@@ -48,6 +48,24 @@ class TestSweep:
         ]
         assert any(r.crashed for r in results)
 
+    def test_sweep_crashes_inside_group_commits(self, monkeypatch):
+        # The workload mixes WriteBatches in, so some crash points land
+        # inside DB.write (its one WAL append, or the rotation after it).
+        batch_crashes = []
+        write = DB.write
+
+        def watched_write(db, batch):
+            try:
+                return write(db, batch)
+            except SimulatedCrash:
+                batch_crashes.append(len(batch))
+                raise
+
+        monkeypatch.setattr(DB, "write", watched_write)
+        results = sweep(60, seed=77)
+        assert [r for r in results if not r.ok] == []
+        assert batch_crashes and all(2 <= n <= 4 for n in batch_crashes)
+
     def test_schedule_is_reproducible(self):
         a = run_crash_schedule("universal", 77, seed=9)
         b = run_crash_schedule("universal", 77, seed=9)

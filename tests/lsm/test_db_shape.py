@@ -1,18 +1,19 @@
 """The boundary around ``DB``, checked by ``ast`` so it cannot rot.
 
 ``DB`` is the one class every layer holds a handle to, so it is where
-state and reach-ins pile up. These tests pin four structural facts:
+state and reach-ins pile up. These tests pin five structural facts:
 nothing outside ``lsm/db.py`` reads a DB's private attributes, the
 background scheduler does not know the class that drives it, the
 class does not grow back past the size the scheduler extraction left
 it at (lower the caps when a later decomposition shrinks it further),
-and the engine and the service run on one host thread: concurrency is
-modelled in virtual time, and ``repro.parallel`` is the one
-host-parallel package.
+every write commits through the one ``_write``, and the engine and the
+service run on one host thread: concurrency is modelled in virtual
+time, and ``repro.parallel`` is the one host-parallel package.
 """
 
 import ast
 import inspect
+import re
 from pathlib import Path
 
 from repro.lsm.db import DB
@@ -21,7 +22,7 @@ from repro.service.replication import open_group
 SRC = Path(__file__).resolve().parents[2] / "src" / "repro"
 DB_PY = SRC / "lsm" / "db.py"
 
-MAX_PRIVATE_ATTRS = 57
+MAX_PRIVATE_ATTRS = 47
 MAX_METHODS = 78
 
 
@@ -143,6 +144,65 @@ def test_db_does_not_outgrow_its_shape():
     methods, attrs = class_shape(_parse(DB_PY), "DB")
     assert len(attrs) <= MAX_PRIVATE_ATTRS, sorted(attrs)
     assert len(methods) <= MAX_METHODS, sorted(methods)
+
+
+#: Callees that insert into a memtable or append to a WAL: the bound
+#: plan members (``mem_add``, ``wal_append``), ``self._mem.add`` and the
+#: ``WalWriter`` record appenders.
+_DATA_PATH_CALL = re.compile(r"(mem_add|_mem\.add|add_records?|_append)$")
+
+
+def _db_methods():
+    (cls,) = [
+        node for node in _parse(DB_PY).body
+        if isinstance(node, ast.ClassDef) and node.name == "DB"
+    ]
+    return {
+        node.name: node for node in cls.body
+        if isinstance(node, ast.FunctionDef)
+    }
+
+
+def _touches_write_path(method):
+    for node in ast.walk(method):
+        if (
+            isinstance(node, ast.Attribute)
+            and node.attr == "_write_plan"
+            and isinstance(node.ctx, ast.Load)
+        ):
+            return True
+        if isinstance(node, ast.Call) and _DATA_PATH_CALL.search(
+            ast.unparse(node.func)
+        ):
+            return True
+    return False
+
+
+def test_every_write_commits_through_one_write():
+    methods = _db_methods()
+    # _recover replays old WALs into the memtable and a fresh WAL: that
+    # is recovery, not the write path.
+    assert {
+        name for name, method in methods.items()
+        if _touches_write_path(method)
+    } == {"_write", "_recover"}
+    for name in ("put", "delete", "write"):
+        body = methods[name].body
+        if isinstance(body[0], ast.Expr) and isinstance(
+            body[0].value, ast.Constant
+        ):
+            body = body[1:]  # the docstring
+        *validation, last = body
+        assert isinstance(last, ast.Return), name
+        assert ast.unparse(last.value.func) == "self._write", name
+        # Validation only: nothing before the commit calls anything but
+        # the error it raises.
+        called = {
+            ast.unparse(node.func)
+            for stmt in validation for node in ast.walk(stmt)
+            if isinstance(node, ast.Call)
+        }
+        assert called <= {"DBError"}, (name, called)
 
 
 def test_engine_and_service_have_no_host_concurrency():

@@ -301,6 +301,13 @@ class TestGroupMechanics:
         with pytest.raises(NoLiveReplicaError):
             ReplicaGroup(0, [dead])
 
+    def test_leader_outside_the_group_is_a_typed_error(self):
+        live = Replica(replica_id=0, env=None, stats=None, db=object())
+        group = ReplicaGroup(0, [live])
+        group.leader_id = 5
+        with pytest.raises(NoLiveReplicaError, match="r5 left the group"):
+            group.leader
+
     def test_dead_on_arrival_member_cedes_lease_to_first_live(self):
         def member(rid, alive=True):
             return Replica(

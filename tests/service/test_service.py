@@ -8,7 +8,7 @@ import pytest
 from repro.bench.keygen import ValueGenerator, format_key
 from repro.bench.spec import workload
 from repro.core.bench_parser import parse_report
-from repro.errors import AuditUnavailableError
+from repro.errors import AuditUnavailableError, WorkloadError
 from repro.hardware import make_profile
 from repro.lsm.db import DB
 from repro.lsm.env import Env
@@ -223,3 +223,17 @@ class TestWriteAudit:
         service.write_audit = {}
         with pytest.raises(AuditUnavailableError, match="closed"):
             service.verify_write_audit()
+
+
+class TestConstructorErrors:
+    """Bad client settings are workload errors, as SimClient raises."""
+
+    def test_no_clients(self):
+        with pytest.raises(WorkloadError, match="at least one client"):
+            ShardedService(small("fillrandom"), Options(), num_clients=0)
+
+    def test_non_positive_client_rate(self):
+        with pytest.raises(WorkloadError, match="must be positive"):
+            ShardedService(
+                small("fillrandom"), Options(), client_ops_per_sec=0.0
+            )

@@ -5,7 +5,7 @@ import pytest
 
 from repro.bench.spec import WorkloadSpec
 from repro.core.monitor import BenchmarkMonitor, MonitorConfig
-from repro.errors import ImmutableOptionError
+from repro.errors import DBClosedError, ImmutableOptionError
 from repro.lsm.options import Options
 from repro.obs.events import ServiceProgress, SetOptions
 from repro.obs.sinks import RingSink
@@ -75,7 +75,7 @@ class TestProgressEvents:
 class TestServiceSetOptions:
     def test_requires_running_service(self):
         service = ShardedService(_spec(), Options())
-        with pytest.raises(ValueError):
+        with pytest.raises(DBClosedError):
             service.set_options({"write_buffer_size": 8 << 20})
 
     def test_fans_out_to_all_shards_mid_run(self):
