@@ -52,7 +52,7 @@ class PlaybookLLM(LLMClient):
 
 def main() -> None:
     config = TunerConfig(
-        workload=paper_workload("readrandomwriterandom", 1 / 2000).with_seed(3),
+        workload=paper_workload("readrandomwriterandom", 1 / 10000).with_seed(3),
         profile=make_profile(4, 4),
         byte_scale=DEFAULT_BYTE_SCALE,
         stopping=StoppingCriteria(max_iterations=4),

@@ -9,14 +9,6 @@ from repro.bench.keygen import (
     make_generator,
 )
 from repro.bench.report import render_report
-from repro.bench.trace import (
-    ReplayResult,
-    TraceOp,
-    TraceWriter,
-    TracingDB,
-    parse_trace,
-    replay_trace,
-)
 from repro.bench.runner import BenchResult, DbBench, ProgressEvent, run_benchmark
 from repro.bench.spec import (
     DEFAULT_SCALE,
@@ -35,12 +27,6 @@ __all__ = [
     "ProgressEvent",
     "run_benchmark",
     "render_report",
-    "TraceOp",
-    "TraceWriter",
-    "TracingDB",
-    "parse_trace",
-    "replay_trace",
-    "ReplayResult",
     "WorkloadSpec",
     "paper_workload",
     "PAPER_WORKLOADS",

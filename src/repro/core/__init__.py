@@ -10,7 +10,7 @@ from repro.core.finetuner import (
 )
 from repro.core.flagger import ActiveFlagger, FlagDecision
 from repro.core.monitor import BenchmarkMonitor, MonitorConfig
-from repro.core.parser import ProposedChange, extract_changes, try_extract_changes
+from repro.core.parser import ProposedChange, extract_changes
 from repro.core.prompt import FeedbackContext, PromptGenerator, PromptSections
 from repro.core.safeguard import Rejection, SafeguardEnforcer, VetResult, default_blacklist
 from repro.core.session import IterationRecord, TuningSession
@@ -27,7 +27,6 @@ __all__ = [
     "FeedbackContext",
     "ProposedChange",
     "extract_changes",
-    "try_extract_changes",
     "SafeguardEnforcer",
     "VetResult",
     "Rejection",

@@ -81,11 +81,3 @@ def extract_changes(response: str) -> list[ProposedChange]:
             "malformed output)"
         )
     return list(found.values())
-
-
-def try_extract_changes(response: str) -> list[ProposedChange]:
-    """Like :func:`extract_changes` but returns [] instead of raising."""
-    try:
-        return extract_changes(response)
-    except LLMResponseError:
-        return []

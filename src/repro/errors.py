@@ -2,6 +2,11 @@
 
 Every subsystem raises a subclass of :class:`ReproError` so callers can
 catch library failures without masking programming errors.
+
+``ValueError`` is raised only for constructor or argument checks: in
+``__init__``/``__post_init__``, or under an ``if`` that tests what the
+caller passed in. Anything else (damaged bytes, an unknown scenario, an
+unparseable option value) raises a typed error from this module.
 """
 
 from __future__ import annotations
@@ -126,12 +131,3 @@ class BenchmarkParseError(ReproError):
 
 class LLMResponseError(ReproError):
     """The LLM response could not be interpreted as a config change."""
-
-
-class SafeguardViolation(ReproError):
-    """A proposed option change was rejected by the safeguard enforcer."""
-
-    def __init__(self, name: str, reason: str) -> None:
-        super().__init__(f"safeguard rejected {name!r}: {reason}")
-        self.name = name
-        self.reason = reason

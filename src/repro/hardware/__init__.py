@@ -7,10 +7,7 @@ from repro.hardware.profile import (
     GiB,
     KiB,
     MiB,
-    PAPER_GRID,
     PAPER_HDD_2C4G,
-    PAPER_HDD_4C4G,
-    PAPER_NVME_4C4G,
     HardwareProfile,
     make_profile,
 )
@@ -26,10 +23,7 @@ __all__ = [
     "SystemSnapshot",
     "HardwareProfile",
     "make_profile",
-    "PAPER_GRID",
-    "PAPER_NVME_4C4G",
     "PAPER_HDD_2C4G",
-    "PAPER_HDD_4C4G",
     "GiB",
     "MiB",
     "KiB",

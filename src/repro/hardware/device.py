@@ -123,8 +123,7 @@ _PRESETS = {d.name: d for d in (NVME_SSD, SATA_HDD)}
 
 def device_by_name(name: str) -> DeviceModel:
     """Look up a preset device model by name."""
-    try:
-        return _PRESETS[name]
-    except KeyError:
+    if name not in _PRESETS:
         known = ", ".join(sorted(_PRESETS))
-        raise ValueError(f"unknown device {name!r}; known: {known}") from None
+        raise ValueError(f"unknown device {name!r}; known: {known}")
+    return _PRESETS[name]

@@ -79,12 +79,5 @@ def make_profile(
     )
 
 
-#: The paper's hardware grid (Tables 1-2): {2,4} cores x {4,8} GiB on NVMe.
-PAPER_GRID = tuple(
-    make_profile(cores, mem) for cores in (2, 4) for mem in (4, 8)
-)
-
 #: The paper's workload/device cells (Tables 3-4, Figures 3-4).
-PAPER_NVME_4C4G = make_profile(4, 4, NVME_SSD)
 PAPER_HDD_2C4G = make_profile(2, 4, SATA_HDD)
-PAPER_HDD_4C4G = make_profile(4, 4, SATA_HDD)

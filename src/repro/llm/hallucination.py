@@ -13,7 +13,7 @@ import random
 from dataclasses import dataclass
 from typing import Any
 
-from repro.lsm.options import MiB, deprecated_option_names, sensitive_option_names
+from repro.lsm.options import MiB
 
 #: Plausible-but-nonexistent option names of the kind LLMs invent
 #: (pattern-matched from real names).
@@ -116,12 +116,3 @@ class HallucinationInjector:
             self.injected.append("prose-only")
             return True
         return False
-
-
-def all_known_bad_names() -> set[str]:
-    """Every option name the injector can produce that is not tunable."""
-    return (
-        {name for name, _ in FABRICATED_OPTIONS}
-        | set(deprecated_option_names())
-        | set(sensitive_option_names())
-    )

@@ -4,7 +4,7 @@ performance accounting (the RocksDB stand-in for the reproduction)."""
 from repro.lsm.db import DB
 from repro.lsm.env import Env, MemFileSystem
 from repro.lsm.faults import FaultFS, KVModel, check_crash_invariants
-from repro.lsm.options import Options, default_options
+from repro.lsm.options import Options
 from repro.lsm.snapshot import Snapshot
 from repro.lsm.statistics import OpClass, Statistics, Ticker
 from repro.lsm.write_batch import WriteBatch
@@ -16,7 +16,6 @@ __all__ = [
     "KVModel",
     "MemFileSystem",
     "Options",
-    "default_options",
     "Snapshot",
     "WriteBatch",
     "Statistics",

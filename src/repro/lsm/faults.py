@@ -44,9 +44,6 @@ from repro.lsm.write_batch import WriteBatch
 from repro.obs.events import CrashSimulated, FaultInjected
 from repro.obs.tracer import NULL_TRACER, Tracer
 
-#: Calls that advance the fault schedule's op counter.
-MUTATING_OPS = ("append", "sync", "create", "rename", "delete")
-
 
 class _FaultWritableFile:
     """Append-only handle that routes mutations through the fault gate."""

@@ -127,11 +127,6 @@ class Histogram:
             self._max = hi
         pending.clear()
 
-    @staticmethod
-    def _bucket_index(value: float) -> int:
-        idx = bisect_left(_BUCKET_LIMITS, value)
-        return idx if idx < _LAST_BUCKET else _LAST_BUCKET
-
     @property
     def count(self) -> int:
         if self._pending:

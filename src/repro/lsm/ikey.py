@@ -16,6 +16,8 @@ for user keys that contain NUL bytes or are prefixes of one another.
 
 from __future__ import annotations
 
+from repro.errors import CorruptionError
+
 _SEQ_MASK = 0xFFFFFFFFFFFFFFFF
 _TERMINATOR = b"\x00\x00"
 _SEQ_BYTES = 8
@@ -35,10 +37,10 @@ def encode(user_key: bytes, seq: int) -> bytes:
 def decode(internal: bytes) -> tuple[bytes, int]:
     """Split an internal key back into (user_key, seq)."""
     if len(internal) < _SEQ_BYTES + len(_TERMINATOR):
-        raise ValueError("internal key too short")
+        raise CorruptionError("internal key too short")
     body = internal[:-_SEQ_BYTES]
     if not body.endswith(_TERMINATOR):
-        raise ValueError("internal key missing terminator")
+        raise CorruptionError("internal key missing terminator")
     escaped = body[: -len(_TERMINATOR)]
     user_key = escaped.replace(b"\x00\xff", b"\x00")
     seq = (~int.from_bytes(internal[-_SEQ_BYTES:], "big")) & _SEQ_MASK

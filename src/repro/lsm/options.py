@@ -21,6 +21,7 @@ from repro.errors import ImmutableOptionError
 from repro.errors import (
     DeprecatedOptionError,
     InvalidOptionValueError,
+    OptionError,
     UnknownOptionError,
 )
 
@@ -112,7 +113,7 @@ class OptionSpec:
             if isinstance(value, str):
                 try:
                     return parse_size(value)
-                except ValueError:
+                except OptionError:
                     raise InvalidOptionValueError(
                         self.name, value, "expected an integer"
                     ) from None
@@ -147,7 +148,7 @@ def parse_size(text: str) -> int:
     """
     s = text.strip().lower().replace(" ", "")
     if not s:
-        raise ValueError("empty size")
+        raise OptionError("empty size")
     multiplier = 1
     for suffix, mult in (
         ("kib", KiB), ("mib", MiB), ("gib", GiB), ("tib", 1024**4),
@@ -161,7 +162,7 @@ def parse_size(text: str) -> int:
     try:
         base = float(s) if "." in s else int(s)
     except ValueError:
-        raise ValueError(f"cannot parse size {text!r}") from None
+        raise OptionError(f"cannot parse size {text!r}") from None
     return int(base * multiplier)
 
 
@@ -689,19 +690,9 @@ def known_option(name: str) -> bool:
     return name in _BY_NAME
 
 
-def all_option_names(*, include_deprecated: bool = True) -> tuple[str, ...]:
-    return tuple(
-        s.name for s in CATALOG if include_deprecated or not s.deprecated
-    )
-
-
 def sensitive_option_names() -> tuple[str, ...]:
     """Options on ELMo-Tune's default blacklist."""
     return tuple(s.name for s in CATALOG if s.sensitive)
-
-
-def deprecated_option_names() -> tuple[str, ...]:
-    return tuple(s.name for s in CATALOG if s.deprecated)
 
 
 def mutable_option_names() -> tuple[str, ...]:
@@ -919,8 +910,3 @@ def scale_byte_value(name: str, value: Any, factor: float) -> Any:
     if spec.max is not None:
         new = min(int(spec.max), new)
     return new
-
-
-def default_options() -> Options:
-    """The out-of-box configuration (the paper's baseline)."""
-    return Options()

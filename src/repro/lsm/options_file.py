@@ -107,12 +107,6 @@ def load_options_file(path: str, *, strict: bool = True) -> tuple[Options, list[
         return parse_options_text(f.read(), strict=strict)
 
 
-def save_options_file(path: str, options: Options) -> None:
-    """Write ``options`` to ``path`` in OPTIONS format."""
-    with open(path, "w", encoding="utf-8") as f:
-        f.write(serialize_options(options))
-
-
 def diff_as_text(before: Options, after: Options) -> str:
     """Human-readable option diff (used in prompts and reports)."""
     changes = before.diff(after)

@@ -273,10 +273,6 @@ class PerfModel:
             total += rot_seek * busy_bg_jobs * 12.0 * self._readahead_relief_cached
         return total
 
-    def _readahead_relief(self) -> float:
-        """<1 when compaction readahead exceeds the 4 KiB floor."""
-        return self._readahead_relief_cached
-
     def _compute_readahead_relief(self) -> float:
         import math
 

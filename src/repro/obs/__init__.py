@@ -25,14 +25,13 @@ from repro.obs.replay import (
     read_trace,
     summarize_session,
 )
-from repro.obs.sinks import JsonlSink, NullSink, RingSink, TraceSink
+from repro.obs.sinks import JsonlSink, RingSink, TraceSink
 from repro.obs.tracer import NULL_TRACER, Tracer
 
 __all__ = [
     "NULL_TRACER",
     "IterationTrace",
     "JsonlSink",
-    "NullSink",
     "RingSink",
     "SessionTrace",
     "TraceError",

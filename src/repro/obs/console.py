@@ -21,10 +21,6 @@ def set_quiet(quiet: bool) -> None:
     _quiet = quiet
 
 
-def is_quiet() -> bool:
-    return _quiet
-
-
 def out(message: str = "") -> None:
     """Informational stdout line; silenced by ``--quiet``."""
     if not _quiet:

@@ -1,9 +1,9 @@
 """Trace sinks: pluggable consumers of the event stream.
 
 A sink receives every event the :class:`~repro.obs.tracer.Tracer`
-publishes. Built-ins cover the three standing needs — discard
-(:class:`NullSink`), bounded in-memory capture (:class:`RingSink`), and
-durable JSONL (:class:`JsonlSink`) — and anything with an
+publishes. Built-ins cover the two standing needs — bounded in-memory
+capture (:class:`RingSink`) and durable JSONL (:class:`JsonlSink`) —
+and anything with an
 ``emit(event)`` method can subscribe (the benchmark monitor is a sink).
 """
 
@@ -41,13 +41,6 @@ class TraceSink:
 
     def close(self) -> None:
         """Release any resources (flush files, etc.)."""
-
-
-class NullSink(TraceSink):
-    """Discards everything (explicit opt-out with a subscribed shape)."""
-
-    def emit(self, event: TraceEvent) -> None:
-        pass
 
 
 class RingSink(TraceSink):

@@ -33,6 +33,7 @@ import random
 from dataclasses import dataclass, field
 
 from repro.bench.spec import WorkloadSpec
+from repro.errors import WorkloadError
 from repro.lsm.faults import FaultEnvFactory
 from repro.lsm.options import Options
 from repro.obs.tracer import Tracer
@@ -188,7 +189,7 @@ def run_service_crash_schedule(
     applied the moment the split provisions it.
     """
     if scenario not in _SHAPES:
-        raise ValueError(f"unknown chaos scenario {scenario!r}")
+        raise WorkloadError(f"unknown chaos scenario {scenario!r}")
     factory = FaultEnvFactory(seed=seed, tracer=tracer)
     service, violations = _build(scenario, seed, factory)
     service.tracer = tracer if tracer is not None and tracer.enabled else None

@@ -104,7 +104,7 @@ class TestSafeguardExpertInterplay:
         """Whatever the severe model emits, vetted output contains no
         blacklisted option."""
         from repro.core.safeguard import default_blacklist
-        from repro.core.parser import try_extract_changes
+        from repro.core.parser import extract_changes
 
         blacklist = default_blacklist()
         enforcer = SafeguardEnforcer()
@@ -116,7 +116,7 @@ class TestSafeguardExpertInterplay:
                 seed=seed, hallucination=HallucinationProfile.severe()
             )
             response = expert.complete(messages)
-            changes = try_extract_changes(response)
+            changes = extract_changes(response)
             result = enforcer.vet(changes, Options())
             accepted_names = {name for name, _ in result.accepted}
             assert not accepted_names & blacklist, (seed, accepted_names)

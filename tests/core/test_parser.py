@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.parser import extract_changes, try_extract_changes
+from repro.core.parser import extract_changes
 from repro.errors import LLMResponseError
 
 
@@ -75,18 +75,16 @@ class TestFailureModes:
         with pytest.raises(LLMResponseError):
             extract_changes("")
 
-    def test_try_variant_returns_empty(self):
-        assert try_extract_changes("no config here") == []
-
     def test_values_stay_raw(self):
         # Single-token garbage is kept raw for the safeguard to reject.
         got = names("```\nwrite_buffer_size=N/A\n```")
         assert got["write_buffer_size"] == "N/A"
 
     def test_multiword_garbage_is_unparseable(self):
-        assert try_extract_changes(
-            "```\nwrite_buffer_size=approximately double\n```"
-        ) == []
+        with pytest.raises(LLMResponseError):
+            extract_changes(
+                "```\nwrite_buffer_size=approximately double\n```"
+            )
 
     def test_source_attribution(self):
         changes = extract_changes("```\na_x=1\n```\nSet `b_y` to `2`.")

@@ -5,9 +5,7 @@ import pytest
 from repro.hardware import (
     GiB,
     NVME_SSD,
-    PAPER_GRID,
     PAPER_HDD_2C4G,
-    PAPER_NVME_4C4G,
     SATA_HDD,
     make_profile,
 )
@@ -42,16 +40,8 @@ class TestMakeProfile:
 
 
 class TestPaperCells:
-    def test_grid_is_two_by_two(self):
-        assert len(PAPER_GRID) == 4
-        cells = {(p.cpu_cores, int(p.memory_gib)) for p in PAPER_GRID}
-        assert cells == {(2, 4), (2, 8), (4, 4), (4, 8)}
-
-    def test_grid_is_all_nvme(self):
-        assert all(p.device is NVME_SSD for p in PAPER_GRID)
-
     def test_named_cells(self):
-        assert PAPER_NVME_4C4G.cpu_cores == 4
+        assert PAPER_HDD_2C4G.cpu_cores == 2
         assert PAPER_HDD_2C4G.device is SATA_HDD
 
 

@@ -4,12 +4,12 @@ import random
 
 import pytest
 
-from repro.core.parser import try_extract_changes
+from repro.core.parser import extract_changes
+from repro.errors import LLMResponseError
 from repro.llm.hallucination import (
     FABRICATED_OPTIONS,
     HallucinationInjector,
     HallucinationProfile,
-    all_known_bad_names,
 )
 from repro.llm.render import render_prose_only, render_response
 from repro.lsm.options import known_option
@@ -26,7 +26,7 @@ class TestRender:
         for seed in range(24):
             rng = random.Random(seed)
             text = render_response(self.PROPOSAL, self.RATIONALES, [], rng)
-            changes = {c.name: c.raw_value for c in try_extract_changes(text)}
+            changes = {c.name: c.raw_value for c in extract_changes(text)}
             assert changes.get("write_buffer_size") == "134217728", text
             assert changes.get("dump_malloc_stats") == "false"
             seen_shapes.add("```" in text)
@@ -45,7 +45,8 @@ class TestRender:
     def test_prose_only_has_no_config(self):
         rng = random.Random(2)
         text = render_prose_only(["some lore"], rng)
-        assert try_extract_changes(text) == []
+        with pytest.raises(LLMResponseError):
+            extract_changes(text)
 
 
 class TestHallucinationProfile:
@@ -95,9 +96,3 @@ class TestInjector:
             HallucinationProfile(0, 0, 0, 0, prose_only_rate=1.0),
             random.Random(1))
         assert injector.wants_prose_only()
-
-    def test_bad_name_inventory(self):
-        bad = all_known_bad_names()
-        assert "flush_job_count" in bad
-        assert "disable_wal" in bad
-        assert "memtable_flush_parallelism" in bad

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.parser import try_extract_changes
+from repro.core.parser import extract_changes
 from repro.llm import ChatMessage, HallucinationProfile, SimulatedExpert
 from repro.llm.simulated import parse_prompt
 from repro.lsm.options import Options
@@ -98,13 +98,13 @@ class TestParsePrompt:
 class TestExpertProposals:
     def test_read_heavy_gets_bloom_and_cache(self):
         response = ask(NVME_READ_PROMPT)
-        changes = {c.name: c.raw_value for c in try_extract_changes(response)}
+        changes = {c.name: c.raw_value for c in extract_changes(response)}
         assert "bloom_filter_bits_per_key" in changes or \
             "block_cache_size" in changes
 
     def test_write_heavy_hdd_gets_write_path_options(self):
         response = ask(HDD_WRITE_PROMPT)
-        changes = {c.name for c in try_extract_changes(response)}
+        changes = {c.name for c in extract_changes(response)}
         write_path = {"write_buffer_size", "max_write_buffer_number",
                       "max_background_jobs", "compaction_readahead_size",
                       "min_write_buffer_number_to_merge",
@@ -113,7 +113,7 @@ class TestExpertProposals:
 
     def test_max_changes_respected(self):
         response = ask(HDD_WRITE_PROMPT, max_changes=3)
-        assert len(try_extract_changes(response)) <= 3
+        assert len(extract_changes(response)) <= 3
 
     def test_deterministic_for_same_seed(self):
         assert ask(HDD_WRITE_PROMPT, seed=5) == ask(HDD_WRITE_PROMPT, seed=5)
@@ -129,14 +129,14 @@ class TestExpertProposals:
 
     def test_memory_budget_respected(self):
         response = ask(NVME_READ_PROMPT)
-        changes = {c.name: c.raw_value for c in try_extract_changes(response)}
+        changes = {c.name: c.raw_value for c in extract_changes(response)}
         if "block_cache_size" in changes:
             assert int(changes["block_cache_size"]) <= 8 * (1 << 30) * 0.6
 
     def test_cautious_after_deterioration(self):
         calm = ask(NVME_READ_PROMPT, max_changes=8)
         # Deteriorated prompts halve the change budget.
-        assert len(try_extract_changes(calm)) <= 4
+        assert len(extract_changes(calm)) <= 4
 
     def test_invalid_max_changes(self):
         with pytest.raises(ValueError):
@@ -154,7 +154,7 @@ class TestExpertProposals:
             for move in rule.moves:
                 owner_by_option.setdefault(move.option, set()).add(rule.name)
         response = ask(HDD_WRITE_PROMPT, max_changes=6)
-        changed = [c.name for c in try_extract_changes(response)]
+        changed = [c.name for c in extract_changes(response)]
         rules_touched = set()
         for name in changed:
             rules_touched |= owner_by_option.get(name, set())
@@ -167,7 +167,7 @@ class TestExpertProposals:
             prompt = HDD_WRITE_PROMPT.replace(
                 "Iteration: 2", f"Iteration: {iteration}")
             response = ask(prompt, max_changes=2)
-            changes = try_extract_changes(response)
+            changes = extract_changes(response)
             if changes:
                 seen_first_options.add(changes[0].name)
         assert len(seen_first_options) >= 2

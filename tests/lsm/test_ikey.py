@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.errors import CorruptionError
 from repro.lsm import ikey
 
 
@@ -22,8 +23,14 @@ class TestEncodeDecode:
             ikey.encode(b"k", ikey.MAX_SEQUENCE + 1)
 
     def test_decode_too_short(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(CorruptionError):
             ikey.decode(b"short")
+
+    def test_decode_missing_terminator(self):
+        damaged = bytearray(ikey.encode(b"user", 42))
+        damaged[-9] = 0x01  # the terminator's second byte
+        with pytest.raises(CorruptionError):
+            ikey.decode(bytes(damaged))
 
     def test_newer_versions_sort_first(self):
         old = ikey.encode(b"k", 5)

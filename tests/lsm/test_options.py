@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from repro.errors import (
     InvalidOptionValueError,
+    OptionError,
     UnknownOptionError,
 )
 from repro.lsm.options import (
@@ -13,8 +14,6 @@ from repro.lsm.options import (
     CATALOG,
     MiB,
     Options,
-    all_option_names,
-    deprecated_option_names,
     format_size,
     known_option,
     parse_size,
@@ -82,13 +81,7 @@ class TestCatalog:
         assert "paranoid_checks" in sensitive_option_names()
 
     def test_deprecated_includes_flush_job_count(self):
-        assert "flush_job_count" in deprecated_option_names()
-
-    def test_all_option_names_filters_deprecated(self):
-        with_dep = all_option_names(include_deprecated=True)
-        without = all_option_names(include_deprecated=False)
-        assert len(with_dep) > len(without)
-        assert "flush_job_count" not in without
+        assert spec_for("flush_job_count").deprecated
 
 
 class TestValidation:
@@ -250,9 +243,9 @@ class TestSizes:
         assert parse_size(text) == expected
 
     def test_parse_size_garbage(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(OptionError):
             parse_size("lots")
-        with pytest.raises(ValueError):
+        with pytest.raises(OptionError):
             parse_size("")
 
     def test_format_size(self):

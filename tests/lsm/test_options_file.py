@@ -11,7 +11,6 @@ from repro.lsm.options_file import (
     diff_as_text,
     load_options_file,
     parse_options_text,
-    save_options_file,
     serialize_options,
 )
 
@@ -100,10 +99,10 @@ class TestParse:
 
 class TestFileIO:
     def test_save_and_load(self, tmp_path):
-        path = str(tmp_path / "OPTIONS")
+        path = tmp_path / "OPTIONS"
         opts = Options({"num_levels": 5})
-        save_options_file(path, opts)
-        loaded, _ = load_options_file(path)
+        path.write_text(serialize_options(opts), encoding="utf-8")
+        loaded, _ = load_options_file(str(path))
         assert loaded == opts
 
 

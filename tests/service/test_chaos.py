@@ -11,6 +11,7 @@ its docstring.
 import pytest
 
 from repro.bench.spec import WorkloadSpec
+from repro.errors import WorkloadError
 from repro.lsm.faults import FaultEnvFactory
 from repro.lsm.options import Options
 from repro.service.chaos import (
@@ -25,7 +26,7 @@ from repro.service.service import ShardedService
 
 class TestScheduleHarness:
     def test_unknown_scenario_raises(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(WorkloadError):
             run_service_crash_schedule("nope", (0, 0), 10, 0)
 
     def test_measured_windows_cover_every_replica(self):
