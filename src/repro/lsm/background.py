@@ -111,11 +111,14 @@ class BgJobOutput:
     ``files`` aligns 1:1 with the result's output metas (``file_meta``
     for a flush, ``new_files`` for a compaction); the metas carry
     job-local file numbers that the DB replaces when it materializes
-    the bytes on its own filesystem at install time.
+    the bytes on its own filesystem at install time. Each buffer is
+    moved out of the job's scratch filesystem and, at install, moved
+    again into the DB's: the install empties the list, so no buffer is
+    ever shared between a job and a live file.
     """
 
     result: FlushResult | CompactionResult
-    files: list[bytes]
+    files: list[bytearray]
     #: ``(bytes in, bytes out, entries)`` as the duration formulas take
     #: them, and as the trace event the foreground emits at the join.
     work: tuple[int, int, int]
@@ -138,9 +141,9 @@ def execute_flush_job(spec: FlushJobSpec) -> BgJobOutput:
         return spec.builder.open(fs, _scratch_path(next(counter)))
 
     result = run_flush(spec.memtables, open_builder, spec.snapshots)
-    files: list[bytes] = []
+    files: list[bytearray] = []
     if result.file_meta is not None:
-        files.append(fs.read_all(_scratch_path(result.file_meta.file_number)))
+        files.append(fs._take(_scratch_path(result.file_meta.file_number)))
     return BgJobOutput(
         result=result,
         files=files,
@@ -177,8 +180,7 @@ def execute_compaction_job(spec: CompactionJobSpec) -> BgJobOutput:
         snapshots=spec.snapshots,
     )
     files = [
-        fs.read_all(_scratch_path(meta.file_number))
-        for meta in result.new_files
+        fs._take(_scratch_path(meta.file_number)) for meta in result.new_files
     ]
     return BgJobOutput(
         result=result,
@@ -469,7 +471,9 @@ class BackgroundScheduler:
     # -- lifecycle -----------------------------------------------------------
 
     def drop(self) -> None:
-        """Crash: in-flight jobs die with the process image. Forget the
-        pending list without joining."""
+        """Crash: in-flight jobs die with the process image. Forget
+        every job not yet installed, joined or not, with the input
+        readers and output bytes it holds."""
         self._pending.clear()
+        self._completions = CompletionQueue()
         self._refresh()

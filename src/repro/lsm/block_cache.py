@@ -109,6 +109,14 @@ class LRUCache:
             for key in doomed:
                 self._used_total += shard.erase(key)
 
+    def clear(self) -> None:
+        """Drop every payload (the store closed); the counters stay and
+        no eviction is reported."""
+        for shard in self._shards:
+            shard.entries.clear()
+            shard.used = 0
+        self._used_total = 0
+
     @property
     def used_bytes(self) -> int:
         return self._used_total

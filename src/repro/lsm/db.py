@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import replace
 from typing import Any, Iterable, Iterator, Mapping
 
-from repro.errors import DBClosedError, DBError
+from repro.errors import DBClosedError, DBError, SimulatedCrash
 from repro.hardware.monitor import SystemMonitor
 from repro.hardware.profile import HardwareProfile, make_profile
 from repro.lsm.background import (
@@ -542,16 +542,17 @@ class DB:
         and pending (in flight in virtual time)."""
         return self._bg.stats
 
-    def _materialize_table(self, data: bytes) -> int:
-        """Write one finished table's bytes under a freshly allocated
-        file number; returns the number. Install-time materialization:
-        background jobs build into scratch space, and the bytes reach
-        the DB's filesystem here — synced *before* the MANIFEST edit
-        that references them, preserving the recovery orphan rule (a
-        crash in between leaves an orphan table, purged on reopen)."""
+    def _materialize_table(self, data: bytearray) -> int:
+        """Move one finished table's bytes into a file under a freshly
+        allocated file number; returns the number. Install-time
+        materialization: background jobs build into scratch space, and
+        the buffer becomes the DB's file here, uncopied — synced *before*
+        the MANIFEST edit that references it, preserving the recovery
+        orphan rule (a crash in between leaves an orphan table, purged
+        on reopen)."""
         number = self._new_file_number()
         f = self._env.fs.create(self._sst_path(number))
-        f.append(data)
+        f._adopt(data)
         f.sync()
         f.close()
         return number
@@ -562,7 +563,7 @@ class DB:
         self._imm = [mt for mt in self._imm if id(mt) not in ids]
         self._imm_bytes = sum(mt.approx_bytes for mt in self._imm)
         if result.file_meta is not None:
-            number = self._materialize_table(job.output.files[0])
+            number = self._materialize_table(job.output.files.pop())
             result.file_meta = replace(result.file_meta, file_number=number)
             self._version.add_file(0, result.file_meta)
             assert self._manifest is not None
@@ -605,11 +606,12 @@ class DB:
     def _install_compaction(self, job: BgJob) -> None:
         compaction = job.spec.compaction
         result = job.output.result
-        # Outputs were built in job-local scratch space; land the bytes
-        # and allocate real file numbers now, in install order.
+        # Outputs were built in job-local scratch space; move the bytes
+        # in and allocate real file numbers now, in install order.
+        files, job.output.files = job.output.files, []
         result.new_files = [
             replace(meta, file_number=self._materialize_table(data))
-            for meta, data in zip(result.new_files, job.output.files)
+            for meta, data in zip(result.new_files, files)
         ]
         # Outputs above the bottommost level come with their builders'
         # kept blocks: the next compaction reads them undecoded.
@@ -1497,8 +1499,8 @@ class DB:
         immutable names and out-of-range values raise *before* any state
         is touched (partial-diff atomicity). It is then applied as one
         step between operations: both option bags are updated in place
-        (paper units in :attr:`options`, byte-scaled values in
-        :attr:`effective_options`, which every component references),
+        (paper units in :attr:`options`, byte-scaled values in the
+        effective bag every component references),
         every cached per-component snapshot is rebound, the resulting
         configuration is persisted to the OPTIONS file on the DB's own
         filesystem, and a ``db.set_options`` trace event is emitted.
@@ -1588,21 +1590,36 @@ class DB:
             pass
 
     def close(self) -> None:
-        """Flush (per options) and shut down."""
+        """Flush (per options), shut down, and free what only reads use."""
         if self._closed:
             return
-        if not self._options.get("avoid_flush_during_shutdown"):
-            if not self._mem.empty() or self._imm:
-                self._rotate_memtable()
-                self._maybe_schedule_flush(force=True)
-        self.wait_for_background()
-        if self._wal is not None:
-            self._wal.sync()
-            if not self._disable_wal:
-                self._durable_seq = self._seq
-            self._wal.close()
-        self._table_cache.drop_seeds()
+        try:
+            if not self._options.get("avoid_flush_during_shutdown"):
+                if not self._mem.empty() or self._imm:
+                    self._rotate_memtable()
+                    self._maybe_schedule_flush(force=True)
+            self.wait_for_background()
+            if self._wal is not None:
+                self._wal.sync()
+                if not self._disable_wal:
+                    self._durable_seq = self._seq
+                self._wal.close()
+        except SimulatedCrash:
+            # The process image died mid-shutdown: nothing reads it again.
+            self._release()
+            raise
+        self._release()
         self._closed = True
+
+    def _release(self) -> None:
+        """Free the host memory a closed or crashed store holds for
+        reads: in-flight jobs, open readers with their decoded-block
+        memos, pending seeds, block and page cache payloads. Counters
+        stay; nothing is modelled, so virtual time cannot move."""
+        self._bg.drop()
+        self._table_cache.clear()
+        self._block_cache.clear()
+        self._page_cache.clear()
 
     def crash_and_reopen(self) -> "DB":
         """Kill this process image and recover from the surviving disk.
@@ -1616,8 +1633,7 @@ class DB:
         :attr:`durable_sequence` survives.
         """
         self._closed = True
-        self._bg.drop()
-        self._table_cache.drop_seeds()
+        self._release()
         self._env.fs.crash()
         return DB.open(
             self._path,
@@ -1664,11 +1680,6 @@ class DB:
     def options(self) -> Options:
         """The user-facing (paper-unit) options this DB was opened with."""
         return self._user_options
-
-    @property
-    def effective_options(self) -> Options:
-        """The byte-scaled options the engine actually runs on."""
-        return self._options
 
     @property
     def statistics(self) -> Statistics:
@@ -1745,29 +1756,6 @@ class DB:
     def approximate_size(self) -> int:
         """Total bytes across all live SSTables."""
         return self._version.total_bytes()
-
-    def approximate_sizes(
-        self, ranges: list[tuple[bytes, bytes]]
-    ) -> list[int]:
-        """Estimate on-disk bytes per user-key range [lo, hi].
-
-        Fully-contained files count in full; partially-overlapping files
-        contribute half their size (RocksDB's estimate is similarly
-        coarse without table-level sampling).
-        """
-        self._check_open()
-        out = []
-        for lo, hi in ranges:
-            if lo > hi:
-                raise DBError("range start exceeds range end")
-            total = 0
-            for meta in self._version.all_files():
-                if not meta.overlaps(lo, hi):
-                    continue
-                contained = lo <= meta.smallest_key and meta.largest_key <= hi
-                total += meta.file_size if contained else meta.file_size // 2
-            out.append(total)
-        return out
 
     def describe(self) -> str:
         """Level shape + headline stats (prompt material)."""

@@ -50,6 +50,15 @@ class WritableFile:
         self._f.data.extend(data)
         return len(data)
 
+    def _adopt(self, data: bytearray) -> int:
+        """Append by move into a freshly created file: ``data`` becomes
+        the file's buffer, uncopied. The caller gives ``data`` up (a
+        later write to either side would show through the other), and
+        no reader holds the empty buffer it replaces."""
+        assert not self._closed and not self._f.data, self._path
+        self._f.data = data
+        return len(data)
+
     def sync(self) -> int:
         """Mark everything written so far durable; returns newly-synced bytes."""
         f = self._f
@@ -141,6 +150,13 @@ class MemFileSystem:
         if path not in self._files:
             raise FileNotFound(path)
         return bytes(self._files[path].data)
+
+    def _take(self, path: str) -> bytearray:
+        """Unlink ``path`` and hand back its buffer, uncopied: how a
+        background job ships a table out of its scratch filesystem."""
+        if path not in self._files:
+            raise FileNotFound(path)
+        return self._files.pop(path).data
 
     def corrupt(self, path: str, offset: int, new_byte: int) -> None:
         """Flip one byte (failure-injection hook for tests)."""

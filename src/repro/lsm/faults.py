@@ -60,6 +60,12 @@ class _FaultWritableFile:
         self._fs._gate_append(self._inner, data)
         return self._inner.append(data)
 
+    def _adopt(self, data: bytearray) -> int:
+        # A move is an append to the schedule: same op index, same torn
+        # prefix (copied) when the crash lands on it.
+        self._fs._gate_append(self._inner, data)
+        return self._inner._adopt(data)
+
     def sync(self) -> int:
         self._fs._gate("sync", self._inner.path)
         return self._inner.sync()

@@ -64,8 +64,10 @@ class TableCache:
         self._handles.pop(file_number, None)
         self._seeds.pop(file_number, None)
 
-    def drop_seeds(self) -> None:
-        """Forget every pending handoff (close, crash)."""
+    def clear(self) -> None:
+        """Close and crash: drop every open reader, with its memo, and
+        every pending handoff. The counters stay."""
+        self._handles.clear()
         self._seeds.clear()
 
     def set_capacity(self, max_open_files: int) -> None:

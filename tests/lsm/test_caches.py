@@ -157,7 +157,7 @@ class TestTableCache:
         cache.evict(2)  # retired before any read: the handoff goes too
         cache.get(2)
         assert seeded == [(1, ["b1"])]
-        cache.drop_seeds()  # close / crash
+        cache.clear()  # close / crash
         cache.get(3)
         assert seeded == [(1, ["b1"])]
 

@@ -225,10 +225,10 @@ class TestOptionsBehaviour:
         hog.close()
 
     def test_byte_scale_shrinks_effective_options(self):
-        db = DB.open("/db-s", Options(), profile=make_profile(4, 4),
-                     byte_scale=1 / 1024)
-        assert db.effective_options.get("write_buffer_size") == 64 * 1024
-        assert db.options.get("write_buffer_size") == 64 * 1024 * 1024
+        db = DB.open("/db-s", Options({"block_cache_size": 8 << 20}),
+                     profile=make_profile(4, 4), byte_scale=1 / 1024)
+        assert db.block_cache.capacity_bytes == 8 << 10
+        assert db.options.get("block_cache_size") == 8 << 20
         db.close()
 
     def test_foreground_parallelism_validation(self):

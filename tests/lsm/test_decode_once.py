@@ -150,7 +150,7 @@ def test_reads_through_handed_tables_match_a_cold_tree():
     warm, cold = open_db(envs[0]), open_db(envs[1])
     fill(warm)
     fill(cold)
-    cold._table_cache.drop_seeds()
+    cold._table_cache._seeds.clear()
     rng = random.Random(11)
     for _ in range(400):
         key = b"%08d" % rng.randrange(3100)

@@ -1,8 +1,5 @@
-"""Tests for ranged manual compaction and approximate_sizes."""
+"""Tests for ranged manual compaction."""
 
-import pytest
-
-from repro.errors import DBError
 from repro.hardware import make_profile
 from repro.lsm import DB, Options
 
@@ -66,33 +63,3 @@ class TestRangedCompaction:
             db.compact_range(b"000000", b"000500")  # must not corrupt
             for i in range(0, 1500, 97):
                 assert db.get(b"%06d" % i) is not None
-
-
-class TestApproximateSizes:
-    def test_full_range_matches_total(self):
-        with open_db() as db:
-            fill(db)
-            db.compact_range()
-            [size] = db.approximate_sizes([(b"\x00", b"\xff" * 8)])
-            assert size == pytest.approx(db.approximate_size(), rel=0.01)
-
-    def test_disjoint_subranges_sum_close_to_total(self):
-        with open_db() as db:
-            fill(db)
-            db.compact_range()
-            halves = db.approximate_sizes([
-                (b"000000", b"001499"), (b"001500", b"999999"),
-            ])
-            total = db.approximate_size()
-            assert 0.5 * total <= sum(halves) <= 1.5 * total
-
-    def test_empty_range(self):
-        with open_db() as db:
-            fill(db, 500)
-            [size] = db.approximate_sizes([(b"zzz", b"zzzz")])
-            assert size == 0
-
-    def test_invalid_range(self):
-        with open_db() as db:
-            with pytest.raises(DBError):
-                db.approximate_sizes([(b"b", b"a")])
