@@ -13,7 +13,7 @@ across pytest invocations, so every run reflects the code it runs.
 
 Every benchmark writes its rendered table/series to
 ``benchmarks/results/<name>.txt`` so EXPERIMENTS.md can reference real
-output.
+output, and fails when that differs from the committed file.
 """
 
 from __future__ import annotations
@@ -74,13 +74,39 @@ def tuning_session(workload: str, cell: str, seed: int = SEED,
 
 
 def write_result(name: str, text: str) -> None:
-    """Persist one experiment's rendered output (and echo it)."""
-    os.makedirs(RESULTS_DIR, exist_ok=True)
-    path = os.path.join(RESULTS_DIR, f"{name}.txt")
-    with open(path, "w", encoding="utf-8") as f:
-        f.write(text + "\n")
+    """Persist one experiment's rendered output (and echo it).
+
+    The committed file is the expected output. When ``text`` differs
+    from it, or the file is missing, the file is rewritten and the call
+    fails naming the file and its first differing line: a stale table
+    fails the run, and ``git diff`` shows what moved.
+    """
     print(f"\n===== {name} =====")
     print(text)
+    path = os.path.join(RESULTS_DIR, f"{name}.txt")
+    new = text + "\n"
+    try:
+        with open(path, encoding="utf-8") as f:
+            old = f.read()
+    except FileNotFoundError:
+        old = None
+    if old == new:
+        return
+    os.makedirs(RESULTS_DIR, exist_ok=True)
+    with open(path, "w", encoding="utf-8") as f:
+        f.write(new)
+    if old is None:
+        raise AssertionError(f"{path} was missing; written, review and commit it")
+    old_lines, new_lines = old.splitlines(), new.splitlines()
+    line = next(
+        (i for i, pair in enumerate(zip(old_lines, new_lines)) if pair[0] != pair[1]),
+        min(len(old_lines), len(new_lines)),
+    )
+    raise AssertionError(
+        f"{path} is stale at line {line + 1}; rewritten, review with git diff\n"
+        f"  was: {old_lines[line] if line < len(old_lines) else '<end of file>'}\n"
+        f"  now: {new_lines[line] if line < len(new_lines) else '<end of file>'}"
+    )
 
 
 def once(benchmark, fn):
