@@ -7,7 +7,7 @@ exclusion holds here too.
 """
 
 from benchmarks.common import once, tuning_sessions, write_result
-from repro.bench.runner import run_benchmark
+from repro.bench.runner import DbBench
 from repro.bench.spec import DEFAULT_BYTE_SCALE, paper_workload
 from repro.core.reporting import format_iteration_series, improvement_summary
 from repro.hardware.device import SATA_HDD
@@ -57,10 +57,10 @@ def test_figure3_readrandom_on_hdd_is_discarded(benchmark):
     spec = paper_workload("readrandom", 0.0001).with_seed(1)
 
     def probe():
-        return run_benchmark(
+        return DbBench(
             spec, profile=make_profile(2, 4, SATA_HDD),
             byte_scale=DEFAULT_BYTE_SCALE,
-        )
+        ).run()
 
     result = once(benchmark, probe)
     write_result(

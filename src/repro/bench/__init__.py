@@ -9,7 +9,7 @@ from repro.bench.keygen import (
     make_generator,
 )
 from repro.bench.report import render_report
-from repro.bench.runner import BenchResult, DbBench, ProgressEvent, run_benchmark
+from repro.bench.runner import BenchResult, DbBench, ProgressEvent
 from repro.bench.spec import (
     DEFAULT_SCALE,
     FILLRANDOM,
@@ -25,7 +25,6 @@ __all__ = [
     "BenchResult",
     "DbBench",
     "ProgressEvent",
-    "run_benchmark",
     "render_report",
     "WorkloadSpec",
     "paper_workload",

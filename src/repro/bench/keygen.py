@@ -13,7 +13,6 @@ byte for byte, and the last few pools stay memoised
 
 from __future__ import annotations
 
-import math
 import random
 from functools import lru_cache
 from itertools import compress
@@ -21,6 +20,12 @@ from itertools import compress
 from repro.errors import WorkloadError
 
 KEY_WIDTH = 16
+
+#: Mixgraph's hot region: its share of the key space, its share of the
+#: accesses, and the power-law exponent of rank selection inside it.
+_HOT_FRACTION = 0.01
+_HOT_ACCESS_FRACTION = 0.85
+_HOT_POWER = 1.2
 
 
 @lru_cache(maxsize=1 << 16)
@@ -114,33 +119,19 @@ class MixgraphKeys:
     Cao et al. (FAST '20) report for production RocksDB workloads.
     """
 
-    def __init__(
-        self,
-        num_keys: int,
-        *,
-        hot_fraction: float = 0.01,
-        hot_access_fraction: float = 0.85,
-        power: float = 1.2,
-        seed: int = 0,
-    ) -> None:
+    def __init__(self, num_keys: int, *, seed: int = 0) -> None:
         if num_keys <= 0:
             raise WorkloadError("key space must be positive")
-        if not 0 < hot_fraction < 1:
-            raise WorkloadError("hot_fraction must be in (0, 1)")
-        if not 0 < hot_access_fraction < 1:
-            raise WorkloadError("hot_access_fraction must be in (0, 1)")
         self.num_keys = num_keys
-        self._hot_range = max(1, int(num_keys * hot_fraction))
-        self._hot_access = hot_access_fraction
-        self._power = power
+        self._hot_range = max(1, int(num_keys * _HOT_FRACTION))
         self._rng = random.Random(seed)
 
     def next_index(self) -> int:
         r = self._rng
-        if r.random() < self._hot_access:
+        if r.random() < _HOT_ACCESS_FRACTION:
             # Power-law rank inside the hot region.
             u = r.random()
-            rank = int(self._hot_range * (u**self._power))
+            rank = int(self._hot_range * (u**_HOT_POWER))
             return min(rank, self._hot_range - 1)
         return self._hot_range + r.randrange(max(1, self.num_keys - self._hot_range))
 

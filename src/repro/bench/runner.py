@@ -218,15 +218,10 @@ class DbBench:
         # real store at the moment a post-load benchmark begins.
         db.flush(wait_compactions=False)
 
-    def run(
-        self,
-        progress: ProgressCallback | None = None,
-        *,
-        statistics: Statistics | None = None,
-    ) -> BenchResult:
+    def run(self, progress: ProgressCallback | None = None) -> BenchResult:
         """Execute preload + measured phase; returns the result."""
         wall_start = time.perf_counter()
-        stats = statistics if statistics is not None else Statistics()
+        stats = Statistics()
         tracer = (
             self.tracer
             if self.tracer is not None and self.tracer.enabled
@@ -411,17 +406,3 @@ class DbBench:
             db_size_bytes=db.approximate_size(),
             snapshot=db.monitor.snapshot(self.env.clock.now_us),
         )
-
-
-def run_benchmark(
-    spec: WorkloadSpec,
-    options: Options | None = None,
-    profile: HardwareProfile | None = None,
-    *,
-    byte_scale: float = 1.0,
-    progress: ProgressCallback | None = None,
-    tracer: Tracer | None = None,
-) -> BenchResult:
-    """Convenience wrapper: build a :class:`DbBench` and run it once."""
-    bench = DbBench(spec, options, profile, byte_scale=byte_scale, tracer=tracer)
-    return bench.run(progress)

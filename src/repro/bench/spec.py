@@ -88,10 +88,6 @@ class WorkloadSpec:
         if fractions != sorted(set(fractions)):
             raise WorkloadError("phases must be strictly ordered by at_fraction")
 
-    def with_phases(self, *phases: WorkloadPhase) -> "WorkloadSpec":
-        """A copy of this spec with mid-run shifts attached."""
-        return replace(self, phases=tuple(phases))
-
     def schedule(self, total_ops: int) -> "list[tuple[int, float, str]]":
         """Resolve phases into ``(start_index, read_fraction,
         distribution)`` segments over a stream of ``total_ops`` ops.

@@ -9,7 +9,7 @@ from repro.core.finetuner import (
     HybridTuner,
 )
 from repro.core.flagger import ActiveFlagger, FlagDecision
-from repro.core.monitor import BenchmarkMonitor, MonitorConfig
+from repro.core.monitor import BenchmarkMonitor
 from repro.core.parser import ProposedChange, extract_changes
 from repro.core.prompt import FeedbackContext, PromptGenerator, PromptSections
 from repro.core.safeguard import Rejection, SafeguardEnforcer, VetResult, default_blacklist
@@ -39,7 +39,6 @@ __all__ = [
     "ActiveFlagger",
     "FlagDecision",
     "BenchmarkMonitor",
-    "MonitorConfig",
     "StoppingCriteria",
     "StopTracker",
     "BenchMetrics",

@@ -37,6 +37,13 @@ _ALWAYS_CANDIDATES = (
     "compaction_readahead_size",
 )
 
+#: Multiplicative steps tried per option (order matters: the first
+#: improving step is taken and the option is revisited later).
+_STEPS = (2.0, 0.5)
+
+#: Fractional throughput gain needed to accept a probe.
+_MIN_GAIN = 0.005
+
 
 @dataclass(frozen=True)
 class FineTuneConfig:
@@ -44,19 +51,10 @@ class FineTuneConfig:
 
     #: Total benchmark probes the fine-tuner may spend.
     max_probes: int = 12
-    #: Multiplicative steps tried per option (order matters: the first
-    #: improving step is taken and the option is revisited later).
-    steps: tuple[float, ...] = (2.0, 0.5)
-    #: Explicit candidate list; None = LLM-touched + always-candidates.
-    options_to_tune: tuple[str, ...] | None = None
-    #: Fractional throughput gain needed to accept a probe.
-    min_gain: float = 0.005
 
     def __post_init__(self) -> None:
         if self.max_probes < 1:
             raise ValueError("need at least one probe")
-        if not self.steps:
-            raise ValueError("need at least one step")
 
 
 @dataclass
@@ -129,12 +127,10 @@ class FineTuner:
         return parse_report(render_report(result))
 
     def _candidates(self, start: Options) -> list[str]:
-        if self.fine.options_to_tune is not None:
-            names = list(self.fine.options_to_tune)
-        else:
-            names = list(start.overrides()) + [
-                n for n in _ALWAYS_CANDIDATES if n not in start.overrides()
-            ]
+        """The options the LLM touched, then the always-candidates."""
+        names = list(start.overrides()) + [
+            n for n in _ALWAYS_CANDIDATES if n not in start.overrides()
+        ]
         out = []
         for name in names:
             spec = spec_for(name)
@@ -194,7 +190,7 @@ class FineTuner:
                     break
                 spec = spec_for(name)
                 value = current.get(name)
-                for step in self.fine.steps:
+                for step in _STEPS:
                     if budget <= 0:
                         break
                     new_value = self._stepped(spec, value, step)
@@ -210,9 +206,7 @@ class FineTuner:
                         continue  # same memory discipline as the expert
                     metrics = self._bench(trial)
                     budget -= 1
-                    accepted = metrics.better_than(
-                        best, tolerance=self.fine.min_gain
-                    )
+                    accepted = metrics.better_than(best, tolerance=_MIN_GAIN)
                     probes.append(ProbeRecord(
                         option=name, old_value=value, new_value=new_value,
                         ops_per_sec=metrics.ops_per_sec, accepted=accepted,

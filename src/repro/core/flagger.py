@@ -23,24 +23,20 @@ class FlagDecision:
     reason: str
 
 
-class ActiveFlagger:
-    """Throughput-first keep/revert policy with a p99 tiebreaker."""
+#: If throughput is within this band of the best, a clear p99 win
+#: still counts as keepable.
+_P99_TIEBREAK_BAND = 0.02
 
-    def __init__(
-        self,
-        *,
-        min_gain: float = 0.0,
-        p99_tiebreak_band: float = 0.02,
-        tracer: Tracer | None = None,
-    ) -> None:
-        """``min_gain``: fractional throughput gain required to call a
-        change an improvement. ``p99_tiebreak_band``: if throughput is
-        within this band, a clear p99 win still counts as keepable."""
-        if min_gain < 0:
-            raise ValueError("min_gain cannot be negative")
-        self.min_gain = min_gain
-        self.p99_tiebreak_band = p99_tiebreak_band
-        self.tracer = tracer
+
+class ActiveFlagger:
+    """Throughput-first keep/revert policy with a p99 tiebreaker.
+
+    Any throughput gain is an improvement. The tuner attaches its
+    tracer, so each decision lands in the session trace.
+    """
+
+    def __init__(self) -> None:
+        self.tracer: Tracer | None = None
 
     def decide(self, best: BenchMetrics, candidate: BenchMetrics) -> FlagDecision:
         decision = self._decide(best, candidate)
@@ -64,7 +60,7 @@ class ActiveFlagger:
                 reason="run aborted early: throughput collapsed under the "
                        "new configuration",
             )
-        if candidate.better_than(best, tolerance=self.min_gain):
+        if candidate.better_than(best):
             return FlagDecision(
                 keep=True,
                 improved=True,
@@ -75,7 +71,7 @@ class ActiveFlagger:
             )
         # Throughput within noise: accept a clear tail-latency win.
         within_band = candidate.ops_per_sec >= best.ops_per_sec * (
-            1.0 - self.p99_tiebreak_band
+            1.0 - _P99_TIEBREAK_BAND
         )
         if within_band and self._p99_improved(best, candidate):
             return FlagDecision(

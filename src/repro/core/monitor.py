@@ -5,70 +5,30 @@ sits far below the best configuration's, the run is aborted so the
 flagger can revert without paying for a full benchmark.
 
 The monitor is a :class:`~repro.obs.sinks.TraceSink`: attached to the
-benchmark's tracer it consumes ``bench.progress`` events and requests
-an abort through the tracer's control channel. The legacy
-progress-callback protocol (``monitor(event) -> bool``) still works for
-callers that drive :class:`~repro.bench.runner.DbBench` directly.
+benchmark's tracer it consumes ``bench.progress`` (or
+``service.progress``) events and requests an abort through the
+tracer's control channel.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from repro.bench.runner import ProgressEvent
 from repro.obs.events import BenchProgress, ServiceProgress, TraceEvent
 from repro.obs.sinks import TraceSink
 
-
-@dataclass(frozen=True)
-class MonitorConfig:
-    """Early-stop policy knobs.
-
-    The paper checks after the first 30 seconds of a minutes-long run;
-    scaled runs check after the equivalent *fraction* of work.
-    """
-
-    #: Fraction of total ops after which the check may fire.
-    warmup_fraction: float = 0.2
-    #: Abort when current throughput < ratio x the reference throughput.
-    abort_ratio: float = 0.5
-    #: Disable entirely (ablation switch).
-    enabled: bool = True
-
-    def __post_init__(self) -> None:
-        if not 0.0 < self.warmup_fraction < 1.0:
-            raise ValueError("warmup_fraction must be in (0, 1)")
-        if not 0.0 < self.abort_ratio < 1.0:
-            raise ValueError("abort_ratio must be in (0, 1)")
+#: The paper checks after the first 30 seconds of a minutes-long run;
+#: scaled runs check after the equivalent fraction of their ops.
+_WARMUP_FRACTION = 0.2
+#: Abort when throughput falls below this share of the reference.
+_ABORT_RATIO = 0.5
 
 
 class BenchmarkMonitor(TraceSink):
-    """Early-stop policy as a trace subscriber (or legacy callback)."""
+    """Early-stop policy as a trace subscriber."""
 
-    def __init__(
-        self,
-        config: MonitorConfig,
-        reference_ops_per_sec: float | None,
-    ) -> None:
+    def __init__(self, reference_ops_per_sec: float | None) -> None:
         super().__init__()
-        self.config = config
         self.reference = reference_ops_per_sec
         self.fired = False
-
-    def _should_abort(self, event: ProgressEvent) -> str | None:
-        """Return an abort reason, or None to let the run continue."""
-        if not self.config.enabled or self.reference is None:
-            return None
-        if event.ops_done < event.total_ops * self.config.warmup_fraction:
-            return None
-        if event.ops_per_sec < self.reference * self.config.abort_ratio:
-            self.fired = True
-            return (
-                f"throughput {event.ops_per_sec:.0f} ops/s below "
-                f"{self.config.abort_ratio:.0%} of reference "
-                f"{self.reference:.0f} ops/s"
-            )
-        return None
 
     def emit(self, event: TraceEvent) -> None:
         """Sink protocol: watch progress samples, request aborts.
@@ -77,11 +37,18 @@ class BenchmarkMonitor(TraceSink):
         ``bench.progress``, so service benchmarks get the same
         early-stop policy.
         """
-        if type(event) in (BenchProgress, ServiceProgress) and not self.fired:
-            reason = self._should_abort(event)
-            if reason is not None and self.tracer is not None:
-                self.tracer.request_abort(reason)
-
-    def __call__(self, event: ProgressEvent) -> bool:
-        """Legacy callback protocol: return False to abort the run."""
-        return self._should_abort(event) is None
+        if (
+            type(event) not in (BenchProgress, ServiceProgress)
+            or self.fired
+            or self.reference is None
+            or event.ops_done < event.total_ops * _WARMUP_FRACTION
+            or event.ops_per_sec >= self.reference * _ABORT_RATIO
+        ):
+            return
+        self.fired = True
+        if self.tracer is not None:
+            self.tracer.request_abort(
+                f"throughput {event.ops_per_sec:.0f} ops/s below "
+                f"{_ABORT_RATIO:.0%} of reference "
+                f"{self.reference:.0f} ops/s"
+            )

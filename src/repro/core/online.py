@@ -53,13 +53,18 @@ from repro.obs.tracer import Tracer
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.service.service import ServiceResult, ShardedService
 
+#: Cap on changes applied per wake (beyond the safeguard's own cap).
+_MAX_CHANGES = 4
+
 
 @dataclass
 class OnlineTunerConfig:
     """Everything configurable about one online tuning session."""
 
     workload: WorkloadSpec
-    profile: HardwareProfile = field(default_factory=lambda: make_profile(4, 4))
+    profile: HardwareProfile = field(
+        default_factory=lambda: make_profile(4, 4), init=False
+    )
     base_options: Options = field(default_factory=Options)
     byte_scale: float = DEFAULT_BYTE_SCALE
     drift: DriftConfig = field(default_factory=DriftConfig)
@@ -68,8 +73,6 @@ class OnlineTunerConfig:
     score_window_ops: int = 4000
     #: Also wake every this-many ops even without drift (0 = drift-only).
     cadence_ops: int = 0
-    #: Cap on changes applied per wake (beyond the safeguard's own cap).
-    max_changes: int = 4
     #: Ablation: keep every diff, even ones the flagger would revert.
     always_keep: bool = False
     #: Open-loop client arrival rate; None = the service default.
@@ -80,8 +83,6 @@ class OnlineTunerConfig:
             raise ValueError("score_window_ops must be positive")
         if self.cadence_ops < 0:
             raise ValueError("cadence_ops cannot be negative")
-        if self.max_changes < 1:
-            raise ValueError("max_changes must be positive")
 
 
 @dataclass
@@ -99,7 +100,7 @@ class OnlineAction:
     before_ops_per_sec: float = 0.0
     after_ops_per_sec: float = 0.0
     #: Vetted-but-immutable proposals dropped by the online filter.
-    dropped_immutable: list = field(default_factory=list)
+    dropped_immutable: list = field(default_factory=list, init=False)
     #: Safeguard rejections (hallucinated names, bad values, ...).
     rejections: list = field(default_factory=list)
 
@@ -110,7 +111,7 @@ class OnlineSession:
 
     workload_name: str
     profile_name: str
-    actions: list[OnlineAction] = field(default_factory=list)
+    actions: list[OnlineAction] = field(default_factory=list, init=False)
     drift_count: int = 0
     final_options: Options | None = None
     result: "ServiceResult | None" = None
@@ -120,10 +121,6 @@ class OnlineSession:
     def applied_actions(self) -> list[OnlineAction]:
         return [a for a in self.actions if a.applied]
 
-    @property
-    def reverted_actions(self) -> list[OnlineAction]:
-        return [a for a in self.actions if a.applied and a.kept is False]
-
 
 class OnlineTuner:
     """One online session: construct, :meth:`run`, read the session."""
@@ -132,30 +129,20 @@ class OnlineTuner:
         self,
         config: OnlineTunerConfig,
         llm: LLMClient | None = None,
-        *,
-        safeguard: SafeguardEnforcer | None = None,
-        flagger: ActiveFlagger | None = None,
-        tracer: Tracer | None = None,
     ) -> None:
         self.config = config
         self.llm = llm if llm is not None else SimulatedExpert(
             seed=config.workload.seed
         )
-        self.safeguard = safeguard if safeguard is not None else SafeguardEnforcer(
-            max_changes_per_iteration=config.max_changes
-        )
-        self.flagger = flagger if flagger is not None else ActiveFlagger()
+        self.safeguard = SafeguardEnforcer(max_changes_per_iteration=_MAX_CHANGES)
+        self.flagger = ActiveFlagger()
         self.transcript = Transcript()
-        if tracer is None:
-            self._ring: RingSink | None = RingSink()
-            self.tracer = Tracer(self._ring)
-        else:
-            self._ring = None
-            self.tracer = tracer
-        if self.safeguard.tracer is None:
-            self.safeguard.tracer = self.tracer
-        if self.flagger.tracer is None:
-            self.flagger.tracer = self.tracer
+        # The session captures its own trace into a ring, so the
+        # finished OnlineSession always carries it.
+        self._ring = RingSink()
+        self.tracer = Tracer(self._ring)
+        self.safeguard.tracer = self.tracer
+        self.flagger.tracer = self.tracer
         self.detector = DriftDetector(config.drift)
         #: Optional hook called with the freshly built ShardedService
         #: before the run starts (harness oracles, e.g. a write audit).
@@ -435,7 +422,6 @@ class OnlineTuner:
                     best_ops_per_sec=best,
                 )
             )
-        if self._ring is not None:
-            session.trace_events = self._ring.events
-            self._ring.clear()
+        session.trace_events = self._ring.events
+        self._ring.clear()
         return session

@@ -46,11 +46,9 @@ class PromptSections:
 
     include_hardware: bool = True
     include_fio: bool = True
-    include_workload: bool = True
     include_options: bool = True
     include_report: bool = True
     include_feedback: bool = True
-    only_overridden_options: bool = False
 
 
 class PromptGenerator:
@@ -85,16 +83,11 @@ class PromptGenerator:
                 parts.append(self._static_hardware_text())
             if s.include_fio:
                 parts.append(self._fio_report.describe())
-        if s.include_workload:
-            parts.append("## Workload")
-            parts.append(self.workload.describe())
+        parts.append("## Workload")
+        parts.append(self.workload.describe())
         if s.include_options:
             parts.append("## Current Configuration (OPTIONS)")
-            parts.append(
-                serialize_options(
-                    options, only_overrides=s.only_overridden_options
-                )
-            )
+            parts.append(serialize_options(options))
         if s.include_report and feedback.previous_report:
             parts.append("## Last Benchmark Report")
             parts.append(feedback.previous_report)

@@ -67,7 +67,7 @@ def format_iteration_series(
     return "\n".join(lines)
 
 
-def format_option_trajectory(session: TuningSession, *, max_rows: int | None = None) -> str:
+def format_option_trajectory(session: TuningSession) -> str:
     """Table 5 shape: option x iteration matrix of changed values."""
     trajectory = session.option_trajectory()
     if not trajectory:
@@ -83,8 +83,6 @@ def format_option_trajectory(session: TuningSession, *, max_rows: int | None = N
     rows = sorted(
         trajectory.items(), key=lambda kv: -len(kv[1])
     )
-    if max_rows is not None:
-        rows = rows[:max_rows]
     baseline = session.baseline.options
     for name, changes in rows:
         by_iter = dict(changes)

@@ -43,11 +43,7 @@ class VetResult:
     """Outcome of vetting one LLM response's proposals."""
 
     accepted: list[tuple[str, Any]] = field(default_factory=list)
-    rejected: list[Rejection] = field(default_factory=list)
-
-    @property
-    def clean(self) -> bool:
-        return not self.rejected
+    rejected: list[Rejection] = field(default_factory=list, init=False)
 
     def describe(self) -> str:
         lines = [f"accepted {len(self.accepted)}, rejected {len(self.rejected)}"]
@@ -74,12 +70,12 @@ class SafeguardEnforcer:
         *,
         allow_deprecated: bool = False,
         max_changes_per_iteration: int | None = None,
-        tracer: Tracer | None = None,
     ) -> None:
         self.blacklist = blacklist if blacklist is not None else default_blacklist()
         self.allow_deprecated = allow_deprecated
         self.max_changes = max_changes_per_iteration
-        self.tracer = tracer
+        #: The tuner that owns this safeguard attaches its tracer.
+        self.tracer: Tracer | None = None
 
     def vet(
         self, proposals: list[ProposedChange], base: Options

@@ -38,7 +38,7 @@ class TuningSession:
 
     workload_name: str
     profile_name: str
-    iterations: list[IterationRecord] = field(default_factory=list)
+    iterations: list[IterationRecord] = field(default_factory=list, init=False)
     stop_reason: str = ""
     #: The session's trace (populated when the tuner captures one; rides
     #: back from a worker process in pickled form).

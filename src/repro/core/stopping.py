@@ -1,7 +1,7 @@
 """Stopping criteria for the tuning loop.
 
 The paper stops on "minimal performance improvement or a maximum number
-of iterations"; both are modeled, plus an optional absolute target.
+of iterations"; both are modeled.
 """
 
 from __future__ import annotations
@@ -22,8 +22,6 @@ class StoppingCriteria:
     patience: int | None = None
     #: Fractional gain below which an improvement counts as "minimal".
     minimal_gain: float = 0.01
-    #: Absolute ops/sec target (None disables).
-    target_ops_per_sec: float | None = None
 
     def __post_init__(self) -> None:
         if self.max_iterations < 1:
@@ -70,7 +68,7 @@ class StopTracker:
             self._minimal_only = improved or self._minimal_only
         self._best_ops = best.ops_per_sec
 
-    def should_stop(self, best: BenchMetrics) -> str | None:
+    def should_stop(self) -> str | None:
         """Return the stop reason, or None to continue."""
         c = self.criteria
         if self._iterations_done >= c.max_iterations:
@@ -85,9 +83,4 @@ class StopTracker:
                 f"no improvement{qualifier} for {self._no_improvement_streak} "
                 "consecutive iterations"
             )
-        if (
-            c.target_ops_per_sec is not None
-            and best.ops_per_sec >= c.target_ops_per_sec
-        ):
-            return f"reached target throughput ({c.target_ops_per_sec:.0f} ops/sec)"
         return None

@@ -14,7 +14,7 @@ from repro.bench.runner import BenchResult, DbBench
 from repro.bench.spec import DEFAULT_BYTE_SCALE, SERVICE_WORKLOADS, WorkloadSpec
 from repro.core.bench_parser import BenchMetrics, parse_report
 from repro.core.flagger import ActiveFlagger
-from repro.core.monitor import BenchmarkMonitor, MonitorConfig
+from repro.core.monitor import BenchmarkMonitor
 from repro.core.parser import extract_changes
 from repro.core.prompt import FeedbackContext, PromptGenerator, PromptSections
 from repro.core.safeguard import SafeguardEnforcer
@@ -43,6 +43,8 @@ _FORMAT_REMINDER = (
     "Your previous reply contained no parseable option changes. Please "
     "answer again with explicit `name=value` lines in a code block."
 )
+#: Re-ask the LLM at most this many times on unparseable output.
+_FORMAT_RETRIES = 1
 
 
 @dataclass
@@ -51,16 +53,14 @@ class TunerConfig:
 
     workload: WorkloadSpec
     profile: HardwareProfile = field(default_factory=lambda: make_profile(4, 4))
-    base_options: Options = field(default_factory=Options)
     byte_scale: float = DEFAULT_BYTE_SCALE
     stopping: StoppingCriteria = field(default_factory=StoppingCriteria)
-    monitor: MonitorConfig = field(default_factory=MonitorConfig)
     prompt_sections: PromptSections = field(default_factory=PromptSections)
-    #: Re-ask the LLM at most this many times on unparseable output.
-    format_retries: int = 1
     #: Disable the flagger's revert behaviour (ablation: keep everything).
     always_keep: bool = False
-    db_path: str = "/elmo/db"
+    #: Where every benchmark run keeps its store (a class constant, not
+    #: a field).
+    db_path = "/elmo/db"
 
 
 class ElmoTune:
@@ -72,13 +72,12 @@ class ElmoTune:
         llm: LLMClient | None = None,
         *,
         safeguard: SafeguardEnforcer | None = None,
-        flagger: ActiveFlagger | None = None,
         tracer: Tracer | None = None,
     ) -> None:
         self.config = config
         self.llm = llm if llm is not None else SimulatedExpert(seed=config.workload.seed)
         self.safeguard = safeguard if safeguard is not None else SafeguardEnforcer()
-        self.flagger = flagger if flagger is not None else ActiveFlagger()
+        self.flagger = ActiveFlagger()
         self.transcript = Transcript()
         # With no tracer supplied, capture the session into a ring so the
         # finished TuningSession always carries its own trace.
@@ -90,8 +89,7 @@ class ElmoTune:
             self.tracer = tracer
         if self.safeguard.tracer is None:
             self.safeguard.tracer = self.tracer
-        if self.flagger.tracer is None:
-            self.flagger.tracer = self.tracer
+        self.flagger.tracer = self.tracer
         self._prompter = PromptGenerator(
             config.profile, config.workload, sections=config.prompt_sections
         )
@@ -101,63 +99,44 @@ class ElmoTune:
     def _run_bench(
         self, options: Options, reference_ops: float | None
     ) -> tuple[BenchResult, BenchMetrics, str, bool]:
-        if (
-            options.get("shard_count") > 1
-            or self.config.workload.name in SERVICE_WORKLOADS
-        ):
-            return self._run_service_bench(options, reference_ops)
-        monitor = BenchmarkMonitor(self.config.monitor, reference_ops)
-        bench = DbBench(
-            self.config.workload,
-            options,
-            self.config.profile,
-            byte_scale=self.config.byte_scale,
-            db_path=self.config.db_path,
-            tracer=self.tracer,
-        )
+        """One benchmark run under the early-stop monitor.
+
+        It goes through the sharded service layer whenever the tuner is
+        exploring topology (``shard_count`` > 1) or the workload needs
+        per-client roles (``readwhilewriting``, ``multireadrandom``).
+        The headline of the service report is plain db_bench text, and
+        the service emits the same progress samples, so the parser, the
+        monitor and the feedback prompt work unchanged.
+        """
+        cfg = self.config
+        monitor = BenchmarkMonitor(reference_ops)
         # The monitor subscribes to the trace for the duration of the
         # run; it requests aborts through the tracer's control channel.
         self.tracer.add_sink(monitor)
         try:
-            result = bench.run()
+            if (
+                options.get("shard_count") > 1
+                or cfg.workload.name in SERVICE_WORKLOADS
+            ):
+                from repro.service.report import render_service_report
+                from repro.service.service import ShardedService
+
+                service_result = ShardedService(
+                    cfg.workload, options, cfg.profile,
+                    byte_scale=cfg.byte_scale, tracer=self.tracer,
+                ).run()
+                result = service_result.aggregate
+                report = render_service_report(service_result)
+            else:
+                result = DbBench(
+                    cfg.workload, options, cfg.profile,
+                    byte_scale=cfg.byte_scale, db_path=cfg.db_path,
+                    tracer=self.tracer,
+                ).run()
+                report = render_report(result)
         finally:
             self.tracer.remove_sink(monitor)
-        report = render_report(result)
-        metrics = parse_report(report)
-        return result, metrics, report, monitor.fired
-
-    def _run_service_bench(
-        self, options: Options, reference_ops: float | None = None
-    ) -> tuple[BenchResult, BenchMetrics, str, bool]:
-        """Benchmark through the sharded service layer.
-
-        Chosen whenever the tuner is exploring topology
-        (``shard_count`` > 1) or the workload needs per-client roles
-        (``readwhilewriting``, ``multireadrandom``). The headline of
-        the service report is plain db_bench text, so the parser and
-        the feedback prompt work unchanged. The service emits periodic
-        ``service.progress`` samples, so early-stop monitoring applies
-        exactly as it does to bare benchmarks.
-        """
-        from repro.service.report import render_service_report
-        from repro.service.service import ShardedService
-
-        monitor = BenchmarkMonitor(self.config.monitor, reference_ops)
-        service = ShardedService(
-            self.config.workload,
-            options,
-            self.config.profile,
-            byte_scale=self.config.byte_scale,
-            tracer=self.tracer,
-        )
-        self.tracer.add_sink(monitor)
-        try:
-            service_result = service.run()
-        finally:
-            self.tracer.remove_sink(monitor)
-        report = render_service_report(service_result)
-        metrics = parse_report(report)
-        return service_result.aggregate, metrics, report, monitor.fired
+        return result, parse_report(report), report, monitor.fired
 
     # -- LLM round-trip -------------------------------------------------------
 
@@ -168,7 +147,7 @@ class ElmoTune:
         messages = self._prompter.build(options, snapshot, feedback)
         failures = 0
         response: str | None = None
-        for _attempt in range(1 + max(0, self.config.format_retries)):
+        for _attempt in range(1 + _FORMAT_RETRIES):
             response = self.llm.complete(messages)
             self.transcript.record(messages, response)
             try:
@@ -194,7 +173,7 @@ class ElmoTune:
         if trace:
             tracer.emit(SessionStart(cfg.workload.name, cfg.profile.name))
             tracer.emit(IterationStart(0))
-        best_options = cfg.base_options.copy()
+        best_options = Options()
         result, metrics, report, _ = self._run_bench(best_options, None)
         session.add(
             IterationRecord(
@@ -218,7 +197,7 @@ class ElmoTune:
 
         iteration = 0
         while True:
-            reason = tracker.should_stop(best_metrics)
+            reason = tracker.should_stop()
             if reason is not None:
                 session.stop_reason = reason
                 if trace:
@@ -284,15 +263,10 @@ class ElmoTune:
                     note=decision.reason,
                 )
             )
-            if keep:
+            if keep:  # under always_keep, adopted despite a regression
                 reverted_diff = None
                 deteriorated = False
-                if decision.keep:
-                    best_options = candidate
-                    best_metrics = metrics
-                else:  # always_keep ablation: adopt despite regression
-                    best_options = candidate
-                    best_metrics = metrics
+                best_options, best_metrics = candidate, metrics
             else:
                 reverted_diff = diff_as_text(best_options, candidate)
                 deteriorated = True

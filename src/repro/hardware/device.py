@@ -75,13 +75,13 @@ class DeviceModel:
         """Virtual cost of a durability barrier."""
         return self.sync_us
 
-    def scaled(self, factor: float, name: str | None = None) -> "DeviceModel":
+    def scaled(self, factor: float) -> "DeviceModel":
         """Return a copy slowed down (`factor` > 1) or sped up."""
         if factor <= 0:
             raise ValueError("scale factor must be positive")
         return replace(
             self,
-            name=name or f"{self.name}-x{factor:g}",
+            name=f"{self.name}-x{factor:g}",
             read_latency_us=self.read_latency_us * factor,
             write_latency_us=self.write_latency_us * factor,
             seq_read_bw=self.seq_read_bw / factor,

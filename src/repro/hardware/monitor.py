@@ -9,7 +9,7 @@ utilization derived from the engine's virtual-time accounting.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.hardware.profile import GiB, HardwareProfile
 
@@ -29,10 +29,6 @@ class MemorySnapshot:
 
     total_bytes: int
     used_bytes: int
-
-    @property
-    def available_bytes(self) -> int:
-        return max(0, self.total_bytes - self.used_bytes)
 
     @property
     def percent(self) -> float:

@@ -7,7 +7,7 @@ with Docker; here they parameterize the virtual cost model directly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 from repro.hardware.device import NVME_SSD, SATA_HDD, DeviceModel
 
@@ -24,16 +24,15 @@ class HardwareProfile:
     cpu_cores: int
     memory_bytes: int
     device: DeviceModel
-    #: Relative CPU speed (1.0 = baseline core used for CPU cost model).
-    cpu_speed: float = 1.0
+    #: Relative CPU speed: every profile runs the CPU cost model's
+    #: baseline core.
+    cpu_speed: float = field(default=1.0, init=False)
 
     def __post_init__(self) -> None:
         if self.cpu_cores < 1:
             raise ValueError("need at least one CPU core")
         if self.memory_bytes < 64 * MiB:
             raise ValueError("memory below 64 MiB is not a supported profile")
-        if self.cpu_speed <= 0:
-            raise ValueError("cpu_speed must be positive")
 
     @property
     def memory_gib(self) -> float:
@@ -66,8 +65,6 @@ def make_profile(
     cpu_cores: int,
     memory_gib: float,
     device: DeviceModel = NVME_SSD,
-    *,
-    cpu_speed: float = 1.0,
 ) -> HardwareProfile:
     """Convenience constructor used by experiment grids."""
     return HardwareProfile(
@@ -75,7 +72,6 @@ def make_profile(
         cpu_cores=cpu_cores,
         memory_bytes=int(memory_gib * GiB),
         device=device,
-        cpu_speed=cpu_speed,
     )
 
 

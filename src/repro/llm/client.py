@@ -36,22 +36,10 @@ class Exchange:
 class Transcript:
     """Complete record of a tuning session's LLM traffic."""
 
-    exchanges: list[Exchange] = field(default_factory=list)
+    exchanges: list[Exchange] = field(default_factory=list, init=False)
 
     def record(self, messages: list[ChatMessage], response: str) -> None:
         self.exchanges.append(Exchange(list(messages), response))
-
-    @property
-    def num_calls(self) -> int:
-        return len(self.exchanges)
-
-    def total_prompt_chars(self) -> int:
-        return sum(
-            len(m.content) for ex in self.exchanges for m in ex.messages
-        )
-
-    def total_response_chars(self) -> int:
-        return sum(len(ex.response) for ex in self.exchanges)
 
 
 class LLMClient(abc.ABC):

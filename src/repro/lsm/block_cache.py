@@ -133,10 +133,6 @@ class LRUCache:
     def evictions(self) -> int:
         return sum(s.evictions for s in self._shards)
 
-    def hit_rate(self) -> float:
-        total = self.hits + self.misses
-        return self.hits / total if total else 0.0
-
     def set_capacity(self, capacity_bytes: int) -> None:
         """Re-cap the cache in place (``DB.set_options`` hot-swap).
 

@@ -71,15 +71,6 @@ class BloomFilter:
         self._nbits = nbits
         self._bits = bytearray((nbits + 7) // 8)
         self._num_probes = max(1, min(30, int(round(bits_per_key * math.log(2)))))
-        self._num_added = 0
-
-    @property
-    def num_probes(self) -> int:
-        return self._num_probes
-
-    @property
-    def num_added(self) -> int:
-        return self._num_added
 
     def add(self, key: bytes) -> None:
         self._set_probes(*key_hashes(key))
@@ -137,7 +128,6 @@ class BloomFilter:
             self._bits = bytearray(
                 (from_bytes(self._bits, "little") | run).to_bytes(nbytes, "little")
             )
-            self._num_added += added
 
     def _set_probes(self, h: int, step: int) -> None:
         bits = self._bits
@@ -147,7 +137,6 @@ class BloomFilter:
             bit = (h & _MASK64) % nbits
             bits[bit >> 3] |= 1 << (bit & 7)
             h += step
-        self._num_added += 1
 
     def may_contain(self, key: bytes) -> bool:
         return self.may_contain_hashes(key_hashes(key))
@@ -164,13 +153,6 @@ class BloomFilter:
             h += step
         return True
 
-    def theoretical_fp_rate(self) -> float:
-        """Expected false-positive rate at the current fill."""
-        if self._num_added == 0:
-            return 0.0
-        fill = 1.0 - math.exp(-self._num_probes * self._num_added / self._nbits)
-        return fill**self._num_probes
-
     def to_bytes(self) -> bytes:
         """Serialize (probe count + bit array) for embedding in an SST."""
         return bytes([self._num_probes]) + bytes(self._bits)
@@ -184,5 +166,4 @@ class BloomFilter:
         obj._num_probes = data[0]
         obj._bits = bytearray(data[1:])
         obj._nbits = len(obj._bits) * 8
-        obj._num_added = 0
         return obj

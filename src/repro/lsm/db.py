@@ -50,7 +50,6 @@ from repro.lsm.sstable import (
     FILTERED_OUT,
     FileMetaData,
     ReadStats,
-    SSTableBuilder,
     SSTableReader,
 )
 from repro.lsm.statistics import OpClass, Statistics, Ticker

@@ -195,11 +195,9 @@ class MemFileSystem:
 class Env:
     """Bundle of filesystem and virtual clock shared by one DB."""
 
-    def __init__(
-        self, fs: MemFileSystem | None = None, clock: SimClock | None = None
-    ) -> None:
+    def __init__(self, fs: MemFileSystem | None = None) -> None:
         self.fs = fs if fs is not None else MemFileSystem()
-        self.clock = clock if clock is not None else SimClock()
+        self.clock = SimClock()
 
     def now_us(self) -> float:
         return self.clock.now_us

@@ -93,14 +93,8 @@ class FaultFS:
     write/recovery path) but do fail once the process is "dead".
     """
 
-    def __init__(
-        self,
-        inner: MemFileSystem | None = None,
-        *,
-        seed: int = 0,
-        tracer: Tracer | None = None,
-    ) -> None:
-        self.inner = inner if inner is not None else MemFileSystem()
+    def __init__(self, *, seed: int = 0, tracer: Tracer | None = None) -> None:
+        self.inner = MemFileSystem()
         self._seed = seed
         self._rng = random.Random(seed)
         self._tracer = tracer if tracer is not None else NULL_TRACER
@@ -353,9 +347,9 @@ class KVModel:
     promised durable the last time the harness looked.
     """
 
-    history: dict = field(default_factory=dict)
-    durable: int = 0
-    ticket: int = 0
+    history: dict = field(default_factory=dict, init=False)
+    durable: int = field(default=0, init=False)
+    ticket: int = field(default=0, init=False)
 
     def record(self, key: bytes, value: bytes | None, seq: int) -> None:
         self.history.setdefault(key, []).append((seq, value))
@@ -370,9 +364,11 @@ class KVModel:
         return b"v%06d:" % self.ticket + b"x" * rng.randint(20, 90)
 
 
-def check_crash_invariants(
-    db, model: KVModel, *, probe_absent: int = 5
-) -> list[str]:
+#: Never-written keys the oracle probes after recovery.
+_PROBE_ABSENT = 5
+
+
+def check_crash_invariants(db, model: KVModel) -> list[str]:
     """Post-recovery oracle; returns human-readable violations (empty = ok).
 
     1. Durability: each key reads back a value no older than its newest
@@ -418,7 +414,7 @@ def check_crash_invariants(
                 f"key {key!r}: recovered {got!r}, durable version (seq "
                 f"{floor_seq}) was {durable_val!r}, watermark {model.durable}"
             )
-    for i in range(probe_absent):
+    for i in range(_PROBE_ABSENT):
         probe = b"__never_written_%d" % i
         if db.get(probe) is not None:
             violations.append(f"phantom key materialized: {probe!r}")

@@ -205,10 +205,6 @@ class Histogram:
             ti += 1
         return out
 
-    def percentile(self, p: float) -> float:
-        """Estimate the p-th percentile (0 < p <= 100)."""
-        return self.percentiles([p])[0]
-
     def merge(self, other: "Histogram") -> None:
         self._drain()
         other._drain()

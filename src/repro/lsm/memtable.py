@@ -47,10 +47,9 @@ _ENTRY_OVERHEAD = 40
 #: view holds and the protocol every read-path merge source speaks.
 Entry = tuple[bytes, ValueKind, bytes]
 
-# Hot-path bindings: `add` runs once per write, so the encoder and the
-# tombstone tag are resolved at module load instead of per call.
+# Hot-path binding: `add` runs once per write, so the encoder is
+# resolved at module load instead of per call.
 _encode = ikey.encode
-_DELETE = ValueKind.DELETE
 
 
 def _iterate_from(view: list[Entry], at: int) -> Iterator[Entry]:
@@ -94,8 +93,6 @@ class MemTable:
         #: it against ``capacity_bytes`` without a property call.
         self.approx_bytes = 0
         self._num_entries = 0
-        self._num_deletes = 0
-        self._first_seq: int | None = None
         self._last_seq = 0
         #: The whole-key filter point lookups consult, or None.
         self._bloom: BloomFilter | None = None
@@ -122,10 +119,6 @@ class MemTable:
             state[1].append((user_key, seq, kind, value))
         self.approx_bytes += len(user_key) + len(value) + _ENTRY_OVERHEAD
         self._num_entries += 1
-        if kind is _DELETE:
-            self._num_deletes += 1
-        if self._first_seq is None:
-            self._first_seq = seq
         if seq > self._last_seq:
             self._last_seq = seq
         bloom_add = self._bloom_add
@@ -164,11 +157,6 @@ class MemTable:
                 return True, kind, value
         return False, None, None
 
-    def bloom_negative(self, user_key: bytes) -> bool:
-        """True when the memtable bloom filter can rule the key out."""
-        bloom = self._bloom
-        return bloom is not None and not bloom.may_contain(user_key)
-
     # -- accounting ----------------------------------------------------------
 
     @property
@@ -178,14 +166,6 @@ class MemTable:
     @property
     def num_entries(self) -> int:
         return self._num_entries
-
-    @property
-    def num_deletes(self) -> int:
-        return self._num_deletes
-
-    @property
-    def first_seq(self) -> int | None:
-        return self._first_seq
 
     @property
     def last_seq(self) -> int:

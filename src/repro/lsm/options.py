@@ -13,7 +13,7 @@ states one, and RocksDB 8.x / ``db_bench`` defaults otherwise.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Any, Iterator, Mapping
 
 from repro.errors import ImmutableOptionError
@@ -737,17 +737,14 @@ class Options:
         spec = spec_for(name)
         return self._values.get(name, spec.default)
 
-    def set(self, name: str, value: Any, *, allow_deprecated: bool = True) -> None:
+    def set(self, name: str, value: Any) -> None:
         """Validate and store one option value.
 
-        Deprecated options are storable by default (an OPTIONS file from
-        an old version must still load); the safeguard layer decides
-        whether the *tuner* may touch them.
+        Deprecated options are storable (an OPTIONS file from an old
+        version must still load); the safeguard layer decides whether
+        the *tuner* may touch them.
         """
-        spec = spec_for(name)
-        if spec.deprecated and not allow_deprecated:
-            raise DeprecatedOptionError(name)
-        self._values[name] = spec.validate(value)
+        self._values[name] = spec_for(name).validate(value)
 
     def unset(self, name: str) -> None:
         """Revert one option to its default."""

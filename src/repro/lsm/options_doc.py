@@ -10,7 +10,6 @@ material. Regenerate ``docs/options-reference.md`` with::
 from __future__ import annotations
 
 import sys
-from typing import Any
 
 from repro.lsm.options import CATALOG, OptKind, Section, format_size
 

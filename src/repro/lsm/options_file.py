@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from typing import Any, Iterable
 
-from repro.errors import OptionsFileError, UnknownOptionError
+from repro.errors import OptionsFileError
 from repro.lsm.options import (
     CATALOG,
     Options,
@@ -29,17 +29,11 @@ _HEADER = (
 _VERSION_SECTION = "Version"
 
 
-def serialize_options(options: Options, *, only_overrides: bool = False) -> str:
-    """Render ``options`` as OPTIONS-file text.
-
-    With ``only_overrides`` the file lists just explicitly-set values;
-    otherwise every catalog option appears (like RocksDB's dump).
-    """
+def serialize_options(options: Options) -> str:
+    """Render ``options`` as OPTIONS-file text: every catalog option
+    appears (like RocksDB's dump)."""
     sections: dict[Section, list[str]] = {s: [] for s in Section}
-    overrides = options.overrides()
     for spec in CATALOG:
-        if only_overrides and spec.name not in overrides:
-            continue
         value = options.get(spec.name)
         sections[spec.section].append(f"  {spec.name}={_format_value(value)}")
     out = [_HEADER]

@@ -14,43 +14,39 @@ performance in the direction its RocksDB counterpart does.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 
 from repro.hardware.profile import HardwareProfile
 from repro.lsm.options import Options
 from repro.lsm.sstable import ReadStats
 
 
-@dataclass(frozen=True)
 class CpuCosts:
     """Per-component CPU costs in microseconds on a 1.0-speed core."""
 
-    memtable_insert: float = 1.9
-    memtable_lookup: float = 0.5
-    memtable_bloom_probe: float = 0.08
-    wal_encode_per_byte: float = 0.004
-    pipelined_write_overhead: float = 0.30
-    write_group_coordination: float = 0.45
-    bloom_probe: float = 0.12
-    index_search: float = 0.35
-    block_search: float = 0.55
-    block_decode_per_kb: float = 0.05
-    page_cache_hit: float = 5.0
-    decompress_per_kb: dict[str, float] | None = None
-    compress_per_kb: dict[str, float] | None = None
-    merge_entry: float = 0.35
-    malloc_stats_dump: float = 1800.0
+    __slots__ = ()
+
+    memtable_insert = 1.9
+    memtable_lookup = 0.5
+    memtable_bloom_probe = 0.08
+    wal_encode_per_byte = 0.004
+    pipelined_write_overhead = 0.30
+    write_group_coordination = 0.45
+    bloom_probe = 0.12
+    index_search = 0.35
+    block_search = 0.55
+    block_decode_per_kb = 0.05
+    page_cache_hit = 5.0
+    merge_entry = 0.35
+    malloc_stats_dump = 1800.0
     #: Per-key coordination inside one batched MultiGet call — far below
     #: a full per-operation setup, which is the batching win.
-    multiget_per_key: float = 0.18
+    multiget_per_key = 0.18
 
     def decompress_cost(self, codec: str, nbytes: int) -> float:
-        table = self.decompress_per_kb or _DECOMPRESS_PER_KB
-        return table.get(codec, 0.0) * nbytes / 1024.0
+        return _DECOMPRESS_PER_KB.get(codec, 0.0) * nbytes / 1024.0
 
     def compress_cost(self, codec: str, nbytes: int) -> float:
-        table = self.compress_per_kb or _COMPRESS_PER_KB
-        return table.get(codec, 0.0) * nbytes / 1024.0
+        return _COMPRESS_PER_KB.get(codec, 0.0) * nbytes / 1024.0
 
 
 _DECOMPRESS_PER_KB = {"none": 0.0, "snappy": 0.12, "lz4": 0.10, "zlib": 0.9, "zstd": 0.35}
@@ -121,12 +117,11 @@ class PerfModel:
         profile: HardwareProfile,
         options: Options,
         *,
-        cpu: CpuCosts | None = None,
         byte_scale: float = 1.0,
     ) -> None:
         self.profile = profile
         self.options = options
-        self.cpu = cpu if cpu is not None else CpuCosts()
+        self.cpu = CpuCosts()
         self.smoother = WriteSmoother(options, profile, byte_scale)
         self._codec = options.get("compression")
         #: Background jobs over a byte_scale'd dataset run ~1/byte_scale

@@ -25,10 +25,6 @@ class RateLimiter:
     def enabled(self) -> bool:
         return self._rate > 0
 
-    @property
-    def bytes_per_second(self) -> int:
-        return self._rate
-
     def set_bytes_per_second(
         self, bytes_per_sec: int, now_us: float | None = None
     ) -> None:

@@ -28,7 +28,7 @@ class Snapshot:
     _list: "SnapshotList" = field(repr=False, compare=False)
     #: Set by SnapshotList.release the first time this handle is
     #: released; later releases of the same handle are no-ops.
-    _released: bool = field(default=False, repr=False, compare=False)
+    _released: bool = field(default=False, init=False, repr=False, compare=False)
 
     def release(self) -> None:
         self._list.release(self)
@@ -74,9 +74,6 @@ class SnapshotList:
         frozen = SnapshotList()
         frozen._seqs = list(self._seqs)
         return frozen
-
-    def oldest(self) -> int | None:
-        return self._seqs[0] if self._seqs else None
 
     def has_snapshot_in(self, lo: int, hi: int) -> bool:
         """Any live snapshot s with lo <= s < hi?"""

@@ -512,14 +512,6 @@ class SSTableReader:
             int, tuple[bytes | None, bytes | None, list[tuple[bytes, bytes]]]
         ] = {}
 
-    @property
-    def num_blocks(self) -> int:
-        return len(self._index)
-
-    @property
-    def has_bloom(self) -> bool:
-        return self._bloom is not None
-
     def seed(self, blocks: list[KeptBlock]) -> None:
         """Start the decoded-block memo from what this table's builder
         kept (:attr:`SSTableBuilder.kept_blocks`), so the table's first
@@ -707,11 +699,7 @@ class SSTableReader:
                 yield entry_ikey, _KIND_OF[packed[0]], packed[1:]
 
     def read_packed(
-        self,
-        *,
-        cache_get: CacheGet | None = None,
-        cache_put: CachePut | None = None,
-        stats: ReadStats | None = None,
+        self, *, stats: ReadStats | None = None
     ) -> list[tuple[bytes, bytes]]:
         """All ``(internal_key, kind_byte + value)`` pairs, in order.
 
@@ -728,7 +716,7 @@ class SSTableReader:
         local = stats if stats is not None else ReadStats()
         out: list[tuple[bytes, bytes]] = []
         for idx in range(len(self._index)):
-            out += self._read_block(idx, cache_get, cache_put, local)
+            out += self._read_block(idx, None, None, local)
         self._decoded.clear()
         return out
 

@@ -19,10 +19,10 @@ class Version:
     """Mutable level structure (single-writer engine: mutated in place)."""
 
     num_levels: int
-    levels: list[list[FileMetaData]] = field(default_factory=list)
+    levels: list[list[FileMetaData]] = field(init=False)
     #: Monotonic mutation counter; bumps whenever the file set changes so
     #: derived quantities (pending compaction debt) can be memoized.
-    stamp: int = 0
+    stamp: int = field(default=0, init=False)
     #: ``largest_key`` of every file, per level and in list order: the
     #: bisect keys of :meth:`files_for_key` and :meth:`files_from`,
     #: updated by every mutation instead of rebuilt per lookup.
@@ -33,13 +33,8 @@ class Version:
     def __post_init__(self) -> None:
         if self.num_levels < 2:
             raise DBError("need at least two levels")
-        if not self.levels:
-            self.levels = [[] for _ in range(self.num_levels)]
-        elif len(self.levels) != self.num_levels:
-            raise DBError("levels list does not match num_levels")
-        self._largest = [
-            [f.largest_key for f in files] for files in self.levels
-        ]
+        self.levels = [[] for _ in range(self.num_levels)]
+        self._largest = [[] for _ in range(self.num_levels)]
 
     # -- mutation ----------------------------------------------------------
 

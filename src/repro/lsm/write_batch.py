@@ -33,7 +33,7 @@ class WriteBatch:
     """An ordered list of puts/deletes applied atomically via
     :meth:`repro.lsm.db.DB.write`."""
 
-    ops: list[BatchOp] = field(default_factory=list)
+    ops: list[BatchOp] = field(default_factory=list, init=False)
 
     def put(self, key: bytes, value: bytes) -> "WriteBatch":
         if not key:
@@ -52,7 +52,3 @@ class WriteBatch:
 
     def __len__(self) -> int:
         return len(self.ops)
-
-    @property
-    def approximate_bytes(self) -> int:
-        return sum(len(op.key) + len(op.value) + 24 for op in self.ops)

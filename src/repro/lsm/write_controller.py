@@ -34,10 +34,6 @@ class StallDecision:
     #: Bytes/sec pacing when DELAYED.
     delayed_rate: int = 0
 
-    @property
-    def normal(self) -> bool:
-        return self.state is WriteState.NORMAL
-
 
 _NORMAL = StallDecision(WriteState.NORMAL)
 

@@ -19,6 +19,12 @@ from dataclasses import dataclass
 
 from repro.obs.events import ServiceProgress, TraceEvent, WorkloadDrift
 
+#: Absolute read-mix delta between windows that counts as drift.
+_READ_MIX_THRESHOLD = 0.15
+#: Absolute cache-hit-rate delta between windows that counts as drift
+#: (the key-skew proxy).
+_HIT_RATE_THRESHOLD = 0.10
+
 
 @dataclass(frozen=True)
 class DriftConfig:
@@ -26,11 +32,6 @@ class DriftConfig:
 
     #: Ops per characterization window (boundaries land on multiples).
     window_ops: int = 4000
-    #: Absolute read-mix delta between windows that counts as drift.
-    read_mix_threshold: float = 0.15
-    #: Absolute cache-hit-rate delta between windows that counts as
-    #: drift (the key-skew proxy).
-    hit_rate_threshold: float = 0.10
     #: Hysteresis: minimum completed ops between two emitted drift
     #: events. The detector adopts each window as the new baseline, so
     #: without a cooldown an alternating A/B/A/B workload fires at
@@ -41,10 +42,6 @@ class DriftConfig:
     def __post_init__(self) -> None:
         if self.window_ops < 1:
             raise ValueError("window_ops must be positive")
-        if not 0.0 < self.read_mix_threshold <= 1.0:
-            raise ValueError("read_mix_threshold must be in (0, 1]")
-        if not 0.0 < self.hit_rate_threshold <= 1.0:
-            raise ValueError("hit_rate_threshold must be in (0, 1]")
         if self.min_ops_between_emits < 0:
             raise ValueError("min_ops_between_emits cannot be negative")
 
@@ -84,12 +81,12 @@ class DriftDetector:
             pass
         elif (
             self._prev_mix is not None
-            and abs(mix - self._prev_mix) >= self.config.read_mix_threshold
+            and abs(mix - self._prev_mix) >= _READ_MIX_THRESHOLD
         ):
             drift = WorkloadDrift("read_fraction", self._prev_mix, mix, window_ops)
         elif (
             self._prev_hit is not None
-            and abs(hit - self._prev_hit) >= self.config.hit_rate_threshold
+            and abs(hit - self._prev_hit) >= _HIT_RATE_THRESHOLD
         ):
             drift = WorkloadDrift("cache_hit_rate", self._prev_hit, hit, window_ops)
         self._prev_mix = mix

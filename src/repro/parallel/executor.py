@@ -14,7 +14,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Iterable
 
-from repro.bench.spec import DEFAULT_BYTE_SCALE, DEFAULT_SCALE, workload
+from repro.bench.spec import DEFAULT_SCALE, workload
 from repro.core.session import TuningSession
 from repro.core.stopping import StoppingCriteria
 from repro.core.tuner import ElmoTune, TunerConfig
@@ -41,7 +41,6 @@ class SessionTask:
     seed: int = 42
     scale: float = DEFAULT_SCALE
     iterations: int = 7
-    byte_scale: float = DEFAULT_BYTE_SCALE
 
 
 def _run_session_task(task: SessionTask) -> TuningSession:
@@ -51,7 +50,6 @@ def _run_session_task(task: SessionTask) -> TuningSession:
     config = TunerConfig(
         workload=workload(task.workload, task.scale).with_seed(task.seed),
         profile=profile_for_cell(task.cell),
-        byte_scale=task.byte_scale,
         stopping=StoppingCriteria(max_iterations=task.iterations),
     )
     # The tuner's default ring capture lands on session.trace_events,

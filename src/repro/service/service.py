@@ -253,7 +253,7 @@ class ServiceResult:
     reshards: list = field(default_factory=list)
     #: Always 0 (the service refuses no request); its one reader is
     #: ``service.sheds`` in benchmarks/perf/workloads.py.
-    sheds: int = 0
+    sheds: int = field(default=0, init=False)
     #: Completed leader failovers, in order: (shard, crashed_replica,
     #: promoted_replica) tuples.
     failovers: list = field(default_factory=list)

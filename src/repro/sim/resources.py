@@ -59,9 +59,6 @@ class SlotPool:
             self._free_at = [self._free_at[i] for i in order[:capacity]]
             self._settled_at = [self._settled_at[i] for i in order[:capacity]]
 
-    def earliest_free_us(self) -> float:
-        return min(self._free_at)
-
     def busy_count(self, now_us: float) -> int:
         """Number of slots still busy at ``now_us``."""
         return sum(1 for t in self._free_at if t > now_us)

@@ -1,5 +1,7 @@
 """Tests for phased workloads: mid-run mix/skew shifts."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.bench.runner import DbBench
@@ -65,8 +67,8 @@ class TestWorkloadPhase:
         assert _spec().schedule(2000) == [(0, 0.0, "uniform")]
 
     def test_with_phases_and_scaled_survive(self):
-        spec = _spec().with_phases(
-            WorkloadPhase(at_fraction=0.5, read_fraction=1.0)
+        spec = replace(
+            _spec(), phases=(WorkloadPhase(at_fraction=0.5, read_fraction=1.0),)
         )
         scaled = spec.scaled(2.0)
         assert scaled.phases == spec.phases

@@ -66,7 +66,7 @@ class TestPromptExpertRoundTrip:
         assert changes
         # And everything the disciplined expert proposes passes vetting.
         result = SafeguardEnforcer().vet(changes, Options())
-        assert result.clean, result.describe()
+        assert not result.rejected, result.describe()
 
     def test_disciplined_expert_is_clean_across_many_seeds(self):
         profile = make_profile(4, 4)
@@ -79,7 +79,7 @@ class TestPromptExpertRoundTrip:
             )
             response = expert.complete(messages)
             changes = extract_changes(response)
-            assert enforcer.vet(changes, Options()).clean, seed
+            assert not enforcer.vet(changes, Options()).rejected, seed
 
 
 class TestReportingEdges:

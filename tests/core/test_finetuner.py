@@ -34,8 +34,6 @@ class TestFineTuneConfig:
     def test_validation(self):
         with pytest.raises(ValueError):
             FineTuneConfig(max_probes=0)
-        with pytest.raises(ValueError):
-            FineTuneConfig(steps=())
 
 
 class TestStepping:
@@ -80,11 +78,6 @@ class TestCandidates:
         assert "compression" not in names
         assert "paranoid_checks" not in names
 
-    def test_explicit_list(self):
-        fine = FineTuneConfig(options_to_tune=("block_cache_size",))
-        tuner = FineTuner(config(), fine)
-        assert tuner._candidates(Options()) == ["block_cache_size"]
-
 
 class TestFineTunerSearch:
     def test_respects_probe_budget(self):
@@ -100,11 +93,8 @@ class TestFineTunerSearch:
             result.start_metrics.ops_per_sec
 
     def test_improves_read_workload_via_cache(self):
-        fine = FineTuneConfig(
-            max_probes=8,
-            options_to_tune=("block_cache_size", "bloom_filter_bits_per_key"),
-        )
-        tuner = FineTuner(config(), fine)
+        # The two overridden options are the first candidates.
+        tuner = FineTuner(config(), FineTuneConfig(max_probes=8))
         start = Options({"bloom_filter_bits_per_key": 4.0,
                          "block_cache_size": 64 << 20})
         result = tuner.run(start)
@@ -119,8 +109,7 @@ class TestFineTunerSearch:
     def test_a_rejected_value_skips_the_probe_and_a_bug_surfaces(
         self, monkeypatch
     ):
-        fine = FineTuneConfig(max_probes=2, options_to_tune=("block_cache_size",))
-        tuner = FineTuner(config(), fine)
+        tuner = FineTuner(config(), FineTuneConfig(max_probes=2))
         metrics = tuner._bench(Options())
         # no benchmark runs below, so the search is set()'s only caller
         monkeypatch.setattr(tuner, "_bench", lambda options: metrics)

@@ -2,11 +2,12 @@
 
 import pytest
 
-from repro.bench.runner import ProgressEvent
 from repro.core.bench_parser import BenchMetrics
 from repro.core.flagger import ActiveFlagger
-from repro.core.monitor import BenchmarkMonitor, MonitorConfig
+from repro.core.monitor import BenchmarkMonitor
 from repro.core.stopping import StoppingCriteria, StopTracker
+from repro.obs.events import BenchProgress
+from repro.obs.tracer import Tracer
 
 
 def metrics(ops, p99w=None, p99r=None, aborted=False):
@@ -47,66 +48,70 @@ class TestActiveFlagger:
         assert not ActiveFlagger().decide(best, candidate).keep
 
     def test_min_gain_threshold(self):
-        flagger = ActiveFlagger(min_gain=0.10)
-        assert not flagger.decide(metrics(100, p99w=5),
-                                  metrics(105, p99w=5)).improved
+        """The threshold is zero: any throughput gain is an improvement."""
+        decision = ActiveFlagger().decide(metrics(100, p99w=5),
+                                          metrics(100.5, p99w=5))
+        assert decision.keep and decision.improved
 
-    def test_invalid_min_gain(self):
-        with pytest.raises(ValueError):
-            ActiveFlagger(min_gain=-0.1)
+    def test_flat_throughput_outside_the_band_is_reverted(self):
+        best = metrics(100, p99w=10.0)
+        candidate = metrics(97.5, p99w=7.0)  # better tail, 2.5% slower
+        assert not ActiveFlagger().decide(best, candidate).keep
 
 
 class TestBenchmarkMonitor:
-    def event(self, done, total=10_000, ops=1000.0):
-        return ProgressEvent(done, total, done / ops if ops else 0.0, ops)
+    """The monitor as a trace sink: progress samples in, an abort
+    request on the tracer's control channel out."""
+
+    def run(self, reference, *samples, total=10_000):
+        monitor = BenchmarkMonitor(reference)
+        tracer = Tracer(monitor)
+        for done, ops in samples:
+            tracer.emit(BenchProgress(done, total, done / ops, ops))
+        return monitor, tracer
 
     def test_no_reference_never_aborts(self):
-        monitor = BenchmarkMonitor(MonitorConfig(), None)
-        assert monitor(self.event(9000, ops=1.0))
-        assert not monitor.fired
+        monitor, tracer = self.run(None, (9000, 1.0))
+        assert not monitor.fired and not tracer.abort_requested
 
     def test_warmup_grace_period(self):
-        monitor = BenchmarkMonitor(MonitorConfig(warmup_fraction=0.5), 1000.0)
-        assert monitor(self.event(1000, ops=10.0))  # terrible but warming up
+        # Terrible, but inside the first 20% of the run.
+        monitor, tracer = self.run(1000.0, (1000, 10.0))
+        assert not monitor.fired and not tracer.abort_requested
 
     def test_aborts_after_warmup_when_slow(self):
-        monitor = BenchmarkMonitor(MonitorConfig(), 1000.0)
-        assert not monitor(self.event(5000, ops=100.0))
+        monitor, tracer = self.run(1000.0, (5000, 100.0))
         assert monitor.fired
+        assert "below 50% of reference" in tracer.take_abort()
 
     def test_continues_when_healthy(self):
-        monitor = BenchmarkMonitor(MonitorConfig(), 1000.0)
-        assert monitor(self.event(5000, ops=900.0))
+        monitor, tracer = self.run(1000.0, (5000, 900.0))
+        assert not monitor.fired and not tracer.abort_requested
 
-    def test_disabled(self):
-        config = MonitorConfig(enabled=False)
-        monitor = BenchmarkMonitor(config, 1000.0)
-        assert monitor(self.event(9000, ops=1.0))
-
-    def test_invalid_config(self):
-        with pytest.raises(ValueError):
-            MonitorConfig(warmup_fraction=0.0)
-        with pytest.raises(ValueError):
-            MonitorConfig(abort_ratio=1.0)
+    def test_fires_once(self):
+        monitor, tracer = self.run(1000.0, (5000, 100.0))
+        tracer.take_abort()
+        tracer.emit(BenchProgress(6000, 10_000, 60.0, 100.0))
+        assert not tracer.abort_requested
 
 
 class TestStopping:
     def test_max_iterations(self):
         tracker = StopTracker(StoppingCriteria(max_iterations=2))
         best = metrics(100)
-        assert tracker.should_stop(best) is None
+        assert tracker.should_stop() is None
         tracker.record(True, best)
-        assert tracker.should_stop(best) is None
+        assert tracker.should_stop() is None
         tracker.record(True, best)
-        assert "max iterations" in tracker.should_stop(best)
+        assert "max iterations" in tracker.should_stop()
 
     def test_patience(self):
         tracker = StopTracker(StoppingCriteria(max_iterations=99, patience=2))
         best = metrics(100)
         tracker.record(False, best)
-        assert tracker.should_stop(best) is None
+        assert tracker.should_stop() is None
         tracker.record(False, best)
-        assert "no improvement" in tracker.should_stop(best)
+        assert "no improvement" in tracker.should_stop()
 
     def test_patience_resets_on_improvement(self):
         tracker = StopTracker(StoppingCriteria(max_iterations=99, patience=2))
@@ -114,7 +119,7 @@ class TestStopping:
         tracker.record(False, metrics(100))
         tracker.record(True, metrics(120))  # real gain resets the streak
         tracker.record(False, metrics(120))
-        assert tracker.should_stop(metrics(120)) is None
+        assert tracker.should_stop() is None
 
     def test_minimal_gain_counts_toward_patience(self):
         tracker = StopTracker(
@@ -124,9 +129,9 @@ class TestStopping:
         # Flagger said "improved", but the gains sit below minimal_gain:
         # the streak must keep growing and the stop reason must say so.
         tracker.record(True, metrics(101))
-        assert tracker.should_stop(metrics(101)) is None
+        assert tracker.should_stop() is None
         tracker.record(True, metrics(102))
-        reason = tracker.should_stop(metrics(102))
+        reason = tracker.should_stop()
         assert reason is not None and "no improvement" in reason
         assert "minimal gain" in reason
 
@@ -137,13 +142,7 @@ class TestStopping:
         tracker.seed(metrics(100))
         tracker.record(True, metrics(101))  # marginal: streak = 1
         tracker.record(True, metrics(120))  # 18.8% over 101: streak resets
-        assert tracker.should_stop(metrics(120)) is None
-
-    def test_target_throughput(self):
-        tracker = StopTracker(
-            StoppingCriteria(max_iterations=99, target_ops_per_sec=500.0))
-        tracker.record(True, metrics(600))
-        assert "target" in tracker.should_stop(metrics(600))
+        assert tracker.should_stop() is None
 
     def test_invalid_criteria(self):
         with pytest.raises(ValueError):

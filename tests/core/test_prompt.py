@@ -96,17 +96,9 @@ class TestSectionAblations:
         user = build(PromptSections(include_hardware=False))[1].content
         assert "## System Information" not in user
 
-    def test_no_workload(self):
-        user = build(PromptSections(include_workload=False))[1].content
-        assert "## Workload" not in user
-
     def test_no_options(self):
         user = build(PromptSections(include_options=False))[1].content
         assert "[DBOptions]" not in user
-
-    def test_overrides_only(self):
-        user = build(PromptSections(only_overridden_options=True))[1].content
-        assert "write_buffer_size" not in user  # nothing overridden
 
     def test_no_fio(self):
         user = build(PromptSections(include_fio=False))[1].content

@@ -3,7 +3,6 @@
 import pytest
 
 from repro.bench.spec import WorkloadSpec
-from repro.core.monitor import MonitorConfig
 from repro.core.stopping import StoppingCriteria
 from repro.core.tuner import ElmoTune, TunerConfig
 from repro.hardware import make_profile
@@ -98,7 +97,7 @@ class TestLoopMechanics:
         llm = ScriptedLLM([GOOD_RESPONSE], cycle=True)
         tuner = ElmoTune(config(iterations=2), llm)
         tuner.run()
-        assert tuner.transcript.num_calls == 2
+        assert len(tuner.transcript.exchanges) == 2
 
     def test_final_options_text(self):
         llm = ScriptedLLM([GOOD_RESPONSE], cycle=True)
@@ -118,7 +117,6 @@ class TestLoopMechanics:
         llm = ScriptedLLM([PROSE_RESPONSE], cycle=True)
         cfg = config(iterations=10)
         cfg.stopping = StoppingCriteria(max_iterations=10, patience=2)
-        cfg.format_retries = 0
         session = ElmoTune(cfg, llm).run()
         assert "no improvement" in session.stop_reason
         assert len(session.iterations) == 3  # baseline + 2 fruitless
@@ -138,9 +136,7 @@ class TestMonitorIntegration:
             "```\nwrite_buffer_size=65536\nlevel0_slowdown_writes_trigger=2\n"
             "level0_stop_writes_trigger=3\ndisable_auto_compactions=true\n```"
         ], cycle=True)
-        cfg = config(iterations=1)
-        cfg.monitor = MonitorConfig(warmup_fraction=0.2, abort_ratio=0.5)
-        session = ElmoTune(cfg, llm).run()
+        session = ElmoTune(config(iterations=1), llm).run()
         it1 = session.iterations[1]
         assert not it1.kept
         if it1.aborted_early:

@@ -82,4 +82,3 @@ class TestValidationAndScaling:
 
     def test_scaled_name(self):
         assert NVME_SSD.scaled(2.0).name == "nvme-ssd-x2"
-        assert NVME_SSD.scaled(2.0, name="slow").name == "slow"

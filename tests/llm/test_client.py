@@ -47,6 +47,7 @@ class TestTranscript:
         t = Transcript()
         t.record([ChatMessage("user", "abcd")], "efgh")
         t.record([ChatMessage("user", "xy")], "z")
-        assert t.num_calls == 2
-        assert t.total_prompt_chars() == 6
-        assert t.total_response_chars() == 5
+        assert [ex.response for ex in t.exchanges] == ["efgh", "z"]
+        assert [m.content for ex in t.exchanges for m in ex.messages] == [
+            "abcd", "xy"
+        ]

@@ -72,7 +72,7 @@ def test_compactions_open_no_reader_and_decode_no_handed_block(monkeypatch):
             before = counts["decodes"]
             rows = read_packed(self, **kwargs)
             reads.append((levels[self.file_number], self.file_number,
-                          counts["decodes"] - before, self.num_blocks))
+                          counts["decodes"] - before, len(self._index)))
             return rows
 
         in_job.append(0)

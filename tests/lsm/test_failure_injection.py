@@ -62,7 +62,7 @@ class TestCorruption:
                 db.get(b"%05d" % i) == b"x" * 64 for i in range(500)
             )
         reader, cached = db._table_cache.get(number)
-        assert cached and len(reader._decoded) == reader.num_blocks
+        assert cached and len(reader._decoded) == len(reader._index)
         db.block_cache.erase_file(number)
         db._page_cache.erase_file(number)
         assert db.get(b"%05d" % 0) == b"x" * 64  # clean re-read: fine

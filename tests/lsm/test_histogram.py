@@ -13,7 +13,7 @@ class TestHistogram:
         assert h.count == 0
         assert h.average == 0.0
         assert h.minimum == 0.0
-        assert h.percentile(99) == 0.0
+        assert h.percentiles([99])[0] == 0.0
 
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
@@ -38,17 +38,17 @@ class TestHistogram:
         h = Histogram()
         for v in range(1, 101):
             h.add(float(v))
-        assert h.percentile(50) <= h.percentile(99) <= h.percentile(99.9)
-        assert h.minimum <= h.percentile(1)
-        assert h.percentile(100) <= h.maximum
+        assert h.percentiles([50])[0] <= h.percentiles([99])[0] <= h.percentiles([99.9])[0]
+        assert h.minimum <= h.percentiles([1])[0]
+        assert h.percentiles([100])[0] <= h.maximum
 
     def test_percentile_accuracy_within_bucket_resolution(self):
         h = Histogram()
         for v in range(1, 10001):
             h.add(float(v))
         # Geometric buckets give ~50% resolution; check broad accuracy.
-        assert 4000 < h.percentile(50) < 7600
-        assert 9000 < h.percentile(99) <= 10000
+        assert 4000 < h.percentiles([50])[0] < 7600
+        assert 9000 < h.percentiles([99])[0] <= 10000
 
     def test_p99_separates_tail(self):
         h = Histogram()
@@ -56,16 +56,16 @@ class TestHistogram:
             h.add(2.0)
         for _ in range(10):
             h.add(5000.0)
-        assert h.percentile(50) < 5.0
-        assert h.percentile(99.5) > 1000.0
+        assert h.percentiles([50])[0] < 5.0
+        assert h.percentiles([99.5])[0] > 1000.0
 
     def test_invalid_percentile(self):
         h = Histogram()
         h.add(1.0)
         with pytest.raises(ValueError):
-            h.percentile(0)
+            h.percentiles([0])[0]
         with pytest.raises(ValueError):
-            h.percentile(101)
+            h.percentiles([101])[0]
 
     def test_merge(self):
         a, b = Histogram(), Histogram()
@@ -99,7 +99,7 @@ class TestHistogram:
         h = Histogram()
         for v in values:
             h.add(v)
-        p50, p95, p99 = h.percentile(50), h.percentile(95), h.percentile(99)
+        p50, p95, p99 = h.percentiles([50])[0], h.percentiles([95])[0], h.percentiles([99])[0]
         assert p50 <= p95 <= p99
         assert min(values) <= p50
         assert p99 <= max(values)
@@ -117,7 +117,7 @@ class TestDeferredAggregation:
         assert a.std_dev() == b.std_dev()
         assert a.minimum == b.minimum
         assert a.maximum == b.maximum
-        assert a.percentile(99) == b.percentile(99)
+        assert a.percentiles([99])[0] == b.percentiles([99])[0]
 
     def test_observe_many_rejects_negative_without_partial_state(self):
         h = Histogram()
@@ -165,7 +165,7 @@ class TestPercentilesBatch:
             h.add(float(i))
         ps = [50.0, 95.0, 99.0, 99.9]
         batch = h.percentiles(ps)
-        assert batch == [h.percentile(p) for p in ps]
+        assert batch == [h.percentiles([p])[0] for p in ps]
 
     def test_percentiles_are_monotone(self):
         h = Histogram()

@@ -28,12 +28,6 @@ class TestSerialize:
         assert "paranoid_checks=true" in text
         assert "use_fsync=false" in text
 
-    def test_only_overrides(self):
-        opts = Options({"num_levels": 5})
-        text = serialize_options(opts, only_overrides=True)
-        assert "num_levels=5" in text
-        assert "write_buffer_size" not in text
-
 
 class TestParse:
     def test_round_trip_defaults(self):

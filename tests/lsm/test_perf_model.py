@@ -5,7 +5,7 @@ import pytest
 
 from repro.hardware import NVME_SSD, SATA_HDD, make_profile
 from repro.lsm.options import MiB, Options
-from repro.lsm.perf_model import CpuCosts, PerfModel, WriteSmoother
+from repro.lsm.perf_model import PerfModel, WriteSmoother
 from repro.lsm.sstable import ReadStats
 
 
@@ -292,6 +292,3 @@ class TestMisc:
     def test_table_open_cost_positive(self):
         assert model().table_open_cost_us(1024, 512) > 0
 
-    def test_cpu_costs_customizable(self):
-        m = model(cpu=CpuCosts(memtable_insert=100.0))
-        assert m.put_cost_us(16, 100) > 100.0

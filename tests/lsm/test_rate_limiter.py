@@ -49,7 +49,7 @@ class TestRateLimiter:
     def test_rate_change(self):
         limiter = RateLimiter(1_000_000)
         limiter.set_bytes_per_second(2_000_000)
-        assert limiter.bytes_per_second == 2_000_000
+        assert limiter._rate == 2_000_000
         with pytest.raises(ValueError):
             limiter.set_bytes_per_second(-1)
 

@@ -59,10 +59,11 @@ class TestSnapshotList:
 
     def test_oldest(self):
         snaps = SnapshotList()
-        assert snaps.oldest() is None
+        assert not snaps.has_snapshot_in(0, 1 << 62)
         snaps.acquire(30)
         snaps.acquire(10)
-        assert snaps.oldest() == 10
+        assert not snaps.has_snapshot_in(0, 10)
+        assert snaps.has_snapshot_in(10, 11)
 
     def test_has_snapshot_in(self):
         snaps = SnapshotList()

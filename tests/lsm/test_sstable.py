@@ -199,7 +199,7 @@ class TestBloomIntegration:
         fs = MemFileSystem()
         build_table(fs, keys=500, bloom=10.0)
         reader = open_reader(fs)
-        assert reader.has_bloom
+        assert reader._bloom is not None
         negatives = 0
         for i in range(200):
             found, _, _, stats = reader.get(b"nope-%d" % i)
@@ -254,7 +254,7 @@ class TestBloomIntegration:
         fs = MemFileSystem()
         build_table(fs, keys=10, bloom=-1.0)
         reader = open_reader(fs)
-        assert not reader.has_bloom
+        assert reader._bloom is None
         _, _, _, stats = reader.get(b"key-000001")
         assert not stats.bloom_checked
 
@@ -570,7 +570,7 @@ class TestKeptBlocks:
         ]
         kept = build_kept(fs, "/db/000001.sst", entries, block_size=256,
                           restart_interval=16, codec="none")
-        assert open_reader(fs).num_blocks > 128
+        assert len(open_reader(fs)._index) > 128
         assert len(kept) == 128
 
 
@@ -646,13 +646,11 @@ class TestSeededReader:
 
         def packed(r, h):
             stats = ReadStats()
-            rows = r.read_packed(stats=stats, **{
-                k: v for k, v in h.items() if k.startswith("cache")
-            })
+            rows = r.read_packed(stats=stats)
             return rows, stats
 
         # The seeded reader decoded nothing the builder had kept.
-        assert decodes[1] == 0 and decodes[0] == sides[0][0].num_blocks
+        assert decodes[1] == 0 and decodes[0] == len(sides[0][0]._index)
         rows, _ = both(packed)
         assert rows == entries
         assert not sides[0][0]._decoded and not sides[1][0]._decoded

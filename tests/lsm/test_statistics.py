@@ -101,4 +101,4 @@ class TestFastLane:
         ha, hb = a.histogram(OpClass.GET), b.histogram(OpClass.GET)
         assert ha.count == hb.count
         assert ha.average == hb.average
-        assert ha.percentile(99) == hb.percentile(99)
+        assert ha.percentiles([99])[0] == hb.percentiles([99])[0]

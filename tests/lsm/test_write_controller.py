@@ -87,5 +87,5 @@ class TestDelayPacing:
         assert controller.delay_us_for(decision, 1000) == pytest.approx(1000.0)
 
     def test_normal_flag(self):
-        assert decide().normal
-        assert not decide(l0=20).normal
+        assert decide().state is WriteState.NORMAL
+        assert decide(l0=20).state is not WriteState.NORMAL

@@ -25,9 +25,7 @@ class TestConfig:
         with pytest.raises(ValueError):
             DriftConfig(window_ops=0)
         with pytest.raises(ValueError):
-            DriftConfig(read_mix_threshold=0.0)
-        with pytest.raises(ValueError):
-            DriftConfig(hit_rate_threshold=1.5)
+            DriftConfig(min_ops_between_emits=-1)
 
 
 class TestDetection:

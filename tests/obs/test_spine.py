@@ -9,7 +9,6 @@ trace in causal order.
 import pytest
 
 from repro.bench.spec import WorkloadSpec
-from repro.core.monitor import MonitorConfig
 from repro.core.stopping import StoppingCriteria
 from repro.core.tuner import ElmoTune, TunerConfig
 from repro.hardware import make_profile
@@ -112,17 +111,13 @@ class TestSessionReconstruction:
 
 
 class TestMonitorAndFlaggerInTrace:
-    def _trace_types(self, monitor_config):
-        llm = ScriptedLLM([COLLAPSING_RESPONSE], cycle=True)
-        cfg = config(iterations=1)
-        cfg.monitor = monitor_config
-        session = ElmoTune(cfg, llm).run()
+    def _trace_types(self, response):
+        llm = ScriptedLLM([response], cycle=True)
+        session = ElmoTune(config(iterations=1), llm).run()
         return session, [e.type for e in session.trace_events]
 
     def test_enabled_monitor_abort_revert_feedback_in_order(self):
-        session, types = self._trace_types(
-            MonitorConfig(warmup_fraction=0.2, abort_ratio=0.5)
-        )
+        session, types = self._trace_types(COLLAPSING_RESPONSE)
         it1 = session.iterations[1]
         assert not it1.kept
         assert it1.aborted_early
@@ -140,8 +135,12 @@ class TestMonitorAndFlaggerInTrace:
         assert feedback[0].deteriorated is True
         assert feedback[0].aborted_early is True
 
-    def test_disabled_monitor_still_reverts_without_abort(self):
-        session, types = self._trace_types(MonitorConfig(enabled=False))
+    def test_mild_regression_reverts_without_abort(self):
+        # ~0.64x the baseline: a regression, but above the monitor's
+        # abort ratio, so the run completes.
+        session, types = self._trace_types(
+            "```\nwrite_buffer_size=8388608\n```"
+        )
         it1 = session.iterations[1]
         assert not it1.kept
         assert not it1.aborted_early

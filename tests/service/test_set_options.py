@@ -4,7 +4,7 @@ events, the ``set_options`` fan-out, and early-stop via the monitor."""
 import pytest
 
 from repro.bench.spec import WorkloadSpec
-from repro.core.monitor import BenchmarkMonitor, MonitorConfig
+from repro.core.monitor import BenchmarkMonitor
 from repro.errors import DBClosedError, ImmutableOptionError
 from repro.lsm.options import Options
 from repro.obs.events import ServiceProgress, SetOptions
@@ -57,10 +57,7 @@ class TestProgressEvents:
         tracer = Tracer(sink)
         # An absurd reference throughput makes the monitor fire at the
         # first post-warmup sample.
-        monitor = BenchmarkMonitor(
-            MonitorConfig(warmup_fraction=0.2, abort_ratio=0.5),
-            reference_ops_per_sec=1e15,
-        )
+        monitor = BenchmarkMonitor(reference_ops_per_sec=1e15)
         service = ShardedService(_spec(), Options(), tracer=tracer)
         tracer.add_sink(monitor)
         try:

@@ -44,9 +44,9 @@ class TestSlotPool:
     def test_earliest_free(self):
         pool = SlotPool(2)
         pool.acquire(0.0, 100.0)
-        assert pool.earliest_free_us() == 0.0
+        assert pool.busy_count(0.0) == 1  # the other slot is free now
         pool.acquire(0.0, 30.0)
-        assert pool.earliest_free_us() == 30.0
+        assert pool.next_free_us(0.0) == 30.0
 
     def test_resize_grow(self):
         pool = SlotPool(1)
@@ -184,7 +184,7 @@ class TestPendingBookings:
         pool.settle(slot, 0.0, 50.0)
         pool.resize(1)
         assert pool.busy_count(25.0) == 1
-        assert pool.earliest_free_us() == 50.0
+        assert pool.next_free_us(25.0) == 50.0
 
 
 class TestReservedSeqnos:

@@ -1,5 +1,6 @@
 """DESIGN.md §3's module map names every module, and only real ones;
-every module and public name is reached from an entry point."""
+every module, public name and public method is reached from an entry
+point, and every knob is set by one."""
 
 import ast
 import functools
@@ -71,6 +72,56 @@ KEEP_TEST_ONLY = {
     "DB.get_property against every fixed property",
     "shard_for_key": "the reference test_matches_legacy_router_bit_for_bit "
     "checks ModuloPolicy's routing against",
+    # Public methods (``Class.method``) only tests call.
+    "DB.compact_range": "tests drive a store to a compacted shape with "
+    "it (whole or one key range) before checking snapshots, recovery, "
+    "scans and corruption detection",
+    "PerfModel.put_cost_us": "the reference formula "
+    "test_batch_single_parity checks the inlined put pricing against",
+    "SSTableBuilder.current_size": "the reference "
+    "test_add_many_packed_split_size_matches_add_many checks the packed "
+    "builder's split point against",
+    "FaultFS.schedule_error": "tests inject an I/O error at a chosen "
+    "operation to reach the error paths; the sweeps inject crashes only",
+    "HardwareProfile.with_device": "ROADMAP item 9: leaves with "
+    "test_profile's transform tests in the next census change",
+    "HardwareProfile.scaled_memory": "ROADMAP item 9: leaves with "
+    "test_profile's transform tests in the next census change",
+    "Options.unset": "ROADMAP item 9: leaves with test_set_and_unset in "
+    "the next census change",
+    "Options.is_set": "ROADMAP item 9: leaves with test_set_and_unset in "
+    "the next census change",
+}
+
+#: Knobs (``Owner.name``) no entry point sets, kept on purpose.
+KEEP_UNSET = {
+    "StoppingCriteria.patience": "the paper's minimal-improvement stop "
+    "(PAPER.md §1, step 6)",
+    "StoppingCriteria.minimal_gain": "the paper's minimal-improvement "
+    "stop (PAPER.md §1, step 6)",
+    "DbBench.env": "lets a test run a benchmark over a fault-injecting "
+    "filesystem (test_crash_recovery)",
+    "ReadStats.block_reads": "lets a test build one lookup's read record "
+    "and price it (test_perf_model's price identity)",
+    "SimClock.start_us": "lets a test start a clock mid-timeline",
+    "DB.iterator.end": "the cursor's exclusive upper bound (RocksDB's "
+    "iterate_upper_bound); test_db_iterator checks the file pruning it "
+    "buys",
+    "DB.scan.snapshot": "a scan at a pinned snapshot (RocksDB's "
+    "ReadOptions.snapshot), the view test_scan_equivalence and "
+    "test_snapshot compare with point gets",
+    "RingSink.capacity": "ROADMAP item 9: leaves with "
+    "test_ring_capacity_drops_oldest in the next census change",
+    "ZipfianKeys.theta": "ROADMAP item 9: leaves with test_invalid_theta "
+    "in the next census change",
+    "ValueGenerator.compression_ratio": "ROADMAP item 9: leaves with "
+    "test_keygen's incompressible-value test in the next census change",
+    "WorkloadSpec.value_size": "ROADMAP item 9: leaves with "
+    "test_spec_rejects_non_positive_value_size in the next census change",
+    "replay_wal.strict": "ROADMAP item 7's all-or-nothing batches make "
+    "strict replay raise on an orphaned continuation record",
+    "run_session_tasks.max_workers": "the serial run is the reference "
+    "test_serial_and_parallel_traces_identical compares the pool against",
 }
 
 
@@ -227,8 +278,235 @@ class TestReachability:
             for name, module in _public_names(reached)
             if module not in ALLOWED_UNREACHED and name not in referenced
         }
-        assert sorted(unreferenced - set(KEEP_TEST_ONLY)) == []
-        assert sorted(set(KEEP_TEST_ONLY) - unreferenced) == [], (
+        kept = {name for name in KEEP_TEST_ONLY if "." not in name}
+        assert sorted(unreferenced - kept) == []
+        assert sorted(kept - unreferenced) == [], (
             "kept names an entry point now reaches"
         )
         assert all(reason.strip() for reason in KEEP_TEST_ONLY.values())
+
+
+def _is_dataclass(node: ast.ClassDef) -> bool:
+    for decorator in node.decorator_list:
+        if isinstance(decorator, ast.Call):
+            decorator = decorator.func
+        if getattr(decorator, "id", getattr(decorator, "attr", None)) == "dataclass":
+            return True
+    return False
+
+
+def _dataclass_fields(node: ast.ClassDef) -> list[tuple[str, bool]]:
+    """(name, has a default) for each ``__init__`` field, in order."""
+    fields = []
+    for stmt in node.body:
+        if not (isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)):
+            continue
+        if "ClassVar" in ast.unparse(stmt.annotation):
+            continue
+        value = stmt.value
+        if isinstance(value, ast.Call) and getattr(value.func, "id", None) == "field":
+            if any(
+                kw.arg == "init" and getattr(kw.value, "value", True) is False
+                for kw in value.keywords
+            ):
+                continue
+        fields.append((stmt.target.id, value is not None))
+    return fields
+
+
+def _parameters(fn: ast.FunctionDef, bound: bool) -> list[tuple[str, int | None]]:
+    """(name, positional index) for each parameter with a default;
+    keyword-only parameters have no index."""
+    args = fn.args
+    positional = (args.posonlyargs + args.args)[1 if bound else 0:]
+    first_default = len(positional) - len(args.defaults)
+    knobs = [
+        (arg.arg, index)
+        for index, arg in enumerate(positional)
+        if index >= first_default
+    ]
+    knobs += [
+        (arg.arg, None)
+        for arg, default in zip(args.kwonlyargs, args.kw_defaults)
+        if default is not None
+    ]
+    return knobs
+
+
+def _public_classes(reached: set[str]):
+    for module in sorted(reached):
+        if _is_package(module) or module in ALLOWED_UNREACHED:
+            continue
+        for node in _tree(MODULES[module]).body:
+            if isinstance(node, ast.ClassDef) and not node.name.startswith("_"):
+                yield node
+            elif isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
+                yield node
+
+
+def _knobs(reached: set[str]):
+    """(owner, callee, name, positional index, is a field) for every
+    defaulted field of a public dataclass and every defaulted parameter
+    of a public function, ``__init__`` or public method."""
+    for node in _public_classes(reached):
+        if isinstance(node, ast.FunctionDef):
+            for name, index in _parameters(node, bound=False):
+                yield node.name, node.name, name, index, False
+            continue
+        if _is_dataclass(node):
+            for index, (name, has_default) in enumerate(_dataclass_fields(node)):
+                if has_default:
+                    yield node.name, node.name, name, index, True
+        for fn in node.body:
+            if not isinstance(fn, ast.FunctionDef):
+                continue
+            decorators = {ast.unparse(d) for d in fn.decorator_list}
+            owner = f"{node.name}.{fn.name}"
+            if fn.name == "__init__":
+                callee, owner = node.name, node.name
+            elif fn.name.startswith("_") or "property" in decorators:
+                continue
+            elif owner in KEEP_TEST_ONLY:
+                continue  # its parameters are its test's to set
+            else:
+                callee = fn.name
+            bound = "staticmethod" not in decorators
+            for name, index in _parameters(fn, bound):
+                yield owner, callee, name, index, False
+
+
+class _CallSites(ast.NodeVisitor):
+    """What the files pass, by callee name: keywords, the widest
+    positional prefix, and whether any call spreads ``*``/``**``
+    arguments. ``cls(...)`` and ``super().__init__(...)`` resolve to the
+    enclosing class and its bases; an attribute store (``x.name = v``,
+    not on ``self``) sets a dataclass field of that name."""
+
+    def __init__(self) -> None:
+        self.keywords: dict[str, set[str]] = {}
+        self.positional: dict[str, int] = {}
+        self.spread: set[str] = set()
+        self.stores: set[str] = set()
+        self.bases: dict[str, list[str]] = {}
+        self._classes: list[str] = []
+
+    def visit_ClassDef(self, node: ast.ClassDef) -> None:
+        self.bases[node.name] = [ast.unparse(b).rsplit(".", 1)[-1] for b in node.bases]
+        self._classes.append(node.name)
+        self.generic_visit(node)
+        self._classes.pop()
+
+    def visit_Attribute(self, node: ast.Attribute) -> None:
+        if isinstance(node.ctx, ast.Store) and getattr(node.value, "id", None) != "self":
+            self.stores.add(node.attr)
+        self.generic_visit(node)
+
+    def visit_Call(self, node: ast.Call) -> None:
+        func = node.func
+        here = self._classes[-1] if self._classes else None
+        if isinstance(func, ast.Name):
+            callees = [here if func.id == "cls" and here else func.id]
+        elif (
+            isinstance(func, ast.Attribute)
+            and func.attr == "__init__"
+            and isinstance(func.value, ast.Call)
+            and getattr(func.value.func, "id", None) == "super"
+        ):
+            callees = self.bases.get(here, [])
+        elif isinstance(func, ast.Attribute):
+            callees = [func.attr]
+        else:
+            callees = []
+        positional = sum(not isinstance(a, ast.Starred) for a in node.args)
+        for callee in callees:
+            self.keywords.setdefault(callee, set()).update(
+                kw.arg for kw in node.keywords if kw.arg is not None
+            )
+            self.positional[callee] = max(self.positional.get(callee, 0), positional)
+            if any(kw.arg is None for kw in node.keywords) or positional < len(node.args):
+                self.spread.add(callee)
+        self.generic_visit(node)
+
+
+def _live_files(reached: set[str]) -> list[pathlib.Path]:
+    return [
+        MODULES[m] for m in sorted(reached)
+        if not _is_package(m) and m not in ALLOWED_UNREACHED
+    ] + _root_files()
+
+
+def _unset_knobs() -> set[str]:
+    """``Owner.name`` for every knob no root and no reached module
+    sets. A dataclass field also counts as set through a subclass
+    call or ``dataclasses.replace(..., name=)``."""
+    reached = _reached()
+    sites = _CallSites()
+    for path in _live_files(reached):
+        sites.visit(_tree(path))
+    subclasses: dict[str, set[str]] = {}
+    for cls, bases in sites.bases.items():
+        for base in bases:
+            subclasses.setdefault(base, set()).add(cls)
+
+    def callees(name: str) -> set[str]:
+        found = {name}
+        for sub in subclasses.get(name, ()):
+            found |= callees(sub)
+        return found
+
+    unset = set()
+    for owner, callee, name, index, is_field in _knobs(reached):
+        targets = callees(callee) if is_field else {callee}
+        passed = any(
+            target in sites.spread
+            or name in sites.keywords.get(target, ())
+            or (index is not None and sites.positional.get(target, 0) > index)
+            for target in targets
+        )
+        if is_field:
+            passed = passed or name in sites.stores or name in sites.keywords.get(
+                "replace", ()
+            )
+        if not passed:
+            unset.add(f"{owner}.{name}")
+    return unset
+
+
+def _uncalled_methods() -> set[str]:
+    """``Class.method`` for every public method or property of a public
+    class no root and no reached module reads, matched by name."""
+    reached = _reached()
+    referenced = _referenced_names(_live_files(reached))
+    return {
+        f"{node.name}.{fn.name}"
+        for node in _public_classes(reached)
+        if isinstance(node, ast.ClassDef)
+        for fn in node.body
+        if isinstance(fn, ast.FunctionDef)
+        and not fn.name.startswith("_")
+        and fn.name not in referenced
+    }
+
+
+class TestSettableMeansSet:
+    """A knob nothing sets is a constant in disguise, and a method
+    nothing calls is code carried for its own test: each becomes a
+    constant or leaves, or is listed above with the reason it stays.
+    Callees and attributes are matched by name, as the public-name
+    census matches reads."""
+
+    def test_every_knob_is_set(self):
+        unset = _unset_knobs()
+        assert sorted(unset - set(KEEP_UNSET)) == []
+        assert sorted(set(KEEP_UNSET) - unset) == [], (
+            "kept knobs an entry point now sets"
+        )
+        assert all(reason.strip() for reason in KEEP_UNSET.values())
+
+    def test_every_public_method_is_called(self):
+        uncalled = _uncalled_methods()
+        kept = {name for name in KEEP_TEST_ONLY if "." in name}
+        assert sorted(uncalled - kept) == []
+        assert sorted(kept - uncalled) == [], (
+            "kept methods an entry point now calls"
+        )
