@@ -26,8 +26,7 @@ from repro.obs.events import BenchAbort, BenchEnd, BenchProgress, BenchStart
 from repro.obs.tracer import Tracer
 
 #: The periodic progress sample is a first-class trace event now; the
-#: old callback-facing name stays as an alias so existing monitors and
-#: tests keep constructing it positionally.
+#: callback-facing name stays as an alias for progress callbacks.
 ProgressEvent = BenchProgress
 
 #: Callback contract: return False to abort the run early.

@@ -271,8 +271,7 @@ class TestReachability:
 
     def test_every_public_name_is_referenced(self):
         reached = _reached()
-        live = [MODULES[m] for m in reached if not _is_package(m)]
-        referenced = _referenced_names(live + _root_files())
+        referenced = _referenced_names(_live_files(reached))
         unreferenced = {
             name
             for name, module in _public_names(reached)
@@ -333,22 +332,29 @@ def _parameters(fn: ast.FunctionDef, bound: bool) -> list[tuple[str, int | None]
     return knobs
 
 
-def _public_classes(reached: set[str]):
+def _live_files(reached: set[str]) -> list[pathlib.Path]:
+    """Every reached module (packages only resolve names) and root."""
+    return [
+        MODULES[m] for m in sorted(reached) if not _is_package(m)
+    ] + _root_files()
+
+
+def _public_defs(reached: set[str]):
+    """Top-level public classes and functions of the reached modules."""
     for module in sorted(reached):
-        if _is_package(module) or module in ALLOWED_UNREACHED:
-            continue
-        for node in _tree(MODULES[module]).body:
-            if isinstance(node, ast.ClassDef) and not node.name.startswith("_"):
-                yield node
-            elif isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
-                yield node
+        if not _is_package(module):
+            for node in _tree(MODULES[module]).body:
+                if isinstance(
+                    node, (ast.ClassDef, ast.FunctionDef)
+                ) and not node.name.startswith("_"):
+                    yield node
 
 
 def _knobs(reached: set[str]):
     """(owner, callee, name, positional index, is a field) for every
     defaulted field of a public dataclass and every defaulted parameter
     of a public function, ``__init__`` or public method."""
-    for node in _public_classes(reached):
+    for node in _public_defs(reached):
         if isinstance(node, ast.FunctionDef):
             for name, index in _parameters(node, bound=False):
                 yield node.name, node.name, name, index, False
@@ -428,13 +434,6 @@ class _CallSites(ast.NodeVisitor):
         self.generic_visit(node)
 
 
-def _live_files(reached: set[str]) -> list[pathlib.Path]:
-    return [
-        MODULES[m] for m in sorted(reached)
-        if not _is_package(m) and m not in ALLOWED_UNREACHED
-    ] + _root_files()
-
-
 def _unset_knobs() -> set[str]:
     """``Owner.name`` for every knob no root and no reached module
     sets. A dataclass field also counts as set through a subclass
@@ -479,7 +478,7 @@ def _uncalled_methods() -> set[str]:
     referenced = _referenced_names(_live_files(reached))
     return {
         f"{node.name}.{fn.name}"
-        for node in _public_classes(reached)
+        for node in _public_defs(reached)
         if isinstance(node, ast.ClassDef)
         for fn in node.body
         if isinstance(fn, ast.FunctionDef)
