@@ -27,6 +27,13 @@ _HOT_FRACTION = 0.01
 _HOT_ACCESS_FRACTION = 0.85
 _HOT_POWER = 1.2
 
+#: Zipfian skew: YCSB's default constant.
+_ZIPF_THETA = 0.99
+
+#: Share of each value drawn at random (the rest is spaces): the
+#: ~50% compressibility of db_bench's default ``compression_ratio``.
+_RANDOM_SHARE = 0.5
+
 
 @lru_cache(maxsize=1 << 16)
 def _format_key_cached(index: int) -> bytes:
@@ -65,16 +72,14 @@ class ZipfianKeys:
     """Zipfian-distributed key indices (YCSB-style rejection-free).
 
     Uses the Gray et al. analytic method: constant-time sampling without
-    building a table, accurate for theta in (0, 1).
+    building a table, at YCSB's skew (theta 0.99).
     """
 
-    def __init__(self, num_keys: int, theta: float = 0.99, seed: int = 0) -> None:
+    def __init__(self, num_keys: int, seed: int = 0) -> None:
         if num_keys <= 0:
             raise WorkloadError("key space must be positive")
-        if not 0 < theta < 1:
-            raise WorkloadError("zipfian theta must be in (0, 1)")
+        theta = _ZIPF_THETA
         self.num_keys = num_keys
-        self.theta = theta
         self._rng = random.Random(seed)
         self._alpha = 1.0 / (1.0 - theta)
         self._zetan = self._zeta(num_keys, theta)
@@ -99,7 +104,7 @@ class ZipfianKeys:
         uz = u * self._zetan
         if uz < 1.0:
             rank = 0
-        elif uz < 1.0 + 0.5**self.theta:
+        elif uz < 1.0 + 0.5**_ZIPF_THETA:
             rank = 1
         else:
             rank = int(self.num_keys * ((self._eta * u - self._eta + 1) ** self._alpha))
@@ -186,32 +191,28 @@ class ValueGenerator:
     """~50% compressible values of fixed or Pareto-distributed size.
 
     A value's random part is a slice of a 64 KiB pool, so it must be
-    shorter than the pool: the largest size a generator can draw
-    (``value_size``, 20x that under ``pareto_sizes``) times
-    ``compression_ratio`` has to stay below 65,536, or construction
-    raises :class:`~repro.errors.WorkloadError`.
+    shorter than the pool: half the largest size a generator can draw
+    (``value_size``, 20x that under ``pareto_sizes``) has to stay below
+    65,536, or construction raises
+    :class:`~repro.errors.WorkloadError`.
     """
 
     def __init__(
         self,
         value_size: int,
         *,
-        compression_ratio: float = 0.5,
         pareto_sizes: bool = False,
         seed: int = 0,
     ) -> None:
         if value_size <= 0:
             raise WorkloadError("value size must be positive")
-        if not 0.0 <= compression_ratio <= 1.0:
-            raise WorkloadError("compression ratio must be in [0, 1]")
         largest = value_size * 20 if pareto_sizes else value_size
-        if int(largest * compression_ratio) >= _POOL_SIZE:
+        if int(largest * _RANDOM_SHARE) >= _POOL_SIZE:
             raise WorkloadError(
                 f"value size {value_size} is too large: the random part of "
                 f"a {largest}-byte value does not fit the {_POOL_SIZE}-byte pool"
             )
         self.value_size = value_size
-        self._ratio = compression_ratio
         self._pareto = pareto_sizes
         self._rng = random.Random(seed)
         # Pre-built random pool sliced at random offsets: cheap per call.
@@ -229,7 +230,7 @@ class ValueGenerator:
 
     def next_value(self) -> bytes:
         size = self._size()
-        random_part = int(size * self._ratio)
+        random_part = int(size * _RANDOM_SHARE)
         offset = self._rng.randrange(len(self._pool) - max(1, random_part))
         return self._pool[offset : offset + random_part] + b"\x20" * (
             size - random_part

@@ -12,6 +12,7 @@ modeled latency and recording it in the statistics histograms.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import replace
 from typing import Any, Iterable, Iterator, Mapping
 
@@ -33,7 +34,7 @@ from repro.lsm.compaction.fifo import FifoPicker
 from repro.lsm.compaction.picker import Compaction, CompactionPicker
 from repro.lsm.compaction.universal import UniversalPicker
 from repro.lsm.env import Env
-from repro.lsm.ikey import MAX_SEQUENCE as _MAX_SEQUENCE
+from repro.lsm.ikey import MAX_SEQUENCE as _MAX_SEQUENCE, seek_key
 from repro.lsm.iterator import (
     concat_source,
     file_source,
@@ -46,12 +47,7 @@ from repro.lsm.options import Options, ensure_mutable, scale_byte_value
 from repro.lsm.options_file import serialize_options
 from repro.lsm.perf_model import PerfModel
 from repro.lsm.snapshot import Snapshot, SnapshotList
-from repro.lsm.sstable import (
-    FILTERED_OUT,
-    FileMetaData,
-    ReadStats,
-    SSTableReader,
-)
+from repro.lsm.sstable import FileMetaData, ReadStats, SSTableReader
 from repro.lsm.statistics import OpClass, Statistics, Ticker
 from repro.lsm.table_cache import TableCache
 from repro.lsm.version import Version
@@ -1113,8 +1109,7 @@ class DB:
         probes = 1
         mem = self._mem
         # The key is hashed once per lookup and the pair handed to every
-        # filter probed: memtable blooms here, SSTable filters in
-        # _search_levels.
+        # filter probed: memtable blooms and SSTable filters alike.
         hashes = key_hashes(key) if self._filters_on else None
         found, kind, value = mem.get(key, snap_seq, hashes)
         if not found:
@@ -1125,84 +1120,78 @@ class DB:
                     break
         if found and kind is _VALUE:
             found_value = value
-        latency = self._perf.memtable_get_cost_us(probes, busy)
+        perf = self._perf
+        latency = perf.memtable_get_cost_us(probes, busy)
         if found:
             tickers[_T_MEMTABLE_HIT] += 1
         else:
             tickers[_T_MEMTABLE_MISS] += 1
-            found, found_value, level_hit, read_cost = self._search_levels(
-                key, busy, snap_seq, hashes
+            # The level walk: an empty level costs one truthiness test,
+            # an L1+ level one bisect of its largest keys, and the seek
+            # key is encoded once for every table probed.
+            seek = seek_key(
+                key, snap_seq if snap_seq is not None else _MAX_SEQUENCE
             )
-            latency += read_cost
-            if found:
-                tickers[_T_GET_HIT_BY_LEVEL[min(level_hit, 2)]] += 1
+            cost = 0.0
+            probe_cost = perf.probe_cost_us
+            table_cache_get = self._table_cache.get
+            cache_get = self._cache_get
+            cache_put = self._block_cache.put
+            page_get = self._page_cache.get
+            page_put = self._page_cache.put
+            version = self._version
+            largest = version._largest
+            for level, files in enumerate(version.levels):
+                if not files:
+                    continue
+                if level:
+                    # Disjoint sorted run: the one file that can hold it.
+                    idx = bisect_left(largest[level], key)
+                    if idx == len(files) or files[idx].smallest_key > key:
+                        continue
+                    files = (files[idx],)
+                else:
+                    # Overlapping L0 files, newest first.
+                    files = [
+                        f for f in reversed(files)
+                        if f.smallest_key <= key <= f.largest_key
+                    ]
+                for meta in files:
+                    reader, cached = table_cache_get(meta.file_number)
+                    if not cached:
+                        cost += self._table_open_us(reader)
+                    probe = reader.get(
+                        key, seek, hashes, cache_get, cache_put, page_get, page_put
+                    )
+                    if probe is None:
+                        # The filter ruled the table out.
+                        cost += probe_cost(True, None, busy)
+                        tickers[_T_BLOOM_CHECKED] += 1
+                        tickers[_T_BLOOM_USEFUL] += 1
+                        continue
+                    bloom_checked, block_read, packed = probe
+                    cost += probe_cost(bloom_checked, block_read, busy)
+                    if bloom_checked:
+                        tickers[_T_BLOOM_CHECKED] += 1
+                    if block_read is not None and block_read[1] == "device":
+                        tickers[_T_BYTES_READ] += block_read[0]
+                        self._monitor.record_read(block_read[0])
+                    if packed is not None:
+                        found = True
+                        break
+                if found:
+                    tickers[_T_GET_HIT_BY_LEVEL[min(level, 2)]] += 1
+                    # The packed version's kind byte: 0 is a tombstone.
+                    if packed[0]:
+                        found_value = packed[1:]
+                    break
+            latency += cost
         if found_value is not None:
             tickers[_T_NUMBER_KEYS_FOUND] += 1
         latency = self._charge_read(latency)
         self._update_memory_gauge()
         self._stats.observe(_OP_GET, latency)
         return found_value
-
-    def _search_levels(
-        self,
-        key: bytes,
-        busy: int,
-        snapshot_seq: int | None = None,
-        hashes: tuple[int, int] | None = None,
-    ) -> tuple[bool, bytes | None, int, float]:
-        max_seq = (
-            snapshot_seq if snapshot_seq is not None else _MAX_SEQUENCE
-        )
-        cost = 0.0
-        filtered_cost: float | None = None
-        tickers = self._tickers
-        perf = self._perf
-        version = self._version
-        table_cache_get = self._table_cache.get
-        cache_get = self._cache_get
-        cache_put = self._block_cache.put
-        page_get = self._page_cache.get
-        page_put = self._page_cache.put
-        for level in range(version.num_levels):
-            for meta in version.files_for_key(level, key):
-                reader, cached = table_cache_get(meta.file_number)
-                if not cached:
-                    cost += self._table_open_us(reader)
-                hit, kind, value, rstats = reader.get(
-                    key,
-                    max_seq,
-                    hashes,
-                    cache_get=cache_get,
-                    cache_put=cache_put,
-                    page_get=page_get,
-                    page_put=page_put,
-                )
-                if rstats is FILTERED_OUT:
-                    # The filter ruled the table out and nothing else was
-                    # touched: the same record, hence the same price,
-                    # for every such table this lookup meets.
-                    if filtered_cost is None:
-                        filtered_cost = perf.table_read_cost_us(
-                            rstats, busy_bg_jobs=busy
-                        )
-                    cost += filtered_cost
-                    tickers[_T_BLOOM_CHECKED] += 1
-                    tickers[_T_BLOOM_USEFUL] += 1
-                    continue
-                cost += perf.table_read_cost_us(rstats, busy_bg_jobs=busy)
-                if rstats.bloom_checked:
-                    tickers[_T_BLOOM_CHECKED] += 1
-                if rstats.block_reads:
-                    # A point lookup reads at most one block per table.
-                    nbytes, source = rstats.block_reads[0]
-                    if source == "device":
-                        tickers[_T_BYTES_READ] += nbytes
-                        self._monitor.record_read(nbytes)
-                if hit:
-                    if kind is _DELETE:
-                        return True, None, level, cost
-                    return True, value, level, cost
-        return False, None, -1, cost
 
     def multi_get(
         self, keys: list[bytes], snapshot: Snapshot | None = None
@@ -1257,13 +1246,15 @@ class DB:
         latency = perf.memtable_get_cost_us(probes, busy)
         shared = ReadStats()
         version = self._version
-        for level in range(version.num_levels):
+        for level, files in enumerate(version.levels):
             if not pending:
                 break
+            if not files:
+                continue
             if level == 0:
                 # L0 files overlap: walk them newest-first, and stop
                 # looking for a key as soon as any file resolves it.
-                for meta in reversed(version.files_at(0)):
+                for meta in reversed(files):
                     if not pending:
                         break
                     group = [
@@ -1941,7 +1932,9 @@ class DBIterator:
                     start,
                 )
             )
-        for level in range(1, version.num_levels):
+        for level, files in enumerate(version.levels):
+            if not level or not files:
+                continue
             source = concat_source(
                 version.files_from(level, start),
                 lambda meta: self._open_entries(meta, start),

@@ -144,6 +144,9 @@ class PerfModel:
         self._pipelined = bool(options.get("enable_pipelined_write"))
         self._readahead_relief_cached = self._compute_readahead_relief()
         self._recompute_put_constants()
+        #: ``(bloom_checked, block_read, busy) -> price`` of a point
+        #: lookup's table probe, filled by :meth:`probe_cost_us`.
+        self._probe_prices: dict[tuple, float] = {}
 
     def refresh_options(self) -> None:
         """Re-resolve every hoisted option lookup from the bound bag.
@@ -164,6 +167,7 @@ class PerfModel:
         self._pipelined = bool(self.options.get("enable_pipelined_write"))
         self._readahead_relief_cached = self._compute_readahead_relief()
         self._recompute_put_constants()
+        self._probe_prices.clear()
 
     @property
     def byte_scale(self) -> float:
@@ -321,6 +325,27 @@ class PerfModel:
                     * self._device_read_factor(busy_bg_jobs)
                 )
         return self._cpu(cpu_cost, busy_bg_jobs) + device_cost
+
+    def probe_cost_us(
+        self, bloom_checked: bool, block_read: tuple[int, str] | None, busy: int
+    ) -> float:
+        """Price one table probe of a point lookup from the shape
+        :meth:`SSTableReader.get <repro.lsm.sstable.SSTableReader.get>`
+        reports (an index search happened exactly when a block was
+        read). Each shape is priced once per configuration, by
+        :meth:`table_read_cost_us` itself, so the float is the same;
+        :meth:`refresh_options` empties the table."""
+        key = (bloom_checked, block_read, busy)
+        cost = self._probe_prices.get(key)
+        if cost is None:
+            stats = ReadStats(bloom_checked)
+            if block_read is not None:
+                stats.index_read = True
+                stats.block_reads.append(block_read)
+            cost = self._probe_prices[key] = self.table_read_cost_us(
+                stats, busy_bg_jobs=busy
+            )
+        return cost
 
     def table_open_cost_us(self, index_bytes: int, filter_bytes: int) -> float:
         """Re-opening a table evicted from the table cache."""

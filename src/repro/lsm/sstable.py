@@ -9,8 +9,8 @@ Layout (offsets grow downward)::
 
 Entries map internal keys to ``kind byte + value``. The reader performs
 real binary searches over a real index and real bloom-filter probes, and
-reports *what it touched* in a :class:`ReadStats` so the caller can
-charge virtual time for it.
+reports *what it touched* (a :class:`ReadStats`, or a point lookup's
+probe shape) so the caller can charge virtual time for it.
 """
 
 from __future__ import annotations
@@ -75,21 +75,22 @@ class FileMetaData:
 
 @dataclass(slots=True)
 class ReadStats:
-    """What one point lookup touched inside a table.
+    """What a table read touched, for the caller to price.
 
     ``block_reads`` records ``(nbytes, source)`` per data block touched,
     where source is ``"cache"`` (block cache, decompressed), ``"page"``
-    (OS page cache, compressed), or ``"device"``.
+    (OS page cache, compressed), or ``"device"``. A point lookup's
+    probe (:meth:`SSTableReader.get`) fills none: the cost model prices
+    its shape (:meth:`~repro.lsm.perf_model.PerfModel.probe_cost_us`).
     """
 
     bloom_checked: bool = False
-    bloom_negative: bool = False
     index_read: bool = False
     block_reads: list[tuple[int, str]] = field(default_factory=list)
     #: Batched lookups (:meth:`SSTableReader.multi_get`) record *per-key*
     #: probe work in these counters — one stats object is shared across
-    #: the whole batch, so the boolean flags above (per-call semantics,
-    #: used by the single-get path) cannot carry the counts.
+    #: the whole batch, so the per-probe flags above cannot carry the
+    #: counts.
     bloom_probes: int = 0
     bloom_negatives: int = 0
     index_searches: int = 0
@@ -97,12 +98,6 @@ class ReadStats:
 
     def device_block_bytes(self) -> int:
         return sum(n for n, source in self.block_reads if source == "device")
-
-
-#: What every lookup that its table's filter rules out touched: the
-#: filter and nothing else. One shared record, so the commonest probe
-#: of a point lookup allocates nothing; it is read, never written.
-FILTERED_OUT = ReadStats(bloom_checked=True, bloom_negative=True)
 
 
 class SSTableBuilder:
@@ -531,22 +526,22 @@ class SSTableReader:
         idx: int,
         cache_get: CacheGet | None,
         cache_put: CachePut | None,
-        stats: ReadStats,
-        page_get: CacheGet | None = None,
-        page_put: CachePut | None = None,
-    ) -> list[tuple[bytes, bytes]]:
+        page_get: CacheGet | None,
+        page_put: CachePut | None,
+    ) -> tuple[list[tuple[bytes, bytes]], tuple[int, str]]:
+        """Block ``idx``'s entries and the read that fetched it:
+        ``(nbytes, source)`` as :attr:`ReadStats.block_reads` records it."""
         _last, off, sz = self._index[idx]
         cache_key = (self.file_number, off)
         memo = self._decoded.get(off)
         if cache_get is not None:
             cached = cache_get(cache_key)
             if cached is not None:
-                stats.block_reads.append((sz, "cache"))
                 if memo is not None and (cached is memo[1] or cached == memo[1]):
-                    return memo[2]
+                    return memo[2], (sz, "cache")
                 entries = decode_block(cached)
                 self._remember(off, None, cached, entries)
-                return entries
+                return entries, (sz, "cache")
         source = "device"
         envelope: bytes | None = None
         if page_get is not None:
@@ -570,10 +565,9 @@ class SSTableReader:
             else:
                 entries = decode_block(payload)
             self._remember(off, envelope, payload, entries)
-        stats.block_reads.append((sz, source))
         if cache_put is not None:
             cache_put(cache_key, payload, len(payload))
-        return entries
+        return entries, (sz, source)
 
     def _remember(
         self,
@@ -592,40 +586,40 @@ class SSTableReader:
     def get(
         self,
         user_key: bytes,
-        snapshot_seq: int = ikey_mod.MAX_SEQUENCE,
-        hashes: tuple[int, int] | None = None,
-        *,
-        cache_get: CacheGet | None = None,
-        cache_put: CachePut | None = None,
-        page_get: CacheGet | None = None,
-        page_put: CachePut | None = None,
-    ) -> tuple[bool, ValueKind | None, bytes | None, ReadStats]:
-        """Point lookup for the newest version visible at ``snapshot_seq``.
+        seek: bytes,
+        hashes: tuple[int, int] | None,
+        cache_get: CacheGet | None,
+        cache_put: CachePut | None,
+        page_get: CacheGet | None,
+        page_put: CachePut | None,
+    ) -> tuple[bool, tuple[int, str] | None, bytes | None] | None:
+        """Probe this table for the newest version of ``user_key`` that
+        ``seek`` (its :func:`~repro.lsm.ikey.seek_key`) can see.
 
         ``hashes`` is the key's :func:`~repro.lsm.bloom.key_hashes` when
         the caller already has them (a lookup probing several tables
         hashes its key once); only read when the table has a filter.
+
+        Returns None when the filter rules the table out (the filter was
+        checked and nothing else touched). Otherwise ``(bloom_checked,
+        block_read, packed)``: whether a filter was checked, the one
+        data block read as ``(nbytes, source)`` (None when the index
+        places the key past the table's last block), and the version's
+        kind byte + value, or None when the table holds no visible
+        version. An index search happened exactly when a block was read.
         """
         bloom = self._bloom
         if bloom is not None and not bloom.may_contain_hashes(
             hashes if hashes is not None else key_hashes(user_key)
         ):
-            return False, None, None, FILTERED_OUT
-        # bloom_checked, passed positionally: a keyword argument costs
-        # ~0.1 us on this per-table path.
-        stats = ReadStats(bloom is not None)
-        seek = ikey_mod.seek_key(user_key, snapshot_seq)
-        idx = self._block_index_for(seek)
-        if idx is None:
-            return False, None, None, stats
-        stats.index_read = True
-        entries = self._read_block(
-            idx, cache_get, cache_put, stats, page_get, page_put
+            return None
+        idx = bisect_left(self._index_keys, seek)
+        if idx == len(self._index_keys):
+            return bloom is not None, None, None
+        entries, block_read = self._read_block(
+            idx, cache_get, cache_put, page_get, page_put
         )
-        packed = _version_at(entries, seek)
-        if packed is None:
-            return False, None, None, stats
-        return True, _KIND_OF[packed[0]], packed[1:], stats
+        return bloom is not None, block_read, _version_at(entries, seek)
 
     def multi_get(
         self,
@@ -670,9 +664,10 @@ class SSTableReader:
             stats.index_searches += 1
             entries = loaded.get(idx)
             if entries is None:
-                entries = self._read_block(
-                    idx, cache_get, cache_put, stats, page_get, page_put
+                entries, block_read = self._read_block(
+                    idx, cache_get, cache_put, page_get, page_put
                 )
+                stats.block_reads.append(block_read)
                 loaded[idx] = entries
             else:
                 # A shared block: the fetch (and its search) was already
@@ -691,11 +686,13 @@ class SSTableReader:
         stats: ReadStats | None = None,
     ) -> Iterator[tuple[bytes, ValueKind, bytes]]:
         """Full in-order scan of (internal_key, kind, value)."""
-        local = stats if stats is not None else ReadStats()
+        reads = (stats if stats is not None else ReadStats()).block_reads
         for idx in range(len(self._index)):
-            for entry_ikey, packed in self._read_block(
-                idx, cache_get, cache_put, local
-            ):
+            entries, block_read = self._read_block(
+                idx, cache_get, cache_put, None, None
+            )
+            reads.append(block_read)
+            for entry_ikey, packed in entries:
                 yield entry_ikey, _KIND_OF[packed[0]], packed[1:]
 
     def read_packed(
@@ -713,10 +710,12 @@ class SSTableReader:
         compaction installs, so the decoded-block memo is dropped after
         this one front-to-back read.
         """
-        local = stats if stats is not None else ReadStats()
+        reads = (stats if stats is not None else ReadStats()).block_reads
         out: list[tuple[bytes, bytes]] = []
         for idx in range(len(self._index)):
-            out += self._read_block(idx, None, None, local)
+            entries, block_read = self._read_block(idx, None, None, None, None)
+            reads.append(block_read)
+            out += entries
         self._decoded.clear()
         return out
 
@@ -729,13 +728,16 @@ class SSTableReader:
         stats: ReadStats | None = None,
     ) -> Iterator[tuple[bytes, ValueKind, bytes]]:
         """In-order scan starting at the first entry >= user_key."""
-        local = stats if stats is not None else ReadStats()
+        reads = (stats if stats is not None else ReadStats()).block_reads
         seek = ikey_mod.seek_key(user_key)
         start = self._block_index_for(seek)
         if start is None:
             return
         for idx in range(start, len(self._index)):
-            entries = self._read_block(idx, cache_get, cache_put, local)
+            entries, block_read = self._read_block(
+                idx, cache_get, cache_put, None, None
+            )
+            reads.append(block_read)
             if idx == start:
                 entries = entries[block_entries_seek(entries, seek):]
             for entry_ikey, packed in entries:

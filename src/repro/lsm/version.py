@@ -24,8 +24,9 @@ class Version:
     #: derived quantities (pending compaction debt) can be memoized.
     stamp: int = field(default=0, init=False)
     #: ``largest_key`` of every file, per level and in list order: the
-    #: bisect keys of :meth:`files_for_key` and :meth:`files_from`,
-    #: updated by every mutation instead of rebuilt per lookup.
+    #: bisect keys of :meth:`files_for_key`, :meth:`files_from` and the
+    #: level walk ``DB.get`` inlines, updated by every mutation instead
+    #: of rebuilt per lookup.
     _largest: list[list[bytes]] = field(
         default_factory=list, init=False, repr=False, compare=False
     )

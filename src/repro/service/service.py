@@ -702,7 +702,7 @@ class ShardedService:
             )
             return
         rep = None
-        if shard.group is not None and bool(self.options.follower_reads):
+        if shard.group is not None and self._follower_reads:
             rep = shard.group.follower_for_read(shard.db.last_sequence)
         if rep is not None:
             # Bounded-staleness follower read: a live follower within
@@ -744,7 +744,6 @@ class ShardedService:
             self._reads_done += ops
             service_hist = self._read_hist
         shard.requests += 1
-        self._ops_done += ops
         if client_latency_us is not None:
             service_hist.add(client_latency_us)
             self._client_hist[client].add(client_latency_us)
@@ -765,7 +764,7 @@ class ShardedService:
         self._client_hist = [Histogram() for _ in clients]
         self._reads_done = 0
         self._writes_done = 0
-        self._ops_done = 0
+        self._follower_reads = bool(self.options.follower_reads)
         self._total_ops = sum(c.num_requests for c in clients)
         self._aborted = False
         try:
@@ -863,9 +862,10 @@ class ShardedService:
             # Progress sampling between events: the same contract as
             # DbBench's mid-run samples, so BenchmarkMonitor early-stop
             # and drift detection work for service benchmarks too.
-            if self._ops_done >= next_progress:
+            ops_done = self._reads_done + self._writes_done
+            if ops_done >= next_progress:
                 next_progress = (
-                    self._ops_done // self.PROGRESS_EVERY + 1
+                    ops_done // self.PROGRESS_EVERY + 1
                 ) * self.PROGRESS_EVERY
                 if watch:
                     event = self._progress_event(base_us)
@@ -887,11 +887,12 @@ class ShardedService:
             hits += shard.stats.ticker(Ticker.BLOCK_CACHE_HIT)
             misses += shard.stats.ticker(Ticker.BLOCK_CACHE_MISS)
         blocks = hits + misses
+        ops_done = self._reads_done + self._writes_done
         return ServiceProgress(
-            ops_done=self._ops_done,
+            ops_done=ops_done,
             total_ops=self._total_ops,
             elapsed_virtual_s=elapsed_s,
-            ops_per_sec=self._ops_done / elapsed_s if elapsed_s > 0 else 0.0,
+            ops_per_sec=ops_done / elapsed_s if elapsed_s > 0 else 0.0,
             reads_done=self._reads_done,
             writes_done=self._writes_done,
             cache_hit_rate=hits / blocks if blocks else 0.0,
@@ -1007,6 +1008,8 @@ class ShardedService:
                 for rep_db, _diff in reversed(done):
                     rep_db.set_options(inverse)
             raise
+        # The serve path reads the flag from here, not from the bag.
+        self._follower_reads = bool(self.options.follower_reads)
         if topology is not None:
             current = (
                 self._topology_target
@@ -1160,7 +1163,7 @@ class ShardedService:
                     vnodes_moved=plan.vnodes_moved,
                     keys_drained=keys_drained,
                     shards_after=after,
-                    ops_at=self._ops_done,
+                    ops_at=self._reads_done + self._writes_done,
                 )
             )
 

@@ -15,6 +15,7 @@ from repro.lsm.options import MiB, Options
 from repro.lsm.sstable import FileMetaData, SSTableBuilder, SSTableReader
 from repro.lsm.statistics import Ticker
 from repro.lsm.version import Version
+from tests.lsm.test_sstable import lookup
 
 
 def make_table(fs, number, pairs, level=0):
@@ -138,7 +139,7 @@ class TestRunCompaction:
         assert result.entries_merged == 2
         assert result.entries_dropped == 1
         reader = SSTableReader(fs.open_random("/db/000051.sst"), 51)
-        found, _, value, _ = reader.get(b"k")
+        found, _, value, _ = lookup(reader, b"k")
         assert value == b"newer"
 
     def test_tombstones_dropped_at_bottom(self):
@@ -148,7 +149,7 @@ class TestRunCompaction:
         compaction = Compaction(level=0, output_level=1, inputs=[dead, live])
         result = self._execute(fs, compaction, bottommost=True)
         reader = SSTableReader(fs.open_random("/db/000051.sst"), 51)
-        found, _, _, _ = reader.get(b"k")
+        found, _, _, _ = lookup(reader, b"k")
         assert not found  # tombstone gone
 
     def test_tombstones_kept_above_bottom(self):
@@ -157,7 +158,7 @@ class TestRunCompaction:
         compaction = Compaction(level=0, output_level=1, inputs=[dead])
         self._execute(fs, compaction, bottommost=False)
         reader = SSTableReader(fs.open_random("/db/000051.sst"), 51)
-        found, kind, _, _ = reader.get(b"k")
+        found, kind, _, _ = lookup(reader, b"k")
         assert found and kind is ValueKind.DELETE
 
     def test_outputs_split_at_target_size(self):

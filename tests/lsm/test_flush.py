@@ -8,6 +8,7 @@ from repro.lsm.flush import run_flush
 from repro.lsm.memtable import MemTable, ValueKind
 from repro.lsm.snapshot import SnapshotList
 from repro.lsm.sstable import SSTableBuilder, SSTableReader
+from tests.lsm.test_sstable import lookup
 
 
 def make_mem(entries, capacity=1 << 20):
@@ -86,7 +87,7 @@ class TestRunFlush:
         assert result.bytes_out == result.file_meta.file_size
         reader = SSTableReader(fs.open_random("/db/000101.sst"),
                                result.file_meta.file_number)
-        found, _, value, _ = reader.get(b"0042")
+        found, _, value, _ = lookup(reader, b"0042")
         assert found and value == b"v42"
 
     def test_duplicate_versions_collapsed(self):
@@ -100,7 +101,7 @@ class TestRunFlush:
         assert result.entries_in == 3
         assert result.entries_out == 1
         reader = SSTableReader(fs.open_random("/db/000101.sst"), 101)
-        found, _, value, _ = reader.get(b"k")
+        found, _, value, _ = lookup(reader, b"k")
         assert value == b"v3"
 
     def test_tombstones_survive_flush(self):
@@ -111,7 +112,7 @@ class TestRunFlush:
         ])
         result = run_flush([mem], builder_factory(fs))
         reader = SSTableReader(fs.open_random("/db/000101.sst"), 101)
-        found, kind, _, _ = reader.get(b"k")
+        found, kind, _, _ = lookup(reader, b"k")
         assert found and kind is ValueKind.DELETE
         assert result.entries_out == 1
 

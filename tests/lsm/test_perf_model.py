@@ -81,7 +81,7 @@ class TestReadCost:
 
     def test_bloom_negative_is_cheapest(self):
         m = model()
-        stats = ReadStats(bloom_checked=True, bloom_negative=True)
+        stats = ReadStats(bloom_checked=True)
         assert m.table_read_cost_us(stats) < 1.0
 
     def test_hdd_reads_cost_more_than_nvme(self):

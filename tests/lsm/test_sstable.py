@@ -31,6 +31,21 @@ def open_reader(fs, path="/db/000001.sst", number=1):
     return SSTableReader(fs.open_random(path), number)
 
 
+def lookup(reader, user_key, snapshot_seq=ikey.MAX_SEQUENCE, *,
+           cache_get=None, cache_put=None, page_get=None, page_put=None):
+    """One point lookup as ``(found, kind, value, probe)``: ``probe`` is
+    what :meth:`SSTableReader.get` returned (None: the filter ruled the
+    table out; else ``(bloom_checked, block_read, packed)``)."""
+    probe = reader.get(
+        user_key, ikey.seek_key(user_key, snapshot_seq), None,
+        cache_get, cache_put, page_get, page_put,
+    )
+    if probe is None or probe[2] is None:
+        return False, None, None, probe
+    packed = probe[2]
+    return True, ValueKind(packed[0]), packed[1:], probe
+
+
 class TestBuilder:
     def test_metadata(self):
         fs = MemFileSystem()
@@ -63,7 +78,7 @@ class TestBuilder:
         builder.add(ikey.encode(b"k", 3), ValueKind.VALUE, b"old")
         builder.finish()
         reader = SSTableReader(fs.open_random("/db/000004.sst"), 4)
-        found, _, value, _ = reader.get(b"k")
+        found, _, value, _ = lookup(reader, b"k")
         assert found and value == b"new"
 
 
@@ -73,7 +88,7 @@ class TestReader:
         build_table(fs, keys=200)
         reader = open_reader(fs)
         for i in (0, 57, 199):
-            found, kind, value, _ = reader.get(b"key-%06d" % i)
+            found, kind, value, _ = lookup(reader, b"key-%06d" % i)
             assert found and kind is ValueKind.VALUE
             assert value == b"val-%d" % i
 
@@ -81,15 +96,15 @@ class TestReader:
         fs = MemFileSystem()
         build_table(fs, keys=10)
         reader = open_reader(fs)
-        found, _, _, _ = reader.get(b"key-999999")
+        found, _, _, _ = lookup(reader, b"key-999999")
         assert not found
-        found, _, _, _ = reader.get(b"aaa")
+        found, _, _, _ = lookup(reader, b"aaa")
         assert not found
 
     def test_missing_key_between_existing(self):
         fs = MemFileSystem()
         build_table(fs, keys=10)
-        found, _, _, _ = open_reader(fs).get(b"key-000003x")
+        found, _, _, _ = lookup(open_reader(fs), b"key-000003x")
         assert not found
 
     def test_snapshot_lookup(self):
@@ -99,7 +114,7 @@ class TestReader:
         builder.add(ikey.encode(b"k", 2), ValueKind.VALUE, b"old")
         builder.finish()
         reader = SSTableReader(fs.open_random("/db/000005.sst"), 5)
-        found, _, value, _ = reader.get(b"k", snapshot_seq=5)
+        found, _, value, _ = lookup(reader, b"k", 5)
         assert found and value == b"old"
 
     def test_tombstone_returned(self):
@@ -108,7 +123,7 @@ class TestReader:
         builder.add(ikey.encode(b"k", 4), ValueKind.DELETE, b"")
         builder.finish()
         reader = SSTableReader(fs.open_random("/db/000006.sst"), 6)
-        found, kind, _, _ = reader.get(b"k")
+        found, kind, _, _ = lookup(reader, b"k")
         assert found and kind is ValueKind.DELETE
 
     def test_iter_entries_in_order(self):
@@ -172,17 +187,17 @@ class TestReader:
         reader = SSTableReader(file, 1)
         opened = file.reads
         for _ in range(3):
-            found, _, value, stats = reader.get(b"key-000001")
+            found, _, value, probe = lookup(reader, b"key-000001")
             assert found and value == b"val-1"
-            assert stats.block_reads == [(stats.block_reads[0][0], "device")]
+            assert probe[1][1] == "device"
         assert file.reads == opened + 3  # the memo never replaced a read
         file.fail = True
         with pytest.raises(OSError):
-            reader.get(b"key-000001")
+            lookup(reader, b"key-000001")
         file.fail = False
         fs.corrupt("/db/000001.sst", 10, 0xFF)
         with pytest.raises(CorruptionError):
-            reader.get(b"key-000001")
+            lookup(reader, b"key-000001")
 
     def test_checksum_off_skips_verification(self):
         fs = MemFileSystem()
@@ -190,7 +205,7 @@ class TestReader:
         reader = SSTableReader(
             fs.open_random("/db/000001.sst"), 1, verify_checksums=False
         )
-        found, _, _, _ = reader.get(b"key-000001")
+        found, _, _, _ = lookup(reader, b"key-000001")
         assert found
 
 
@@ -202,12 +217,12 @@ class TestBloomIntegration:
         assert reader._bloom is not None
         negatives = 0
         for i in range(200):
-            found, _, _, stats = reader.get(b"nope-%d" % i)
+            found, _, _, probe = lookup(reader, b"nope-%d" % i)
             assert not found
-            assert stats.bloom_checked
-            if stats.bloom_negative:
+            if probe is None:  # ruled out before the index or a block
                 negatives += 1
-                assert stats.block_reads == []
+            else:
+                assert probe[0]  # the filter was checked
         assert negatives >= 190
 
     def test_bloom_never_blocks_present_keys(self):
@@ -215,7 +230,7 @@ class TestBloomIntegration:
         build_table(fs, keys=500, bloom=10.0)
         reader = open_reader(fs)
         for i in range(500):
-            found, _, _, _ = reader.get(b"key-%06d" % i)
+            found, _, _, _ = lookup(reader, b"key-%06d" % i)
             assert found
 
     @pytest.mark.parametrize("bulk", [False, True])
@@ -255,8 +270,8 @@ class TestBloomIntegration:
         build_table(fs, keys=10, bloom=-1.0)
         reader = open_reader(fs)
         assert reader._bloom is None
-        _, _, _, stats = reader.get(b"key-000001")
-        assert not stats.bloom_checked
+        _, _, _, probe = lookup(reader, b"key-000001")
+        assert not probe[0]
 
 
 class TestCacheHooks:
@@ -269,11 +284,11 @@ class TestCacheHooks:
             return store.get(key)
         def cput(key, value, charge):
             store[key] = value
-        _, _, _, stats1 = reader.get(b"key-000050", cache_get=cget, cache_put=cput)
-        assert stats1.block_reads[0][1] == "device"
+        _, _, _, probe1 = lookup(reader, b"key-000050", cache_get=cget, cache_put=cput)
+        assert probe1[1][1] == "device"
         assert store
-        _, _, _, stats2 = reader.get(b"key-000050", cache_get=cget, cache_put=cput)
-        assert stats2.block_reads[0][1] == "cache"
+        _, _, _, probe2 = lookup(reader, b"key-000050", cache_get=cget, cache_put=cput)
+        assert probe2[1][1] == "cache"
 
     def test_page_cache_layer(self):
         fs = MemFileSystem()
@@ -284,16 +299,17 @@ class TestCacheHooks:
             return pages.get(key)
         def pput(key, value, charge):
             pages[key] = value
-        _, _, _, s1 = reader.get(b"key-000050", page_get=pget, page_put=pput)
-        assert s1.block_reads[0][1] == "device"
-        _, _, _, s2 = reader.get(b"key-000050", page_get=pget, page_put=pput)
-        assert s2.block_reads[0][1] == "page"
+        _, _, _, p1 = lookup(reader, b"key-000050", page_get=pget, page_put=pput)
+        assert p1[1][1] == "device"
+        _, _, _, p2 = lookup(reader, b"key-000050", page_get=pget, page_put=pput)
+        assert p2[1][1] == "page"
 
     def test_device_block_bytes(self):
         fs = MemFileSystem()
         build_table(fs, keys=100, block_size=256)
         reader = open_reader(fs)
-        _, _, _, stats = reader.get(b"key-000050")
+        stats = ReadStats()
+        reader.multi_get([b"key-000050"], stats=stats)
         assert stats.device_block_bytes() > 0
 
 
@@ -304,7 +320,7 @@ class TestCompressionInTables:
         build_table(fs, keys=300, compression=codec, block_size=1024)
         reader = open_reader(fs)
         for i in (0, 150, 299):
-            found, _, value, _ = reader.get(b"key-%06d" % i)
+            found, _, value, _ = lookup(reader, b"key-%06d" % i)
             assert found and value == b"val-%d" % i
 
     def test_compressed_table_is_smaller(self):
@@ -333,7 +349,7 @@ class TestFileMetaData:
         builder.finish()
         reader = SSTableReader(fs.open_random("/db/000009.sst"), 9)
         for k in key_ints:
-            found, _, value, _ = reader.get(b"%03d" % k)
+            found, _, value, _ = lookup(reader, b"%03d" % k)
             assert found and value == b"v%d" % k
 
 
@@ -631,8 +647,8 @@ class TestSeededReader:
 
         for i in range(0, 220, 7):
             for snapshot in (ikey.MAX_SEQUENCE, 900 - 3 * i, 10):
-                both(lambda r, h: r.get(b"key-%04d" % i, snapshot, **h))
-            both(lambda r, h: r.get(b"key-%04dx" % i, **h))
+                both(lambda r, h: lookup(r, b"key-%04d" % i, snapshot, **h))
+            both(lambda r, h: lookup(r, b"key-%04dx" % i, **h))
 
         def scan(r, h, start):
             stats = ReadStats()
@@ -667,6 +683,6 @@ class TestSeededReader:
         reader = open_reader(fs)
         reader.seed(kept)
         with pytest.raises(CorruptionError):
-            reader.get(b"key-0000")
+            lookup(reader, b"key-0000")
         with pytest.raises(CorruptionError):
             reader.read_packed()

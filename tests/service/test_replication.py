@@ -170,6 +170,35 @@ class TestFollowerReads:
         assert result.follower_reads_served == 0
         assert result.aggregate.reads_done > 0
 
+    def test_follower_reads_turned_off_mid_run_stop_at_once(self, monkeypatch):
+        # The serve path holds the flag, read at run() and again on every
+        # set_options: once the tuner turns it off, no later GET may
+        # reach a follower.
+        served = []
+        pick = ReplicaGroup.follower_for_read
+
+        def counting(group, leader_seq):
+            rep = pick(group, leader_seq)
+            served.append(rep is not None)
+            return rep
+
+        monkeypatch.setattr(ReplicaGroup, "follower_for_read", counting)
+        service = _service({"follower_reads": True})
+        at_flip = []
+
+        def hook(svc, event):
+            if not at_flip and event.ops_done >= 500:
+                svc.set_options({"follower_reads": False})
+                at_flip.append((len(served), sum(served), event.reads_done))
+
+        service.on_progress = hook
+        result = service.run()
+        (asked, followers_served, reads_then), = at_flip
+        assert followers_served > 0
+        assert len(served) == asked  # no follower consulted after the flip
+        assert result.follower_reads_served == followers_served
+        assert result.aggregate.reads_done > reads_then
+
 
 class TestFailover:
     def _crash_run(self, *, offset, lease_ms=5.0, tracer=None):

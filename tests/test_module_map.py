@@ -112,10 +112,6 @@ KEEP_UNSET = {
     "test_snapshot compare with point gets",
     "RingSink.capacity": "ROADMAP item 9: leaves with "
     "test_ring_capacity_drops_oldest in the next census change",
-    "ZipfianKeys.theta": "ROADMAP item 9: leaves with test_invalid_theta "
-    "in the next census change",
-    "ValueGenerator.compression_ratio": "ROADMAP item 9: leaves with "
-    "test_keygen's incompressible-value test in the next census change",
     "WorkloadSpec.value_size": "ROADMAP item 9: leaves with "
     "test_spec_rejects_non_positive_value_size in the next census change",
     "replay_wal.strict": "ROADMAP item 7's all-or-nothing batches make "
