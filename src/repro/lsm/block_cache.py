@@ -26,15 +26,6 @@ class _Shard:
         #: eviction (observability hook; None costs one check).
         self.on_evict: "Callable[[Hashable, int], None] | None" = None
 
-    def get(self, key: Hashable) -> object | None:
-        entry = self.entries.get(key)
-        if entry is None:
-            self.misses += 1
-            return None
-        self.entries.move_to_end(key)
-        self.hits += 1
-        return entry[0]
-
     def put(self, key: Hashable, value: object, charge: int) -> int:
         """Insert; returns the net change to this shard's used bytes."""
         if charge > self.capacity:
@@ -88,9 +79,18 @@ class LRUCache:
         return self._shards[hash(key) & (self._num_shards - 1)]
 
     def get(self, key: Hashable) -> object | None:
+        # The shard lookup is inlined: every block and page read of
+        # every point lookup and scan asks here.
         if self._disabled:
             return None
-        return self._shard(key).get(key)
+        shard = self._shards[hash(key) & (self._num_shards - 1)]
+        entry = shard.entries.get(key)
+        if entry is None:
+            shard.misses += 1
+            return None
+        shard.entries.move_to_end(key)
+        shard.hits += 1
+        return entry[0]
 
     def put(self, key: Hashable, value: object, charge: int) -> None:
         if self._disabled:

@@ -144,8 +144,11 @@ class PerfModel:
         self._pipelined = bool(options.get("enable_pipelined_write"))
         self._readahead_relief_cached = self._compute_readahead_relief()
         self._recompute_put_constants()
-        #: ``(bloom_checked, block_read, busy) -> price`` of a point
-        #: lookup's table probe, filled by :meth:`probe_cost_us`.
+        #: Per-configuration price tables: ``(tables_probed, busy)`` ->
+        #: memtable probes (:meth:`memtable_get_cost_us`) and
+        #: ``(bloom_checked, block_read, busy)`` -> a point lookup's
+        #: table probe (:meth:`probe_cost_us`).
+        self._memtable_prices: dict[tuple[int, int], float] = {}
         self._probe_prices: dict[tuple, float] = {}
 
     def refresh_options(self) -> None:
@@ -167,6 +170,7 @@ class PerfModel:
         self._pipelined = bool(self.options.get("enable_pipelined_write"))
         self._readahead_relief_cached = self._compute_readahead_relief()
         self._recompute_put_constants()
+        self._memtable_prices.clear()
         self._probe_prices.clear()
 
     @property
@@ -291,7 +295,15 @@ class PerfModel:
     # -- foreground reads -----------------------------------------------------
 
     def memtable_get_cost_us(self, tables_probed: int, busy_bg_jobs: int = 0) -> float:
-        return self._cpu(self.cpu.memtable_lookup * max(1, tables_probed), busy_bg_jobs)
+        """Price probing ``tables_probed`` memtables; each count is
+        priced once per configuration and looked up after."""
+        key = (tables_probed, busy_bg_jobs)
+        cost = self._memtable_prices.get(key)
+        if cost is None:
+            cost = self._memtable_prices[key] = self._cpu(
+                self.cpu.memtable_lookup * max(1, tables_probed), busy_bg_jobs
+            )
+        return cost
 
     def table_read_cost_us(self, stats: ReadStats, *, busy_bg_jobs: int = 0) -> float:
         """Price one SSTable point lookup from its :class:`ReadStats`."""

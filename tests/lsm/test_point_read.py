@@ -1,9 +1,10 @@
-"""The point read in one pass: the probe price table and the level walk.
+"""The point read in one pass: the probe price tables and the level walk.
 
 ``PerfModel.probe_cost_us`` prices one table probe of a point lookup
 from a per-configuration table that ``table_read_cost_us`` itself
 fills, so every price must be the very float ``table_read_cost_us``
-gives the matching ``ReadStats``. ``DB.get`` walks ``Version.levels``
+gives the matching ``ReadStats``; memtable probes are priced from a
+table the same way. ``DB.get`` walks ``Version.levels``
 itself, skipping empty levels: a tree with empty levels between
 populated ones must read back exactly, with the per-level hit and
 filter counters and the virtual clock pinned below.
@@ -20,6 +21,7 @@ from repro.lsm.options import Options
 from repro.lsm.perf_model import PerfModel
 from repro.lsm.sstable import ReadStats, SSTableBuilder, SSTableReader
 from repro.lsm.statistics import Ticker
+from tests.lsm.test_perf_model import reference_memtable_get_cost_us
 
 SOURCES = ("cache", "page", "device")
 BLOCK_SIZES = (1, 517, 4096, 4153, 16391)
@@ -55,8 +57,11 @@ class TestPriceTable:
         perf = PerfModel(
             profile, Options({"compression": codec}), byte_scale=1 / 64
         )
-        for _ in range(2):  # the first pass fills the table, the second reads it
+        for _ in range(2):  # the first pass fills the tables, the second reads them
             for busy in range(4):
+                for probes in range(6):
+                    assert perf.memtable_get_cost_us(probes, busy) == \
+                        reference_memtable_get_cost_us(perf, probes, busy)
                 for bloom, block_read in _probe_shapes():
                     assert perf.probe_cost_us(bloom, block_read, busy) == \
                         perf.table_read_cost_us(
