@@ -13,7 +13,7 @@
 # 4. Trace schema round-trip, 5. crash sweep, 6. replica chaos sweep,
 # 7. the service layer's four pinned virtual-time claims
 #    (benchmarks/test_service_claims.py), 8. the determinism gate
-#    (scripts/check_determinism.py: six scenarios, each run twice and
+#    (scripts/check_determinism.py: seven scenarios, each run twice and
 #    held to its pinned sha256), 9. the console audit.
 #
 # For host-time numbers (with spread, against a parent commit), use
@@ -58,7 +58,7 @@ echo "== service claims: group commit, online tuning, live split, quorum =="
 python -m pytest -q benchmarks/test_service_claims.py
 
 echo
-echo "== determinism: bg, service, scan, online, reshard, tune =="
+echo "== determinism: bg, service, repl, scan, online, reshard, tune =="
 # Each scenario runs twice and is byte-compared (trace and
 # report); its sha256 must equal the pin in the script's EXPECTED table.
 python scripts/check_determinism.py

@@ -1,4 +1,4 @@
-"""Determinism gate: six seeded scenarios, run repeatedly, byte-compared.
+"""Determinism gate: seven seeded scenarios, run repeatedly, byte-compared.
 
 Run by ``scripts/check.sh``; ``python scripts/check_determinism.py``
 runs every scenario, ``... check_determinism.py scan`` just that one.
@@ -23,6 +23,11 @@ Scenarios:
     inputs only.
 ``service``
     ``readwhilewriting`` over 4 shards with 8 open-loop clients.
+``repl``
+    ``service`` with 3 replicas per shard, quorum 2 and follower reads:
+    WAL shipping, quorum acks as heap events and bounded-staleness
+    follower GETs. ``use_fsync`` is off, so the leader's and each
+    follower's forced WAL syncs do the syncing.
 ``scan``
     ``seekrandom``: cursor seeks plus forward ``next()`` chains, the
     lazy read path end to end.
@@ -40,7 +45,7 @@ Scenarios:
     host-time benchmark's ``tune`` scale: ``mixgraph`` on the 2-core HDD
     cell, baseline + 3 iterations, a fresh store per iteration and
     table filters switched on by the expert's first diff — the path
-    the other five never take. The report is the session summary.
+    the other six never take. The report is the session summary.
 """
 
 from __future__ import annotations
@@ -118,6 +123,28 @@ def service() -> Run:
     )
     result.wall_clock_s = 0.0
     return _trace_lines(sink.events), render_service_report(result), []
+
+
+def repl() -> Run:
+    sink = RingSink()
+    result = run_service_benchmark(
+        workload("readwhilewriting"),
+        Options({
+            "shard_count": 4,
+            "replicas_per_shard": 3,
+            "replication_quorum": 2,
+            "follower_reads": True,
+            "use_fsync": False,
+        }),
+        make_profile(4, 4),
+        num_clients=8,
+        tracer=Tracer(sink),
+    )
+    result.wall_clock_s = 0.0
+    problems = []
+    if result.follower_reads_served == 0:
+        problems.append("no GET was served by a follower")
+    return _trace_lines(sink.events), render_service_report(result), problems
 
 
 def scan() -> Run:
@@ -214,6 +241,7 @@ def tune() -> Run:
 SCENARIOS: dict[str, Callable[[], Run]] = {
     "bg": bg,
     "service": service,
+    "repl": repl,
     "scan": scan,
     "online": online,
     "reshard": reshard,
@@ -222,12 +250,16 @@ SCENARIOS: dict[str, Callable[[], Run]] = {
 #: Times each scenario runs; every run is compared with the first.
 RUNS = 2
 
-#: name -> sha256 of the compared bytes. The first five are the digests
-#: every CHANGES.md entry since PR 12 quoted by hand; ``tune`` was
-#: recorded at commit 4159a23, before the bulk pool draw and run hashing.
+#: name -> sha256 of the compared bytes. ``bg``, ``service``, ``scan``,
+#: ``online`` and ``reshard`` are the digests every CHANGES.md entry
+#: since PR 12 quoted by hand; ``tune`` was
+#: recorded at commit 4159a23, before the bulk pool draw and run hashing;
+#: ``repl`` at commit be52f57, while a bare shard was still its own code
+#: path, so the one-shape service is held to the two-shape one.
 EXPECTED = {
     "bg": "abe2e6db924bc21d949b2392d06b8036bb4f1a179f11bdeb9fa62275074a9278",
     "service": "7cf50f016484f5b13f452ddb8cd7ddde1cfd360f993f757a19c7fd39a5a0d45c",
+    "repl": "7c7e76c24d4aeaed30422dbcbdcdfd3900ee04a461d0d4c95d0886fb52be4608",
     "scan": "74ae75720768d5dcbb59034973f16f4b8e22aeaa1300e4886ca4ae6152737d60",
     "online": "f2c0e98fd5837d4c6d9e21a386cd398f4c3ae2f1ccb0f05ce336b5617c750cad",
     "reshard": "51869c562da196023230eb419c08b285a7de5c9d73166d6d1b2fb48243bd2cf9",
