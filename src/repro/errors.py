@@ -90,8 +90,9 @@ class RoutingError(ReproError):
 
 
 class NoLiveReplicaError(ReproError):
-    """A replica group was formed with no live member (every replica
-    died while provisioning), so it has no leader to serve from."""
+    """A replica group has no live member left to lead: every replica
+    died while provisioning, or the leader died with no live follower
+    to promote."""
 
 
 class MisroutedRequestError(ReproError):

@@ -1,14 +1,15 @@
 """Replica groups: leader/follower WAL shipping on the virtual clock.
 
-Each shard of a :class:`~repro.service.service.ShardedService` can run
-as a *replica group*: one leader plus ``replicas_per_shard - 1``
-followers, each an independent :class:`~repro.lsm.db.DB` with its own
-:class:`~repro.lsm.env.Env` (filesystem + clock), exactly like shards
-themselves. The service serves every request on the leader; committed
-write groups are *shipped* to the followers, which apply them in leader
-order and force a WAL sync before acking — a follower ack is therefore
-a durability promise, and promotion from the freshest durable follower
-can never lose a service-acked write.
+Every shard of a :class:`~repro.service.service.ShardedService` is a
+*replica group*: one leader plus ``replicas_per_shard - 1`` followers,
+each an independent :class:`~repro.lsm.db.DB` with its own
+:class:`~repro.lsm.env.Env` (filesystem + clock). At the default
+``replicas_per_shard=1`` the group is its leader alone, which ships
+nothing and forces no sync. The service serves every request on the
+leader; committed write groups are *shipped* to the followers, which
+apply them in leader order and force a WAL sync before acking — a
+follower ack is therefore a durability promise, and promotion from the
+freshest durable follower can never lose a service-acked write.
 
 Timing model
 ------------
@@ -27,9 +28,11 @@ host threads. When the leader finishes a write group at ``t``:
 Failover
 --------
 A leader crash (a :class:`~repro.errors.SimulatedCrash` from an
-injected fault) makes the shard unavailable until the leader lease
-expires on the virtual clock (``lease_timeout_ms``); the service then
-promotes the live follower with the highest durable sequence via
+injected fault) with no live follower left loses the shard at once
+(:class:`~repro.errors.NoLiveReplicaError`). Otherwise it makes the
+shard unavailable until the leader lease expires on the virtual clock
+(``lease_timeout_ms``); the service then promotes the live follower
+with the highest durable sequence via
 :meth:`~repro.lsm.db.DB.crash_and_reopen` — recovery from its durable
 watermark — and repoints the shard at it. Because every follower ack
 covered a WAL sync, the promoted leader's recovered state contains

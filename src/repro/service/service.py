@@ -1,9 +1,11 @@
 """ShardedService: a multi-client front-end over N independent DBs.
 
 The service routes keys through a pluggable :class:`RoutingPolicy`
-(:mod:`repro.service.routing`) over ``shard_count`` independent
-:class:`~repro.lsm.db.DB` instances and drives an open-loop population
-of simulated clients on the virtual clock. Everything is
+(:mod:`repro.service.routing`) over ``shard_count`` independent shards
+and drives an open-loop population of simulated clients on the virtual
+clock. Every shard is a :class:`~repro.service.replication.ReplicaGroup`
+of ``replicas_per_shard`` :class:`~repro.lsm.db.DB` instances (one by
+default); requests are served by its leader. Everything is
 event-scheduled — no real threads — so runs are bit-deterministic: a
 heap of ``(time_us, seq)``-ordered events interleaves client arrivals
 with shard completions (and reshard completions), and ``seq`` (a global
@@ -55,7 +57,7 @@ behind as unreachable garbage (the ring never routes to them).
 
 Timing
 ------
-Every shard has its own :class:`~repro.lsm.env.Env` (filesystem +
+Every replica has its own :class:`~repro.lsm.env.Env` (filesystem +
 clock) so engine work on one shard never advances another shard's
 clock — shards genuinely overlap in virtual time. After the preload
 all shard clocks and the global clock are aligned to the same base, so
@@ -88,7 +90,6 @@ from repro.lsm.env import Env
 from repro.lsm.histogram import Histogram, HistogramSummary
 from repro.lsm.options import Options, ensure_mutable, spec_for
 from repro.lsm.statistics import Statistics, Ticker
-from repro.lsm.write_batch import WriteBatch
 from repro.obs.events import (
     BenchAbort,
     FailoverBegin,
@@ -149,12 +150,17 @@ class _Fanout:
 
 @dataclass
 class _Shard:
-    """One shard: an independent DB plus its queues and accounting."""
+    """One shard: a replica group plus its queues and accounting."""
 
     index: int
     env: Env
     stats: Statistics
     db: DB
+    #: The shard's replica group: ``replicas_per_shard`` members, one
+    #: of them at ``replicas_per_shard=1``. The ``env``/``stats``/``db``
+    #: fields above always alias the current leader's, so every serve
+    #: path serves the leader.
+    group: ReplicaGroup
     #: Pending writes: (arrival_us, seq, Request, route).
     write_q: deque = field(default_factory=deque)
     #: Pending reads: (arrival_us, seq, Request, keys, routes,
@@ -163,10 +169,6 @@ class _Shard:
     busy: bool = False
     #: A merge victim: no longer in the ring, kept only for accounting.
     retired: bool = False
-    #: The shard's replica group (None: a bare single-node shard). The
-    #: ``env``/``stats``/``db`` fields above always alias the current
-    #: leader's, so every existing code path serves the leader.
-    group: "ReplicaGroup | None" = None
     #: The write group waiting on its replication quorum, if any; the
     #: shard stays busy until the commit event resolves it.
     pending: "PendingCommit | None" = None
@@ -260,7 +262,7 @@ class ServiceResult:
     #: GETs served by followers under the bounded-staleness check
     #: (``follower_reads``), summed over every replica group.
     follower_reads_served: int = 0
-    #: Replica-group size the service ran with (1: bare shards).
+    #: Replica-group size the service ran with (1: groups of one).
     replicas_per_shard: int = 1
 
     @property
@@ -358,46 +360,30 @@ class ShardedService:
     # -- setup -------------------------------------------------------------
 
     def _open_shard(self, index: int) -> _Shard:
-        if self.num_replicas > 1:
-            group = open_group(
-                index,
-                self.base_path,
-                self.options,
-                self.profile,
-                self.byte_scale,
-                replicas=self.num_replicas,
-                env_factory=self.env_factory,
-            )
-            leader = group.leader
-            shard = _Shard(
-                index=index,
-                env=leader.env,
-                stats=leader.stats,
-                db=leader.db,
-                group=group,
-            )
-            for rep in group.replicas:
-                if not rep.alive:  # died while provisioning
-                    self._emit_replica_crash(shard, rep, "follower")
-            return shard
-        env = (
-            self.env_factory(index, 0)
-            if self.env_factory is not None
-            else Env()
-        )
-        stats = Statistics()
-        # Shard DBs run untraced: engine events from N interleaved
-        # shards would share one tracer clock and lose meaning. The
+        # Replica DBs run untraced: engine events from N interleaved
+        # engines would share one tracer clock and lose meaning. The
         # service emits its own service.* events on the global clock.
-        db = DB.open(
-            f"{self.base_path}/shard-{index:02d}",
+        group = open_group(
+            index,
+            self.base_path,
             self.options,
-            env=env,
-            profile=self.profile,
-            statistics=stats,
-            byte_scale=self.byte_scale,
+            self.profile,
+            self.byte_scale,
+            replicas=self.num_replicas,
+            env_factory=self.env_factory,
         )
-        return _Shard(index=index, env=env, stats=stats, db=db)
+        leader = group.leader
+        shard = _Shard(
+            index=index,
+            env=leader.env,
+            stats=leader.stats,
+            db=leader.db,
+            group=group,
+        )
+        for rep in group.replicas:
+            if not rep.alive:  # died while provisioning
+                self._emit_replica_crash(shard, rep, "follower")
+        return shard
 
     def _preload(self) -> None:
         """:func:`~repro.bench.runner.preload_stream`, routed by key."""
@@ -407,22 +393,18 @@ class ShardedService:
         shards = self._shards
         route = self._policy.route
         owner = self._policy.owner
+        # Followers preload too: a promoted follower must already hold
+        # the base dataset or failover would "lose" it.
+        dbs = [[rep.db for rep in s.group.live_replicas()] for s in shards]
         for index in order:
             key = format_key(index)
-            shard = shards[owner(route(key))]
             value = values.next_value()
-            shard.db.put(key, value)
-            # Followers preload too: a promoted follower must already
-            # hold the base dataset or failover would "lose" it.
-            if shard.group is not None:
-                for rep in shard.group.followers():
-                    rep.db.put(key, value)
+            for db in dbs[owner(route(key))]:
+                db.put(key, value)
         for shard in shards:
-            shard.db.flush(wait_compactions=False)
-            if shard.group is not None:
-                for rep in shard.group.followers():
-                    rep.db.flush(wait_compactions=False)
-                    rep.acked_seq = rep.db.last_sequence
+            for rep in shard.group.live_replicas():
+                rep.db.flush(wait_compactions=False)
+                rep.acked_seq = rep.db.last_sequence
 
     # -- event loop --------------------------------------------------------
 
@@ -535,33 +517,33 @@ class ShardedService:
             owner = owner_of(route)
             if owner != shard.index:
                 raise MisroutedRequestError(req.key, shard.index, owner)
-        group = shard.group
+        replicated = self.num_replicas > 1
         entries = [(req.key, req.value) for _, _, req, _ in members]
         try:
             apply_entries(shard.db, entries)
             if n > 1:
-                # Followers: committed by the leader on their behalf.
+                # Riders: committed by the group's leader on their behalf.
                 shard.stats.bump(Ticker.WRITE_DONE_BY_OTHER, n - 1)
                 shard.groups += 1
                 shard.grouped_writes += n
                 shard.max_group = max(shard.max_group, n)
-            if group is not None:
-                # Replicated shard: the leader force-syncs its WAL (the
-                # first quorum vote) before the group ships to followers.
+            if replicated:
+                # The leader force-syncs its WAL (the first quorum vote)
+                # before the group ships to followers.
                 shard.db.sync_wal()
         except SimulatedCrash:
-            if group is None:
-                raise
             self._begin_failover(shard, members)
             return False
-        if group is None:
+        leader_finish_us = shard.env.clock.now_us
+        if not replicated:
+            # A group of one ships nothing: the write is done.
             self._finish_write_group(
-                shard, members, group_start_us, shard.env.clock.now_us
+                shard, members, group_start_us, leader_finish_us
             )
             return True
         # The service ack — and with it the audit/journal bookkeeping —
         # waits for quorum-1 durable follower acks as heap events.
-        leader_finish_us = shard.env.clock.now_us
+        group = shard.group
         acks = group.ship(entries, leader_finish_us)
         for rep, ack_us in acks:
             if ack_us is None:
@@ -641,10 +623,10 @@ class ShardedService:
         now_us: float,
     ) -> None:
         """Apply already-acked internal writes (drain installs, journal
-        replay) to every live replica of ``shard``.
+        replay) to every live replica of ``shard``, in
+        :data:`_MIGRATE_BATCH`-key batches.
 
-        On a bare shard this is exactly the old single-DB install; on a
-        replica group each live member applies and force-syncs so the
+        With followers, each live member applies and force-syncs so the
         data survives any single member's later crash. A member dying
         mid-apply is handled here: a follower is marked dead, a leader
         starts the failover timeline — in both cases the remaining
@@ -654,15 +636,14 @@ class ShardedService:
         if not entries:
             return
         group = shard.group
-        if group is None:
-            shard.env.clock.advance_to(now_us)
-            self._install(shard.db, entries)
-            return
+        replicated = self.num_replicas > 1
         for rep in group.live_replicas():
             rep.env.clock.advance_to(now_us)
             try:
-                self._install(rep.db, entries)
-                rep.db.sync_wal()
+                for base in range(0, len(entries), _MIGRATE_BATCH):
+                    apply_entries(rep.db, entries[base:base + _MIGRATE_BATCH])
+                if replicated:
+                    rep.db.sync_wal()
             except SimulatedCrash:
                 if rep.replica_id == group.leader_id:
                     self._begin_failover(shard, [])
@@ -672,14 +653,6 @@ class ShardedService:
                 continue
             if rep.replica_id != group.leader_id:
                 rep.acked_seq = rep.db.last_sequence
-
-    @staticmethod
-    def _install(db: DB, entries: list) -> None:
-        for base in range(0, len(entries), _MIGRATE_BATCH):
-            batch = WriteBatch()
-            for key, value in entries[base:base + _MIGRATE_BATCH]:
-                batch.put(key, value)
-            db.write(batch)
 
     def _serve_read(self, shard: _Shard) -> None:
         arrival_us, _, req, keys, routes, fanout = shard.read_q.popleft()
@@ -702,7 +675,7 @@ class ShardedService:
             )
             return
         rep = None
-        if shard.group is not None and self._follower_reads:
+        if self._follower_reads:
             rep = shard.group.follower_for_read(shard.db.last_sequence)
         if rep is not None:
             # Bounded-staleness follower read: a live follower within
@@ -771,14 +744,9 @@ class ShardedService:
             self._preload()
             # Align every clock to one post-preload base so arrival
             # stamps, shard clocks, and the trace share a timeline.
-            # (Replica clocks too: a shard's env aliases its leader's,
-            # so a group's replicas cover leader and followers alike;
-            # a bare shard stands in as its own only member.)
-            members = [
-                rep
-                for s in shards
-                for rep in (s.group.replicas if s.group is not None else (s,))
-            ]
+            # (A shard's env aliases its leader's, so a group's
+            # replicas cover leader and followers alike.)
+            members = [rep for s in shards for rep in s.group.replicas]
             base_us = max(rep.env.clock.now_us for rep in members)
             for rep in members:
                 rep.env.clock.advance_to(base_us)
@@ -807,10 +775,7 @@ class ShardedService:
             self._shards = []
             self._heap = None
             for shard in shards:
-                if shard.group is not None:
-                    shard.group.close()
-                elif not shard.db.closed:
-                    shard.db.close()
+                shard.group.close()
 
     def _drive(self, clients: list[SimClient], base_us: float) -> None:
         """The event loop: interleave arrivals and shard completions."""
@@ -967,14 +932,7 @@ class ShardedService:
                 # component bindings refresh on the next diff.
                 if shard.retired or shard.failing_over:
                     continue
-                group = shard.group
-                if group is None:
-                    shard.env.clock.advance_to(self._clock.now_us)
-                    diff = shard.db.set_options(engine_items)
-                    done.append((shard.db, diff))
-                    applied.update(diff)
-                    continue
-                for rep in list(group.live_replicas()):
+                for rep in shard.group.live_replicas():
                     rep.env.clock.advance_to(self._clock.now_us)
                     try:
                         # Replicas share one paper-unit bag, so the
@@ -991,7 +949,7 @@ class ShardedService:
                         # refreshes its bindings from the shared bag
                         # on the next diff, like any failing-over
                         # shard this loop skips).
-                        if rep.replica_id == group.leader_id:
+                        if rep.replica_id == shard.group.leader_id:
                             self._begin_failover(shard, [])
                             break
                         rep.alive = False
@@ -1308,9 +1266,12 @@ class ShardedService:
         expiry on the virtual clock. Until then the shard queues
         requests but serves nothing."""
         group = shard.group
-        assert group is not None
         crashed = group.leader
         crashed.alive = False
+        self._emit_replica_crash(shard, crashed, "leader")
+        if not group.followers():
+            # Nobody to promote: waiting out the lease only delays this.
+            raise NoLiveReplicaError(f"shard {shard.index} lost every replica")
         pending = shard.pending
         cancelled = 0
         if pending is not None and not pending.done:
@@ -1330,7 +1291,6 @@ class ShardedService:
         shard.failing_over = True
         shard.busy = True
         lease_us = max(0.0, float(self.options.lease_timeout_ms)) * 1000.0
-        self._emit_replica_crash(shard, crashed, "leader")
         if self.tracer is not None:
             self.tracer.emit(
                 FailoverBegin(
@@ -1353,12 +1313,9 @@ class ShardedService:
         repoint the shard at it, and drain the queued backlog."""
         begin_us, crashed_id = info
         group = shard.group
-        assert group is not None
         cand = group.promotion_candidate()
-        if cand is None:
-            raise RoutingError(
-                f"shard {shard.index} lost every replica; no failover target"
-            )
+        if cand is None:  # the last followers died during the lease
+            raise NoLiveReplicaError(f"shard {shard.index} lost every replica")
         lag = max(0, shard.db.last_sequence - cand.db.durable_sequence)
         group.promote(cand)
         shard.env = cand.env
@@ -1540,12 +1497,9 @@ class ShardedService:
             reshards=list(self._reshards),
             failovers=list(self._failovers),
             follower_reads_served=sum(
-                rep.reads_served
-                for shard in shards
-                if shard.group is not None
-                for rep in shard.group.replicas
+                rep.reads_served for shard in shards for rep in shard.group.replicas
             ),
-            replicas_per_shard=max(1, int(self.options.replicas_per_shard)),
+            replicas_per_shard=self.num_replicas,
         )
 
 

@@ -112,13 +112,20 @@ class TestQuorumWrites:
         assert ships and all(e.acks_needed == 0 for e in ships)
 
     def test_single_replica_matches_bare_service_byte_for_byte(self):
-        # replicas_per_shard=1 must be the seed path exactly: no group,
-        # no ship events, identical latencies and counters.
-        bare = _service({"replicas_per_shard": 1, "replication_quorum": 1})
+        # replicas_per_shard=1 is a group of one: no forced sync, no
+        # ship events, identical latencies and counters run to run
+        # (scripts/check_determinism.py's `service` digest pins the
+        # bytes).
+        sink = RingSink()
+        bare = _service(
+            {"replicas_per_shard": 1, "replication_quorum": 1},
+            tracer=Tracer(sink),
+        )
         replicated = _service(
             {"replicas_per_shard": 1, "replication_quorum": 1}
         )
         a, b = bare.run(), replicated.run()
+        assert not [e for e in sink.events if type(e) is ReplicaShip]
         assert a.aggregate.ops_done == b.aggregate.ops_done
         assert a.aggregate.write_summary.p99 == b.aggregate.write_summary.p99
         assert a.aggregate.read_summary.p99 == b.aggregate.read_summary.p99
@@ -276,6 +283,42 @@ class TestFailover:
         assert a[1].failovers == b[1].failovers
         assert a[1].aggregate.write_summary.p99 == b[1].aggregate.write_summary.p99
         assert a[2] == b[2] == []
+
+
+class TestLostGroup:
+    """A leader crash with no live follower to promote loses the shard
+    at the crash, as a typed error: a bare shard is a group of one, and
+    a replicated group whose followers died first is no better off."""
+
+    @pytest.mark.parametrize(
+        "replicas, arms",
+        [
+            (1, [(0, 30)]),  # the only member is the leader
+            (2, [(1, 10), (0, 60)]),  # the follower dies first
+        ],
+        ids=["group-of-one", "followers-dead-first"],
+    )
+    def test_lost_group_fails_at_the_crash(self, replicas, arms):
+        sink = RingSink()
+        factory = FaultEnvFactory(seed=11)
+        service = _service(
+            {"replicas_per_shard": replicas, "replication_quorum": replicas},
+            tracer=Tracer(sink),
+        )
+        service.env_factory = factory
+
+        def arm(svc):
+            for replica, offset in arms:
+                factory.arm_after(0, replica, offset)
+
+        service.on_serving_start = arm
+        with pytest.raises(NoLiveReplicaError, match="shard 0 lost every replica"):
+            service.run()
+        assert all(factory.crashed(0, replica) for replica, _ in arms)
+        crashes = [e for e in sink.events if type(e) is ReplicaCrash]
+        assert [e.role for e in crashes][-1] == "leader"
+        # No lease is waited out: the failover never begins.
+        assert not [e for e in sink.events if type(e) is FailoverBegin]
 
 
 class TestRequeueParity:

@@ -4,8 +4,9 @@ service: nothing outside ``service/service.py`` reads a service's
 private attributes, the policy/replication/client modules do not know
 the class that drives them, the class and the routing interface do not
 grow back (lower the caps when a later PR shrinks them), the event heap
-keeps one push site, the serve paths never rehash a request, and every
-service mode is selected by something that ships.
+keeps one push site, the serve paths never rehash a request, every
+shard has one shape (a replica group, of one when unreplicated), and
+every service mode is selected by something that ships.
 """
 
 import ast
@@ -16,7 +17,7 @@ from tests.lsm.test_db_shape import SRC, _parse, class_shape, imported_modules
 SERVICE_PY = SRC / "service" / "service.py"
 
 MAX_PRIVATE_ATTRS = 19
-MAX_METHODS = 33
+MAX_METHODS = 32
 #: ``route`` is the seventh: a request is hashed once, at enqueue, and
 #: ``owner`` maps the carried route.
 MAX_POLICY_METHODS = 7
@@ -128,6 +129,51 @@ def test_serve_paths_never_hash():
     }
     for name in ("_serve_read", "_serve_writes"):
         assert not _hash_sites(methods[name]), (name, _hash_sites(methods[name]))
+
+
+def _group_none_checks(tree):
+    """Every ``is None`` / ``is not None`` comparison with a ``group``
+    operand (``group``, ``shard.group``, ...)."""
+
+    def is_group(node):
+        return getattr(node, "id", None) == "group" or (
+            getattr(node, "attr", None) == "group"
+        )
+
+    def is_none(node):
+        return isinstance(node, ast.Constant) and node.value is None
+
+    return [
+        f"line {node.lineno}: {ast.unparse(node)}"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Compare)
+        and any(isinstance(op, (ast.Is, ast.IsNot)) for op in node.ops)
+        and any(is_group(x) for x in [node.left, *node.comparators])
+        and any(is_none(x) for x in [node.left, *node.comparators])
+    ]
+
+
+def test_every_shard_is_a_replica_group():
+    """One shard shape: an unreplicated shard is a group of one, so no
+    serve path asks whether a shard has a group, and ``_Shard.group``
+    cannot be None."""
+    probe = ast.parse(
+        "a = group is None\nb = shard.group is not None\n"
+        "c = None is self._group\nd = group.leader is None\n"
+    )
+    assert len(_group_none_checks(probe)) == 2
+    tree = _parse(SERVICE_PY)
+    assert not _group_none_checks(tree), _group_none_checks(tree)
+    (shard_cls,) = [
+        node for node in tree.body
+        if isinstance(node, ast.ClassDef) and node.name == "_Shard"
+    ]
+    (annotation,) = [
+        node.annotation for node in shard_cls.body
+        if isinstance(node, ast.AnnAssign) and node.target.id == "group"
+    ]
+    spelled = ast.unparse(annotation)
+    assert "None" not in spelled and "Optional" not in spelled, spelled
 
 
 #: What ships a service configuration: the benchmark workloads, the
