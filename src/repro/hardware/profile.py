@@ -7,7 +7,7 @@ with Docker; here they parameterize the virtual cost model directly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from repro.hardware.device import NVME_SSD, SATA_HDD, DeviceModel
 
@@ -37,21 +37,6 @@ class HardwareProfile:
     @property
     def memory_gib(self) -> float:
         return self.memory_bytes / GiB
-
-    def with_device(self, device: DeviceModel) -> "HardwareProfile":
-        return replace(self, name=f"{self.cpu_cores}c+{self.memory_bytes // GiB}g+{device.name}", device=device)
-
-    def scaled_memory(self, factor: float) -> "HardwareProfile":
-        """Return a copy with memory scaled by ``factor``.
-
-        Used when the dataset is scaled down from the paper's 50M keys:
-        shrinking memory by the same ratio preserves the dataset/memory
-        pressure that drives cache behaviour.
-        """
-        if factor <= 0:
-            raise ValueError("memory scale factor must be positive")
-        new_bytes = max(64 * MiB, int(self.memory_bytes * factor))
-        return replace(self, memory_bytes=new_bytes)
 
     def describe(self) -> str:
         """One-line human description (used in prompts)."""

@@ -746,15 +746,6 @@ class Options:
         """
         self._values[name] = spec_for(name).validate(value)
 
-    def unset(self, name: str) -> None:
-        """Revert one option to its default."""
-        spec_for(name)
-        self._values.pop(name, None)
-
-    def is_set(self, name: str) -> bool:
-        spec_for(name)
-        return name in self._values
-
     def __getattr__(self, name: str) -> Any:
         if name.startswith("_"):
             raise AttributeError(name)

@@ -1,7 +1,7 @@
 """Trace sinks: pluggable consumers of the event stream.
 
 A sink receives every event the :class:`~repro.obs.tracer.Tracer`
-publishes. Built-ins cover the two standing needs — bounded in-memory
+publishes. Built-ins cover the two standing needs — in-memory
 capture (:class:`RingSink`) and durable JSONL (:class:`JsonlSink`) —
 and anything with an
 ``emit(event)`` method can subscribe (the benchmark monitor is a sink).
@@ -10,7 +10,6 @@ and anything with an
 from __future__ import annotations
 
 import io
-from collections import deque
 from typing import TYPE_CHECKING
 
 from repro.obs.events import TraceEvent, to_jsonl_line
@@ -44,22 +43,17 @@ class TraceSink:
 
 
 class RingSink(TraceSink):
-    """Keeps the last ``capacity`` events in memory (None = unbounded).
+    """Keeps every event in memory.
 
     The tuners' default capture: a session's trace lands here and is
     copied onto ``TuningSession.trace_events``, which rides back from a
     worker process inside the pickled session.
     """
 
-    def __init__(self, capacity: int | None = None) -> None:
-        self._events: deque[TraceEvent] = deque(maxlen=capacity)
-        self.dropped = 0
+    def __init__(self) -> None:
+        self._events: list[TraceEvent] = []
 
     def emit(self, event: TraceEvent) -> None:
-        if self._events.maxlen is not None and (
-            len(self._events) == self._events.maxlen
-        ):
-            self.dropped += 1
         self._events.append(event)
 
     @property
@@ -68,7 +62,6 @@ class RingSink(TraceSink):
 
     def clear(self) -> None:
         self._events.clear()
-        self.dropped = 0
 
     def __len__(self) -> int:
         return len(self._events)

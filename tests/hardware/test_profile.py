@@ -43,22 +43,3 @@ class TestPaperCells:
     def test_named_cells(self):
         assert PAPER_HDD_2C4G.cpu_cores == 2
         assert PAPER_HDD_2C4G.device is SATA_HDD
-
-
-class TestTransforms:
-    def test_with_device(self):
-        p = make_profile(4, 4).with_device(SATA_HDD)
-        assert p.device is SATA_HDD
-        assert p.cpu_cores == 4
-
-    def test_scaled_memory(self):
-        p = make_profile(4, 8).scaled_memory(0.5)
-        assert p.memory_bytes == 4 * GiB
-
-    def test_scaled_memory_floor(self):
-        p = make_profile(4, 4).scaled_memory(1e-9)
-        assert p.memory_bytes >= 64 * 1024 * 1024
-
-    def test_scaled_memory_invalid(self):
-        with pytest.raises(ValueError):
-            make_profile(4, 4).scaled_memory(0)

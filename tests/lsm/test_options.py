@@ -147,14 +147,6 @@ class TestOptionsBag:
     def test_unset_reports_default(self):
         assert Options().get("num_levels") == 7
 
-    def test_set_and_unset(self):
-        opts = Options()
-        opts.set("num_levels", 5)
-        assert opts.is_set("num_levels")
-        opts.unset("num_levels")
-        assert not opts.is_set("num_levels")
-        assert opts.get("num_levels") == 7
-
     def test_attribute_access(self):
         opts = Options()
         assert opts.write_buffer_size == 64 * MiB

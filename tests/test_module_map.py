@@ -83,14 +83,6 @@ KEEP_TEST_ONLY = {
     "builder's split point against",
     "FaultFS.schedule_error": "tests inject an I/O error at a chosen "
     "operation to reach the error paths; the sweeps inject crashes only",
-    "HardwareProfile.with_device": "ROADMAP item 9: leaves with "
-    "test_profile's transform tests in the next census change",
-    "HardwareProfile.scaled_memory": "ROADMAP item 9: leaves with "
-    "test_profile's transform tests in the next census change",
-    "Options.unset": "ROADMAP item 9: leaves with test_set_and_unset in "
-    "the next census change",
-    "Options.is_set": "ROADMAP item 9: leaves with test_set_and_unset in "
-    "the next census change",
 }
 
 #: Knobs (``Owner.name``) no entry point sets, kept on purpose.
@@ -110,10 +102,9 @@ KEEP_UNSET = {
     "DB.scan.snapshot": "a scan at a pinned snapshot (RocksDB's "
     "ReadOptions.snapshot), the view test_scan_equivalence and "
     "test_snapshot compare with point gets",
-    "RingSink.capacity": "ROADMAP item 9: leaves with "
-    "test_ring_capacity_drops_oldest in the next census change",
-    "WorkloadSpec.value_size": "ROADMAP item 9: leaves with "
-    "test_spec_rejects_non_positive_value_size in the next census change",
+    "WorkloadSpec.value_size": "test_keygen's "
+    "test_spec_rejects_non_positive_value_size and test_crash_recovery's "
+    "64-byte fill set sizes no paper workload uses",
     "replay_wal.strict": "ROADMAP item 7's all-or-nothing batches make "
     "strict replay raise on an orphaned continuation record",
     "run_session_tasks.max_workers": "the serial run is the reference "
