@@ -18,7 +18,7 @@ from repro.obs.drift import DriftConfig
 from repro.obs.events import ServiceProgress
 from repro.obs.sinks import RingSink
 from repro.obs.tracer import Tracer
-from repro.service import run_service_benchmark
+from repro.service import ShardedService
 
 PROFILE = make_profile(4, 4)
 SCALE = 1.0 / 500.0
@@ -40,10 +40,10 @@ def ops_per_sec_after(events, from_ops):
 def static_run(spec, base):
     """The untuned baseline, traced for its progress samples."""
     sink = RingSink()
-    run_service_benchmark(
+    ShardedService(
         spec, Options(dict(base)), PROFILE,
         client_ops_per_sec=SATURATING, tracer=Tracer(sink),
-    )
+    ).run()
     return sink.events
 
 
@@ -52,12 +52,12 @@ def test_group_commit_saves_a_quarter_of_wal_syncs():
     writers share one WAL sync per group."""
 
     def run(group_commit):
-        return run_service_benchmark(
+        return ShardedService(
             workload("readwhilewriting"),
             Options({"shard_count": 4, "use_fsync": True,
                      "enable_group_commit": group_commit}),
             PROFILE, num_clients=8,
-        )
+        ).run()
 
     grouped, per_op = run(True), run(False)
     assert grouped.aggregate.writes_done == per_op.aggregate.writes_done == 3125
@@ -155,13 +155,13 @@ def test_quorum_write_costs_one_round_trip_at_p99():
     )
 
     def run(replicas, follower_reads):
-        return run_service_benchmark(
+        return ShardedService(
             spec,
             Options({"shard_count": 2, "replicas_per_shard": replicas,
                      "replication_quorum": min(2, replicas),
                      "follower_reads": follower_reads}),
             num_clients=8, client_ops_per_sec=1_000.0,
-        )
+        ).run()
 
     single, quorum, offloaded = run(1, False), run(3, False), run(3, True)
     assert single.aggregate.p99_write_us() == 3.38826086956523

@@ -75,7 +75,7 @@ from repro.obs.drift import DriftConfig
 from repro.obs.events import ReshardBegin, ReshardEnd, to_jsonl_line
 from repro.obs.sinks import RingSink
 from repro.obs.tracer import Tracer
-from repro.service import render_service_report, run_service_benchmark
+from repro.service import render_service_report
 from repro.service.service import ShardedService
 
 #: One run: (trace lines, report text, problems with the run itself).
@@ -114,20 +114,20 @@ def bg() -> Run:
 
 def service() -> Run:
     sink = RingSink()
-    result = run_service_benchmark(
+    result = ShardedService(
         workload("readwhilewriting"),
         Options({"shard_count": 4, "use_fsync": True}),
         make_profile(4, 4),
         num_clients=8,
         tracer=Tracer(sink),
-    )
+    ).run()
     result.wall_clock_s = 0.0
     return _trace_lines(sink.events), render_service_report(result), []
 
 
 def repl() -> Run:
     sink = RingSink()
-    result = run_service_benchmark(
+    result = ShardedService(
         workload("readwhilewriting"),
         Options({
             "shard_count": 4,
@@ -139,7 +139,7 @@ def repl() -> Run:
         make_profile(4, 4),
         num_clients=8,
         tracer=Tracer(sink),
-    )
+    ).run()
     result.wall_clock_s = 0.0
     problems = []
     if result.follower_reads_served == 0:

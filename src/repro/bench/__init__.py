@@ -9,7 +9,7 @@ from repro.bench.keygen import (
     make_generator,
 )
 from repro.bench.report import render_report
-from repro.bench.runner import BenchResult, DbBench, ProgressEvent
+from repro.bench.runner import BenchResult, DbBench
 from repro.bench.spec import (
     DEFAULT_SCALE,
     FILLRANDOM,
@@ -24,7 +24,6 @@ from repro.bench.spec import (
 __all__ = [
     "BenchResult",
     "DbBench",
-    "ProgressEvent",
     "render_report",
     "WorkloadSpec",
     "paper_workload",

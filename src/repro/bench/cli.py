@@ -11,20 +11,13 @@ from __future__ import annotations
 import argparse
 from dataclasses import replace
 
-from repro.bench.report import render_report
-from repro.bench.runner import DbBench
-from repro.bench.spec import (
-    ALL_WORKLOADS,
-    DEFAULT_BYTE_SCALE,
-    DEFAULT_SCALE,
-    SERVICE_WORKLOADS,
-    workload,
-)
+from repro.bench.spec import ALL_WORKLOADS, DEFAULT_BYTE_SCALE, DEFAULT_SCALE, workload
 from repro.hardware.device import device_by_name
 from repro.hardware.profile import make_profile
 from repro.lsm.options import Options
 from repro.lsm.options_file import load_options_file
 from repro.obs import JsonlSink, Tracer, console
+from repro.service.service import run_benchmark
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -90,42 +83,20 @@ def main(argv: list[str] | None = None) -> int:
         spec = replace(spec, seek_nexts=args.seek_nexts)
     if args.shards is not None:
         options.set("shard_count", args.shards)
-    # Service workloads (per-client roles), multiple shards, or any
-    # explicit client topology all go through the service layer; the
-    # classic single-DB path stays byte-identical to previous releases.
-    use_service = (
-        args.benchmark in SERVICE_WORKLOADS
-        or options.get("shard_count") > 1
-        or args.clients is not None
-        or args.client_ops_per_sec is not None
-    )
     tracer = None
     if args.trace_out:
         tracer = Tracer(JsonlSink(args.trace_out))
     try:
-        if use_service:
-            from repro.service import render_service_report, run_service_benchmark
-            from repro.service.service import DEFAULT_CLIENT_OPS_PER_SEC
-
-            service_result = run_service_benchmark(
-                spec,
-                options,
-                profile,
-                num_clients=args.clients,
-                client_ops_per_sec=(
-                    args.client_ops_per_sec
-                    if args.client_ops_per_sec is not None
-                    else DEFAULT_CLIENT_OPS_PER_SEC
-                ),
-                byte_scale=args.byte_scale,
-                tracer=tracer,
-            )
-            console.out(render_service_report(service_result))
-        else:
-            result = DbBench(
-                spec, options, profile, byte_scale=args.byte_scale, tracer=tracer
-            ).run()
-            console.out(render_report(result))
+        _result, report = run_benchmark(
+            spec,
+            options,
+            profile,
+            byte_scale=args.byte_scale,
+            num_clients=args.clients,
+            client_ops_per_sec=args.client_ops_per_sec,
+            tracer=tracer,
+        )
+        console.out(report)
     finally:
         if tracer is not None:
             tracer.close()

@@ -7,7 +7,7 @@ faithful report and :mod:`repro.core.bench_parser` parses it back.
 
 from __future__ import annotations
 
-from repro.bench.runner import BenchResult
+from repro.bench.runner import BenchResult, DbBench
 from repro.lsm.histogram import HistogramSummary
 
 
@@ -45,7 +45,7 @@ def render_report(result: BenchResult) -> str:
     lines.append(
         f"Hardware:   {result.profile.describe()}"
     )
-    lines.append("DB path:    [/bench/db]")
+    lines.append(f"DB path:    [{DbBench.DB_PATH}]")
     lines.append("-" * 60)
     lines.append(
         f"{spec.name:<13}: {result.micros_per_op:10.3f} micros/op "

@@ -11,7 +11,7 @@ from __future__ import annotations
 import random
 import time
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, Iterator
 
 from repro.bench.keygen import ValueGenerator, format_key, make_generator
 from repro.bench.spec import SCAN_WORKLOADS, WorkloadSpec
@@ -22,15 +22,17 @@ from repro.lsm.env import Env
 from repro.lsm.histogram import Histogram, HistogramSummary
 from repro.lsm.options import Options
 from repro.lsm.statistics import OpClass, Statistics, Ticker
-from repro.obs.events import BenchAbort, BenchEnd, BenchProgress, BenchStart
+from repro.obs.events import (
+    BenchAbort,
+    BenchEnd,
+    BenchProgress,
+    BenchStart,
+    TraceEvent,
+)
 from repro.obs.tracer import Tracer
 
-#: The periodic progress sample is a first-class trace event now; the
-#: callback-facing name stays as an alias for progress callbacks.
-ProgressEvent = BenchProgress
-
 #: Callback contract: return False to abort the run early.
-ProgressCallback = Callable[[ProgressEvent], bool]
+ProgressCallback = Callable[[BenchProgress], bool]
 
 
 @dataclass
@@ -180,11 +182,78 @@ def preload_stream(spec: WorkloadSpec) -> tuple[list[int], ValueGenerator]:
     return order, values
 
 
+def op_stream(
+    spec: WorkloadSpec, num_ops: int, seed: int
+) -> Iterator[tuple[bool, Callable[[], bytes], Callable[[], bytes]]]:
+    """The measured request stream every runner draws: ``num_ops``
+    operations of ``spec`` from ``seed`` (the spec's own seed for
+    :class:`DbBench`, a per-client seed for a simulated client).
+
+    Yields ``(is_read, next_key, next_value)`` per operation: the mixed
+    read/put draw and the key and value generators in force. Keys,
+    values and the mix each have their own seeded generator, so a
+    caller that draws no key (``readseq``'s cursor) or several (a
+    multi-get batch), or ignores the mix (a client with a fixed role),
+    leaves the other streams as they are. A phased spec's schedule is
+    resolved over ``num_ops``: each segment sets the read fraction, and
+    a distribution change reseeds the keys from (seed, segment index),
+    so a phase lands at the same stream fraction however the ops were
+    split.
+    """
+    # The generators are built here, when the stream is made, not on
+    # its first draw: a value pool takes milliseconds to build, and a
+    # runner makes its streams before it starts the clock.
+    next_key = make_generator(spec.distribution, spec.num_keys, seed).next_key
+    next_value = ValueGenerator(
+        spec.value_size, pareto_sizes=spec.pareto_values, seed=seed ^ 0xBEEF
+    ).next_value
+    mix = random.Random(seed ^ 0xC0FFEE).random
+    segments = spec.schedule(num_ops)
+
+    def draws(next_key):
+        segment = 0
+        read_fraction = spec.read_fraction
+        distribution = spec.distribution
+        for op_index in range(num_ops):
+            while (
+                segment + 1 < len(segments)
+                and op_index >= segments[segment + 1][0]
+            ):
+                segment += 1
+                _start, read_fraction, new_dist = segments[segment]
+                if new_dist != distribution:
+                    distribution = new_dist
+                    next_key = make_generator(
+                        distribution, spec.num_keys, seed ^ (0xD41F7 + segment)
+                    ).next_key
+            is_read = read_fraction >= 1.0 or (
+                read_fraction > 0.0 and mix() < read_fraction
+            )
+            yield is_read, next_key, next_value
+
+    return draws(next_key)
+
+
+def emit_progress(tracer: Tracer | None, event: TraceEvent) -> bool:
+    """Emit one mid-run progress sample; True when a sink (the early-stop
+    monitor) asked through the tracer's control channel to abort the
+    run, after the ``bench.abort`` event is recorded."""
+    if tracer is None:
+        return False
+    tracer.emit(event)
+    if not tracer.abort_requested:
+        return False
+    tracer.emit(BenchAbort(tracer.take_abort() or "abort requested"))
+    return True
+
+
 class DbBench:
     """One-shot benchmark executor (construct, :meth:`run`, discard)."""
 
     #: ops between progress callbacks.
     PROGRESS_EVERY = 500
+    #: Where every run keeps its store; the report prints it.
+    DB_PATH = "/bench/db"
 
     def __init__(
         self,
@@ -193,7 +262,6 @@ class DbBench:
         profile: HardwareProfile | None = None,
         *,
         byte_scale: float = 1.0,
-        db_path: str = "/bench/db",
         env: Env | None = None,
         tracer: Tracer | None = None,
     ) -> None:
@@ -201,7 +269,6 @@ class DbBench:
         self.options = options if options is not None else Options()
         self.profile = profile if profile is not None else make_profile(4, 4)
         self.byte_scale = byte_scale
-        self.db_path = db_path
         self.env = env if env is not None else Env()
         self.tracer = tracer
 
@@ -227,7 +294,7 @@ class DbBench:
             else None
         )
         db = DB.open(
-            self.db_path,
+            self.DB_PATH,
             self.options,
             env=self.env,
             profile=self.profile,
@@ -244,22 +311,7 @@ class DbBench:
             db.foreground_parallelism = max(
                 1, min(spec.threads, self.profile.cpu_cores)
             )
-            keys = make_generator(spec.distribution, spec.num_keys, spec.seed)
-            values = ValueGenerator(
-                spec.value_size,
-                pareto_sizes=spec.pareto_values,
-                seed=spec.seed ^ 0xBEEF,
-            )
-            mix_rng = random.Random(spec.seed ^ 0xC0FFEE)
-            # Phased workloads: resolve mid-run shifts into op-index
-            # segments once; the loop below switches mix/keygen at the
-            # boundaries. Key generators for later segments get seeds
-            # derived from (spec seed, segment index), so the switch is
-            # as deterministic as the rest of the stream.
-            segments = spec.schedule(spec.num_ops)
-            segment = 0
-            read_fraction = spec.read_fraction
-            distribution = spec.distribution
+            stream = op_stream(spec, spec.num_ops, spec.seed)
             if tracer is not None:
                 tracer.emit(
                     BenchStart(spec.name, spec.num_ops, spec.num_keys)
@@ -275,20 +327,7 @@ class DbBench:
             scan_mode = spec.name in SCAN_WORKLOADS or spec.seek_nexts > 0
             sequential = spec.name == "readseq"
             cursor = db.iterator() if scan_mode else None
-            for op_index in range(spec.num_ops):
-                while (
-                    segment + 1 < len(segments)
-                    and op_index >= segments[segment + 1][0]
-                ):
-                    segment += 1
-                    _start, read_fraction, new_dist = segments[segment]
-                    if new_dist != distribution:
-                        distribution = new_dist
-                        keys = make_generator(
-                            distribution,
-                            spec.num_keys,
-                            spec.seed ^ (0xD41F7 + segment),
-                        )
+            for op_index, (is_read, next_key, next_value) in enumerate(stream):
                 if cursor is not None:
                     if sequential:
                         latency = (
@@ -296,40 +335,30 @@ class DbBench:
                             else cursor.seek(None)
                         )
                     else:
-                        latency = cursor.seek(keys.next_key())
+                        latency = cursor.seek(next_key())
                         for _ in range(spec.seek_nexts):
                             if not cursor.valid:
                                 break
                             latency += cursor.next()
                     stats.observe(OpClass.SEEK, latency)
                     reads += 1
-                elif read_fraction >= 1.0 or (
-                    read_fraction > 0.0
-                    and mix_rng.random() < read_fraction
-                ):
-                    db.get(keys.next_key())
+                elif is_read:
+                    db.get(next_key())
                     reads += 1
                 else:
-                    db.put(keys.next_key(), values.next_value())
+                    db.put(next_key(), next_value())
                     writes += 1
                 if sample and (op_index + 1) % self.PROGRESS_EVERY == 0:
                     elapsed = (self.env.clock.now_us - start_us) / 1e6
-                    event = ProgressEvent(
+                    event = BenchProgress(
                         ops_done=op_index + 1,
                         total_ops=spec.num_ops,
                         elapsed_virtual_s=elapsed,
                         ops_per_sec=(op_index + 1) / elapsed if elapsed > 0 else 0.0,
                     )
-                    if tracer is not None:
-                        # Sinks (e.g. the early-stop monitor) see the
-                        # sample and may request an abort through the
-                        # tracer's control channel.
-                        tracer.emit(event)
-                        if tracer.abort_requested:
-                            reason = tracer.take_abort() or "abort requested"
-                            tracer.emit(BenchAbort(reason))
-                            aborted = True
-                            break
+                    if emit_progress(tracer, event):
+                        aborted = True
+                        break
                     if progress is not None and not progress(event):
                         aborted = True
                         if tracer is not None:

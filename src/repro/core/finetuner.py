@@ -16,8 +16,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.bench.report import render_report
-from repro.bench.runner import DbBench
 from repro.core.bench_parser import BenchMetrics, parse_report
 from repro.core.safeguard import default_blacklist
 from repro.core.session import TuningSession
@@ -25,6 +23,7 @@ from repro.core.tuner import ElmoTune, TunerConfig
 from repro.errors import OptionError
 from repro.llm.client import LLMClient
 from repro.lsm.options import OptKind, Options, spec_for
+from repro.service.service import run_benchmark
 
 #: Options worth polishing even when the LLM never touched them.
 _ALWAYS_CANDIDATES = (
@@ -117,14 +116,12 @@ class FineTuner:
     # -- plumbing -----------------------------------------------------------
 
     def _bench(self, options: Options) -> BenchMetrics:
-        result = DbBench(
-            self.config.workload,
-            options,
-            self.config.profile,
-            byte_scale=self.config.byte_scale,
-            db_path=self.config.db_path,
-        ).run()
-        return parse_report(render_report(result))
+        """Measure ``options`` by the tuning loop's own runner rule."""
+        cfg = self.config
+        _result, report = run_benchmark(
+            cfg.workload, options, cfg.profile, byte_scale=cfg.byte_scale
+        )
+        return parse_report(report)
 
     def _candidates(self, start: Options) -> list[str]:
         """The options the LLM touched, then the always-candidates."""

@@ -9,9 +9,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.bench.report import render_report
-from repro.bench.runner import BenchResult, DbBench
-from repro.bench.spec import DEFAULT_BYTE_SCALE, SERVICE_WORKLOADS, WorkloadSpec
+from repro.bench.runner import BenchResult
+from repro.bench.spec import DEFAULT_BYTE_SCALE, WorkloadSpec
 from repro.core.bench_parser import BenchMetrics, parse_report
 from repro.core.flagger import ActiveFlagger
 from repro.core.monitor import BenchmarkMonitor
@@ -38,6 +37,7 @@ from repro.obs.events import (
 )
 from repro.obs.sinks import RingSink
 from repro.obs.tracer import Tracer
+from repro.service.service import run_benchmark
 
 _FORMAT_REMINDER = (
     "Your previous reply contained no parseable option changes. Please "
@@ -58,9 +58,6 @@ class TunerConfig:
     prompt_sections: PromptSections = field(default_factory=PromptSections)
     #: Disable the flagger's revert behaviour (ablation: keep everything).
     always_keep: bool = False
-    #: Where every benchmark run keeps its store (a class constant, not
-    #: a field).
-    db_path = "/elmo/db"
 
 
 class ElmoTune:
@@ -99,41 +96,19 @@ class ElmoTune:
     def _run_bench(
         self, options: Options, reference_ops: float | None
     ) -> tuple[BenchResult, BenchMetrics, str, bool]:
-        """One benchmark run under the early-stop monitor.
-
-        It goes through the sharded service layer whenever the tuner is
-        exploring topology (``shard_count`` > 1) or the workload needs
-        per-client roles (``readwhilewriting``, ``multireadrandom``).
-        The headline of the service report is plain db_bench text, and
-        the service emits the same progress samples, so the parser, the
-        monitor and the feedback prompt work unchanged.
-        """
+        """One benchmark run, measured by
+        :func:`~repro.service.service.run_benchmark`'s runner rule,
+        under the early-stop monitor."""
         cfg = self.config
         monitor = BenchmarkMonitor(reference_ops)
         # The monitor subscribes to the trace for the duration of the
         # run; it requests aborts through the tracer's control channel.
         self.tracer.add_sink(monitor)
         try:
-            if (
-                options.get("shard_count") > 1
-                or cfg.workload.name in SERVICE_WORKLOADS
-            ):
-                from repro.service.report import render_service_report
-                from repro.service.service import ShardedService
-
-                service_result = ShardedService(
-                    cfg.workload, options, cfg.profile,
-                    byte_scale=cfg.byte_scale, tracer=self.tracer,
-                ).run()
-                result = service_result.aggregate
-                report = render_service_report(service_result)
-            else:
-                result = DbBench(
-                    cfg.workload, options, cfg.profile,
-                    byte_scale=cfg.byte_scale, db_path=cfg.db_path,
-                    tracer=self.tracer,
-                ).run()
-                report = render_report(result)
+            result, report = run_benchmark(
+                cfg.workload, options, cfg.profile,
+                byte_scale=cfg.byte_scale, tracer=self.tracer,
+            )
         finally:
             self.tracer.remove_sink(monitor)
         return result, parse_report(report), report, monitor.fired

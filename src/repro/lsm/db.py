@@ -1953,14 +1953,8 @@ class DBIterator:
         if not cached:
             self._tables_opened += 1
             self._open_cost_us += db._table_open_us(reader)
-        if start is not None:
-            return reader.iter_from(
-                start,
-                cache_get=db._cache_get,
-                cache_put=db._block_cache.put,
-                stats=self._shared,
-            )
-        return reader.iter_entries(
+        return reader.iter_from(
+            start,
             cache_get=db._cache_get,
             cache_put=db._block_cache.put,
             stats=self._shared,

@@ -67,8 +67,10 @@ class OptionSpec:
     mutable: bool = True
     #: Deprecated options parse but are rejected by the safeguard layer.
     deprecated: bool = False
-    #: Some options are performance-critical to *not* touch (journaling,
-    #: integrity checks); they are on the default blacklist.
+    #: Some options are critical to *not* touch (journaling, integrity
+    #: checks) or are open modes, not tuning knobs (``create_if_missing``
+    #: off leaves a benchmark's fresh store unopenable); they are on the
+    #: default blacklist.
     sensitive: bool = False
 
     def validate(self, value: Any) -> Any:
@@ -307,9 +309,9 @@ CATALOG: tuple[OptionSpec, ...] = (
     _opt("advise_random_on_open", _D, _B, True,
          "posix_fadvise(RANDOM) table files on open."),
     _opt("create_if_missing", _D, _B, True,
-         "Create the database directory if absent."),
+         "Create the database directory if absent.", sensitive=True),
     _opt("error_if_exists", _D, _B, False,
-         "Fail open() if the database already exists."),
+         "Fail open() if the database already exists.", sensitive=True),
     _opt("max_file_opening_threads", _D, _I, 16,
          "Parallelism for opening table files at DB open.", min=1, max=128),
     _opt("enable_thread_tracking", _D, _B, False,

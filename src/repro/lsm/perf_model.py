@@ -126,8 +126,6 @@ class PerfModel:
         self.profile = profile
         self.options = options
         self.cpu = CpuCosts()
-        self.smoother = WriteSmoother(options, profile, byte_scale)
-        self._codec = options.get("compression")
         #: Background jobs over a byte_scale'd dataset run ~1/byte_scale
         #: times more often, so their *fixed* per-IO costs (latency,
         #: seeks, syncs) must shrink by byte_scale to keep the aggregate
@@ -137,32 +135,29 @@ class PerfModel:
         #: Concurrent foreground writer threads (set by the DB); the
         #: pipelined write path pays off only with real concurrency.
         self._foreground_threads = 1
-        # Hot-path lookups are resolved once here instead of per
-        # operation; ``refresh_options`` re-resolves them when the live
-        # configuration changes (``DB.set_options``).
-        self._memtable_bloom = options.get("memtable_prefix_bloom_size_ratio") > 0
-        self._pipelined = bool(options.get("enable_pipelined_write"))
-        self._readahead_relief_cached = self._compute_readahead_relief()
-        self._recompute_put_constants()
         #: Per-configuration price tables: ``(tables_probed, busy)`` ->
         #: memtable probes (:meth:`memtable_get_cost_us`) and
         #: ``(bloom_checked, block_read, busy)`` -> a point lookup's
         #: table probe (:meth:`probe_cost_us`).
         self._memtable_prices: dict[tuple[int, int], float] = {}
         self._probe_prices: dict[tuple, float] = {}
+        self.smoother: WriteSmoother | None = None
+        self.refresh_options()
 
     def refresh_options(self) -> None:
-        """Re-resolve every hoisted option lookup from the bound bag.
+        """Resolve every hoisted option lookup from the bound bag.
 
-        ``DB.set_options`` mutates the shared :class:`Options` in place
-        and then calls this so the hot-path constants re-price. The
-        smoother is rebuilt against the new ``bytes_per_sync`` family but
-        keeps its accumulated dirty bytes: writeback debt is OS state, a
-        config change does not flush it.
+        Hot-path lookups are resolved here once instead of per
+        operation: at construction, and again after ``DB.set_options``
+        mutates the shared :class:`Options` in place, so the hot-path
+        constants re-price. The smoother is rebuilt against the new
+        ``bytes_per_sync`` family but keeps its accumulated dirty bytes:
+        writeback debt is OS state, a config change does not flush it.
         """
-        dirty = self.smoother._dirty
+        previous = self.smoother
         self.smoother = WriteSmoother(self.options, self.profile, self._fixed_scale)
-        self.smoother._dirty = dirty
+        if previous is not None:
+            self.smoother._dirty = previous._dirty
         self._codec = self.options.get("compression")
         self._memtable_bloom = (
             self.options.get("memtable_prefix_bloom_size_ratio") > 0

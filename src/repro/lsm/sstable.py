@@ -158,21 +158,7 @@ class SSTableBuilder:
         return self._offset + self._block.size_estimate()
 
     def add(self, internal_key: bytes, kind: ValueKind, value: bytes) -> None:
-        if self._finished:
-            raise CorruptionError("add() after finish()")
-        if self._num_entries and internal_key <= self._last_ikey:
-            raise CorruptionError("sstable keys must be strictly increasing")
-        if self._first_ikey is None:
-            self._first_ikey = internal_key
-        self._last_ikey = internal_key
-        self._num_entries += 1
-        if self._collect_bloom:
-            self._note_bloom_prefix(internal_key[:-8])
-        packed = _KIND_BYTES[kind] + value
-        if self._kept is not None:
-            self._kept.append((internal_key, packed))
-        if self._block.add(internal_key, packed) >= self._block_size:
-            self._flush_block()
+        self.add_packed(internal_key, _KIND_BYTES[kind] + value)
 
     def _note_bloom_prefix(self, prefix: bytes) -> None:
         prefixes = self._bloom_prefixes
@@ -678,23 +664,6 @@ class SSTableReader:
                 out[user_key] = (_KIND_OF[packed[0]], packed[1:])
         return out
 
-    def iter_entries(
-        self,
-        *,
-        cache_get: CacheGet | None = None,
-        cache_put: CachePut | None = None,
-        stats: ReadStats | None = None,
-    ) -> Iterator[tuple[bytes, ValueKind, bytes]]:
-        """Full in-order scan of (internal_key, kind, value)."""
-        reads = (stats if stats is not None else ReadStats()).block_reads
-        for idx in range(len(self._index)):
-            entries, block_read = self._read_block(
-                idx, cache_get, cache_put, None, None
-            )
-            reads.append(block_read)
-            for entry_ikey, packed in entries:
-                yield entry_ikey, _KIND_OF[packed[0]], packed[1:]
-
     def read_packed(
         self, *, stats: ReadStats | None = None
     ) -> list[tuple[bytes, bytes]]:
@@ -704,7 +673,7 @@ class SSTableReader:
         per-entry work — the compaction merge consumes it directly and
         re-emits the packed value verbatim, skipping the kind decode /
         value slice / re-concat of the tuple path. Read accounting
-        matches :meth:`iter_entries` exactly.
+        matches :meth:`iter_from` exactly.
 
         Compaction is the one caller, and the table dies when the
         compaction installs, so the decoded-block memo is dropped after
@@ -721,24 +690,27 @@ class SSTableReader:
 
     def iter_from(
         self,
-        user_key: bytes,
+        user_key: bytes | None,
         *,
         cache_get: CacheGet | None = None,
         cache_put: CachePut | None = None,
         stats: ReadStats | None = None,
     ) -> Iterator[tuple[bytes, ValueKind, bytes]]:
-        """In-order scan starting at the first entry >= user_key."""
+        """In-order scan of (internal_key, kind, value) from the first
+        entry >= user_key; ``None`` scans the whole table."""
         reads = (stats if stats is not None else ReadStats()).block_reads
-        seek = ikey_mod.seek_key(user_key)
-        start = self._block_index_for(seek)
-        if start is None:
-            return
+        start, seek = 0, None
+        if user_key is not None:
+            seek = ikey_mod.seek_key(user_key)
+            start = self._block_index_for(seek)
+            if start is None:
+                return
         for idx in range(start, len(self._index)):
             entries, block_read = self._read_block(
                 idx, cache_get, cache_put, None, None
             )
             reads.append(block_read)
-            if idx == start:
+            if idx == start and seek is not None:
                 entries = entries[block_entries_seek(entries, seek):]
             for entry_ikey, packed in entries:
                 yield entry_ikey, _KIND_OF[packed[0]], packed[1:]

@@ -313,7 +313,7 @@ class BenchStart(TraceEvent):
 @register_event
 @dataclass
 class BenchProgress(TraceEvent):
-    """Periodic progress sample (the old ``ProgressEvent``)."""
+    """Periodic progress sample; DbBench's progress callback gets it too."""
 
     TYPE: ClassVar[str] = "bench.progress"
     ops_done: int

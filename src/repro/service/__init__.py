@@ -37,7 +37,7 @@ from repro.service.service import (
     ServiceResult,
     ShardStats,
     ShardedService,
-    run_service_benchmark,
+    run_benchmark,
 )
 
 __all__ = [
@@ -62,7 +62,7 @@ __all__ = [
     "open_group",
     "render_service_report",
     "ring_hash",
-    "run_service_benchmark",
+    "run_benchmark",
     "run_service_crash_schedule",
     "service_sweep",
     "shard_for_key",

@@ -22,7 +22,7 @@ from __future__ import annotations
 import random
 from typing import Iterator, NamedTuple
 
-from repro.bench.keygen import ValueGenerator, make_generator
+from repro.bench.runner import op_stream
 from repro.bench.spec import WorkloadSpec
 from repro.errors import WorkloadError
 
@@ -74,70 +74,29 @@ class SimClient:
         # seed: two clients never share a random state.
         base = (spec.seed ^ (0x9E3779B9 * (client_id + 1))) & 0xFFFFFFFF
         self._arrivals = random.Random(base ^ 0xA221)
-        self._mix = random.Random(base ^ 0xC0FFEE)
-        self._keys = make_generator(spec.distribution, spec.num_keys, base)
-        self._values = ValueGenerator(
-            spec.value_size,
-            pareto_sizes=spec.pareto_values,
-            seed=base ^ 0xBEEF,
-        )
+        self._ops = op_stream(spec, num_requests, base)
         self._mean_us = mean_interarrival_us
-        self._spec = spec
-        self._base = base
-        # Phased specs: each client resolves the shifts against its OWN
-        # stream length, so a phase lands at the same stream fraction no
-        # matter how ops were split across clients — the property that
-        # keeps request streams independent of client count.
-        self._segments = spec.schedule(num_requests)
+        self._batch_size = spec.batch_size
 
     def requests(self, start_us: float = 0.0) -> Iterator[Request]:
-        """Yield this client's whole request stream, arrival-stamped."""
-        spec = self._spec
+        """Yield this client's whole request stream, arrival-stamped:
+        :func:`~repro.bench.runner.op_stream` over the client's own
+        stream length, so a phase lands at the same stream fraction no
+        matter how ops were split across clients."""
         now = start_us
-        segments = self._segments
-        segment = 0
-        read_fraction = spec.read_fraction
-        distribution = spec.distribution
-        # Everything the loop reads per request, bound once.
         client, role = self.client_id, self.role
         interarrival = self._arrivals.expovariate
         rate = 1.0 / self._mean_us
-        mix = self._mix.random
-        next_key = self._keys.next_key
-        next_value = self._values.next_value
-        for index in range(self.num_requests):
-            while (
-                segment + 1 < len(segments)
-                and index >= segments[segment + 1][0]
-            ):
-                segment += 1
-                _start, read_fraction, new_dist = segments[segment]
-                if new_dist != distribution:
-                    distribution = new_dist
-                    self._keys = make_generator(
-                        distribution,
-                        spec.num_keys,
-                        self._base ^ (0xD41F7 + segment),
-                    )
-                    next_key = self._keys.next_key
+        batch = range(self._batch_size)
+        for index, (is_read, next_key, next_value) in enumerate(self._ops):
             now += interarrival(rate)
-            if role == "reader":
-                yield Request(client, index, now, GET, next_key())
-            elif role == "writer":
-                yield Request(client, index, now, PUT, next_key(), next_value())
-            elif role == "multireader":
-                keys = tuple(next_key() for _ in range(spec.batch_size))
+            if role == "multireader":
+                keys = tuple(next_key() for _ in batch)
                 yield Request(client, index, now, MULTIGET, keys=keys)
-            else:  # mixed
-                is_read = read_fraction >= 1.0 or (
-                    read_fraction > 0.0 and mix() < read_fraction
-                )
-                if is_read:
-                    yield Request(client, index, now, GET, next_key())
-                else:
-                    yield Request(
-                        client, index, now, PUT, next_key(), next_value()
-                    )
+            elif role == "reader" or (role == "mixed" and is_read):
+                yield Request(client, index, now, GET, next_key())
+            else:  # a writer, or a mixed client's put
+                yield Request(client, index, now, PUT, next_key(), next_value())
 
 
 def build_clients(

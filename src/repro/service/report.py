@@ -11,8 +11,12 @@ recognise.
 
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
+
 from repro.bench.report import render_report
-from repro.service.service import ServiceResult
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.service.service import ServiceResult
 
 
 def render_service_report(result: ServiceResult) -> str:

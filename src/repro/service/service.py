@@ -73,8 +73,9 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable, Mapping
 
 from repro.bench.keygen import format_key
-from repro.bench.runner import BenchResult, preload_stream
-from repro.bench.spec import WorkloadSpec
+from repro.bench.report import render_report
+from repro.bench.runner import BenchResult, DbBench, emit_progress, preload_stream
+from repro.bench.spec import SERVICE_WORKLOADS, WorkloadSpec
 from repro.errors import (
     AuditUnavailableError,
     DBClosedError,
@@ -91,7 +92,6 @@ from repro.lsm.histogram import Histogram, HistogramSummary
 from repro.lsm.options import Options, ensure_mutable, spec_for
 from repro.lsm.statistics import Statistics, Ticker
 from repro.obs.events import (
-    BenchAbort,
     FailoverBegin,
     FailoverEnd,
     GroupCommit,
@@ -116,6 +116,7 @@ from repro.service.replication import (
     apply_entries,
     open_group,
 )
+from repro.service.report import render_service_report
 from repro.service.routing import ReshardPlan, RoutingPolicy, make_policy
 from repro.sim.clock import SimClock
 
@@ -834,13 +835,9 @@ class ShardedService:
                 ) * self.PROGRESS_EVERY
                 if watch:
                     event = self._progress_event(base_us)
-                    if self.tracer is not None:
-                        self.tracer.emit(event)
-                        if self.tracer.abort_requested:
-                            reason = self.tracer.take_abort() or "abort requested"
-                            self.tracer.emit(BenchAbort(reason))
-                            self._aborted = True
-                            break
+                    if emit_progress(self.tracer, event):
+                        self._aborted = True
+                        break
                     if self.on_progress is not None:
                         self.on_progress(self, event)
 
@@ -1503,24 +1500,49 @@ class ShardedService:
         )
 
 
-def run_service_benchmark(
+def run_benchmark(
     spec: WorkloadSpec,
-    options: Options | None = None,
-    profile: HardwareProfile | None = None,
+    options: Options,
+    profile: HardwareProfile,
     *,
+    byte_scale: float,
     num_clients: int | None = None,
-    client_ops_per_sec: float = DEFAULT_CLIENT_OPS_PER_SEC,
-    byte_scale: float = 1.0,
+    client_ops_per_sec: float | None = None,
     tracer: Tracer | None = None,
-) -> ServiceResult:
-    """Convenience wrapper: build a :class:`ShardedService`, run once."""
-    service = ShardedService(
-        spec,
-        options,
-        profile,
-        num_clients=num_clients,
-        client_ops_per_sec=client_ops_per_sec,
-        byte_scale=byte_scale,
-        tracer=tracer,
-    )
-    return service.run()
+) -> tuple[BenchResult, str]:
+    """Measure one configuration: the result and its db_bench-format
+    report.
+
+    The one rule for which runner measures a (spec, options) pair, so
+    the tuning loop, the fine-tuner and ``pylsm-bench`` score a
+    configuration alike. The sharded service runs it when the workload
+    needs per-client roles (:data:`SERVICE_WORKLOADS`), when
+    ``shard_count`` > 1, or when a client topology is given; a bare
+    :class:`~repro.bench.runner.DbBench` runs it otherwise. A service report's headline is plain db_bench text and
+    the service emits the same progress samples, so the parser and the
+    early-stop monitor read both alike.
+    """
+    if (
+        spec.name in SERVICE_WORKLOADS
+        or options.get("shard_count") > 1
+        or num_clients is not None
+        or client_ops_per_sec is not None
+    ):
+        service_result = ShardedService(
+            spec,
+            options,
+            profile,
+            num_clients=num_clients,
+            client_ops_per_sec=(
+                client_ops_per_sec
+                if client_ops_per_sec is not None
+                else DEFAULT_CLIENT_OPS_PER_SEC
+            ),
+            byte_scale=byte_scale,
+            tracer=tracer,
+        ).run()
+        return service_result.aggregate, render_service_report(service_result)
+    result = DbBench(
+        spec, options, profile, byte_scale=byte_scale, tracer=tracer
+    ).run()
+    return result, render_report(result)

@@ -2,10 +2,11 @@
 
 import pytest
 
-from repro.bench.runner import BenchResult, DbBench, ProgressEvent
+from repro.bench.runner import BenchResult, DbBench
 from repro.bench.spec import WorkloadSpec
 from repro.hardware import make_profile
 from repro.lsm.options import Options
+from repro.obs.events import BenchProgress
 
 TINY_WRITE = WorkloadSpec(
     name="fillrandom", num_ops=2000, num_keys=2000, preload_keys=0,
@@ -86,7 +87,7 @@ class TestRunner:
 
     def test_progress_callback_invoked(self):
         events = []
-        def progress(event: ProgressEvent) -> bool:
+        def progress(event: BenchProgress) -> bool:
             events.append(event)
             return True
         run(TINY_WRITE, progress=progress)
@@ -96,7 +97,7 @@ class TestRunner:
         assert events[0].elapsed_virtual_s > 0
 
     def test_progress_abort(self):
-        def progress(event: ProgressEvent) -> bool:
+        def progress(event: BenchProgress) -> bool:
             return event.ops_done < 2000 * 0.5
         result = run(TINY_WRITE, progress=progress)
         assert result.aborted

@@ -147,3 +147,22 @@ class TestHybridTuner:
             config(iterations=1), llm, FineTuneConfig(max_probes=2)
         )
         assert "Hybrid tuning" in hybrid.run().describe()
+
+
+class TestOneRunnerRule:
+    """The fine-tuner scores a configuration exactly as the tuning loop
+    does, so a probe is judged against a best measured the same way."""
+
+    @pytest.mark.parametrize("name", ["readwhilewriting", "fillrandom"])
+    def test_probe_equals_tuner_run(self, name):
+        from repro.bench.spec import workload
+        from repro.core.tuner import ElmoTune
+
+        cfg = TunerConfig(
+            workload=workload(name, 0.0002),
+            profile=make_profile(4, 4),
+            byte_scale=1 / 1024,
+        )
+        options = Options({"write_buffer_size": 8 * 1024 * 1024})
+        _result, tuned, _report, _fired = ElmoTune(cfg)._run_bench(options, None)
+        assert FineTuner(cfg)._bench(options) == tuned

@@ -61,6 +61,7 @@ class TestVetting:
         assert "disable_wal" in bl
         assert "paranoid_checks" in bl
         assert "no_block_cache" in bl
+        assert {"create_if_missing", "error_if_exists"} <= bl  # open modes
 
     def test_malformed_value_rejected(self, enforcer):
         result = enforcer.vet(

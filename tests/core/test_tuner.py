@@ -187,3 +187,26 @@ class TestServiceBenchRouting:
         session = ElmoTune(cfg, ScriptedLLM([GOOD_RESPONSE], cycle=True)).run()
         assert len(session.iterations) == 2
         assert session.baseline.metrics.ops_per_sec > 0
+
+
+class TestOpenModesAreVetoed:
+    """``create_if_missing`` and ``error_if_exists`` are open modes, not
+    tuning knobs: the default blacklist vetoes them, so a session whose
+    LLM proposes one still finishes every iteration."""
+
+    def test_create_if_missing_false_is_vetoed_and_session_finishes(self):
+        from repro.bench.spec import paper_workload
+        from repro.obs.events import Veto
+
+        llm = ScriptedLLM(
+            ["Skip directory creation:\n```\ncreate_if_missing=false\n```"],
+            cycle=True,
+        )
+        cfg = config(iterations=2, workload=paper_workload("fillrandom", 5e-5))
+        session = ElmoTune(cfg, llm).run()
+        assert len(session.iterations) == 3  # baseline + 2
+        assert session.final_options.get("create_if_missing") is True
+        vetoes = [e for e in session.trace_events if type(e) is Veto]
+        assert [(v.name, v.category) for v in vetoes] == [
+            ("create_if_missing", "blacklist")
+        ] * 2

@@ -189,7 +189,7 @@ class TestRunCompaction:
         compaction = Compaction(level=0, output_level=1, inputs=[t1, t2])
         self._execute(fs, compaction)
         reader = SSTableReader(fs.open_random("/db/000051.sst"), 51)
-        keys = [ikey.decode(k)[0] for k, _, _ in reader.iter_entries()]
+        keys = [ikey.decode(k)[0] for k, _, _ in reader.iter_from(None)]
         assert keys == [b"a", b"b", b"c", b"d", b"e", b"f"]
 
 

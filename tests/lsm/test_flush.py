@@ -31,7 +31,7 @@ def builder_factory(fs):
 def flushed_entries(fs, result):
     reader = SSTableReader(fs.open_random("/db/000101.sst"),
                            result.file_meta.file_number)
-    return list(reader.iter_entries())
+    return list(reader.iter_from(None))
 
 
 class TestMultiMemtableMerge:

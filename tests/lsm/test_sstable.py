@@ -130,7 +130,7 @@ class TestReader:
         fs = MemFileSystem()
         build_table(fs, keys=100, block_size=256)
         reader = open_reader(fs)
-        keys = [ikey.decode(k)[0] for k, _, _ in reader.iter_entries()]
+        keys = [ikey.decode(k)[0] for k, _, _ in reader.iter_from(None)]
         assert keys == sorted(keys)
         assert len(keys) == 100
 
@@ -160,7 +160,7 @@ class TestReader:
         fs.corrupt("/db/000001.sst", 10, 0xFF)
         reader = open_reader(fs)
         with pytest.raises(CorruptionError):
-            list(reader.iter_entries())
+            list(reader.iter_from(None))
 
     def test_memoised_block_is_still_read_and_verified(self):
         """The decoded-block memo spares recomputation, never a read: a
@@ -378,7 +378,7 @@ class TestPackedPath:
             builder.add(key, kind, value)
         builder.finish()
         reader = open_reader(fs)
-        unpacked = list(reader.iter_entries())
+        unpacked = list(reader.iter_from(None))
         packed = reader.read_packed()
         assert len(packed) == len(unpacked)
         for (k1, kind, value), (k2, pv) in zip(unpacked, packed):

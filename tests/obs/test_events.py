@@ -87,8 +87,8 @@ class TestErrors:
 
 class TestCompatibility:
     def test_progress_event_positional_construction(self):
-        # The bench runner's old ProgressEvent(done, total, elapsed, ops)
-        # contract must survive: t_us is keyword-only with a default.
+        # BenchProgress(done, total, elapsed, ops) builds positionally:
+        # t_us is keyword-only with a default.
         event = BenchProgress(500, 1000, 0.5, 1000.0)
         assert event.ops_done == 500
         assert event.t_us == 0.0

@@ -16,7 +16,7 @@ from repro.lsm.options import Options
 from repro.lsm.statistics import Statistics, Ticker
 from repro.obs.sinks import RingSink
 from repro.obs.tracer import Tracer
-from repro.service import render_service_report, run_service_benchmark
+from repro.service import render_service_report
 from repro.service.clients import PUT, build_clients
 from repro.service.service import DEFAULT_CLIENT_OPS_PER_SEC, ShardedService
 
@@ -31,13 +31,13 @@ def small(name, factor=0.08):
 def run_once(spec, overrides, num_clients, with_trace=True):
     sink = RingSink()
     tracer = Tracer(sink) if with_trace else None
-    result = run_service_benchmark(
+    result = ShardedService(
         spec,
         Options(overrides),
         PROFILE,
         num_clients=num_clients,
         tracer=tracer,
-    )
+    ).run()
     result.wall_clock_s = 0.0  # host time is the one nondeterministic field
     trace = [
         (e.TYPE, e.t_us, tuple(sorted(vars(e).items()))) for e in sink.events

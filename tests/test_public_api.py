@@ -77,6 +77,54 @@ class TestErrorHierarchy:
             raise errors.BenchmarkParseError("nope")
 
 
+class TestOneMeasuringPlace:
+    """How a configuration is measured is decided in one place each:
+    which runner measures it, and what request stream it draws."""
+
+    def test_one_function_builds_a_runner_for_a_one_shot_run(self):
+        # OnlineTuner.run and the chaos harness hook a live service, so
+        # they keep their own.
+        assert _callers({"DbBench", "ShardedService"}) == {
+            "service/service.py:run_benchmark",
+            "core/online.py:OnlineTuner.run",
+            "service/chaos.py:_build",
+        }
+
+    def test_one_generator_draws_the_request_stream(self):
+        callers = _callers({"make_generator", "ValueGenerator"})
+        assert {c for c in callers if not c.startswith("bench/keygen.py:")} == {
+            "bench/runner.py:op_stream",
+            "bench/runner.py:preload_stream",
+        }
+
+
+def _callers(names: set[str]) -> set[str]:
+    """``module:Class.function`` of every call in the package to a name
+    in ``names``; a call in a nested function counts for the function
+    that encloses it."""
+    package = pathlib.Path(repro.__file__).parent
+    found = set()
+
+    def visit(node, module: str, scope: str, in_function: bool) -> None:
+        for child in ast.iter_child_nodes(node):
+            inner, nested = scope, in_function
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                  ast.ClassDef)) and not in_function:
+                inner = f"{scope}.{child.name}" if scope else child.name
+                nested = not isinstance(child, ast.ClassDef)
+            elif isinstance(child, ast.Call):
+                func = child.func
+                name = getattr(func, "id", getattr(func, "attr", None))
+                if name in names:
+                    found.add(f"{module}:{scope}")
+            visit(child, module, inner, nested)
+
+    for path in sorted(package.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        visit(tree, path.relative_to(package).as_posix(), "", False)
+    return found
+
+
 def _is_value_error(node: ast.Raise) -> bool:
     exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
     return isinstance(exc, ast.Name) and exc.id == "ValueError"
