@@ -163,7 +163,7 @@ _LANE_LOW9 = int.from_bytes(b"\xff\x01\x00\x00" * _POOL_LANES, "little")
 _LANE_BIT8 = int.from_bytes(b"\x00\x01\x00\x00" * _POOL_LANES, "little")
 
 
-@lru_cache(maxsize=8)
+@lru_cache(maxsize=16)
 def _value_pool(seed: int) -> bytes:
     """``_POOL_SIZE`` draws of ``Random(seed).randrange(1 << 8)`` as
     bytes, without the Python-level loop.
@@ -174,8 +174,10 @@ def _value_pool(seed: int) -> bytes:
     little-endian lanes. So: shift every lane right by 23, keep its low
     9 bits, flip bit 8 (now 1 = accepted), and of each lane's four
     bytes take byte 0 wherever byte 1 is set. Memoised because a tuning
-    session rebuilds the same two pools on every iteration: at most 8
-    immutable pools, 512 KiB.
+    session rebuilds the same pools on every iteration. The largest
+    shipped run, 8 clients plus the preload, draws 9 pools in the same
+    order every run, so a memo of fewer would evict each pool just
+    before its next use: at most 16 immutable pools, 1 MiB.
     """
     rng = random.Random(seed)
     pool = bytearray()

@@ -2,8 +2,9 @@
 
 Runs one :class:`~repro.bench.spec.WorkloadSpec` against a DB opened
 with given options on a given hardware profile, measuring virtual-time
-throughput and latency exactly the way ``db_bench`` reports them. A
-progress callback supports ELMo-Tune's 30-second early-stop monitor.
+throughput and latency exactly the way ``db_bench`` reports them.
+Progress samples go to the tracer, where ELMo-Tune's 30-second
+early-stop monitor listens and can ask for an abort.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ from typing import Callable, Iterator
 
 from repro.bench.keygen import ValueGenerator, format_key, make_generator
 from repro.bench.spec import SCAN_WORKLOADS, WorkloadSpec
+from repro.hardware.monitor import SystemSnapshot
 from repro.hardware.profile import HardwareProfile, make_profile
 from repro.lsm.db import DB
 from repro.errors import SimulatedCrash
@@ -31,8 +33,8 @@ from repro.obs.events import (
 )
 from repro.obs.tracer import Tracer
 
-#: Callback contract: return False to abort the run early.
-ProgressCallback = Callable[[BenchProgress], bool]
+#: The operation classes whose latencies are foreground busy time.
+_BUSY_OPS = (OpClass.PUT, OpClass.DELETE, OpClass.GET, OpClass.SEEK)
 
 
 @dataclass
@@ -61,7 +63,8 @@ class BenchResult:
     level_shape: str
     db_size_bytes: int
     tickers: dict[str, int] = field(default_factory=dict)
-    snapshot: object | None = None  # SystemSnapshot (psutil-like)
+    #: psutil-like view of the run; None for a service run.
+    snapshot: SystemSnapshot | None = None
     #: Real (host) seconds the run took. Diagnostic only: every headline
     #: metric is virtual-time and deterministic; this one is not.
     wall_clock_s: float = 0.0
@@ -132,10 +135,10 @@ class BenchResult:
     def fingerprint(self) -> dict:
         """Deterministic view of the result for equality checks.
 
-        Everything virtual-time-derived, excluding ``wall_clock_s`` and
-        the monitor ``snapshot`` (both reflect the host, not the model).
-        Two runs of the same spec, options and profile must produce
-        identical fingerprints.
+        Everything virtual-time-derived, excluding ``wall_clock_s`` (host
+        time) and the ``snapshot`` (a prompt's view of the same
+        counters). Two runs of the same spec, options and profile must
+        produce identical fingerprints.
         """
         from dataclasses import asdict
 
@@ -284,8 +287,15 @@ class DbBench:
         # real store at the moment a post-load benchmark begins.
         db.flush(wait_compactions=False)
 
-    def run(self, progress: ProgressCallback | None = None) -> BenchResult:
-        """Execute preload + measured phase; returns the result."""
+    def run(
+        self, progress: Callable[[BenchProgress], object] | None = None
+    ) -> BenchResult:
+        """Execute preload + measured phase; returns the result.
+
+        ``progress`` observes each sample and its return value is
+        ignored; an abort goes through the tracer's control channel
+        (:func:`emit_progress`).
+        """
         wall_start = time.perf_counter()
         stats = Statistics()
         tracer = (
@@ -359,11 +369,8 @@ class DbBench:
                     if emit_progress(tracer, event):
                         aborted = True
                         break
-                    if progress is not None and not progress(event):
-                        aborted = True
-                        if tracer is not None:
-                            tracer.emit(BenchAbort("progress callback"))
-                        break
+                    if progress is not None:
+                        progress(event)
             if cursor is not None:
                 cursor.close()
             duration_s = (self.env.clock.now_us - start_us) / 1e6
@@ -432,5 +439,30 @@ class DbBench:
             aborted=aborted,
             level_shape=db.describe(),
             db_size_bytes=db.approximate_size(),
-            snapshot=db.monitor.snapshot(self.env.clock.now_us),
+            snapshot=self._snapshot(db, stats, duration_s),
+        )
+
+    def _snapshot(
+        self, db: DB, stats: Statistics, duration_s: float
+    ) -> SystemSnapshot:
+        """The run's system view, read from the counters the engine
+        keeps: busy time is the foreground histograms' total less the
+        stall time they include, I/O is the byte and sync tickers, and
+        memory is the memtables plus the block cache, unscaled."""
+        tick = stats.ticker
+        busy_us = sum(
+            hist.count * hist.average for hist in map(stats.histogram, _BUSY_OPS)
+        ) - tick(Ticker.STALL_MICROS) - tick(Ticker.DELAYED_WRITE_MICROS)
+        capacity_us = duration_s * 1e6 * self.profile.cpu_cores
+        used = sum(m.approx_bytes for m in db.memtables) + db.block_cache.used_bytes
+        return SystemSnapshot(
+            profile=self.profile,
+            cpu_percent=(
+                min(100.0, max(0.0, 100.0 * busy_us / capacity_us))
+                if capacity_us > 0 else 0.0
+            ),
+            used_memory_bytes=used / self.byte_scale,
+            read_bytes=tick(Ticker.BYTES_READ),
+            write_bytes=tick(Ticker.BYTES_WRITTEN) + tick(Ticker.WAL_BYTES),
+            sync_count=tick(Ticker.WAL_SYNCS),
         )

@@ -2,7 +2,7 @@
 
 from repro.hardware.device import NVME_SSD, SATA_HDD, DeviceModel, device_by_name
 from repro.hardware.fio import FioProbe, FioReport
-from repro.hardware.monitor import SystemMonitor, SystemSnapshot
+from repro.hardware.monitor import SystemSnapshot
 from repro.hardware.profile import (
     GiB,
     KiB,
@@ -19,7 +19,6 @@ __all__ = [
     "device_by_name",
     "FioProbe",
     "FioReport",
-    "SystemMonitor",
     "SystemSnapshot",
     "HardwareProfile",
     "make_profile",

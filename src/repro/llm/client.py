@@ -49,10 +49,6 @@ class LLMClient(abc.ABC):
     def complete(self, messages: list[ChatMessage]) -> str:
         """Return the assistant's response text for ``messages``."""
 
-    @property
-    def model_name(self) -> str:
-        return type(self).__name__
-
 
 class ScriptedLLM(LLMClient):
     """Replays a fixed list of responses (testing aid).

@@ -114,10 +114,6 @@ class SimulatedExpert(LLMClient):
         #: Audit trail of injected imperfections (for tests/ablations).
         self.injections: list[str] = []
 
-    @property
-    def model_name(self) -> str:
-        return "simulated-expert-v1"
-
     # -- core ---------------------------------------------------------------
 
     def complete(self, messages: list[ChatMessage]) -> str:

@@ -17,7 +17,6 @@ from dataclasses import replace
 from typing import Any, Iterable, Iterator, Mapping
 
 from repro.errors import DBClosedError, DBError, SimulatedCrash
-from repro.hardware.monitor import SystemMonitor
 from repro.hardware.profile import HardwareProfile, make_profile
 from repro.lsm.background import (
     BackgroundScheduler,
@@ -162,7 +161,6 @@ class DB:
         self._trace_on = self._tracer.enabled
         if self._trace_on:
             self._tracer.bind_clock(env.now_us)
-        self._monitor = SystemMonitor(profile)
         self._perf = PerfModel(profile, options, byte_scale=byte_scale)
         self._closed = False
         self._foreground_parallelism = 1
@@ -218,16 +216,15 @@ class DB:
             self._picker = FifoPicker(options)
         # Write-path fast lane: `_write` runs once per put at fillrandom
         # rates, so everything it needs — the clock, the precomputed
-        # put-cost constants, the monitor/histogram sinks — is bound to
+        # put-cost constants, the histogram sinks — is bound to
         # one attribute hop, the write plan (_rebuild_write_plan).
         self._clock = env.clock
         self._clock_advance = env.clock.advance
         #: Sum of approx_bytes over self._imm, maintained incrementally
         #: (rotation adds, _install_flush recomputes) so the per-write
-        #: memory gauge and global-budget check stay O(1).
+        #: global-budget check stays O(1).
         self._imm_bytes = 0
         self._fg_div = 1
-        self._set_used_memory = self._monitor.set_used_memory
         self._bind_options()
 
     def _bind_options(self) -> None:
@@ -272,7 +269,6 @@ class DB:
         #: (version stamp, value) memo for pending compaction debt.
         self._pending_bytes_cache: tuple[int, int] = (-1, 0)
         self._rebuild_write_plan()
-        self._update_memory_gauge()
 
     def _rebuild_write_plan(self) -> None:
         """Pack the per-write hot state into one tuple.
@@ -300,11 +296,10 @@ class DB:
             self._tickers,
             None if wal is None else wal._append,
             self._mem, self._mem.add,
-            self._perf.smoother.on_bytes_written, self._monitor.record_put,
+            self._perf.smoother.on_bytes_written,
             self._clock_advance,
             stats.histogram(OpClass.PUT).add,
             stats.histogram(OpClass.DELETE).add,
-            self._block_cache,
             bool(self._db_write_buffer_size or self._max_total_wal_size),
         )
 
@@ -509,8 +504,8 @@ class DB:
 
     def _charge_read(self, latency_us: float) -> float:
         """The epilogue every read shares: scale the modeled cost by
-        the swap factor, add a stats dump when one is due, account the
-        CPU time and advance the clock. Returns the charged latency."""
+        the swap factor, add a stats dump when one is due and advance
+        the clock. Returns the charged latency."""
         latency_us *= self._swap_factor
         period_us = self._stats_dump_period_us
         if period_us > 0:
@@ -518,7 +513,6 @@ class DB:
             if now - self._last_stats_dump_us >= period_us:
                 self._last_stats_dump_us = now
                 latency_us += self._perf.stats_dump_cost_us()
-        self._monitor.record_cpu(latency_us)
         self._clock_advance(latency_us / self._fg_div)
         return latency_us
 
@@ -587,7 +581,6 @@ class DB:
         self._stats.bump(Ticker.FLUSH_BYTES, result.bytes_out)
         self._stats.bump(Ticker.BYTES_WRITTEN, result.bytes_out)
         self._stats.observe(OpClass.FLUSH, job.duration_us)
-        self._monitor.record_write(result.bytes_out)
         if self._trace_on:
             self._tracer.emit(
                 FlushInstalled(
@@ -640,8 +633,6 @@ class DB:
         self._stats.bump(Ticker.BYTES_WRITTEN, result.bytes_written)
         self._stats.bump(Ticker.BYTES_READ, result.bytes_read)
         self._stats.observe(OpClass.COMPACTION, job.duration_us)
-        self._monitor.record_write(result.bytes_written)
-        self._monitor.record_read(result.bytes_read)
         if self._trace_on:
             self._tracer.emit(
                 CompactionInstalled(
@@ -880,7 +871,6 @@ class DB:
                 )
             bg.wait_next()
             self._stats.bump(Ticker.STALL_MICROS, int(wait))
-            self._monitor.record_iowait(wait)
             extra_us += wait
 
     def put(self, key: bytes, value: bytes) -> float:
@@ -963,9 +953,8 @@ class DB:
             bg_busy,
             base, per_byte, coord, speed, cores, rot_seek, relief,
             wal, use_fsync, swap, fg_div, period,
-            tickers, wal_append, mem, mem_add, writeback, account_put,
-            clock_advance, observe_put, observe_delete, block_cache,
-            budget_caps,
+            tickers, wal_append, mem, mem_add, writeback,
+            clock_advance, observe_put, observe_delete, budget_caps,
         ) = self._write_plan
         now = clock._now_us
         # A stall advance can cross a pending job's lower bound; busy()
@@ -1022,19 +1011,15 @@ class DB:
                 self._durable_seq = seq
                 latency += self._perf.wal_sync_cost_us()
                 tickers[_T_WAL_SYNCS] += 1
-                self._monitor.record_sync()
         latency += writeback(wal_bytes + entry_bytes)
         if period > 0.0 and now - self._last_stats_dump_us >= period:
             self._last_stats_dump_us = now
             latency += self._perf.stats_dump_cost_us()
         tickers[_T_WRITE_DONE_BY_SELF] += 1
-        mem_bytes = mem.approx_bytes
-        account_put(latency, wal_bytes,
-                    mem_bytes + self._imm_bytes + block_cache.used_bytes)
         clock_advance(latency / fg_div)
         total = latency + stall_us
         (observe_delete if kind is _DELETE else observe_put)(total)
-        if mem_bytes >= mem.capacity_bytes or (
+        if mem.approx_bytes >= mem.capacity_bytes or (
             budget_caps and self._over_global_write_budget()
         ):
             rotation_cost = self._perf.rotation_overhead_us()
@@ -1175,7 +1160,6 @@ class DB:
                         tickers[_T_BLOOM_CHECKED] += 1
                     if block_read is not None and block_read[1] == "device":
                         tickers[_T_BYTES_READ] += block_read[0]
-                        self._monitor.record_read(block_read[0])
                     if packed is not None:
                         found = True
                         break
@@ -1189,7 +1173,6 @@ class DB:
         if found_value is not None:
             tickers[_T_NUMBER_KEYS_FOUND] += 1
         latency = self._charge_read(latency)
-        self._update_memory_gauge()
         self._stats.observe(_OP_GET, latency)
         return found_value
 
@@ -1292,14 +1275,12 @@ class DB:
         device_bytes = shared.device_block_bytes()
         if device_bytes:
             tickers[_T_BYTES_READ] += device_bytes
-            self._monitor.record_read(device_bytes)
         results = [outcome.get(k) for k in keys]
         value_bytes = sum(len(v) for v in results if v is not None)
         found_keys = sum(1 for v in results if v is not None)
         tickers[_T_MULTIGET_BYTES_READ] += value_bytes
         tickers[_T_NUMBER_KEYS_FOUND] += found_keys
         latency = self._charge_read(latency)
-        self._update_memory_gauge()
         # One histogram sample per key at the batch's amortized cost, so
         # read-latency counts still mean "keys read".
         self._stats.observe_many(
@@ -1567,7 +1548,6 @@ class DB:
         self._durable_seq = self._seq
         latency = self._perf.wal_sync_cost_us()
         self._tickers[_T_WAL_SYNCS] += 1
-        self._monitor.record_sync()
         self._clock_advance(latency / self._fg_div)
         return latency
 
@@ -1696,10 +1676,6 @@ class DB:
         return self._profile
 
     @property
-    def monitor(self) -> SystemMonitor:
-        return self._monitor
-
-    @property
     def block_cache(self) -> LRUCache:
         return self._block_cache
 
@@ -1719,29 +1695,10 @@ class DB:
         return self._durable_seq
 
     @property
-    def num_immutable_memtables(self) -> int:
-        return len(self._imm)
-
-    @property
     def memtables(self) -> tuple[MemTable, ...]:
         """The live memtables, read-only: the active one, then the
         immutables awaiting flush, oldest first."""
         return (self._mem, *self._imm)
-
-    def _update_memory_gauge(self) -> None:
-        self._set_used_memory(
-            self._mem.approx_bytes
-            + self._imm_bytes
-            + self._block_cache.used_bytes
-        )
-
-    def get_property(self, name: str) -> str | None:
-        """RocksDB-style string property lookup (``pylsm.*`` namespace);
-        see :mod:`repro.lsm.properties`."""
-        self._check_open()
-        from repro.lsm.properties import get_property
-
-        return get_property(self, name)
 
     def approximate_size(self) -> int:
         """Total bytes across all live SSTables."""
@@ -1817,7 +1774,6 @@ class DBIterator:
         ``None`` seeks to the first key. Returns the charged latency."""
         db = self._db
         latency = db._charge_read(self._seek_raw(target))
-        db._update_memory_gauge()
         if db._trace_on:
             db._tracer.emit(
                 IteratorSeek(
@@ -1839,7 +1795,6 @@ class DBIterator:
         if not self._valid:
             raise DBError("next() on an invalid iterator")
         latency = self._next_raw() * db._swap_factor
-        db._monitor.record_cpu(latency)
         db._advance(latency)
         return latency
 
@@ -1979,7 +1934,6 @@ class DBIterator:
             if device_bytes:
                 self._device_bytes += device_bytes
                 db._tickers[_T_BYTES_READ] += device_bytes
-                db._monitor.record_read(device_bytes)
             shared.block_reads.clear()
         if entry is None:
             self._valid = False

@@ -35,9 +35,8 @@ class WritableFile:
         self._path = path
         self._closed = False
         # The handle is created by create()/open_writable() right after
-        # the _File is inserted; rename() keeps the object identity and
-        # crash()/truncate() mutate it in place, so caching it here (one
-        # append per WAL record) never goes stale.
+        # the _File is inserted; crash()/truncate() mutate it in place,
+        # so caching it here (one append per WAL record) never goes stale.
         self._f = fs._files[path]
 
     @property
@@ -127,11 +126,6 @@ class MemFileSystem:
         if path not in self._files:
             raise FileNotFound(path)
         del self._files[path]
-
-    def rename(self, src: str, dst: str) -> None:
-        if src not in self._files:
-            raise FileNotFound(src)
-        self._files[dst] = self._files.pop(src)
 
     def file_size(self, path: str) -> int:
         if path not in self._files:

@@ -4,7 +4,7 @@ Three layers, smallest first:
 
 * :class:`FaultFS` — a wrapper around :class:`~repro.lsm.env.MemFileSystem`
   that counts every *mutating* filesystem call (append, sync, create,
-  rename, delete) in one deterministic stream and can, at a scheduled
+  delete) in one deterministic stream and can, at a scheduled
   index, kill the simulated process (:class:`~repro.errors.SimulatedCrash`,
   with a seeded torn tail when the victim call is an append) or fail one
   call (:class:`~repro.errors.InjectedIOError`). Its :meth:`FaultFS.crash`
@@ -244,10 +244,6 @@ class FaultFS:
     def delete(self, path: str) -> None:
         self._gate("delete", path)
         self.inner.delete(path)
-
-    def rename(self, src: str, dst: str) -> None:
-        self._gate("rename", src)
-        self.inner.rename(src, dst)
 
     def file_size(self, path: str) -> int:
         self._check_alive()

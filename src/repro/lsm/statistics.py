@@ -142,20 +142,6 @@ class Statistics:
     def as_dict(self) -> dict[str, int]:
         return {t.value: self._tickers[t.slot] for t in _TICKERS}
 
-    def describe(self) -> str:
-        """Multi-line stats dump (embedded in prompts)."""
-        pairs = [(t.value, self._tickers[t.slot]) for t in _TICKERS]
-        lines = [f"{name}: {v}" for name, v in sorted(pairs) if v]
-        for op in _OP_CLASSES:
-            hist = self._histograms[op.slot]
-            if hist.count:
-                s = hist.summary()
-                lines.append(
-                    f"{op.value}.latency_us: count={s.count} avg={s.average:.2f} "
-                    f"p99={s.p99:.2f} max={s.maximum:.2f}"
-                )
-        return "\n".join(lines)
-
     def reset(self) -> None:
         # Zero in place: raw_tickers() bindings must stay valid.
         tickers = self._tickers

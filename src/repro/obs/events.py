@@ -278,7 +278,7 @@ class FaultInjected(TraceEvent):
     """
 
     TYPE: ClassVar[str] = "fault.injected"
-    op: str  # "append" | "sync" | "create" | "rename" | "delete"
+    op: str  # "append" | "sync" | "create" | "delete"
     path: str
     op_index: int
     kind: str  # "crash" | "torn_append" | "io_error"

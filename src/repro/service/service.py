@@ -334,7 +334,9 @@ class ShardedService:
         self._reshards: list[tuple[str, int, int]] = []
         #: Optional mid-run hook: called as ``on_progress(service, event)``
         #: after every progress sample, while the event loop is parked
-        #: between requests. The callback may call :meth:`set_options`.
+        #: between requests. The callback may call :meth:`set_options`;
+        #: its return value is ignored (an abort goes through the
+        #: tracer, as for :class:`~repro.bench.runner.DbBench`).
         self.on_progress: "Callable[[ShardedService, ServiceProgress], None] | None" = None
         #: Optional hook called after the run completes, while shards
         #: are still open — oracles (e.g. :meth:`verify_write_audit`)

@@ -12,11 +12,14 @@ from repro.bench.keygen import (
     UniformKeys,
     ValueGenerator,
     ZipfianKeys,
+    _value_pool,
     format_key,
     make_generator,
 )
-from repro.bench.spec import WorkloadSpec
+from repro.bench.spec import WorkloadSpec, workload
 from repro.errors import WorkloadError
+from repro.lsm.options import Options
+from repro.service.service import ShardedService
 
 
 class TestFormatKey:
@@ -224,8 +227,21 @@ class TestValuePool:
     def test_pool_is_shared_and_the_memo_is_bounded(self):
         first = ValueGenerator(100, seed=7000)
         assert ValueGenerator(999, pareto_sizes=True, seed=7000)._pool is first._pool
-        for seed in range(7001, 7009):  # eight more distinct pools
+        for seed in range(7001, 7017):  # sixteen more distinct pools
             ValueGenerator(100, seed=seed)
         rebuilt = ValueGenerator(100, seed=7000)._pool
         assert rebuilt is not first._pool
         assert rebuilt == first._pool
+
+    def test_a_repeated_service_run_builds_no_pool(self):
+        # 8 clients plus the preload draw 9 pools, in the same order on
+        # every run: the memo must hold them all.
+        spec = workload("readwhilewriting").scaled(0.01)
+
+        def serve():
+            ShardedService(spec, Options({"shard_count": 4}), num_clients=8).run()
+
+        serve()
+        misses = _value_pool.cache_info().misses
+        serve()
+        assert _value_pool.cache_info().misses == misses

@@ -7,6 +7,8 @@ from repro.bench.spec import WorkloadSpec
 from repro.hardware import make_profile
 from repro.lsm.options import Options
 from repro.obs.events import BenchProgress
+from repro.obs.sinks import TraceSink
+from repro.obs.tracer import Tracer
 
 TINY_WRITE = WorkloadSpec(
     name="fillrandom", num_ops=2000, num_keys=2000, preload_keys=0,
@@ -87,21 +89,32 @@ class TestRunner:
 
     def test_progress_callback_invoked(self):
         events = []
-        def progress(event: BenchProgress) -> bool:
-            events.append(event)
-            return True
-        run(TINY_WRITE, progress=progress)
+        run(TINY_WRITE, progress=events.append)
         assert events
         assert events[-1].ops_done == 2000
         assert events[0].total_ops == 2000
         assert events[0].elapsed_virtual_s > 0
 
+    def test_progress_callback_only_observes(self):
+        # Its return value is ignored: a callback that returns None (or
+        # False) does not stop the run.
+        for callback in (lambda event: None, lambda event: False):
+            result = run(TINY_WRITE, progress=callback)
+            assert not result.aborted
+            assert result.ops_done == 2000
+
     def test_progress_abort(self):
-        def progress(event: BenchProgress) -> bool:
-            return event.ops_done < 2000 * 0.5
-        result = run(TINY_WRITE, progress=progress)
+        class Stopper(TraceSink):
+            def emit(self, event):
+                if isinstance(event, BenchProgress) and event.ops_done >= 1000:
+                    self.tracer.request_abort("enough")
+
+        tracer = Tracer(Stopper())
+        bench = DbBench(TINY_WRITE, None, make_profile(4, 4),
+                        byte_scale=1 / 1024, tracer=tracer)
+        result = bench.run()
         assert result.aborted
-        assert result.ops_done < 2000
+        assert result.ops_done == 1000
 
     def test_snapshot_attached(self):
         result = run(TINY_WRITE)

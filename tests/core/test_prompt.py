@@ -4,7 +4,7 @@ import pytest
 
 from repro.bench.spec import WorkloadSpec
 from repro.core.prompt import FeedbackContext, PromptGenerator, PromptSections
-from repro.hardware import SATA_HDD, SystemMonitor, make_profile
+from repro.hardware import SATA_HDD, SystemSnapshot, make_profile
 from repro.lsm.options import Options
 
 SPEC = WorkloadSpec(
@@ -40,9 +40,7 @@ class TestPromptGenerator:
         assert "rand-read" in user
 
     def test_live_snapshot_preferred(self):
-        monitor = SystemMonitor(make_profile(2, 4, SATA_HDD))
-        monitor.record_cpu(1000.0)
-        snap = monitor.snapshot(1000.0)
+        snap = SystemSnapshot(make_profile(2, 4, SATA_HDD), 50.0, 0.0, 0, 0, 0)
         user = build(snapshot=snap)[1].content
         assert "utilization 50.0%" in user
 

@@ -106,9 +106,11 @@ class DBMachine(RuleBasedStateMachine):
     def sizes_agree(self):
         if self.db.closed:
             return
-        live = int(self.db.get_property("pylsm.estimate-num-keys") or 0)
-        # Estimate counts stale versions too, so it upper-bounds the model.
-        assert live >= 0
+        entries = sum(f.num_entries for f in self.db.version.all_files())
+        entries += sum(m.num_entries for m in self.db.memtables)
+        # Stale versions and tombstones count too, so the entries
+        # upper-bound the model's live keys.
+        assert entries >= len(self.model)
 
 
 TestDBStateMachine = DBMachine.TestCase

@@ -172,9 +172,6 @@ class TestExpertProposals:
                 seen_first_options.add(changes[0].name)
         assert len(seen_first_options) >= 2
 
-    def test_model_name(self):
-        assert "expert" in SimulatedExpert().model_name
-
     def test_a_failing_move_propagates(self, monkeypatch):
         """A knowledge-base bug surfaces instead of silently shrinking
         the proposal."""

@@ -22,8 +22,8 @@ from repro.service.replication import open_group
 SRC = Path(__file__).resolve().parents[2] / "src" / "repro"
 DB_PY = SRC / "lsm" / "db.py"
 
-MAX_PRIVATE_ATTRS = 47
-MAX_METHODS = 76
+MAX_PRIVATE_ATTRS = 45
+MAX_METHODS = 72
 
 
 def _parse(path):

@@ -53,13 +53,6 @@ class TestMemFileSystem:
         with pytest.raises(FileNotFound):
             fs.delete("/x")
 
-    def test_rename(self):
-        fs = MemFileSystem()
-        fs.create("/a").append(b"data")
-        fs.rename("/a", "/b")
-        assert not fs.exists("/a")
-        assert fs.read_all("/b") == b"data"
-
     def test_list_dir(self):
         fs = MemFileSystem()
         for path in ("/db/1.sst", "/db/2.log", "/other/3.sst"):

@@ -50,7 +50,7 @@ class TestOpCounting:
         fs.read_all("/a")
         fs.file_size("/a")
         fs.list_dir("/")
-        fs.rename("/a", "/b")        # 4
+        fs.create("/b")              # 4
         fs.delete("/b")              # 5
         assert fs.op_index == 5
 

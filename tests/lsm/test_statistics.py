@@ -45,18 +45,6 @@ class TestStatistics:
         d = Statistics().as_dict()
         assert "flush.count" in d
 
-    def test_describe_skips_zeros(self):
-        stats = Statistics()
-        stats.bump(Ticker.FLUSH_COUNT, 2)
-        text = stats.describe()
-        assert "flush.count: 2" in text
-        assert "compaction.count" not in text
-
-    def test_describe_includes_histograms(self):
-        stats = Statistics()
-        stats.observe(OpClass.GET, 42.0)
-        assert "get.latency_us" in stats.describe()
-
     def test_reset(self):
         stats = Statistics()
         stats.bump(Ticker.FLUSH_COUNT)

@@ -77,7 +77,8 @@ class TestDBWrite:
             for i in range(500):
                 batch.put(b"%05d" % i, b"x" * 64)
             db.write(batch)
-            assert db.num_immutable_memtables >= 0  # rotated post-batch
+            # The batch filled one memtable, which rotated after it.
+            assert db.memtables[0].empty()
             for i in range(0, 500, 97):
                 assert db.get(b"%05d" % i) == b"x" * 64
 

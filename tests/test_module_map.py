@@ -68,8 +68,6 @@ KEEP_TEST_ONLY = {
     "__version__": "the package's version string; test_version reads it",
     "mutable_option_names": "parametrizes test_set_options over every "
     "option DB.set_options accepts",
-    "known_properties": "test_all_known_properties_resolve checks "
-    "DB.get_property against every fixed property",
     "shard_for_key": "the reference test_matches_legacy_router_bit_for_bit "
     "checks ModuloPolicy's routing against",
     # Public methods (``Class.method``) only tests call.
@@ -83,6 +81,12 @@ KEEP_TEST_ONLY = {
     "builder's split point against",
     "FaultFS.schedule_error": "tests inject an I/O error at a chosen "
     "operation to reach the error paths; the sweeps inject crashes only",
+    "MemFileSystem.corrupt": "corruption tests flip a byte of a table, "
+    "WAL or MANIFEST through it to reach the checksum and recovery paths",
+    "FaultFS.corrupt": "corruption tests flip a byte through it on the "
+    "fault-injecting filesystem, as on the plain one",
+    "DB.live_snapshots": "test_snapshot checks through it that a released "
+    "snapshot leaves the list that pins old versions",
 }
 
 #: Knobs (``Owner.name``) no entry point sets, kept on purpose.
@@ -196,19 +200,59 @@ def _reached() -> set[str]:
     return reached
 
 
-def _referenced_names(paths) -> set[str]:
+class _References(ast.NodeVisitor):
     """Every name the files read: a loaded variable, an attribute, or
-    an imported name. Definitions and assignments do not count."""
-    names: set[str] = set()
+    an imported name. Definitions and assignments do not count, and
+    neither does a read inside a function of the same name: a method
+    that delegates to a namesake in another module, or forwards to the
+    same method of an object it wraps (``FaultFS.corrupt`` calling
+    ``inner.corrupt``), does not reach it."""
+
+    def __init__(self) -> None:
+        self.names: set[str] = set()
+        self._functions: list[str] = []
+
+    def _read(self, name: str) -> None:
+        if name not in self._functions:
+            self.names.add(name)
+
+    def visit_FunctionDef(self, node: ast.FunctionDef) -> None:
+        self._functions.append(node.name)
+        self.generic_visit(node)
+        self._functions.pop()
+
+    def visit_Name(self, node: ast.Name) -> None:
+        if not isinstance(node.ctx, ast.Store):
+            self._read(node.id)
+
+    def visit_Attribute(self, node: ast.Attribute) -> None:
+        self._read(node.attr)
+        self.generic_visit(node)
+
+    def visit_alias(self, node: ast.alias) -> None:
+        self._read(node.name.rsplit(".", 1)[-1])
+
+
+def _referenced_names(paths) -> set[str]:
+    """The names :class:`_References` finds across the files."""
+    references = _References()
     for path in paths:
-        for node in ast.walk(_tree(path)):
-            if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
-                names.add(node.id)
-            elif isinstance(node, ast.Attribute):
-                names.add(node.attr)
-            elif isinstance(node, ast.alias):
-                names.add(node.name.rsplit(".", 1)[-1])
-    return names
+        references.visit(_tree(path))
+    return references.names
+
+
+def test_a_forwarder_does_not_reach_its_namesake(tmp_path):
+    path = tmp_path / "forwarder.py"
+    path.write_text(
+        "class Wrapper:\n"
+        "    def rename(self, src):\n"
+        "        self.inner.rename(src)\n\n"
+        "def use(fs):\n"
+        "    fs.corrupt()\n"
+    )
+    names = _referenced_names([path])
+    assert {"inner", "corrupt", "fs"} <= names
+    assert "rename" not in names
 
 
 def _public_names(reached: set[str]) -> set[tuple[str, str]]:
