@@ -14,7 +14,9 @@
 # 7. the service layer's four pinned virtual-time claims
 #    (benchmarks/test_service_claims.py), 8. the determinism gate
 #    (scripts/check_determinism.py: seven scenarios, each run twice and
-#    held to its pinned sha256), 9. the console audit.
+#    held to its pinned sha256), 9. host work (scripts/check_work.py:
+#    calls per operation by layer, each pinned as a ceiling), 10. the
+#    console audit.
 #
 # For host-time numbers (with spread, against a parent commit), use
 # python benchmarks/perf/bench.py and its --compare.
@@ -62,6 +64,12 @@ echo "== determinism: bg, service, repl, scan, online, reshard, tune =="
 # Each scenario runs twice and is byte-compared (trace and
 # report); its sha256 must equal the pin in the script's EXPECTED table.
 python scripts/check_determinism.py
+
+echo
+echo "== host work: calls per operation by layer, against their ceilings =="
+# One profiled round of each host-time workload; a rise fails and names
+# the functions that grew, a fall prints the figure to lower the pin to.
+python scripts/check_work.py
 
 echo
 echo "== console audit: no direct print() outside repro/obs/console.py =="

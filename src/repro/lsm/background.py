@@ -94,8 +94,9 @@ class CompactionJobSpec:
     compaction: Compaction
     readers: list[SSTableReader]
     #: Whether the output level is the bottommost populated one. An
-    #: output above it will be compacted again, so its builder keeps
-    #: its blocks for the table cache to seed that table's reader with.
+    #: output above it, or at L1 (which every L0 compaction merges
+    #: into), will be compacted again, so its builder keeps its blocks
+    #: for the table cache to seed that table's reader with.
     bottommost: bool
     snapshots: SnapshotList
     builder: BuilderConfig
@@ -123,8 +124,9 @@ class BgJobOutput:
     #: them, and as the trace event the foreground emits at the join.
     work: tuple[int, int, int]
     run_event: FlushRun | CompactionRun
-    #: Aligned with ``files`` for a compaction above the bottommost
-    #: level: each output's kept blocks (see ``SSTableBuilder``).
+    #: Aligned with ``files`` for a compaction whose outputs are handed
+    #: off (above the bottommost level, or at L1): each output's kept
+    #: blocks, every block of it (see ``SSTableBuilder``).
     blocks: list[list[KeptBlock]] = field(default_factory=list)
 
 
@@ -162,7 +164,8 @@ def execute_compaction_job(spec: CompactionJobSpec) -> BgJobOutput:
     """Pure compaction: merge input tables into new tables' bytes."""
     fs = MemFileSystem()
     counter = iter(range(1, 1 << 30))
-    keep = not spec.bottommost
+    # Every L0 compaction merges into L1, bottommost or not.
+    keep = not spec.bottommost or spec.compaction.output_level == 1
     builders: list[SSTableBuilder] = []
 
     def open_builder(path: str, level: int) -> SSTableBuilder:

@@ -601,8 +601,9 @@ class DB:
             replace(meta, file_number=self._materialize_table(data))
             for meta, data in zip(result.new_files, files)
         ]
-        # Outputs above the bottommost level come with their builders'
-        # kept blocks: the next compaction reads them undecoded.
+        # Outputs above the bottommost level, and L1 outputs, come with
+        # their builders' kept blocks: the next compaction reads them
+        # undecoded.
         for meta, blocks in zip(result.new_files, job.output.blocks):
             self._table_cache.seed(meta.file_number, blocks)
         edit = VersionEdit(comment=f"compaction L{compaction.level}")

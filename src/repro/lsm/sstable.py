@@ -42,10 +42,11 @@ _MAGIC = 0x88E241B785F4CFF7
 _KIND_BYTES = (b"\x00", b"\x01")
 _KIND_OF = (ValueKind.DELETE, ValueKind.VALUE)
 
-#: Decoded-block memo size per open reader (blocks), and the most blocks
-#: a builder keeps for one. Nothing served from the memo is trusted
-#: without a byte compare against what the modelled read just returned,
-#: so the bound only caps memory.
+#: Decoded-block memo size per open reader (blocks) for what the reader
+#: decodes itself; a seed (:meth:`SSTableReader.seed`) may hold more.
+#: Nothing served from the memo is trusted without a byte compare
+#: against what the modelled read just returned, so the bound only caps
+#: memory.
 _DECODED_CACHE_BLOCKS = 128
 
 #: One finished block as its builder held it: ``(offset, envelope,
@@ -115,8 +116,8 @@ class SSTableBuilder:
         whole_key_filtering: bool = True,
         keep_blocks: bool = False,
     ) -> None:
-        """``keep_blocks``: hold each finished block's entries, for
-        :attr:`kept_blocks` (the first ``_DECODED_CACHE_BLOCKS`` only)."""
+        """``keep_blocks``: hold every finished block's entries, for
+        :attr:`kept_blocks`."""
         self._file = fs.create(path)
         self._path = path
         self._block_size = max(256, block_size)
@@ -350,9 +351,8 @@ class SSTableBuilder:
         envelope = compress_block(self._block.finish(), self._compression)
         kept = self._kept
         if kept is not None:
-            blocks = self._kept_blocks
-            blocks.append((self._offset, envelope, kept))
-            self._kept = [] if len(blocks) < _DECODED_CACHE_BLOCKS else None
+            self._kept_blocks.append((self._offset, envelope, kept))
+            self._kept = []
         self._file.append(envelope)
         self._index.append((self._last_ikey, self._offset, len(envelope)))
         self._offset += len(envelope)

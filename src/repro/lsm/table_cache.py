@@ -4,11 +4,14 @@
 handle means the next read of that file pays a re-open (footer + index +
 filter load), which is the cost this cache exists to avoid.
 
-A compaction output the tree will compact again arrives with the blocks
-its builder kept (:meth:`TableCache.seed`): the reader opened for that
-file starts its decoded-block memo from them, so the next compaction
-reads the table without decoding it. The blocks wait here only until
-that reader opens or the file is evicted.
+A compaction output the tree will compact again (one above the
+bottommost populated level, or at L1, which every L0 compaction merges
+into) arrives with every block its builder kept
+(:meth:`TableCache.seed`): the reader opened for that file starts its
+decoded-block memo from them, so the next compaction reads the table
+without decoding it. The blocks wait here only until that reader opens
+or the file is evicted, so what waits is bounded by the levels handed
+off.
 """
 
 from __future__ import annotations

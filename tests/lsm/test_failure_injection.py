@@ -104,6 +104,59 @@ class TestCorruption:
             db.compact_range(user_key, user_key)
         assert number not in seeds  # the seeded reader did the read
 
+    #: Fill-shaped: L1 is the bottom level, every compaction is L0 ->
+    #: L1, and 1 KiB blocks make its one table ~200 blocks long.
+    FLAT = {
+        "write_buffer_size": 16384,
+        "block_size": 1024,
+        "level0_file_num_compaction_trigger": 2,
+    }
+
+    def _flat_tree(self, env):
+        """A fill-shaped tree whose one L1 table waits, handed off, for
+        its first reader; returns the DB and that table's meta."""
+        db = open_db(env, self.FLAT)
+        rng = random.Random(7)
+        for _ in range(3000):
+            db.put(b"%05d" % rng.randrange(3000), rng.randbytes(100))
+        db.wait_for_background()
+        assert db.version.max_populated_level() == 1
+        (l1,) = db.version.files_at(1)
+        assert l1.file_number in db._table_cache._seeds
+        return db, l1
+
+    def test_corrupt_block_past_the_memo_bound_of_a_handed_off_l1_table(self):
+        """The bottom L1 table of a fill reaches the next compaction
+        with every block its builder kept. Damage block 130 before its
+        reader opens, then compact: the error is exactly the one the
+        same tree raises with its handoffs dropped."""
+        errors = []
+        for drop in (False, True):
+            env = Env()
+            db, l1 = self._flat_tree(env)
+            seeds = db._table_cache._seeds
+            offset, envelope, entries = seeds[l1.file_number][130]
+            if drop:
+                seeds.clear()
+            user_key = entries[0][0][:5]  # fixed-width keys, no NUL to unescape
+            at = len(envelope) // 2
+            env.fs.corrupt(f"/fi-db/{l1.file_number:06d}.sst", offset + at,
+                           envelope[at] ^ 0xFF)
+            with pytest.raises(CorruptionError) as raised:
+                db.compact_range(user_key, user_key)
+            errors.append(str(raised.value))
+            assert l1.file_number not in seeds
+        assert errors[0] == errors[1]
+
+    def test_crash_leaves_no_l1_seed(self):
+        env = Env()
+        db, l1 = self._flat_tree(env)
+        reopened = db.crash_and_reopen()
+        assert not db._table_cache._seeds
+        assert not reopened._table_cache._seeds
+        assert reopened.version.files_at(1) == [l1]
+        reopened.close()
+
     def test_corrupt_manifest_fails_reopen(self):
         env = Env()
         db = open_db(env)

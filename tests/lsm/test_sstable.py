@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from repro.errors import CorruptionError
 from repro.lsm import ikey
+from repro.lsm import sstable as sstable_mod
 from repro.lsm.bloom import BloomFilter
 from repro.lsm.env import MemFileSystem
 from repro.lsm.memtable import ValueKind
@@ -546,13 +547,12 @@ class TestKeptBlocks:
         image = fs.read_all("/db/000001.sst")
         reader = open_reader(fs)
         offsets = [off for _last, off, _sz in reader._index]
-        assert [off for off, _, _ in kept] == offsets[: len(kept)]
-        assert len(kept) == min(len(offsets), 128)
+        assert [off for off, _, _ in kept] == offsets
         for off, envelope, block_entries in kept:
             assert image[off : off + len(envelope)] == envelope
             assert decode_block(decompress_block(envelope)) == block_entries
         flat = [entry for _, _, block_entries in kept for entry in block_entries]
-        assert flat == entries[: len(flat)]
+        assert flat == entries
 
     def test_blocks_are_kept_per_api(self):
         """``add``, ``add_packed`` and ``add_many`` keep what
@@ -578,7 +578,9 @@ class TestKeptBlocks:
         assert plain.kept_blocks == []
         assert fs.read_all("/db/plain.sst") == fs.read_all("/db/a.sst")
 
-    def test_at_most_the_memo_bound_is_kept(self):
+    def test_every_block_is_kept(self):
+        """A kept table keeps every block, past the reader's own memo
+        bound: the handoff is bounded by the output level, not by it."""
         fs = MemFileSystem()
         entries = [
             (ikey.encode(b"key-%06d" % i, 1), b"\x01" + bytes(200))
@@ -586,8 +588,9 @@ class TestKeptBlocks:
         ]
         kept = build_kept(fs, "/db/000001.sst", entries, block_size=256,
                           restart_interval=16, codec="none")
-        assert len(open_reader(fs)._index) > 128
-        assert len(kept) == 128
+        offsets = [off for _last, off, _sz in open_reader(fs)._index]
+        assert len(offsets) > sstable_mod._DECODED_CACHE_BLOCKS
+        assert [off for off, _, _ in kept] == offsets
 
 
 class TestSeededReader:
